@@ -1,0 +1,57 @@
+"""Byte-for-byte gate on the CLI's --deterministic CSV and JSON output.
+
+``tests/golden/`` holds the output of every scenario at its defaults, plus
+the asymmetry study at three trials, ``single --certify`` and ``single`` on
+the README's worked instance. Any change to a column, its order, a default,
+a value or the number formatting shows up as a byte difference. The files
+are gzip-compressed (the uncompressed set is about 200 KB, mostly the
+lemma2-sweep and prmax-sweep JSON).
+
+Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import gzip
+from pathlib import Path
+
+import pytest
+
+from twrelay.sim_cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+FORMATS = ("csv", "json")
+
+RUNS = {
+    "lemma2-sweep": ["--scenario", "lemma2-sweep"],
+    "prmax-sweep": ["--scenario", "prmax-sweep"],
+    "asymmetry-study": ["--scenario", "asymmetry-study", "--trials", "3"],
+    "single": ["--scenario", "single"],
+    "single-certify": ["--scenario", "single", "--certify"],
+    "single-instance": [
+        "--scenario", "single", "--instance", str(GOLDEN / "worked_instance.json"),
+    ],
+}
+
+
+def _output(name: str, fmt: str, out: Path) -> bytes:
+    argv = [*RUNS[name], "--format", fmt, "--deterministic", "--out", str(out)]
+    assert main(argv) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", RUNS)
+def test_deterministic_output_matches_golden(name, fmt, tmp_path):
+    expected = gzip.decompress((GOLDEN / f"{name}.{fmt}.gz").read_bytes())
+    assert _output(name, fmt, tmp_path / f"{name}.{fmt}") == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in RUNS:
+            for fmt in FORMATS:
+                data = _output(name, fmt, Path(tmp) / f"{name}.{fmt}")
+                (GOLDEN / f"{name}.{fmt}.gz").write_bytes(gzip.compress(data, mtime=0))
