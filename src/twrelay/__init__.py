@@ -29,6 +29,7 @@ from .errors import (
     TwrelayError,
 )
 from .ma_phase import (
+    SourceRates,
     SourceStrategy,
     logdet_identity_plus,
     max_ma_strategy,
@@ -36,14 +37,12 @@ from .ma_phase import (
     rate_ma,
     strategy_from_covariances,
 )
-from .oracle import OracleResult, baseline_full_power, grid_certify, grid_lipschitz_bound
+from .oracle import OracleResult, grid_certify, grid_lipschitz_bound
 from .relay_opt import (
     RelativeLevels,
     RelaySolution,
-    SourceRates,
     ThresholdLedger,
     classify_case,
-    diagnostics,
     optimize,
     relative_levels,
     relay_covariance,
@@ -79,10 +78,8 @@ __all__ = [
     "SystemConfig",
     "ThresholdLedger",
     "TwrelayError",
-    "baseline_full_power",
     "classify_case",
     "decompose",
-    "diagnostics",
     "forward_level",
     "forward_waterfill",
     "generate_channels",

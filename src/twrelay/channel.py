@@ -14,7 +14,9 @@ routine downstream operates on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +54,12 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n_r) < 1:
             raise ValueError("antenna counts must be >= 1")
-        if min(self.sigma1_sq, self.sigma2_sq, self.sigmar_sq) <= 0.0:
-            raise ValueError("noise variances must be positive")
-        if min(self.p1_max, self.p2_max, self.pr_max) < 0.0:
-            raise ValueError("power budgets must be nonnegative")
+        noise = (self.sigma1_sq, self.sigma2_sq, self.sigmar_sq)
+        if not all(math.isfinite(v) and v > 0.0 for v in noise):
+            raise ValueError("noise variances must be finite and positive")
+        budgets = (self.p1_max, self.p2_max, self.pr_max)
+        if not all(math.isfinite(v) and v >= 0.0 for v in budgets):
+            raise ValueError("power budgets must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,12 @@ class DirectionGains:
     """Diagonalized relay->node direction.
 
     alpha is sorted descending and strictly positive (length = numerical
-    rank of the downlink); omega carries the matching singular values and
-    v_factor the full n_r x n_r right singular-vector matrix needed to
-    rebuild relay covariances from per-subchannel powers.
+    rank of the downlink); v_factor is the full n_r x n_r right
+    singular-vector matrix needed to rebuild relay covariances from
+    per-subchannel powers.
     """
 
     alpha: np.ndarray
-    omega: np.ndarray
     v_factor: np.ndarray
 
 
@@ -103,8 +106,14 @@ class SubchannelGains:
         return self.direction2.alpha
 
     def pooled(self) -> np.ndarray:
-        """Both gain lists merged and re-sorted descending."""
-        return np.sort(np.concatenate([self.alpha1, self.alpha2]))[::-1]
+        """Both gain lists merged and re-sorted descending (read-only)."""
+        return self._pooled
+
+    @cached_property
+    def _pooled(self) -> np.ndarray:
+        pooled = np.sort(np.concatenate([self.alpha1, self.alpha2]))[::-1]
+        pooled.flags.writeable = False
+        return pooled
 
 
 def generate_channels(config: SystemConfig, trial_index: int) -> ChannelSet:
@@ -139,12 +148,7 @@ def _decompose_one(h: np.ndarray, sigma_sq: float) -> DirectionGains:
     kept = s >= RANK_CUTOFF * s[0]
     if not np.any(kept):
         raise RankZeroError("downlink channel has no nonzero singular value")
-    omega = s[kept]
-    return DirectionGains(
-        alpha=omega**2 / sigma_sq,
-        omega=omega,
-        v_factor=vh.conj().T,
-    )
+    return DirectionGains(alpha=s[kept] ** 2 / sigma_sq, v_factor=vh.conj().T)
 
 
 def decompose(channels: ChannelSet, config: SystemConfig) -> SubchannelGains:
@@ -180,7 +184,7 @@ def synthetic_gains(alpha1, alpha2) -> SubchannelGains:
         raise ValueError("gain lists must be nonempty and strictly positive")
     n_r = int(max(a1.size, a2.size))
     return SubchannelGains(
-        direction1=DirectionGains(alpha=a1, omega=np.sqrt(a1), v_factor=np.eye(n_r, dtype=complex)),
-        direction2=DirectionGains(alpha=a2, omega=np.sqrt(a2), v_factor=np.eye(n_r, dtype=complex)),
+        direction1=DirectionGains(alpha=a1, v_factor=np.eye(n_r, dtype=complex)),
+        direction2=DirectionGains(alpha=a2, v_factor=np.eye(n_r, dtype=complex)),
         n_r=n_r,
     )

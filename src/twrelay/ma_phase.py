@@ -9,8 +9,10 @@ are the MA sum-rate
 and the individual uplink rates r_bar_ir with only one term inside. All
 rates are in nats.
 
-The relay optimizer works for arbitrary source covariances; callers can
-build a SourceStrategy from any PSD pair via strategy_from_covariances.
+The relay optimizer needs only the three rates (SourceRates), so it works
+for arbitrary source covariances; callers can build a SourceStrategy, the
+rates together with the covariances that induce them, from any PSD pair
+via strategy_from_covariances.
 max_ma_strategy provides the simulation default: the sum-rate-maximizing
 pair found by cyclic best-response water-filling (each user water-fills
 against the other user's interference-plus-noise until the sum rate stops
@@ -19,15 +21,17 @@ improving).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
-from .errors import NonPSDError, NoConvergenceError
+from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
 from .waterfill import forward_waterfill
 
 __all__ = [
+    "SourceRates",
     "SourceStrategy",
     "logdet_identity_plus",
     "rate_ma",
@@ -42,14 +46,31 @@ MAX_SWEEPS = 500
 
 
 @dataclass(frozen=True)
-class SourceStrategy:
+class SourceRates:
+    """MA sum rate and the two single-user uplink rates (nats).
+
+    Rates must be finite and not below -1e-12 (round-off of a zero rate);
+    they are stored as floats clamped to zero.
+    """
+
+    r_ma: float
+    r_bar_1r: float
+    r_bar_2r: float
+
+    def __post_init__(self) -> None:
+        for name in ("r_ma", "r_bar_1r", "r_bar_2r"):
+            rate = float(getattr(self, name))
+            if not (math.isfinite(rate) and rate >= -1e-12):
+                raise InvalidStrategyError("source rates must be finite and nonnegative")
+            object.__setattr__(self, name, max(rate, 0.0))
+
+
+@dataclass(frozen=True)
+class SourceStrategy(SourceRates):
     """Source covariances (watts) and the rates they induce (nats)."""
 
     d1: np.ndarray
     d2: np.ndarray
-    r_ma: float
-    r_bar_1r: float
-    r_bar_2r: float
 
 
 def logdet_identity_plus(s: np.ndarray) -> float:

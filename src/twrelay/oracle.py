@@ -22,14 +22,16 @@ resolutions, where exhaustive enumeration is affordable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import SubchannelGains
+from .ma_phase import SourceRates
 from .waterfill import forward_level, inverse_waterfill, power_of_level, rate_of_level
 
-__all__ = ["OracleResult", "grid_certify", "baseline_full_power", "grid_lipschitz_bound"]
+__all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
 RATE_TIE = 1e-9
 
@@ -40,8 +42,11 @@ class OracleResult:
 
     best_rate is the maximum two-way sum rate (nats, halved convention);
     min_power_at_best the least power among grid points within 1e-9 nats
-    of it; argmax_levels a pair attaining that; baseline_levels the
-    full-power maximizer (max consumed power, then max broadcast sum).
+    of it; argmax_levels a pair attaining that; baseline_levels and
+    baseline_bc_rates the full-power maximizer (max consumed power, then
+    max broadcast sum). That is the solution a plain rate maximizer with
+    no interest in power consumption returns: its broadcast sum keeps
+    growing with the budget after the two-way rate has saturated.
     """
 
     best_rate: float
@@ -57,22 +62,22 @@ def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
     return float(np.sum(gains.pooled()) * resolution)
 
 
-def _special_levels(gains: SubchannelGains, strategy, pr_max: float) -> np.ndarray:
+def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> np.ndarray:
     pooled = gains.pooled()
-    r_ma = float(strategy.r_ma)
+    r_ma = strategy.r_ma
     specials = [
-        inverse_waterfill(gains.alpha2, max(float(strategy.r_bar_1r), 0.0)).level,
-        inverse_waterfill(gains.alpha1, max(float(strategy.r_bar_2r), 0.0)).level,
-        inverse_waterfill(pooled, max(r_ma, 0.0)).level,
+        inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,
+        inverse_waterfill(gains.alpha1, strategy.r_bar_2r).level,
+        inverse_waterfill(pooled, r_ma).level,
         forward_level(pooled, pr_max),
-        inverse_waterfill(gains.alpha1, max(r_ma - float(strategy.r_bar_1r), 0.0)).level,
-        inverse_waterfill(gains.alpha2, max(r_ma - float(strategy.r_bar_2r), 0.0)).level,
+        inverse_waterfill(gains.alpha1, max(r_ma - strategy.r_bar_1r, 0.0)).level,
+        inverse_waterfill(gains.alpha2, max(r_ma - strategy.r_bar_2r, 0.0)).level,
     ]
     return np.asarray(specials, dtype=float)
 
 
 def _axes(
-    gains: SubchannelGains, strategy, pr_max: float, resolution: float
+    gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level axes (ascending, deduplicated) for the two directions."""
     specials = _special_levels(gains, strategy, pr_max)
@@ -105,13 +110,13 @@ def _axes(
 def _capped_rates(gains, strategy, axis1, axis2):
     r1 = rate_of_level(gains.alpha1, axis1)
     r2 = rate_of_level(gains.alpha2, axis2)
-    m1 = np.minimum(r1, float(strategy.r_bar_2r))
-    m2 = np.minimum(r2, float(strategy.r_bar_1r))
+    m1 = np.minimum(r1, strategy.r_bar_2r)
+    m2 = np.minimum(r2, strategy.r_bar_1r)
     return r1, r2, m1, m2
 
 
 def grid_certify(
-    gains: SubchannelGains, strategy, pr_max: float, resolution: float = 1e-4
+    gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float = 1e-4
 ) -> OracleResult:
     """Exhaustive-grid optimum of one instance.
 
@@ -121,9 +126,9 @@ def grid_certify(
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    if pr_max < 0.0:
-        raise ValueError("pr_max must be nonnegative")
-    r_ma = float(strategy.r_ma)
+    if not (math.isfinite(pr_max) and pr_max >= 0.0):
+        raise ValueError("pr_max must be finite and nonnegative")
+    r_ma = strategy.r_ma
     axis1, axis2 = _axes(gains, strategy, pr_max, resolution)
     p1 = power_of_level(gains.alpha1, axis1)
     p2 = power_of_level(gains.alpha2, axis2)
@@ -135,7 +140,7 @@ def grid_certify(
     comp_level = forward_level(gains.alpha2, np.maximum(pr_max - p1, 0.0))
     comp_rate = rate_of_level(gains.alpha2, comp_level)
     boundary_rtw = 0.5 * np.minimum(
-        r_ma, m1 + np.minimum(comp_rate, float(strategy.r_bar_1r))
+        r_ma, m1 + np.minimum(comp_rate, strategy.r_bar_1r)
     )
     best_rate = float(np.max(boundary_rtw))
 
@@ -172,17 +177,3 @@ def grid_certify(
         baseline_bc_rates=baseline_bc,
         grid_resolution=float(resolution),
     )
-
-
-def baseline_full_power(
-    gains: SubchannelGains, strategy, pr_max: float, resolution: float = 1e-3
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Levels and broadcast rates of the no-power-minimization solution.
-
-    The analogue of handing the rate-maximization problem to a generic
-    solver: it spends the whole budget whenever a full-power point attains
-    the maximum two-way rate (one always does), so its broadcast sum keeps
-    growing with the budget even after the two-way rate has saturated.
-    """
-    res = grid_certify(gains, strategy, pr_max, resolution)
-    return res.baseline_levels, res.baseline_bc_rates

@@ -28,12 +28,14 @@ instances do not chatter between paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import DirectionGains, SubchannelGains
 from .errors import InvalidStrategyError
+from .ma_phase import SourceRates
 from .waterfill import (
     forward_level,
     forward_waterfill,
@@ -51,22 +53,12 @@ __all__ = [
     "thresholds",
     "optimize",
     "classify_case",
-    "diagnostics",
     "relay_covariance",
     "two_way_rate",
 ]
 
 # Absolute slack on level / rate / power comparisons in branch tests.
 TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SourceRates:
-    """Bare rate triple (nats) for callers without explicit covariances."""
-
-    r_ma: float
-    r_bar_1r: float
-    r_bar_2r: float
 
 
 @dataclass(frozen=True)
@@ -123,6 +115,12 @@ class RelaySolution:
     covariances; bc_rates are the raw broadcast rates per direction;
     sum_rate_tw includes the 1/2 two-slot factor; step_trace lists the
     visited steps of the seven-step procedure.
+
+    efficient: the broadcast rate sum matches the best achievable with the
+    power actually consumed (pooled water-fill of consumed_power).
+    source_waste: the budget sits below the threshold where the broadcast
+    side stops binding the two-way rate, so the sources could have spent
+    less power for the same end-to-end sum rate.
     """
 
     level1: float
@@ -139,17 +137,7 @@ class RelaySolution:
     source_waste: bool
 
 
-def _finite_rates(strategy) -> SourceRates:
-    r_ma = float(strategy.r_ma)
-    r1 = float(strategy.r_bar_1r)
-    r2 = float(strategy.r_bar_2r)
-    if not all(np.isfinite(v) for v in (r_ma, r1, r2)) or min(r_ma, r1, r2) < -1e-12:
-        raise InvalidStrategyError("source rates must be finite and nonnegative")
-    return SourceRates(r_ma=max(r_ma, 0.0), r_bar_1r=max(r1, 0.0), r_bar_2r=max(r2, 0.0))
-
-
-def _validated_rates(strategy) -> SourceRates:
-    rates = _finite_rates(strategy)
+def _validated_rates(rates: SourceRates) -> SourceRates:
     if rates.r_ma - (rates.r_bar_1r + rates.r_bar_2r) > -1e-12:
         raise InvalidStrategyError(
             "r_ma must be strictly below r_bar_1r + r_bar_2r "
@@ -175,21 +163,20 @@ def relay_covariance(direction: DirectionGains, powers, n_r: int) -> np.ndarray:
     return (v * diag) @ v.conj().T
 
 
-def relative_levels(gains: SubchannelGains, strategy, pr_max: float) -> RelativeLevels:
+def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
-    rates = _finite_rates(strategy)
-    if pr_max < 0.0:
-        raise ValueError("pr_max must be nonnegative")
+    if not (math.isfinite(pr_max) and pr_max >= 0.0):
+        raise ValueError("pr_max must be finite and nonnegative")
     pooled = gains.pooled()
     return RelativeLevels(
-        inv_mu1=inverse_waterfill(gains.alpha2, rates.r_bar_1r).level,
-        inv_mu2=inverse_waterfill(gains.alpha1, rates.r_bar_2r).level,
-        inv_mu_ma=inverse_waterfill(pooled, rates.r_ma).level,
+        inv_mu1=inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,
+        inv_mu2=inverse_waterfill(gains.alpha1, strategy.r_bar_2r).level,
+        inv_mu_ma=inverse_waterfill(pooled, strategy.r_ma).level,
         inv_lambda0=forward_waterfill(pooled, pr_max).level,
     )
 
 
-def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy) -> ThresholdLedger:
+def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceRates) -> ThresholdLedger:
     """Budget thresholds of the instance.
 
     p_ma / p_l / p_s are pooled water-fill powers at the levels 1/mu_ma,
@@ -199,7 +186,6 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy) -> Thre
     its ceiling and gives the loose direction d the level whose rate is
     r_ma - r_bar_dr.
     """
-    rates = _finite_rates(strategy)
     pooled = gains.pooled()
     low = min(levels.inv_mu1, levels.inv_mu2)
     high = max(levels.inv_mu1, levels.inv_mu2)
@@ -211,10 +197,10 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy) -> Thre
     if symmetric:
         p_bar_ma = p_ma
     elif levels.cap1 >= levels.cap2:
-        bar1 = inverse_waterfill(gains.alpha1, max(rates.r_ma - rates.r_bar_1r, 0.0)).level
+        bar1 = inverse_waterfill(gains.alpha1, max(strategy.r_ma - strategy.r_bar_1r, 0.0)).level
         p_bar_ma = power_of_level(gains.alpha1, bar1) + power_of_level(gains.alpha2, levels.cap2)
     else:
-        bar2 = inverse_waterfill(gains.alpha2, max(rates.r_ma - rates.r_bar_2r, 0.0)).level
+        bar2 = inverse_waterfill(gains.alpha2, max(strategy.r_ma - strategy.r_bar_2r, 0.0)).level
         p_bar_ma = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, bar2)
     return ThresholdLedger(
         p_ma=p_ma,
@@ -226,7 +212,7 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy) -> Thre
     )
 
 
-def optimize(gains: SubchannelGains, strategy, pr_max: float) -> RelaySolution:
+def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelaySolution:
     """Run the seven-step allocation and package the optimal solution.
 
     Steps: (1) water-fill the full budget on the pooled gains; (2) if some
@@ -280,22 +266,23 @@ def optimize(gains: SubchannelGains, strategy, pr_max: float) -> RelaySolution:
 
     powers = {i: np.maximum(lv[i] - 1.0 / alpha[i], 0.0) for i in (1, 2)}
     bc = {i: rate_of_level(alpha[i], lv[i]) for i in (1, 2)}
-    solution = RelaySolution(
+    consumed = float(np.sum(powers[1]) + np.sum(powers[2]))
+    best_bc = forward_waterfill(gains.pooled(), consumed).rate
+    waste_threshold = ledger.p_ma if ledger.case_symmetric else ledger.p_bar_ma
+    return RelaySolution(
         level1=lv[1],
         level2=lv[2],
         powers1=powers[1],
         powers2=powers[2],
         b1=relay_covariance(gains.direction1, powers[1], gains.n_r),
         b2=relay_covariance(gains.direction2, powers[2], gains.n_r),
-        consumed_power=float(np.sum(powers[1]) + np.sum(powers[2])),
+        consumed_power=consumed,
         sum_rate_tw=two_way_rate(rates.r_ma, rates.r_bar_1r, rates.r_bar_2r, bc[1], bc[2]),
         bc_rates=(bc[1], bc[2]),
         step_trace=tuple(trace),
-        efficient=False,
-        source_waste=False,
+        efficient=bool(bc[1] + bc[2] >= best_bc - TIE_TOL),
+        source_waste=bool(pr_max < waste_threshold - TIE_TOL),
     )
-    eff, waste = diagnostics(solution, gains, levels, ledger, pr_max)
-    return replace(solution, efficient=eff, source_waste=waste)
 
 
 def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float) -> tuple[int, ...]:
@@ -322,25 +309,3 @@ def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float
     if pr_max <= ledger.p_s + TIE_TOL:
         return (1, 2, 3, 4, 5, 6, 7)
     return (1, 2, 3, 5, 6, 7)
-
-
-def diagnostics(
-    solution: RelaySolution,
-    gains: SubchannelGains,
-    levels: RelativeLevels,
-    ledger: ThresholdLedger,
-    pr_max: float,
-) -> tuple[bool, bool]:
-    """(efficient, source_waste) flags for a solution.
-
-    Efficient: the broadcast rate sum matches the best achievable with the
-    power actually consumed (pooled water-fill of consumed_power). Source
-    waste: the budget sits below the threshold where the broadcast side
-    stops binding the two-way rate, so the sources could have spent less
-    power for the same end-to-end sum rate.
-    """
-    best_bc = forward_waterfill(gains.pooled(), solution.consumed_power).rate
-    efficient = solution.bc_rates[0] + solution.bc_rates[1] >= best_bc - TIE_TOL
-    waste_threshold = ledger.p_ma if ledger.case_symmetric else ledger.p_bar_ma
-    source_waste = pr_max < waste_threshold - TIE_TOL
-    return bool(efficient), bool(source_waste)

@@ -16,6 +16,14 @@ Four scenarios:
 * ``single``          one instance end to end, optionally grid-certified and
                       optionally loaded from an explicit gains/rates file.
 
+SCENARIOS maps each name to its runner, its record type and its flag
+defaults. Runners return one immutable record (a NamedTuple) per row,
+whose fields, in order, are the CSV columns and the JSON record keys.
+Records are NamedTuples, not frozen dataclasses, because every CLI start
+imports them: on CPython 3.11 (2-core x86-64 host) the five record types
+cost about 11 ms to create as frozen dataclasses and about 2 ms as
+NamedTuples.
+
 Each trial derives its own RNG stream from (seed, trial index), so any
 execution order produces identical output. CSV output is byte-stable for a
 fixed spec; the only non-deterministic line is a leading timestamp comment,
@@ -26,7 +34,8 @@ factor, bc_*/r_* columns do not.
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
 
-from __future__ import annotations
+# No ``from __future__ import annotations``: NamedTuple would compile every
+# string annotation of the records (about 100) into a ForwardRef at import.
 
 import argparse
 import dataclasses
@@ -35,6 +44,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +57,8 @@ from .channel import (
 )
 from .errors import ConfigError, NoConvergenceError, RankZeroError
 from .ma_phase import max_ma_strategy
-from .oracle import baseline_full_power, grid_certify
-from .relay_opt import SourceRates, optimize, two_way_rate
+from .oracle import grid_certify
+from .relay_opt import RelaySolution, SourceRates, optimize, two_way_rate
 from .waterfill import forward_level, power_of_level, rate_of_level
 
 __all__ = [
@@ -62,41 +72,130 @@ __all__ = [
     "cli_entry",
 ]
 
-SCENARIOS = ("lemma2-sweep", "prmax-sweep", "asymmetry-study", "single")
-
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
 
-LEMMA2_COLUMNS = [
-    "trial", "ratio_db", "pr_total", "inv_lambda0",
-    "inv_lambda1", "inv_lambda2", "bc_sum",
-]
-PRMAX_COLUMNS = [
-    "point", "n1", "n2", "nr", "p1_max", "p2_max", "sigma_sq",
-    "pr_max", "r_ma", "r_bar_1r", "r_bar_2r",
-    "inv_lambda1", "inv_lambda2", "consumed_power",
-    "bc_rate_1", "bc_rate_2", "bc_sum", "sum_rate_tw",
-    "step_path", "efficient", "source_waste",
-    "baseline_inv_lambda1", "baseline_inv_lambda2", "baseline_consumed",
-    "baseline_bc_1", "baseline_bc_2", "baseline_bc_sum", "baseline_sum_rate_tw",
-]
-ASYM_COLUMNS = [
-    "trial", "n1", "n2", "p1_max", "p2_max",
-    "sum_rate_tw", "consumed_power", "efficient",
-]
-SINGLE_COLUMNS = [
-    "trial", "n1", "n2", "nr", "p1_max", "p2_max", "pr_max", "sigma_sq",
-    "r_ma", "r_bar_1r", "r_bar_2r",
-    "inv_lambda1", "inv_lambda2", "consumed_power",
-    "bc_rate_1", "bc_rate_2", "bc_sum", "sum_rate_tw",
-    "step_path", "efficient", "source_waste",
-]
-SINGLE_ORACLE_COLUMNS = [
-    "oracle_best_rate", "oracle_min_power",
-    "oracle_argmax_inv_lambda1", "oracle_argmax_inv_lambda2",
-    "baseline_inv_lambda1", "baseline_inv_lambda2", "baseline_bc_sum",
-    "grid_resolution",
-]
+
+class Lemma2Record(NamedTuple):
+    """One point of one lemma2-sweep curve."""
+
+    trial: int
+    ratio_db: float
+    pr_total: float
+    inv_lambda0: float
+    inv_lambda1: float
+    inv_lambda2: float
+    bc_sum: float
+
+
+class PrmaxRecord(NamedTuple):
+    """One budget of prmax-sweep: minimum-power solution and full-power baseline."""
+
+    point: int
+    n1: int
+    n2: int
+    nr: int
+    p1_max: float
+    p2_max: float
+    sigma_sq: float
+    pr_max: float
+    r_ma: float
+    r_bar_1r: float
+    r_bar_2r: float
+    inv_lambda1: float
+    inv_lambda2: float
+    consumed_power: float
+    bc_rate_1: float
+    bc_rate_2: float
+    bc_sum: float
+    sum_rate_tw: float
+    step_path: str
+    efficient: bool
+    source_waste: bool
+    baseline_inv_lambda1: float
+    baseline_inv_lambda2: float
+    baseline_consumed: float
+    baseline_bc_1: float
+    baseline_bc_2: float
+    baseline_bc_sum: float
+    baseline_sum_rate_tw: float
+
+
+class AsymRecord(NamedTuple):
+    """One (trial, antenna split, power split) cell of asymmetry-study."""
+
+    trial: int
+    n1: int
+    n2: int
+    p1_max: float
+    p2_max: float
+    sum_rate_tw: float
+    consumed_power: float
+    efficient: bool
+
+
+class SingleRecord(NamedTuple):
+    """The row of single: the instance, its source rates and the optimizer's answer."""
+
+    trial: int
+    n1: int
+    n2: int
+    nr: int
+    p1_max: float
+    p2_max: float
+    pr_max: float
+    sigma_sq: float
+    r_ma: float
+    r_bar_1r: float
+    r_bar_2r: float
+    inv_lambda1: float
+    inv_lambda2: float
+    consumed_power: float
+    bc_rate_1: float
+    bc_rate_2: float
+    bc_sum: float
+    sum_rate_tw: float
+    step_path: str
+    efficient: bool
+    source_waste: bool
+
+
+# The row of single --certify: the single row followed by the grid oracle's answer.
+CertifiedSingleRecord = NamedTuple("CertifiedSingleRecord", [
+    *SingleRecord.__annotations__.items(),
+    ("oracle_best_rate", float),
+    ("oracle_min_power", float),
+    ("oracle_argmax_inv_lambda1", float),
+    ("oracle_argmax_inv_lambda2", float),
+    ("baseline_inv_lambda1", float),
+    ("baseline_inv_lambda2", float),
+    ("baseline_bc_sum", float),
+    ("grid_resolution", float),
+])
+
+
+class Scenario(NamedTuple):
+    """Runner (a function of this module, by name), record type and flag defaults."""
+
+    runner: str
+    record: type
+    defaults: dict
+
+
+SCENARIOS = {
+    "lemma2-sweep": Scenario("run_lemma2_sweep", Lemma2Record, dict(
+        n1=6, n2=5, n_r=8, p1_max=3.0, p2_max=3.0, pr_max=3.0,
+        sweep_start=4.0, sweep_stop=7.0, sweep_points=4, trials=1)),
+    "prmax-sweep": Scenario("run_prmax_sweep", PrmaxRecord, dict(
+        n1=6, n2=5, n_r=8, p1_max=3.0, p2_max=3.0, pr_max=3.0,
+        sweep_start=0.25, sweep_stop=12.0, sweep_points=50, trials=1)),
+    "asymmetry-study": Scenario("run_asymmetry_study", AsymRecord, dict(
+        n1=3, n2=3, n_r=6, p1_max=2.5, p2_max=2.5, pr_max=3.0,
+        sweep_start=0.0, sweep_stop=0.0, sweep_points=1, trials=100)),
+    "single": Scenario("run_single", SingleRecord, dict(
+        n1=2, n2=2, n_r=2, p1_max=1.0, p2_max=1.0, pr_max=1.0,
+        sweep_start=0.0, sweep_stop=0.0, sweep_points=1, trials=1)),
+}
 
 
 @dataclass(frozen=True)
@@ -131,26 +230,21 @@ class ScenarioSpec:
             raise ConfigError("certification resolution must be positive")
 
 
-def _solution_fields(sol) -> dict:
-    return {
-        "inv_lambda1": sol.level1,
-        "inv_lambda2": sol.level2,
-        "consumed_power": sol.consumed_power,
-        "bc_rate_1": sol.bc_rates[0],
-        "bc_rate_2": sol.bc_rates[1],
-        "bc_sum": sol.bc_rates[0] + sol.bc_rates[1],
-        "sum_rate_tw": sol.sum_rate_tw,
-        "step_path": "-".join(str(s) for s in sol.step_trace),
-        "efficient": sol.efficient,
-        "source_waste": sol.source_waste,
-    }
+def _solution_values(sol: RelaySolution) -> tuple:
+    """Values of the columns inv_lambda1 .. source_waste of prmax-sweep and single."""
+    bc1, bc2 = sol.bc_rates
+    step_path = "-".join(str(s) for s in sol.step_trace)
+    return (
+        sol.level1, sol.level2, sol.consumed_power, bc1, bc2, bc1 + bc2,
+        sol.sum_rate_tw, step_path, sol.efficient, sol.source_waste,
+    )
 
 
-def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[dict], dict]:
+def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
     """Broadcast rate sum along full-power level splits, per dB ratio."""
     cfg = spec.config
     ratios_db = np.linspace(spec.sweep_start, spec.sweep_stop, spec.sweep_points)
-    records: list[dict] = []
+    records: list[Lemma2Record] = []
     skipped = 0
     for trial in range(spec.trials):
         try:
@@ -158,7 +252,6 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[dict], dict]:
         except RankZeroError:
             skipped += 1
             continue
-        pooled = gains.pooled()
         budgets = 10.0 ** (ratios_db / 10.0) * cfg.sigmar_sq
         # One shared level grid per trial so curves for different ratios can
         # be compared at identical abscissae; infeasible points are skipped.
@@ -167,7 +260,7 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[dict], dict]:
         grid = np.linspace(lo, hi, LEMMA2_LEVEL_POINTS)
         power1 = power_of_level(gains.alpha1, grid)
         for db, pr in zip(ratios_db, budgets):
-            inv_lambda0 = forward_level(pooled, pr)
+            inv_lambda0 = forward_level(gains.pooled(), pr)
             feasible = power1 <= pr + 1e-12
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
@@ -175,64 +268,38 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[dict], dict]:
                 gains.alpha2, level2
             )
             for l1, l2, bc in zip(grid[feasible], level2, bc_sum):
-                records.append({
-                    "trial": trial,
-                    "ratio_db": float(db),
-                    "pr_total": pr,
-                    "inv_lambda0": inv_lambda0,
-                    "inv_lambda1": float(l1),
-                    "inv_lambda2": float(l2),
-                    "bc_sum": float(bc),
-                })
+                records.append(Lemma2Record(
+                    trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)
+                ))
     return records, {"trials": spec.trials, "skipped": skipped}
 
 
-def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[dict], dict]:
+def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     """Budget sweep on one realization: min-power solution vs baseline."""
     cfg = spec.config
     channels = generate_channels(cfg, 0)
     gains = decompose(channels, cfg)
     strategy = max_ma_strategy(channels, cfg)
     budgets = np.linspace(spec.sweep_start, spec.sweep_stop, spec.sweep_points)
-    records: list[dict] = []
+    records: list[PrmaxRecord] = []
     for point, pr in enumerate(budgets):
         sol = optimize(gains, strategy, float(pr))
-        bl_levels, bl_bc = baseline_full_power(gains, strategy, float(pr), spec.resolution)
+        cert = grid_certify(gains, strategy, float(pr), spec.resolution)
+        bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
         bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(
             gains.alpha2, bl_levels[1]
         )
-        row = {
-            "point": point,
-            "n1": cfg.n1,
-            "n2": cfg.n2,
-            "nr": cfg.n_r,
-            "p1_max": cfg.p1_max,
-            "p2_max": cfg.p2_max,
-            "sigma_sq": cfg.sigmar_sq,
-            "pr_max": float(pr),
-            "r_ma": strategy.r_ma,
-            "r_bar_1r": strategy.r_bar_1r,
-            "r_bar_2r": strategy.r_bar_2r,
-            "baseline_inv_lambda1": bl_levels[0],
-            "baseline_inv_lambda2": bl_levels[1],
-            "baseline_consumed": bl_consumed,
-            "baseline_bc_1": bl_bc[0],
-            "baseline_bc_2": bl_bc[1],
-            "baseline_bc_sum": bl_bc[0] + bl_bc[1],
-            "baseline_sum_rate_tw": two_way_rate(
-                strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r, bl_bc[0], bl_bc[1]
-            ),
-        }
-        row.update(_solution_fields(sol))
-        records.append(row)
+        records.append(PrmaxRecord(
+            point, cfg.n1, cfg.n2, cfg.n_r, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq, float(pr),
+            strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r,
+            *_solution_values(sol),
+            *bl_levels, bl_consumed, *bl_bc, bl_bc[0] + bl_bc[1],
+            two_way_rate(strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r, *bl_bc),
+        ))
     return records, {"trials": 1, "skipped": 0}
 
 
-def _asym_power_splits(p_total: float) -> np.ndarray:
-    return np.linspace(0.1, 0.9, 5) * p_total
-
-
-def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
+def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict]]:
     """Average performance over antenna/power splits with fixed totals.
 
     Antenna splits cover every n1 in 1..n_total-1 with n1+n2 fixed; power
@@ -245,13 +312,13 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
     p_total = cfg.p1_max + cfg.p2_max
     if n_total < 2:
         raise ConfigError("asymmetry study needs n1 + n2 >= 2")
-    records: list[dict] = []
+    records: list[AsymRecord] = []
     aggregates: list[dict] = []
     for n1 in range(1, n_total):
         base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
         cells = {
             float(p1): {"sum_rate": [], "consumed": [], "efficient": [], "skipped": 0}
-            for p1 in _asym_power_splits(p_total)
+            for p1 in np.linspace(0.1, 0.9, 5) * p_total
         }
         for trial in range(spec.trials):
             try:
@@ -272,16 +339,10 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
                 cell["sum_rate"].append(sol.sum_rate_tw)
                 cell["consumed"].append(sol.consumed_power)
                 cell["efficient"].append(sol.efficient)
-                records.append({
-                    "trial": trial,
-                    "n1": n1,
-                    "n2": n_total - n1,
-                    "p1_max": p1,
-                    "p2_max": p_total - p1,
-                    "sum_rate_tw": sol.sum_rate_tw,
-                    "consumed_power": sol.consumed_power,
-                    "efficient": sol.efficient,
-                })
+                records.append(AsymRecord(
+                    trial, n1, n_total - n1, p1, p_total - p1,
+                    sol.sum_rate_tw, sol.consumed_power, sol.efficient,
+                ))
         for p1, cell in cells.items():
             done = len(cell["sum_rate"])
             aggregates.append({
@@ -299,84 +360,56 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[dict], list[dict]]:
     return records, aggregates
 
 
-def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, SourceRates, float, dict]:
+def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, SourceRates, float]:
     try:
         payload = json.loads(Path(path).read_text())
         gains = synthetic_gains(payload["alpha1"], payload["alpha2"])
         rates = SourceRates(
-            r_ma=float(payload["r_ma"]),
-            r_bar_1r=float(payload["r_bar_1r"]),
-            r_bar_2r=float(payload["r_bar_2r"]),
+            r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
         )
         pr_max = float(payload.get("pr_max", cfg.pr_max))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
-    echo = {"n1": 0, "n2": 0, "nr": gains.n_r, "sigma_sq": 1.0}
-    return gains, rates, pr_max, echo
+    return gains, rates, pr_max
 
 
-def run_single(spec: ScenarioSpec) -> tuple[list[dict], dict]:
+def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
     """One instance end to end, with optional grid certification."""
     cfg = spec.config
     if spec.instance_path is not None:
-        gains, strategy, pr_max, echo = _load_instance(spec.instance_path, cfg)
+        gains, strategy, pr_max = _load_instance(spec.instance_path, cfg)
+        # An explicit instance has no antennas behind it and unit noise.
+        n1, n2, nr, sigma_sq = 0, 0, gains.n_r, 1.0
     else:
         channels = generate_channels(cfg, 0)
         gains = decompose(channels, cfg)
         strategy = max_ma_strategy(channels, cfg)
         pr_max = cfg.pr_max
-        echo = {"n1": cfg.n1, "n2": cfg.n2, "nr": cfg.n_r, "sigma_sq": cfg.sigmar_sq}
+        n1, n2, nr, sigma_sq = cfg.n1, cfg.n2, cfg.n_r, cfg.sigmar_sq
     sol = optimize(gains, strategy, pr_max)
-    row = {
-        "trial": 0,
-        "p1_max": cfg.p1_max,
-        "p2_max": cfg.p2_max,
-        "pr_max": pr_max,
-        "r_ma": strategy.r_ma,
-        "r_bar_1r": strategy.r_bar_1r,
-        "r_bar_2r": strategy.r_bar_2r,
-    }
-    row.update(echo)
-    row.update(_solution_fields(sol))
-    if spec.certify:
-        res = grid_certify(gains, strategy, pr_max, spec.resolution)
-        row.update({
-            "oracle_best_rate": res.best_rate,
-            "oracle_min_power": res.min_power_at_best,
-            "oracle_argmax_inv_lambda1": res.argmax_levels[0],
-            "oracle_argmax_inv_lambda2": res.argmax_levels[1],
-            "baseline_inv_lambda1": res.baseline_levels[0],
-            "baseline_inv_lambda2": res.baseline_levels[1],
-            "baseline_bc_sum": res.baseline_bc_rates[0] + res.baseline_bc_rates[1],
-            "grid_resolution": res.grid_resolution,
-        })
-    return [row], {"trials": 1, "skipped": 0}
+    row = (
+        0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq,
+        strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r,
+        *_solution_values(sol),
+    )
+    if not spec.certify:
+        return [SingleRecord(*row)], {"trials": 1, "skipped": 0}
+    res = grid_certify(gains, strategy, pr_max, spec.resolution)
+    record = CertifiedSingleRecord(
+        *row, res.best_rate, res.min_power_at_best, *res.argmax_levels, *res.baseline_levels,
+        res.baseline_bc_rates[0] + res.baseline_bc_rates[1], res.grid_resolution,
+    )
+    return [record], {"trials": 1, "skipped": 0}
 
 
 def run_scenario(spec: ScenarioSpec):
-    runner = {
-        "lemma2-sweep": run_lemma2_sweep,
-        "prmax-sweep": run_prmax_sweep,
-        "asymmetry-study": run_asymmetry_study,
-        "single": run_single,
-    }[spec.scenario]
-    return runner(spec)
-
-
-def scenario_columns(spec: ScenarioSpec) -> list[str]:
-    if spec.scenario == "lemma2-sweep":
-        return list(LEMMA2_COLUMNS)
-    if spec.scenario == "prmax-sweep":
-        return list(PRMAX_COLUMNS)
-    if spec.scenario == "asymmetry-study":
-        return list(ASYM_COLUMNS)
-    cols = list(SINGLE_COLUMNS)
-    if spec.certify:
-        cols += SINGLE_ORACLE_COLUMNS
-    return cols
+    # The runner is looked up by name at call time, so wrappers installed on
+    # this module's functions (profilers, tracers) see every run.
+    return globals()[SCENARIOS[spec.scenario].runner](spec)
 
 
 def _fmt_cell(value) -> str:
+    """CSV text of one value: booleans as 0/1, floats at 12 significant digits."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
@@ -385,6 +418,7 @@ def _fmt_cell(value) -> str:
 
 
 def _json_clean(value):
+    """JSON-ready copy with numpy scalars made plain and floats rounded as in CSV."""
     if isinstance(value, dict):
         return {k: _json_clean(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -392,24 +426,24 @@ def _json_clean(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.12g}")
+        return float(_fmt_cell(value))
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
 
 
-def render_csv(spec: ScenarioSpec, records: list[dict]) -> str:
-    columns = scenario_columns(spec)
+def render_csv(spec: ScenarioSpec, records: list) -> str:
+    record_type = type(records[0]) if records else SCENARIOS[spec.scenario].record
     lines = []
     if not spec.deterministic:
         lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(columns))
+    lines.append(",".join(record_type._fields))
     for rec in records:
-        lines.append(",".join(_fmt_cell(rec.get(col, "")) for col in columns))
+        lines.append(",".join(_fmt_cell(value) for value in rec))
     return "\n".join(lines) + "\n"
 
 
-def render_json(spec: ScenarioSpec, records: list[dict], aggregates) -> str:
+def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
     payload = {
         "config": _json_clean({
             "scenario": spec.scenario,
@@ -420,7 +454,7 @@ def render_json(spec: ScenarioSpec, records: list[dict], aggregates) -> str:
             "sweep_points": spec.sweep_points,
             "certify": spec.certify,
         }),
-        "records": _json_clean(records),
+        "records": _json_clean([rec._asdict() for rec in records]),
         "aggregates": _json_clean(aggregates),
     }
     if not spec.deterministic:
@@ -428,7 +462,7 @@ def render_json(spec: ScenarioSpec, records: list[dict], aggregates) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def emit(spec: ScenarioSpec, records: list[dict], aggregates) -> None:
+def emit(spec: ScenarioSpec, records: list, aggregates) -> None:
     text = (
         render_csv(spec, records)
         if spec.fmt == "csv"
@@ -440,19 +474,6 @@ def emit(spec: ScenarioSpec, records: list[dict], aggregates) -> None:
         Path(spec.out).write_text(text)
 
 
-_SCENARIO_DEFAULTS = {
-    # n1, n2, nr, p1, p2, pr, sweep (start, stop, points), trials
-    "lemma2-sweep": dict(n1=6, n2=5, nr=8, p1=3.0, p2=3.0, pr=3.0,
-                         sweep=(4.0, 7.0, 4), trials=1),
-    "prmax-sweep": dict(n1=6, n2=5, nr=8, p1=3.0, p2=3.0, pr=3.0,
-                        sweep=(0.25, 12.0, 50), trials=1),
-    "asymmetry-study": dict(n1=3, n2=3, nr=6, p1=2.5, p2=2.5, pr=3.0,
-                            sweep=(0.0, 0.0, 1), trials=100),
-    "single": dict(n1=2, n2=2, nr=2, p1=1.0, p2=1.0, pr=1.0,
-                   sweep=(0.0, 0.0, 1), trials=1),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twrelay",
@@ -460,17 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", required=True, choices=SCENARIOS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--n1", type=int, default=None)
-    parser.add_argument("--n2", type=int, default=None)
-    parser.add_argument("--nr", type=int, default=None)
-    parser.add_argument("--p1", type=float, default=None, help="source 1 power budget, W")
-    parser.add_argument("--p2", type=float, default=None, help="source 2 power budget, W")
-    parser.add_argument("--pr", type=float, default=None, help="relay power budget, W")
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--n1", type=int)
+    parser.add_argument("--n2", type=int)
+    parser.add_argument("--nr", dest="n_r", metavar="NR", type=int)
+    parser.add_argument("--p1", dest="p1_max", metavar="P1", type=float, help="source 1 power budget, W")
+    parser.add_argument("--p2", dest="p2_max", metavar="P2", type=float, help="source 2 power budget, W")
+    parser.add_argument("--pr", dest="pr_max", metavar="PR", type=float, help="relay power budget, W")
     parser.add_argument("--sigma", type=float, default=1.0, help="noise variance at all nodes, W")
-    parser.add_argument("--sweep-start", type=float, default=None)
-    parser.add_argument("--sweep-stop", type=float, default=None)
-    parser.add_argument("--sweep-points", type=int, default=None)
+    parser.add_argument("--sweep-start", type=float)
+    parser.add_argument("--sweep-stop", type=float)
+    parser.add_argument("--sweep-points", type=int)
     parser.add_argument("--certify", action="store_true",
                         help="attach grid-search certification (single scenario)")
     parser.add_argument("--resolution", type=float, default=1e-3,
@@ -479,56 +500,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=str, default=None, help="output path (default: stdout)")
     parser.add_argument("--deterministic", action="store_true",
                         help="suppress the timestamp line for byte-stable output")
-    parser.add_argument("--instance", type=str, default=None,
+    parser.add_argument("--instance", dest="instance_path", metavar="INSTANCE",
                         help="JSON gains/rates file for the single scenario")
     return parser
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; omitted flags take the scenario's defaults."""
+    parser = build_parser()
+    scenario = parser.parse_args(argv).scenario
+    parser.set_defaults(**SCENARIOS[scenario].defaults)
+    return parser.parse_args(argv)
+
+
 def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
-    defaults = _SCENARIO_DEFAULTS[args.scenario]
-    sweep = defaults["sweep"]
-    if args.sigma <= 0:
-        raise ConfigError("noise variance must be positive")
+    """Spec from parsed flags, named as spec and config fields (--sigma sets all three)."""
+    flags = dict(vars(args))
+    sigma = flags.pop("sigma")
+    config = {f.name: flags.pop(f.name) for f in dataclasses.fields(SystemConfig) if f.name in flags}
     try:
-        config = SystemConfig(
-            n1=args.n1 if args.n1 is not None else defaults["n1"],
-            n2=args.n2 if args.n2 is not None else defaults["n2"],
-            n_r=args.nr if args.nr is not None else defaults["nr"],
-            p1_max=args.p1 if args.p1 is not None else defaults["p1"],
-            p2_max=args.p2 if args.p2 is not None else defaults["p2"],
-            pr_max=args.pr if args.pr is not None else defaults["pr"],
-            sigma1_sq=args.sigma,
-            sigma2_sq=args.sigma,
-            sigmar_sq=args.sigma,
-            seed=args.seed,
-        )
+        config = SystemConfig(**config, sigma1_sq=sigma, sigma2_sq=sigma, sigmar_sq=sigma)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ScenarioSpec(
-        scenario=args.scenario,
-        config=config,
-        trials=args.trials if args.trials is not None else defaults["trials"],
-        sweep_start=args.sweep_start if args.sweep_start is not None else sweep[0],
-        sweep_stop=args.sweep_stop if args.sweep_stop is not None else sweep[1],
-        sweep_points=args.sweep_points if args.sweep_points is not None else sweep[2],
-        certify=args.certify,
-        resolution=args.resolution,
-        out=args.out,
-        fmt=args.fmt,
-        deterministic=args.deterministic,
-        instance_path=args.instance,
-    )
+    return ScenarioSpec(config=config, **flags)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        spec = spec_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        spec = spec_from_args(parse_args(argv))
         records, aggregates = run_scenario(spec)
         emit(spec, records, aggregates)
     except ConfigError as exc:

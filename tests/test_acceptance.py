@@ -248,17 +248,17 @@ def test_c6_budget_sweep_shape():
         sweep_points=50, resolution=1e-3,
     )
     records, _ = run_prmax_sweep(spec)
-    consumed = np.asarray([r["consumed_power"] for r in records])
-    r_ma = records[0]["r_ma"]
+    consumed = np.asarray([r.consumed_power for r in records])
+    r_ma = records[0].r_ma
     ok = bool(np.all(np.diff(consumed) >= -1e-12))
     detail = [f"saturation {saturation:.3f} W"]
     for rec in records:
-        ok &= rec["bc_sum"] <= r_ma + 1e-9
-        ok &= abs(rec["sum_rate_tw"] - rec["baseline_sum_rate_tw"]) <= 1e-9
-        if rec["pr_max"] >= saturation + 0.1:
-            ok &= abs(rec["consumed_power"] - saturation) <= 1e-9
-        if rec["pr_max"] >= saturation + 0.5:
-            ok &= rec["baseline_bc_sum"] > r_ma + 1e-6
+        ok &= rec.bc_sum <= r_ma + 1e-9
+        ok &= abs(rec.sum_rate_tw - rec.baseline_sum_rate_tw) <= 1e-9
+        if rec.pr_max >= saturation + 0.1:
+            ok &= abs(rec.consumed_power - saturation) <= 1e-9
+        if rec.pr_max >= saturation + 0.5:
+            ok &= rec.baseline_bc_sum > r_ma + 1e-6
     _report("C6 budget-sweep shape", ok, ", ".join(detail))
 
 
@@ -285,10 +285,10 @@ def test_c7_asymmetry_study():
 
     cells = {}
     for rec in records:
-        key = (rec["n1"], rec["n2"], rec["p1_max"])
+        key = (rec.n1, rec.n2, rec.p1_max)
         cells.setdefault(key, {"rate": [], "eff": []})
-        cells[key]["rate"].append(rec["sum_rate_tw"])
-        cells[key]["eff"].append(float(rec["efficient"]))
+        cells[key]["rate"].append(rec.sum_rate_tw)
+        cells[key]["eff"].append(float(rec.efficient))
     boot = np.random.default_rng(7)
     sym_key = next(k for k in cells if k[0] == 3 and abs(k[2] - 2.5) < 1e-9)
     sym_rate_ci = _bootstrap_ci(cells[sym_key]["rate"], boot)

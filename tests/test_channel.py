@@ -57,6 +57,13 @@ def test_config_validation():
         tw.SystemConfig(n1=1, n2=1, n_r=1, sigma1_sq=0.0)
     with pytest.raises(ValueError):
         tw.SystemConfig(n1=1, n2=1, n_r=1, p1_max=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tw.SystemConfig(n1=1, n2=1, n_r=1, sigmar_sq=bad)
+        with pytest.raises(ValueError):
+            tw.SystemConfig(n1=1, n2=1, n_r=1, pr_max=bad)
+        with pytest.raises(ValueError):
+            tw.SystemConfig(n1=1, n2=1, n_r=1, p2_max=bad)
 
 
 def _channels_with_downlinks(hr1, hr2, n_r):
@@ -97,17 +104,21 @@ def test_decompose_reconstruction_and_unitarity(rng):
         cfg = tw.SystemConfig(n1=int(n1), n2=int(n2), n_r=int(n_r), seed=int(rng.integers(1e6)))
         ch = tw.generate_channels(cfg, 0)
         gains = tw.decompose(ch, cfg)
-        for direction, h in ((gains.direction1, ch.hr1), (gains.direction2, ch.hr2)):
+        pairs = ((gains.direction1, ch.hr1, cfg.sigma1_sq), (gains.direction2, ch.hr2, cfg.sigma2_sq))
+        for direction, h, sigma_sq in pairs:
             v = direction.v_factor
             assert np.max(np.abs(v.conj().T @ v - np.eye(cfg.n_r))) < 1e-10
-            # Rebuild H from its SVD pieces: U comes back from H V / omega.
-            u = (h @ v)[:, : direction.omega.size] / direction.omega
-            rebuilt = u @ np.diag(direction.omega) @ v[:, : direction.omega.size].conj().T
+            # Rebuild H from its SVD pieces: the singular values are
+            # omega = sqrt(alpha * sigma^2) and U comes back from H V / omega.
+            omega = np.sqrt(direction.alpha * sigma_sq)
+            u = (h @ v)[:, : omega.size] / omega
+            rebuilt = u @ np.diag(omega) @ v[:, : omega.size].conj().T
             err = np.linalg.norm(rebuilt - h) / np.linalg.norm(h)
             assert err < 1e-10
             assert np.all(np.diff(direction.alpha) <= 0.0)
             assert np.all(direction.alpha > 0.0)
-            assert_allclose(direction.alpha, direction.omega**2, rtol=1e-14)
+            singular = np.linalg.svd(h, compute_uv=False)[: omega.size]
+            assert_allclose(direction.alpha, singular**2 / sigma_sq, rtol=1e-14)
 
 
 def test_rank_deficient_channel_drops_zero_modes():

@@ -111,11 +111,11 @@ def test_argmax_within_budget(rng):
 
 def test_baseline_symmetric_worked_instance():
     rates = tw.SourceRates(r_ma=LN3, r_bar_1r=LN2, r_bar_2r=LN2)
-    levels, bc = tw.baseline_full_power(unit_gains(), rates, 2.0, 1e-3)
+    res = tw.grid_certify(unit_gains(), rates, 2.0, 1e-3)
+    levels, bc = res.baseline_levels, res.baseline_bc_rates
     assert_allclose(levels, [2.0, 2.0], atol=1e-9)
     assert_allclose(bc[0] + bc[1], 2.0 * LN2, atol=1e-9)  # exceeds r_ma = ln 3
     # The two-way rate itself is still capped at r_ma / 2.
-    res = tw.grid_certify(unit_gains(), rates, 2.0, 1e-3)
     assert_allclose(res.best_rate, 0.5 * LN3, atol=1e-9)
 
 
@@ -124,6 +124,7 @@ def test_baseline_equals_min_power_solution_below_saturation():
     rates = tw.SourceRates(r_ma=LN6, r_bar_1r=np.log(4.0), r_bar_2r=LN2)
     for pr in (1.0, 2.5):  # below p_bar_ma = 3: solution spends everything
         sol = tw.optimize(g, rates, pr)
-        levels, bc = tw.baseline_full_power(g, rates, pr, 1e-4)
+        res = tw.grid_certify(g, rates, pr, 1e-4)
+        levels, bc = res.baseline_levels, res.baseline_bc_rates
         assert_allclose(levels, [sol.level1, sol.level2], atol=1e-9)
         assert_allclose(bc, sol.bc_rates, atol=1e-9)

@@ -160,6 +160,18 @@ def test_invalid_strategy_rejected():
         tw.optimize(g, tw.SourceRates(r_ma=np.inf, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
 
 
+def test_non_finite_budget_rejected():
+    # A NaN budget used to come back as a 3 W solution on path 1-2-3-5-6-7.
+    g = unit_gains()
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            tw.relative_levels(g, asym_rates(), bad)
+        with pytest.raises(ValueError):
+            tw.optimize(g, asym_rates(), bad)
+        with pytest.raises(ValueError):
+            tw.grid_certify(g, asym_rates(), bad, 1e-3)
+
+
 # --- solution invariants -----------------------------------------------------
 
 
