@@ -13,7 +13,6 @@ through the ``twrelay`` CLI.
 
 from .channel import (
     ChannelSet,
-    DirectionGains,
     SubchannelGains,
     SystemConfig,
     decompose,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelSet",
     "ConfigError",
-    "DirectionGains",
     "InvalidStrategyError",
     "LevelAllocation",
     "NoConvergenceError",

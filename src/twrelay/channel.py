@@ -25,7 +25,6 @@ from .errors import RankZeroError
 __all__ = [
     "SystemConfig",
     "ChannelSet",
-    "DirectionGains",
     "SubchannelGains",
     "generate_channels",
     "decompose",
@@ -76,41 +75,42 @@ class ChannelSet:
 
 
 @dataclass(frozen=True)
-class DirectionGains:
-    """Diagonalized relay->node direction.
+class SubchannelGains:
+    """Per-direction subchannel gains for one channel realization.
 
-    alpha is sorted descending and strictly positive (length = numerical
-    rank of the downlink); v_factor is the full n_r x n_r right
-    singular-vector matrix needed to rebuild relay covariances from
-    per-subchannel powers.
+    alpha1 / alpha2 are the gains of the relay->node-1 / relay->node-2
+    downlinks: 1-D, nonempty, finite, strictly positive and sorted
+    descending, one per nonzero singular value. v1 / v2 are the full
+    n_r x n_r right singular-vector matrices that rebuild relay
+    covariances from per-subchannel powers. Construction is the one place
+    these properties are checked (ValueError otherwise); the water-fill
+    kernels take them as a precondition.
     """
 
-    alpha: np.ndarray
-    v_factor: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
 
-
-@dataclass(frozen=True)
-class SubchannelGains:
-    """Per-direction subchannel gains for one channel realization."""
-
-    direction1: DirectionGains
-    direction2: DirectionGains
-    n_r: int
+    def __post_init__(self) -> None:
+        shape = np.shape(self.v1)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.v2) != shape:
+            raise ValueError("v1 and v2 must both be n_r x n_r matrices")
+        for name in ("alpha1", "alpha2"):
+            alpha = np.asarray(getattr(self, name), dtype=float)
+            if alpha.ndim != 1 or not 0 < alpha.size <= shape[0]:
+                raise ValueError(f"{name} must be a nonempty 1-D array of at most n_r gains")
+            if not (np.all(np.isfinite(alpha)) and alpha[-1] > 0.0 and np.all(alpha[:-1] >= alpha[1:])):
+                raise ValueError(f"{name} must be finite, strictly positive and sorted descending")
+            object.__setattr__(self, name, alpha)
 
     @property
-    def alpha1(self) -> np.ndarray:
-        return self.direction1.alpha
-
-    @property
-    def alpha2(self) -> np.ndarray:
-        return self.direction2.alpha
-
-    def pooled(self) -> np.ndarray:
-        """Both gain lists merged and re-sorted descending (read-only)."""
-        return self._pooled
+    def n_r(self) -> int:
+        return self.v1.shape[0]
 
     @cached_property
-    def _pooled(self) -> np.ndarray:
+    def pooled(self) -> np.ndarray:
+        """Both gain lists merged and re-sorted descending (read-only)."""
         pooled = np.sort(np.concatenate([self.alpha1, self.alpha2]))[::-1]
         pooled.flags.writeable = False
         return pooled
@@ -141,21 +141,20 @@ def generate_channels(config: SystemConfig, trial_index: int) -> ChannelSet:
     )
 
 
-def _decompose_one(h: np.ndarray, sigma_sq: float) -> DirectionGains:
+def _decompose_one(h: np.ndarray, sigma_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and right singular vectors of one downlink."""
     _, s, vh = np.linalg.svd(h, full_matrices=True)
     if s.size == 0 or s[0] <= 0.0:
         raise RankZeroError("downlink channel has no nonzero singular value")
     kept = s >= RANK_CUTOFF * s[0]
-    if not np.any(kept):
-        raise RankZeroError("downlink channel has no nonzero singular value")
-    return DirectionGains(alpha=s[kept] ** 2 / sigma_sq, v_factor=vh.conj().T)
+    return s[kept] ** 2 / sigma_sq, vh.conj().T
 
 
 def decompose(channels: ChannelSet, config: SystemConfig) -> SubchannelGains:
     """SVD-decompose both downlinks into sorted subchannel gains.
 
     Raises RankZeroError if either direction is numerically rank zero
-    (caller should abort the trial).
+    (caller should abort the trial), and ValueError if a gain overflows.
     """
     for name, mat, rows in (
         ("hr1", channels.hr1, config.n1),
@@ -165,26 +164,18 @@ def decompose(channels: ChannelSet, config: SystemConfig) -> SubchannelGains:
             raise ValueError(f"{name} has shape {mat.shape}, expected {(rows, config.n_r)}")
         if not np.all(np.isfinite(mat)):
             raise ValueError(f"{name} contains non-finite entries")
-    return SubchannelGains(
-        direction1=_decompose_one(channels.hr1, config.sigma1_sq),
-        direction2=_decompose_one(channels.hr2, config.sigma2_sq),
-        n_r=config.n_r,
-    )
+    alpha1, v1 = _decompose_one(channels.hr1, config.sigma1_sq)
+    alpha2, v2 = _decompose_one(channels.hr2, config.sigma2_sq)
+    return SubchannelGains(alpha1=alpha1, alpha2=alpha2, v1=v1, v2=v2)
 
 
 def synthetic_gains(alpha1, alpha2) -> SubchannelGains:
-    """Build SubchannelGains directly from gain lists (unit noise).
+    """Build SubchannelGains directly from gain lists in any order (unit noise).
 
     Useful for hand-constructed instances and tests: the unitary factors
     are identities, so relay covariances come out diagonal.
     """
     a1 = np.sort(np.asarray(alpha1, dtype=float))[::-1]
     a2 = np.sort(np.asarray(alpha2, dtype=float))[::-1]
-    if a1.size == 0 or a2.size == 0 or np.any(a1 <= 0) or np.any(a2 <= 0):
-        raise ValueError("gain lists must be nonempty and strictly positive")
-    n_r = int(max(a1.size, a2.size))
-    return SubchannelGains(
-        direction1=DirectionGains(alpha=a1, v_factor=np.eye(n_r, dtype=complex)),
-        direction2=DirectionGains(alpha=a2, v_factor=np.eye(n_r, dtype=complex)),
-        n_r=n_r,
-    )
+    eye = np.eye(max(a1.size, a2.size), dtype=complex)
+    return SubchannelGains(alpha1=a1, alpha2=a2, v1=eye, v2=eye)

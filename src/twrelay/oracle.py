@@ -59,11 +59,11 @@ class OracleResult:
 
 def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
     """Upper bound on the rate change across one grid step, nats."""
-    return float(np.sum(gains.pooled()) * resolution)
+    return float(np.sum(gains.pooled) * resolution)
 
 
 def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> np.ndarray:
-    pooled = gains.pooled()
+    pooled = gains.pooled
     r_ma = strategy.r_ma
     specials = [
         inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DirectionGains, SubchannelGains
+from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates
 from .waterfill import (
@@ -154,20 +154,19 @@ def two_way_rate(r_ma: float, r_bar_1r: float, r_bar_2r: float, bc1: float, bc2:
     return 0.5 * min(r_ma, forwarded)
 
 
-def relay_covariance(direction: DirectionGains, powers, n_r: int) -> np.ndarray:
+def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
     """Relay transmit covariance V diag(powers, 0, ...) V^H for one direction."""
     powers = np.asarray(powers, dtype=float)
-    diag = np.zeros(n_r)
+    diag = np.zeros(v_factor.shape[0])
     diag[: powers.size] = powers
-    v = direction.v_factor
-    return (v * diag) @ v.conj().T
+    return (v_factor * diag) @ v_factor.conj().T
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
     if not (math.isfinite(pr_max) and pr_max >= 0.0):
         raise ValueError("pr_max must be finite and nonnegative")
-    pooled = gains.pooled()
+    pooled = gains.pooled
     return RelativeLevels(
         inv_mu1=inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,
         inv_mu2=inverse_waterfill(gains.alpha1, strategy.r_bar_2r).level,
@@ -186,7 +185,7 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceR
     its ceiling and gives the loose direction d the level whose rate is
     r_ma - r_bar_dr.
     """
-    pooled = gains.pooled()
+    pooled = gains.pooled
     low = min(levels.inv_mu1, levels.inv_mu2)
     high = max(levels.inv_mu1, levels.inv_mu2)
     p_ma = power_of_level(pooled, levels.inv_mu_ma)
@@ -267,21 +266,20 @@ def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> Re
     powers = {i: np.maximum(lv[i] - 1.0 / alpha[i], 0.0) for i in (1, 2)}
     bc = {i: rate_of_level(alpha[i], lv[i]) for i in (1, 2)}
     consumed = float(np.sum(powers[1]) + np.sum(powers[2]))
-    best_bc = forward_waterfill(gains.pooled(), consumed).rate
-    waste_threshold = ledger.p_ma if ledger.case_symmetric else ledger.p_bar_ma
+    best_bc = forward_waterfill(gains.pooled, consumed).rate
     return RelaySolution(
         level1=lv[1],
         level2=lv[2],
         powers1=powers[1],
         powers2=powers[2],
-        b1=relay_covariance(gains.direction1, powers[1], gains.n_r),
-        b2=relay_covariance(gains.direction2, powers[2], gains.n_r),
+        b1=relay_covariance(gains.v1, powers[1]),
+        b2=relay_covariance(gains.v2, powers[2]),
         consumed_power=consumed,
         sum_rate_tw=two_way_rate(rates.r_ma, rates.r_bar_1r, rates.r_bar_2r, bc[1], bc[2]),
         bc_rates=(bc[1], bc[2]),
         step_trace=tuple(trace),
         efficient=bool(bc[1] + bc[2] >= best_bc - TIE_TOL),
-        source_waste=bool(pr_max < waste_threshold - TIE_TOL),
+        source_waste=bool(pr_max < ledger.p_bar_ma - TIE_TOL),
     )
 
 

@@ -40,6 +40,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -222,6 +223,8 @@ class ScenarioSpec:
             raise ConfigError("trials must be >= 1")
         if self.sweep_points < 1:
             raise ConfigError("sweep grid must be nonempty")
+        if not all(map(math.isfinite, (self.sweep_start, self.sweep_stop, self.resolution))):
+            raise ConfigError("sweep bounds and certification resolution must be finite")
         if self.sweep_stop < self.sweep_start:
             raise ConfigError("sweep stop must be >= sweep start")
         if self.fmt not in ("csv", "json"):
@@ -260,7 +263,7 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
         grid = np.linspace(lo, hi, LEMMA2_LEVEL_POINTS)
         power1 = power_of_level(gains.alpha1, grid)
         for db, pr in zip(ratios_db, budgets):
-            inv_lambda0 = forward_level(gains.pooled(), pr)
+            inv_lambda0 = forward_level(gains.pooled, pr)
             feasible = power1 <= pr + 1e-12
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
@@ -368,6 +371,8 @@ def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, Sourc
             r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
         )
         pr_max = float(payload.get("pr_max", cfg.pr_max))
+        if not (math.isfinite(pr_max) and pr_max >= 0.0):
+            raise ValueError("pr_max must be finite and nonnegative")
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
     return gains, rates, pr_max

@@ -10,10 +10,16 @@ scanning active-set sizes over the sorted gain list, not by bisection.
 A subchannel whose inverse gain equals the level exactly is counted as
 active with zero power; this keeps the active-set size deterministic and
 does not change any power or rate.
+
+Precondition: every gain list is 1-D, nonempty, finite, strictly positive
+and sorted descending. The kernels do not re-check it on each call;
+``channel.SubchannelGains`` checks it once, when an instance is built.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +32,9 @@ __all__ = [
     "forward_waterfill",
     "inverse_waterfill",
 ]
+
+# Largest ln(level) whose exp is a finite float.
+_MAX_LOG_LEVEL = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,17 +59,6 @@ class LevelAllocation:
     total_power: float
 
 
-def _check_gains(gains: np.ndarray) -> np.ndarray:
-    gains = np.asarray(gains, dtype=float)
-    if gains.ndim != 1 or gains.size == 0:
-        raise ValueError("gains must be a nonempty 1-D array")
-    if not np.all(gains > 0.0):
-        raise ValueError("gains must be strictly positive")
-    if np.any(np.diff(gains) > 0.0):
-        raise ValueError("gains must be sorted in descending order")
-    return gains
-
-
 def rate_of_level(gains, level):
     """Rate in nats of water level(s) `level` over `gains`.
 
@@ -68,7 +66,7 @@ def rate_of_level(gains, level):
     active when alpha(k) * level > 1. Accepts a scalar or array of levels
     and returns a matching shape. Nondecreasing in the level.
     """
-    gains = _check_gains(gains)
+    gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
     rate = np.sum(np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)), axis=-1)
     return float(rate) if rate.ndim == 0 else rate
@@ -80,7 +78,7 @@ def power_of_level(gains, level):
     Sum over subchannels of (level - 1/alpha(k))^+. Accepts a scalar or
     array of levels. Piecewise linear, convex, nondecreasing in the level.
     """
-    gains = _check_gains(gains)
+    gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
     power = np.sum(np.maximum(level[..., np.newaxis] - 1.0 / gains, 0.0), axis=-1)
     return float(power) if power.ndim == 0 else power
@@ -94,7 +92,7 @@ def forward_level(gains, budget):
     activation thresholds of the sorted inverse gains. Accepts a scalar
     or array of budgets and returns a matching shape.
     """
-    gains = _check_gains(gains)
+    gains = np.asarray(gains, dtype=float)
     budget = np.asarray(budget, dtype=float)
     if np.any(budget < 0.0):
         raise ValueError("budget must be nonnegative")
@@ -135,7 +133,7 @@ def forward_waterfill(gains, budget: float) -> LevelAllocation:
         The unique allocation with power_of_level(gains, level) == budget.
         A zero budget yields level 1/alpha_max and all-zero powers.
     """
-    gains = _check_gains(gains)
+    gains = np.asarray(gains, dtype=float)
     return _allocation(gains, forward_level(gains, float(budget)))
 
 
@@ -156,11 +154,16 @@ def inverse_waterfill(gains, target_rate: float) -> LevelAllocation:
         target_rate: with m subchannels active,
         ln(level) = (target_rate - sum_{k<=m} ln alpha(k)) / m.
         A zero target yields level 1/alpha_max and all-zero powers.
+
+    Raises
+    ------
+    ValueError
+        If target_rate is negative or non-finite, or its level overflows.
     """
-    gains = _check_gains(gains)
+    gains = np.asarray(gains, dtype=float)
     target_rate = float(target_rate)
-    if target_rate < 0.0:
-        raise ValueError("target_rate must be nonnegative")
+    if not (target_rate >= 0.0 and math.isfinite(target_rate)):
+        raise ValueError("target_rate must be finite and nonnegative")
     log_inv = -np.log(gains)  # ascending
     csum = np.cumsum(log_inv)
     m_all = np.arange(1, gains.size + 1, dtype=float)
@@ -168,5 +171,7 @@ def inverse_waterfill(gains, target_rate: float) -> LevelAllocation:
     activation = m_all * log_inv - csum
     m = int(np.searchsorted(activation, target_rate, side="right"))
     m = max(m, 1)
-    level = float(np.exp((target_rate + csum[m - 1]) / m))
-    return _allocation(gains, level)
+    log_level = (target_rate + csum[m - 1]) / m
+    if log_level > _MAX_LOG_LEVEL:
+        raise ValueError("target_rate needs a water level beyond the float range")
+    return _allocation(gains, float(np.exp(log_level)))

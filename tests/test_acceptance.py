@@ -154,7 +154,7 @@ def _unimodality_failures(rng, n: int) -> int:
     for _ in range(n):
         g = tw.synthetic_gains(random_gain_list(rng), random_gain_list(rng))
         total = float(rng.uniform(0.5, 10.0))
-        level0 = forward_level(g.pooled(), total)
+        level0 = forward_level(g.pooled, total)
         lo = 1.0 / g.alpha1[0]
         hi = forward_level(g.alpha1, total)
         grid = np.unique(np.concatenate([np.linspace(lo, hi, 60), [np.clip(level0, lo, hi)]]))

@@ -104,21 +104,23 @@ def test_decompose_reconstruction_and_unitarity(rng):
         cfg = tw.SystemConfig(n1=int(n1), n2=int(n2), n_r=int(n_r), seed=int(rng.integers(1e6)))
         ch = tw.generate_channels(cfg, 0)
         gains = tw.decompose(ch, cfg)
-        pairs = ((gains.direction1, ch.hr1, cfg.sigma1_sq), (gains.direction2, ch.hr2, cfg.sigma2_sq))
-        for direction, h, sigma_sq in pairs:
-            v = direction.v_factor
+        pairs = (
+            (gains.alpha1, gains.v1, ch.hr1, cfg.sigma1_sq),
+            (gains.alpha2, gains.v2, ch.hr2, cfg.sigma2_sq),
+        )
+        for alpha, v, h, sigma_sq in pairs:
             assert np.max(np.abs(v.conj().T @ v - np.eye(cfg.n_r))) < 1e-10
             # Rebuild H from its SVD pieces: the singular values are
             # omega = sqrt(alpha * sigma^2) and U comes back from H V / omega.
-            omega = np.sqrt(direction.alpha * sigma_sq)
+            omega = np.sqrt(alpha * sigma_sq)
             u = (h @ v)[:, : omega.size] / omega
             rebuilt = u @ np.diag(omega) @ v[:, : omega.size].conj().T
             err = np.linalg.norm(rebuilt - h) / np.linalg.norm(h)
             assert err < 1e-10
-            assert np.all(np.diff(direction.alpha) <= 0.0)
-            assert np.all(direction.alpha > 0.0)
+            assert np.all(np.diff(alpha) <= 0.0)
+            assert np.all(alpha > 0.0)
             singular = np.linalg.svd(h, compute_uv=False)[: omega.size]
-            assert_allclose(direction.alpha, singular**2 / sigma_sq, rtol=1e-14)
+            assert_allclose(alpha, singular**2 / sigma_sq, rtol=1e-14)
 
 
 def test_rank_deficient_channel_drops_zero_modes():
@@ -147,5 +149,32 @@ def test_decompose_validates_shapes():
 def test_synthetic_gains_identity_factors():
     gains = tw.synthetic_gains([1.0, 0.5], [2.0])
     assert gains.n_r == 2
-    assert_allclose(gains.pooled(), [2.0, 1.0, 0.5])
-    assert np.array_equal(gains.direction1.v_factor, np.eye(2))
+    assert_allclose(gains.pooled, [2.0, 1.0, 0.5])
+    assert np.array_equal(gains.v1, np.eye(2))
+    assert np.array_equal(gains.v2, np.eye(2))
+
+
+def test_malformed_gains_rejected_at_construction():
+    eye = np.eye(2)
+    bad_lists = ([], [0.0], [1.0, -0.5], [np.nan, 1.0], [np.inf], [[1.0, 0.5]])
+    for bad in bad_lists:
+        with pytest.raises(ValueError):
+            tw.synthetic_gains(bad, [1.0])
+        with pytest.raises(ValueError):
+            tw.synthetic_gains([1.0], bad)
+        with pytest.raises(ValueError):
+            tw.SubchannelGains(alpha1=bad, alpha2=[1.0], v1=eye, v2=eye)
+        with pytest.raises(ValueError):
+            tw.SubchannelGains(alpha1=[1.0], alpha2=bad, v1=eye, v2=eye)
+    # synthetic_gains sorts its input; direct construction must be given order.
+    assert_allclose(tw.synthetic_gains([0.5, 1.0], [1.0]).alpha1, [1.0, 0.5])
+    with pytest.raises(ValueError):
+        tw.SubchannelGains(alpha1=[0.5, 1.0], alpha2=[1.0], v1=eye, v2=eye)
+    # More gains than relay antennas, and V factors that are not n_r x n_r.
+    with pytest.raises(ValueError):
+        tw.SubchannelGains(alpha1=[3.0, 2.0, 1.0], alpha2=[1.0], v1=eye, v2=eye)
+    for v1, v2 in ((eye, np.eye(3)), (eye[:1], eye[:1]), (np.ones(2), np.ones(2))):
+        with pytest.raises(ValueError):
+            tw.SubchannelGains(alpha1=[1.0], alpha2=[1.0], v1=v1, v2=v2)
+    gains = tw.SubchannelGains(alpha1=[2.0, 1.0], alpha2=[1.0], v1=eye, v2=eye)
+    assert gains.n_r == 2 and gains.alpha1.dtype == float

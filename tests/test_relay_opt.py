@@ -54,7 +54,7 @@ def test_relative_levels_match_their_defining_rates(rng):
         lv = tw.relative_levels(g, rates, float(rng.uniform(0.0, 10.0)))
         assert abs(rate_of_level(g.alpha2, lv.inv_mu1) - rates.r_bar_1r) < 1e-10
         assert abs(rate_of_level(g.alpha1, lv.inv_mu2) - rates.r_bar_2r) < 1e-10
-        assert abs(rate_of_level(g.pooled(), lv.inv_mu_ma) - rates.r_ma) < 1e-10
+        assert abs(rate_of_level(g.pooled, lv.inv_mu_ma) - rates.r_ma) < 1e-10
 
 
 # --- thresholds ------------------------------------------------------------
@@ -308,7 +308,7 @@ def test_bc_sum_unimodal_along_fixed_power_splits(rng):
         a1, a2 = random_gain_list(rng), random_gain_list(rng)
         g = tw.synthetic_gains(a1, a2)
         total = float(rng.uniform(0.5, 10.0))
-        level0 = forward_level(g.pooled(), total)
+        level0 = forward_level(g.pooled, total)
         lo = 1.0 / g.alpha1[0]
         hi = forward_level(g.alpha1, total)
         grid = np.unique(np.concatenate([np.linspace(lo, hi, 60), [np.clip(level0, lo, hi)]]))
@@ -360,6 +360,6 @@ def test_efficiency_matches_pooled_waterfill_definition(rng):
         rates = random_synthetic_rates(rng)
         pr = float(rng.uniform(0.0, 8.0))
         sol = tw.optimize(g, rates, pr)
-        best_bc = forward_waterfill(g.pooled(), sol.consumed_power).rate
+        best_bc = forward_waterfill(g.pooled, sol.consumed_power).rate
         assert sol.efficient == (sum(sol.bc_rates) >= best_bc - 1e-9)
         assert sum(sol.bc_rates) <= best_bc + 1e-9  # never above the pooled optimum

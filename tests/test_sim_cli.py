@@ -245,7 +245,7 @@ def test_cli_certify_adds_oracle_columns(tmp_path):
     assert float(row["sum_rate_tw"]) >= float(row["oracle_best_rate"]) - 1e-6
 
 
-def test_cli_exit_code_on_config_error():
+def test_cli_exit_code_on_config_error(tmp_path):
     assert main(["--scenario", "single", "--trials", "0"]) == 2
     assert main(["--scenario", "single", "--sigma", "0"]) == 2
     assert main(["--scenario", "single", "--sigma", "nan"]) == 2
@@ -253,6 +253,19 @@ def test_cli_exit_code_on_config_error():
     assert main(["--scenario", "single", "--pr", "nan", "--deterministic"]) == 2
     assert main(["--scenario", "single", "--pr", "inf"]) == 2
     assert main(["--scenario", "single", "--instance", "/no/such/file.json"]) == 2
+    sweep = ["--sweep-start", "nan", "--sweep-stop", "nan", "--deterministic"]
+    assert main(["--scenario", "lemma2-sweep", *sweep]) == 2
+    assert main(["--scenario", "prmax-sweep", "--sweep-start", "nan"]) == 2
+    assert main(["--scenario", "single", "--certify", "--resolution", "nan"]) == 2
+    assert main(["--scenario", "single", "--certify", "--resolution", "inf"]) == 2
+    for name, change in (
+        ("inf_gain", {"alpha1": [float("inf")]}),
+        ("nan_gain", {"alpha1": [float("nan"), 1.0]}),
+        ("nan_budget", {"pr_max": float("nan")}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**ASYM_INSTANCE, **change}))
+        assert main(["--scenario", "single", "--instance", str(path), "--deterministic"]) == 2
     with pytest.raises(SystemExit) as err:
         main(["--scenario", "not-a-scenario"])
     assert err.value.code == 2

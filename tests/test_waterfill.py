@@ -98,10 +98,8 @@ def test_forward_level_vectorized_matches_scalar(rng):
 
 
 def test_forward_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        forward_waterfill([], 1.0)
-    with pytest.raises(ValueError):
-        forward_waterfill([1.0, 2.0], 1.0)  # ascending order
+    # Malformed gain lists are rejected where instances are built
+    # (test_channel::test_malformed_gains_rejected_at_construction).
     with pytest.raises(ValueError):
         forward_waterfill([1.0], -0.5)
 
@@ -122,6 +120,15 @@ def test_inverse_zero_target():
     alloc = inverse_waterfill([4.0, 1.0], 0.0)
     assert_allclose(alloc.level, 0.25, rtol=1e-14)
     assert alloc.total_power == 0.0
+
+
+def test_inverse_rejects_bad_and_overflowing_targets():
+    for target in (-0.5, np.nan, np.inf, 800.0, 2 * 710.0):
+        with pytest.raises(ValueError):
+            inverse_waterfill([1.0], target)
+    # The largest representable level still comes back, bit for bit.
+    assert inverse_waterfill([1.0], 709.0).level == np.exp(709.0)
+    assert inverse_waterfill([1.0, 1.0], 1400.0).level == np.exp(700.0)
 
 
 # --- properties -----------------------------------------------------------
