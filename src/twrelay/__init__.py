@@ -31,6 +31,7 @@ from .ma_phase import (
     SourceRates,
     SourceStrategy,
     logdet_identity_plus,
+    max_ma_strategies,
     max_ma_strategy,
     rate_bar,
     rate_ma,
@@ -85,6 +86,7 @@ __all__ = [
     "grid_lipschitz_bound",
     "inverse_waterfill",
     "logdet_identity_plus",
+    "max_ma_strategies",
     "max_ma_strategy",
     "optimize",
     "power_of_level",

@@ -15,6 +15,7 @@ routine downstream operates on.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,8 +55,9 @@ class SystemConfig:
         if min(self.n1, self.n2, self.n_r) < 1:
             raise ValueError("antenna counts must be >= 1")
         noise = (self.sigma1_sq, self.sigma2_sq, self.sigmar_sq)
-        if not all(math.isfinite(v) and v > 0.0 for v in noise):
-            raise ValueError("noise variances must be finite and positive")
+        # A subnormal variance would overflow the gains it divides.
+        if not all(math.isfinite(v) and v >= sys.float_info.min for v in noise):
+            raise ValueError("noise variances must be finite and at least sys.float_info.min")
         budgets = (self.p1_max, self.p2_max, self.pr_max)
         if not all(math.isfinite(v) and v >= 0.0 for v in budgets):
             raise ValueError("power budgets must be finite and nonnegative")
@@ -147,7 +149,9 @@ def _decompose_one(h: np.ndarray, sigma_sq: float) -> tuple[np.ndarray, np.ndarr
     if s.size == 0 or s[0] <= 0.0:
         raise RankZeroError("downlink channel has no nonzero singular value")
     kept = s >= RANK_CUTOFF * s[0]
-    return s[kept] ** 2 / sigma_sq, vh.conj().T
+    # An overflowing gain comes out inf, which SubchannelGains rejects.
+    with np.errstate(over="ignore"):
+        return s[kept] ** 2 / sigma_sq, vh.conj().T
 
 
 def decompose(channels: ChannelSet, config: SystemConfig) -> SubchannelGains:

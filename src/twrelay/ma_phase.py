@@ -13,10 +13,15 @@ The relay optimizer needs only the three rates (SourceRates), so it works
 for arbitrary source covariances; callers can build a SourceStrategy, the
 rates together with the covariances that induce them, from any PSD pair
 via strategy_from_covariances.
-max_ma_strategy provides the simulation default: the sum-rate-maximizing
-pair found by cyclic best-response water-filling (each user water-fills
-against the other user's interference-plus-noise until the sum rate stops
-improving).
+
+max_ma_strategies provides the simulation default, the sum-rate-maximizing
+pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi,
+IEEE T-IT 2004) over N stacked instances of equal antenna counts at once;
+max_ma_strategy is its N=1 view. Every step acts on each matrix alone and
+each instance leaves the stack at its own converged sweep, so a result is
+the same, bit for bit, in any batch. Best responses are V diag(p) V^H with
+p >= 0, PSD by construction: the sweeps skip the PSD check, and each
+returned pair is checked once, as strategy_from_covariances checks it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import forward_waterfill
 
 __all__ = [
     "SourceRates",
@@ -37,6 +41,7 @@ __all__ = [
     "rate_ma",
     "rate_bar",
     "max_ma_strategy",
+    "max_ma_strategies",
     "strategy_from_covariances",
 ]
 
@@ -67,10 +72,41 @@ class SourceRates:
 
 @dataclass(frozen=True)
 class SourceStrategy(SourceRates):
-    """Source covariances (watts) and the rates they induce (nats)."""
+    """Source covariances (watts) and the rates they induce (nats).
+
+    `sweeps` is the sweep at which max_ma_strategies converged for this
+    pair, and 0 for a pair from strategy_from_covariances.
+    """
 
     d1: np.ndarray
     d2: np.ndarray
+    sweeps: int = 0
+
+
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _ct(a))
+
+
+def _logdet_identity_plus(s: np.ndarray) -> np.ndarray:
+    """ln det(I + S) of each Hermitian PSD matrix of the stack s, (N, n, n) -> (N,).
+
+    Cholesky of I + S for stability; an instance whose factorization fails
+    near the PSD boundary falls back to clipped eigenvalues.
+    """
+    m = np.eye(s.shape[-1]) + _hermitian(s)
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if len(s) > 1:  # find the failing instances one by one
+            return np.concatenate([_logdet_identity_plus(one[np.newaxis]) for one in s])
+        eig = np.clip(np.linalg.eigvalsh(_hermitian(s)), 0.0, None)
+        return np.sum(np.log1p(eig), axis=-1)
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
 
 
 def logdet_identity_plus(s: np.ndarray) -> float:
@@ -79,22 +115,20 @@ def logdet_identity_plus(s: np.ndarray) -> float:
     Cholesky of I + S for stability; falls back to clipped eigenvalues if
     the factorization fails near the PSD boundary.
     """
-    s = np.asarray(s)
-    m = np.eye(s.shape[0]) + 0.5 * (s + s.conj().T)
-    try:
-        chol = np.linalg.cholesky(m)
-        return float(2.0 * np.sum(np.log(np.real(np.diag(chol)))))
-    except np.linalg.LinAlgError:
-        eig = np.clip(np.linalg.eigvalsh(0.5 * (s + s.conj().T)), 0.0, None)
-        return float(np.sum(np.log1p(eig)))
+    return float(_logdet_identity_plus(np.asarray(s)[np.newaxis])[0])
+
+
+def _not_psd(herm: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of a stack has an eigenvalue below -PSD_TOL."""
+    return np.linalg.eigvalsh(herm).min(axis=-1) < -PSD_TOL
 
 
 def _check_covariance(d: np.ndarray, n: int, name: str) -> np.ndarray:
     d = np.asarray(d, dtype=complex)
     if d.shape != (n, n):
         raise ValueError(f"{name} has shape {d.shape}, expected {(n, n)}")
-    herm = 0.5 * (d + d.conj().T)
-    if np.linalg.eigvalsh(herm).min() < -PSD_TOL:
+    herm = _hermitian(d)
+    if _not_psd(herm):
         raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL}")
     return herm
 
@@ -130,49 +164,117 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
     )
 
 
-def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: float, sigmar_sq: float) -> np.ndarray:
-    """Single-user water-filling against fixed interference-plus-noise.
+def _waterfill_powers(gains: np.ndarray, active: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Forward water-filling of each row's budget over its active gains.
+
+    Row by row the arithmetic of ``waterfill.forward_waterfill`` on the
+    active gains, a descending prefix of the row. Inactive modes get
+    inverse gain +inf, hence no activation threshold (NaN) and zero power;
+    a row with no active mode comes out NaN, for the caller to replace.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / np.where(active, gains, 0.0)
+        csum = np.cumsum(inv, axis=1)
+        below = np.arange(1.0, gains.shape[1] + 1) * inv - csum <= budget[:, np.newaxis]
+        m = np.maximum(np.count_nonzero(below, axis=1), 1)
+        level = (budget + csum[np.arange(m.size), m - 1]) / m
+        return np.maximum(level[:, np.newaxis] - inv, 0.0)
+
+
+def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> np.ndarray:
+    """Single-user water-filling of each instance against fixed interference-plus-noise.
 
     Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max with
     Z = sigma_r^2 I + other_term, by water-filling over the eigenmodes of
-    the whitened channel G = Z^{-1/2} H.
+    the whitened channel G = Z^{-1/2} H. Takes stacks h (N, n_r, n_i) and
+    other_term (N, n_r, n_r), p_max (N,) and sigmar_sq (N, 1, 1); returns
+    D (N, n_i, n_i).
     """
-    n_r, n_i = h.shape
-    z = sigmar_sq * np.eye(n_r) + 0.5 * (other_term + other_term.conj().T)
-    chol = np.linalg.cholesky(z)
-    g = np.linalg.solve(chol, h)
-    gram = g.conj().T @ g
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    active = eigvals > max(eigvals[0], 0.0) * 1e-12
-    if eigvals[0] <= 0.0 or not np.any(active):
-        # Zero effective channel: spend the budget uniformly (it has no
-        # effect on any rate, but keeps Tr(D) = p_max).
-        return (p_max / n_i) * np.eye(n_i, dtype=complex)
-    powers = np.zeros(n_i)
-    powers[active] = forward_waterfill(eigvals[active], p_max).powers
-    return (eigvecs * powers) @ eigvecs.conj().T
+    n_i = h.shape[2]
+    z = sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term)
+    g = np.linalg.solve(np.linalg.cholesky(z), h)
+    eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
+    eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
+    active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
+    powers = _waterfill_powers(eigvals, active, p_max)
+    d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
+    # Zero effective channel (top eigenvalue not positive): spend the
+    # budget uniformly (it has no effect on any rate, but keeps Tr(D) = p_max).
+    flat = ~active[:, 0]
+    if flat.any():
+        d[flat] = (p_max[flat, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
+    return d
+
+
+def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrategy | None]:
+    """MA-sum-rate-maximizing source covariances of N instances at full budgets.
+
+    h1r, h2r are stacked uplinks, (N, n_r, n1) and (N, n_r, n2); the budgets
+    p1_max, p2_max and the relay noise variance sigmar_sq (watts) are per
+    instance, (N,), or one for all. Returns one SourceStrategy per instance,
+    in order, its `sweeps` the sweep at which it converged, or None for an
+    instance still improving after MAX_SWEEPS sweeps (ill-conditioned
+    realization; drop the trial). The sum rate is nondecreasing across
+    sweeps and the fixed point satisfies both users' single-user optimality
+    conditions. Raises NonPSDError if a converged pair is not PSD.
+    """
+    h1 = np.ascontiguousarray(h1r, dtype=complex)
+    h2 = np.ascontiguousarray(h2r, dtype=complex)
+    n, _, n1 = h1.shape
+    n2 = h2.shape[2]
+    if not n:
+        return []
+    p1, p2, sig = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p1_max, p2_max, sigmar_sq))
+    d1_out = np.empty((n, n1, n1), complex)
+    d2_out = np.empty((n, n2, n2), complex)
+    rates = np.empty((3, n))
+    sweeps = np.zeros(n, dtype=int)
+    # Live instances: index, uplinks and their conjugates, budgets, noise,
+    # the last d2 and the last sum rate.
+    live = (
+        np.arange(n), h1, h1.conj(), h2, h2.conj(), p1, p2, sig[:, np.newaxis, np.newaxis],
+        np.zeros((n, n2, n2), complex), np.zeros(n),
+    )
+    for sweep in range(1, MAX_SWEEPS + 1):
+        idx, h1, h1c, h2, h2c, p1, p2, sig, d2, previous = live
+        h1h, h2h = h1c.swapaxes(1, 2), h2c.swapaxes(1, 2)
+        d1 = _best_response(h1, h2 @ d2 @ h2h, p1, sig)
+        d2 = _best_response(h2, h1 @ d1 @ h1h, p2, sig)
+        herm1, herm2 = _hermitian(d1), _hermitian(d2)
+        current = _logdet_identity_plus((h1 @ herm1 @ h1h + h2 @ herm2 @ h2h) / sig)
+        done = current - previous < SWEEP_GAIN_TOL
+        live = (idx, h1, h1c, h2, h2c, p1, p2, sig, d2, current)
+        if not done.any():
+            continue
+        k = idx[done]
+        d1_out[k], d2_out[k], sweeps[k], rates[0, k] = d1[done], d2[done], sweep, current[done]
+        for row, h, herm in ((1, h1[done], herm1[done]), (2, h2[done], herm2[done])):
+            if _not_psd(herm).any():
+                raise NonPSDError(f"d{row} has an eigenvalue below {-PSD_TOL}")
+            rates[row, k] = _logdet_identity_plus(h @ herm @ _ct(h) / sig[done])
+        if done.all():
+            break
+        live = tuple(a[~done] for a in live)
+    # Copies, so that each strategy owns its matrices and the stacks are freed.
+    return [
+        SourceStrategy(
+            d1=d1_out[k].copy(), d2=d2_out[k].copy(), r_ma=rates[0, k], r_bar_1r=rates[1, k],
+            r_bar_2r=rates[2, k], sweeps=int(sweeps[k]),
+        ) if sweeps[k] else None
+        for k in range(n)
+    ]
 
 
 def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrategy:
     """MA-sum-rate-maximizing source covariances at full budgets.
 
-    Cyclic best-response water-filling; the sum rate is nondecreasing
-    across sweeps and the fixed point satisfies both users' single-user
-    optimality conditions. Raises NoConvergenceError after 500 sweeps
-    (ill-conditioned realization; drop the trial).
+    The N=1 view of max_ma_strategies. Raises NoConvergenceError after
+    MAX_SWEEPS sweeps (ill-conditioned realization; drop the trial).
     """
-    sig = config.sigmar_sq
-    d1 = np.zeros((config.n1, config.n1), dtype=complex)
-    d2 = np.zeros((config.n2, config.n2), dtype=complex)
-    previous = 0.0
-    for _ in range(MAX_SWEEPS):
-        d1 = _best_response(channels.h1r, channels.h2r @ d2 @ channels.h2r.conj().T, config.p1_max, sig)
-        d2 = _best_response(channels.h2r, channels.h1r @ d1 @ channels.h1r.conj().T, config.p2_max, sig)
-        current = rate_ma(d1, d2, channels, sig)
-        if current - previous < SWEEP_GAIN_TOL:
-            return strategy_from_covariances(d1, d2, channels, sig)
-        previous = current
-    raise NoConvergenceError(f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps")
+    (strategy,) = max_ma_strategies(
+        channels.h1r[np.newaxis], channels.h2r[np.newaxis],
+        config.p1_max, config.p2_max, config.sigmar_sq,
+    )
+    if strategy is None:
+        raise NoConvergenceError(f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps")
+    return strategy

@@ -56,8 +56,8 @@ from .channel import (
     generate_channels,
     synthetic_gains,
 )
-from .errors import ConfigError, NoConvergenceError, RankZeroError
-from .ma_phase import max_ma_strategy
+from .errors import ConfigError, RankZeroError
+from .ma_phase import max_ma_strategies, max_ma_strategy
 from .oracle import grid_certify
 from .relay_opt import RelaySolution, SourceRates, optimize, two_way_rate
 from .waterfill import forward_level, power_of_level, rate_of_level
@@ -323,22 +323,29 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
             float(p1): {"sum_rate": [], "consumed": [], "efficient": [], "skipped": 0}
             for p1 in np.linspace(0.1, 0.9, 5) * p_total
         }
+        cell_cfgs = [dataclasses.replace(base, p1_max=p1, p2_max=p_total - p1) for p1 in cells]
+        drawn = {}
         for trial in range(spec.trials):
             try:
                 channels = generate_channels(base, trial)
-                gains = decompose(channels, base)
+                drawn[trial] = channels, decompose(channels, base)
             except RankZeroError:
                 for cell in cells.values():
                     cell["skipped"] += 1
-                continue
+        # One MA-phase batch per antenna split: every drawn trial x every power split.
+        batch = [(ch, c) for ch, _ in drawn.values() for c in cell_cfgs]
+        strategies = iter(max_ma_strategies(
+            np.array([ch.h1r for ch, _ in batch]).reshape(-1, base.n_r, base.n1),
+            np.array([ch.h2r for ch, _ in batch]).reshape(-1, base.n_r, base.n2),
+            [c.p1_max for _, c in batch], [c.p2_max for _, c in batch], base.sigmar_sq,
+        ))
+        for trial, (_, gains) in drawn.items():
             for p1, cell in cells.items():
-                cell_cfg = dataclasses.replace(base, p1_max=p1, p2_max=p_total - p1)
-                try:
-                    strategy = max_ma_strategy(channels, cell_cfg)
-                    sol = optimize(gains, strategy, cell_cfg.pr_max)
-                except (NoConvergenceError, RankZeroError):
+                strategy = next(strategies)
+                if strategy is None:  # the MA phase did not converge
                     cell["skipped"] += 1
                     continue
+                sol = optimize(gains, strategy, base.pr_max)
                 cell["sum_rate"].append(sol.sum_rate_tw)
                 cell["consumed"].append(sol.consumed_power)
                 cell["efficient"].append(sol.efficient)

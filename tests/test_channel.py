@@ -1,5 +1,8 @@
 """Channel generation and SVD decomposition tests."""
 
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +67,12 @@ def test_config_validation():
             tw.SystemConfig(n1=1, n2=1, n_r=1, pr_max=bad)
         with pytest.raises(ValueError):
             tw.SystemConfig(n1=1, n2=1, n_r=1, p2_max=bad)
+    # Subnormal noise variances are rejected; the smallest normal float is not.
+    for name in ("sigma1_sq", "sigma2_sq", "sigmar_sq"):
+        for bad in (1e-320, 1e-308):
+            with pytest.raises(ValueError):
+                tw.SystemConfig(n1=1, n2=1, n_r=1, **{name: bad})
+        tw.SystemConfig(n1=1, n2=1, n_r=1, **{name: sys.float_info.min})
 
 
 def _channels_with_downlinks(hr1, hr2, n_r):
@@ -96,6 +105,17 @@ def test_decompose_scales_by_noise_variance():
     ch = _channels_with_downlinks(np.diag([2.0, 1.0]), np.eye(2), 2)
     gains = tw.decompose(ch, cfg)
     assert_allclose(gains.alpha1, [1.0, 0.25], rtol=1e-14)
+
+
+def test_decompose_overflowing_gain_rejected_without_warning():
+    # 20^2 / 1e-307 overflows: the gain comes out inf and SubchannelGains
+    # rejects it, with no RuntimeWarning on the way.
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=2, sigma1_sq=1e-307)
+    ch = _channels_with_downlinks(np.diag([20.0, 1.0]), np.eye(2), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha1"):
+            tw.decompose(ch, cfg)
 
 
 def test_decompose_reconstruction_and_unitarity(rng):

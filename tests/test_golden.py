@@ -26,6 +26,10 @@ RUNS = {
     "lemma2-sweep": ["--scenario", "lemma2-sweep"],
     "prmax-sweep": ["--scenario", "prmax-sweep"],
     "asymmetry-study": ["--scenario", "asymmetry-study", "--trials", "3"],
+    "asymmetry-study-batch": [
+        "--scenario", "asymmetry-study", "--trials", "25",
+        "--n1", "2", "--n2", "2", "--nr", "3", "--p1", "1", "--p2", "3",
+    ],
     "single": ["--scenario", "single"],
     "single-certify": ["--scenario", "single", "--certify"],
     "single-instance": [

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import twrelay as tw
-from twrelay.ma_phase import _best_response, logdet_identity_plus, rate_ma
+from twrelay.ma_phase import _best_response, logdet_identity_plus, max_ma_strategies, rate_ma
 
-from conftest import random_instance, random_psd
+from conftest import random_config, random_instance, random_psd
 
 
 def _scalar_channels(h1, h2, n_r):
@@ -125,6 +125,13 @@ def test_strategy_rates_self_consistent(rng):
         assert st.r_ma < st.r_bar_1r + st.r_bar_2r - 1e-12
 
 
+def _best_response_one(h, other_term, p_max, sigmar_sq):
+    """The engine's best response at N=1."""
+    return _best_response(
+        h[np.newaxis], other_term[np.newaxis], np.array([p_max]), np.full((1, 1, 1), sigmar_sq)
+    )[0]
+
+
 def test_sweeps_monotone_and_fixed_point(rng):
     for _ in range(8):
         cfg, ch, _, _ = random_instance(rng)
@@ -133,18 +140,141 @@ def test_sweeps_monotone_and_fixed_point(rng):
         d2 = np.zeros((cfg.n2, cfg.n2), complex)
         prev = 0.0
         for _sweep in range(200):
-            d1 = _best_response(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
-            d2 = _best_response(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
+            d1 = _best_response_one(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
+            d2 = _best_response_one(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
             cur = rate_ma(d1, d2, ch, sig)
             assert cur >= prev - 1e-12
             if cur - prev < 1e-12:
                 break
             prev = cur
         # Best-response fixed point: neither unilateral update helps.
-        r1 = _best_response(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
-        r2 = _best_response(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
+        r1 = _best_response_one(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
+        r2 = _best_response_one(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
         assert rate_ma(r1, d2, ch, sig) - cur < 1e-6
         assert rate_ma(d1, r2, ch, sig) - cur < 1e-6
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a.d1, b.d1) and np.array_equal(a.d2, b.d2)
+    assert (a.r_ma, a.r_bar_1r, a.r_bar_2r) == (b.r_ma, b.r_bar_1r, b.r_bar_2r)
+    assert a.sweeps == b.sweeps
+
+
+def _conftest_shape_cells(rng, antennas, count):
+    """`count` instances of one antenna shape with conftest's random budgets and seeds."""
+    cells = []
+    for _ in range(count):
+        cfg = random_config(rng)
+        cfg = tw.SystemConfig(**{**cfg.__dict__, **dict(zip(("n1", "n2", "n_r"), antennas))})
+        cells.append((tw.generate_channels(cfg, 0), cfg))
+    return cells
+
+
+def _asym_mc_cells(n1, seeds):
+    """Asymmetry-study cells at the benchmark's shape: n1 + n2 = 6, n_r = 6, P1 + P2 = 5 W."""
+    cells = []
+    for seed in seeds:
+        base = tw.SystemConfig(n1=n1, n2=6 - n1, n_r=6, seed=seed)
+        channels = tw.generate_channels(base, 0)
+        for p1 in np.linspace(0.1, 0.9, 5) * 5.0:
+            cells.append((channels, tw.SystemConfig(**{**base.__dict__, "p1_max": p1, "p2_max": 5.0 - p1})))
+    return cells
+
+
+def test_batch_composition_changes_no_bit(rng):
+    groups = [_conftest_shape_cells(rng, shape, 50) for shape in ((2, 2, 2), (2, 3, 4), (3, 2, 2), (3, 3, 4))]
+    groups += [_asym_mc_cells(3, range(10)), _asym_mc_cells(2, range(10, 20))]
+    for cells in groups:
+        alone = [tw.max_ma_strategy(ch, cfg) for ch, cfg in cells]
+        assert all(st.sweeps >= 1 for st in alone)
+        for size in (5, 50):
+            order = rng.permutation(len(cells))
+            for start in range(0, len(order), size):
+                part = order[start:start + size]
+                batch = max_ma_strategies(
+                    np.stack([cells[k][0].h1r for k in part]),
+                    np.stack([cells[k][0].h2r for k in part]),
+                    [cells[k][1].p1_max for k in part],
+                    [cells[k][1].p2_max for k in part],
+                    [cells[k][1].sigmar_sq for k in part],
+                )
+                for k, st in zip(part, batch):
+                    _assert_same_bits(st, alone[k])
+        # The batches mixed instances that stop at different sweeps.
+        assert len({st.sweeps for st in alone}) > 1, [st.sweeps for st in alone]
+
+
+def _loop_best_response(h, other_term, p_max, sigmar_sq):
+    """One instance's best response, as the scalar loop computed it."""
+    n_r, n_i = h.shape
+    z = sigmar_sq * np.eye(n_r) + 0.5 * (other_term + other_term.conj().T)
+    g = np.linalg.solve(np.linalg.cholesky(z), h)
+    gram = g.conj().T @ g
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    order = np.argsort(eigvals)[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    active = eigvals > max(eigvals[0], 0.0) * 1e-12
+    if eigvals[0] <= 0.0 or not np.any(active):
+        return (p_max / n_i) * np.eye(n_i, dtype=complex)
+    powers = np.zeros(n_i)
+    powers[active] = tw.forward_waterfill(eigvals[active], p_max).powers
+    return (eigvecs * powers) @ eigvecs.conj().T
+
+
+def _loop_strategy(ch, cfg):
+    """Reference: iterative water-filling one instance at a time, every sweep PSD-checked."""
+    sig = cfg.sigmar_sq
+    d2 = np.zeros((cfg.n2, cfg.n2), complex)
+    previous = 0.0
+    for sweep in range(1, 501):
+        d1 = _loop_best_response(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
+        d2 = _loop_best_response(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
+        current = rate_ma(d1, d2, ch, sig)
+        if current - previous < 1e-10:
+            return tw.strategy_from_covariances(d1, d2, ch, sig), sweep
+        previous = current
+    raise AssertionError("reference did not converge")
+
+
+def test_engine_matches_scalar_loop_bit_for_bit(rng):
+    cells = _asym_mc_cells(3, range(4)) + _asym_mc_cells(1, range(4, 6))
+    for _ in range(40):
+        cfg, ch, _, _ = random_instance(rng)
+        cells.append((ch, cfg))
+    for ch, cfg in cells:
+        reference, sweeps = _loop_strategy(ch, cfg)
+        st = tw.max_ma_strategy(ch, cfg)
+        assert np.array_equal(st.d1, reference.d1) and np.array_equal(st.d2, reference.d2)
+        assert (st.r_ma, st.r_bar_1r, st.r_bar_2r) == (reference.r_ma, reference.r_bar_1r, reference.r_bar_2r)
+        assert st.sweeps == sweeps
+
+
+def test_strategy_sweeps_field(rng):
+    cfg, ch, _, st = random_instance(rng)
+    assert st.sweeps >= 1
+    assert tw.strategy_from_covariances(st.d1, st.d2, ch, cfg.sigmar_sq).sweeps == 0
+
+
+def test_non_convergence_raises(monkeypatch, rng):
+    cfg, ch, _, st = random_instance(rng)
+    monkeypatch.setattr(tw.ma_phase, "MAX_SWEEPS", st.sweeps - 1)
+    with pytest.raises(tw.NoConvergenceError):
+        tw.max_ma_strategy(ch, cfg)
+    h1, h2 = ch.h1r[np.newaxis], ch.h2r[np.newaxis]
+    assert max_ma_strategies(h1, h2, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq) == [None]
+
+
+def test_returned_pair_is_psd_checked(monkeypatch, rng):
+    cfg, ch, _, _ = random_instance(rng)
+    # With the tolerance at -10 W every covariance of trace <= 4 W fails.
+    monkeypatch.setattr(tw.ma_phase, "PSD_TOL", -10.0)
+    with pytest.raises(tw.NonPSDError, match="d1"):
+        tw.max_ma_strategy(ch, cfg)
+
+
+def test_empty_batch():
+    h = np.zeros((0, 2, 1), complex)
+    assert max_ma_strategies(h, h, [], [], 1.0) == []
 
 
 # --- independent ascent oracle ---------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario runners and CLI: schemas, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -169,6 +170,38 @@ def test_asymmetry_study_trials_are_schedule_independent():
         assert_allclose(agg["avg_sum_rate_tw"], np.mean(by_cell[key]), rtol=1e-12)
 
 
+def test_asymmetry_study_non_convergence_is_per_cell(monkeypatch):
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
+    records, aggregates = run_asymmetry_study(spec)
+    # Each cell solved alone, with the sweeps it needs.
+    solved = {}
+    for n1 in (1, 2, 3):
+        base = dataclasses.replace(cfg, n1=n1, n2=4 - n1)
+        for trial in range(spec.trials):
+            channels = tw.generate_channels(base, trial)
+            for p1 in np.linspace(0.1, 0.9, 5) * 2.0:
+                cell = dataclasses.replace(base, p1_max=float(p1), p2_max=2.0 - float(p1))
+                solved[trial, n1, float(p1)] = (tw.max_ma_strategy(channels, cell), cell, channels)
+    limit = int(np.median([st.sweeps for st, _, _ in solved.values()]))
+    failing = {key for key, (st, _, _) in solved.items() if st.sweeps > limit}
+    assert 0 < len(failing) < len(solved)
+
+    monkeypatch.setattr(tw.ma_phase, "MAX_SWEEPS", limit)
+    patched, patched_aggs = run_asymmetry_study(spec)
+    assert patched == [r for r in records if (r.trial, r.n1, r.p1_max) not in failing]
+    for agg, before in zip(patched_aggs, aggregates, strict=True):
+        cell = (agg["n1"], agg["p1_max"])
+        failed = sum(1 for key in failing if key[1:] == cell)
+        assert agg["skipped"] == failed and agg["completed"] == spec.trials - failed
+        if not failed:
+            assert agg == before
+    key = next(iter(failing))
+    _, cell_cfg, channels = solved[key]
+    with pytest.raises(tw.NoConvergenceError):
+        tw.max_ma_strategy(channels, cell_cfg)
+
+
 # --- single --------------------------------------------------------------------
 
 
@@ -249,6 +282,8 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert main(["--scenario", "single", "--trials", "0"]) == 2
     assert main(["--scenario", "single", "--sigma", "0"]) == 2
     assert main(["--scenario", "single", "--sigma", "nan"]) == 2
+    assert main(["--scenario", "single", "--sigma", "1e-320", "--deterministic"]) == 2
+    assert main(["--scenario", "single", "--sigma", "1e-308", "--deterministic"]) == 2
     assert main(["--scenario", "single", "--p1", "nan"]) == 2
     assert main(["--scenario", "single", "--pr", "nan", "--deterministic"]) == 2
     assert main(["--scenario", "single", "--pr", "inf"]) == 2
