@@ -44,6 +44,7 @@ from .relay_opt import (
     ThresholdLedger,
     classify_case,
     optimize,
+    optimize_many,
     relative_levels,
     relay_covariance,
     thresholds,
@@ -53,6 +54,8 @@ from .waterfill import (
     LevelAllocation,
     forward_level,
     forward_waterfill,
+    gain_table,
+    inverse_level,
     inverse_waterfill,
     power_of_level,
     rate_of_level,
@@ -81,14 +84,17 @@ __all__ = [
     "decompose",
     "forward_level",
     "forward_waterfill",
+    "gain_table",
     "generate_channels",
     "grid_certify",
     "grid_lipschitz_bound",
+    "inverse_level",
     "inverse_waterfill",
     "logdet_identity_plus",
     "max_ma_strategies",
     "max_ma_strategy",
     "optimize",
+    "optimize_many",
     "power_of_level",
     "rate_bar",
     "rate_ma",

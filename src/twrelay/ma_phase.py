@@ -33,6 +33,7 @@ import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
+from .waterfill import forward_level
 
 __all__ = [
     "SourceRates",
@@ -164,23 +165,6 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
     )
 
 
-def _waterfill_powers(gains: np.ndarray, active: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Forward water-filling of each row's budget over its active gains.
-
-    Row by row the arithmetic of ``waterfill.forward_waterfill`` on the
-    active gains, a descending prefix of the row. Inactive modes get
-    inverse gain +inf, hence no activation threshold (NaN) and zero power;
-    a row with no active mode comes out NaN, for the caller to replace.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / np.where(active, gains, 0.0)
-        csum = np.cumsum(inv, axis=1)
-        below = np.arange(1.0, gains.shape[1] + 1) * inv - csum <= budget[:, np.newaxis]
-        m = np.maximum(np.count_nonzero(below, axis=1), 1)
-        level = (budget + csum[np.arange(m.size), m - 1]) / m
-        return np.maximum(level[:, np.newaxis] - inv, 0.0)
-
-
 def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> np.ndarray:
     """Single-user water-filling of each instance against fixed interference-plus-noise.
 
@@ -196,7 +180,12 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
     eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
     active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
-    powers = _waterfill_powers(eigvals, active, p_max)
+    # Water-fill each row over its active modes, a descending prefix; the
+    # others are padding (gain 0). A row with no active mode comes out NaN
+    # and is replaced below.
+    gains = np.where(active, eigvals, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.maximum(forward_level(gains, p_max)[:, np.newaxis] - 1.0 / gains, 0.0)
     d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
     # Zero effective channel (top eigenvalue not positive): spend the
     # budget uniformly (it has no effect on any rate, but keeps Tr(D) = p_max).

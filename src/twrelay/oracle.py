@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import SubchannelGains
 from .ma_phase import SourceRates
-from .waterfill import forward_level, inverse_waterfill, power_of_level, rate_of_level
+from .waterfill import forward_level, gain_table, inverse_level, power_of_level, rate_of_level
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -63,17 +63,16 @@ def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
 
 
 def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> np.ndarray:
-    pooled = gains.pooled
-    r_ma = strategy.r_ma
-    specials = [
-        inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,
-        inverse_waterfill(gains.alpha1, strategy.r_bar_2r).level,
-        inverse_waterfill(pooled, r_ma).level,
-        forward_level(pooled, pr_max),
-        inverse_waterfill(gains.alpha1, max(r_ma - strategy.r_bar_1r, 0.0)).level,
-        inverse_waterfill(gains.alpha2, max(r_ma - strategy.r_bar_2r, 0.0)).level,
-    ]
-    return np.asarray(specials, dtype=float)
+    """The relative levels, the full-budget level and the two step-7 levels.
+
+    The five inverse levels come from one call on a five-row table: 1/mu_1,
+    1/mu_2, 1/mu_ma, then alpha1 at r_ma - r_bar_1r and alpha2 at
+    r_ma - r_bar_2r.
+    """
+    r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
+    table, log_table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
+    targets = [r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)]
+    return np.append(inverse_level(table, targets, log_table), forward_level(gains.pooled, pr_max))
 
 
 def _axes(

@@ -22,13 +22,18 @@ pair back onto the MA-rate ceiling, either by dropping both levels to
 water-fill. The result provably maximizes the two-way sum rate and, among
 all maximizers, consumes the least relay power.
 
+optimize_many runs the procedure on N instances at once, every branch a
+per-row mask, with one water-fill kernel call per stage for the whole
+batch (Palomar & Fonollosa, "Practical algorithms for a family of
+waterfilling solutions", IEEE T-SP 2005, for the exact finite-step
+kernels); optimize, relative_levels and thresholds are its N=1 views.
+
 Level-comparison branches use an absolute slack of 1e-9 W so exact-tie
 instances do not chatter between paths.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,8 @@ from .errors import InvalidStrategyError
 from .ma_phase import SourceRates
 from .waterfill import (
     forward_level,
-    forward_waterfill,
+    gain_table,
+    inverse_level,
     inverse_waterfill,
     power_of_level,
     rate_of_level,
@@ -52,6 +58,7 @@ __all__ = [
     "relative_levels",
     "thresholds",
     "optimize",
+    "optimize_many",
     "classify_case",
     "relay_covariance",
     "two_way_rate",
@@ -148,31 +155,93 @@ def _validated_rates(rates: SourceRates) -> SourceRates:
     return rates
 
 
-def two_way_rate(r_ma: float, r_bar_1r: float, r_bar_2r: float, bc1: float, bc2: float) -> float:
-    """Two-way sum rate in nats, including the 1/2 two-slot factor."""
-    forwarded = min(bc1, r_bar_2r) + min(bc2, r_bar_1r)
-    return 0.5 * min(r_ma, forwarded)
+def two_way_rate(r_ma, r_bar_1r, r_bar_2r, bc1, bc2):
+    """Two-way sum rate in nats, including the 1/2 two-slot factor (floats or arrays)."""
+    forwarded = np.minimum(bc1, r_bar_2r) + np.minimum(bc2, r_bar_1r)
+    return 0.5 * np.minimum(r_ma, forwarded)
 
 
 def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
-    """Relay transmit covariance V diag(powers, 0, ...) V^H for one direction."""
+    """Relay transmit covariance V diag(powers, 0, ...) V^H for one direction.
+
+    Also takes a stack of V factors (N, n_r, n_r) with powers (N, K).
+    """
     powers = np.asarray(powers, dtype=float)
-    diag = np.zeros(v_factor.shape[0])
-    diag[: powers.size] = powers
-    return (v_factor * diag) @ v_factor.conj().T
+    diag = np.zeros(v_factor.shape[:-1])
+    diag[..., : powers.shape[-1]] = powers
+    return (v_factor * diag[..., np.newaxis, :]) @ v_factor.conj().swapaxes(-1, -2)
+
+
+# The batch engine. The gains of N instances sit in one zero-padded table
+# of five blocks of N rows: alpha1, alpha2, the pooled gains, then alpha1
+# and alpha2 again. One inverse water-fill over the whole table finds,
+# block by block, the level on alpha1 whose rate is r_bar_2r (1/mu_2, the
+# cap of direction 1), on alpha2 for r_bar_1r (1/mu_1, the cap of direction
+# 2), on the pooled gains for r_ma (1/mu_ma), and the levels that p_bar_ma
+# and step 7 need: alpha1 for r_ma - r_bar_1r and alpha2 for r_ma - r_bar_2r.
+# One forward water-fill over the first three blocks finds the step-1
+# level and both step-4 candidates. A kind's sums run over its own columns
+# only (alpha1 over the widest alpha1 list, and so on). Every branch of the
+# seven steps is a per-row mask.
+_ALPHA1, _ALPHA2, _POOLED = 0, 1, 2
+
+# Step trace by branch code: step 3 (1), step 4 (2), step 5 (4), step 7 (8).
+_TRACES = [
+    (1, 2) + tuple(s for bit, s in ((1, 3), (2, 4), (4, 5)) if code & bit) + (6,) + ((7,) if code & 8 else ())
+    for code in range(16)
+]
+
+
+def _tables(gains) -> tuple:
+    """Gain table and its log of a batch, and the widest alpha1, alpha2 and pooled list."""
+    a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
+    table, log_table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
+    return table, log_table, (max(a.size for a in a1), max(a.size for a in a2), table.shape[1])
+
+
+def _block(array: np.ndarray, block: int, width: int) -> np.ndarray:
+    """One row block of a batch array, cut to `width` columns."""
+    n = len(array) // 5
+    return array[block * n : (block + 1) * n, :width]
+
+
+def _rates(rates) -> np.ndarray:
+    """r_ma, r_bar_1r, r_bar_2r of each instance, (3, N)."""
+    return np.array([[r.r_ma for r in rates], [r.r_bar_1r for r in rates], [r.r_bar_2r for r in rates]])
+
+
+def _budgets(pr_max, n: int) -> np.ndarray:
+    pr = np.zeros(n) + pr_max
+    if not 0.0 <= pr.min() <= pr.max() < np.inf:  # NaN fails too
+        raise ValueError("pr_max must be finite and nonnegative")
+    return pr
+
+
+def _targets(r_ma, r1, r2) -> np.ndarray:
+    """The rates of the stacked inverse water-fill, block by block."""
+    return np.concatenate([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
+
+
+def _p_bar_ma(cap1, cap2, mu_ma, p1, p2, p_ma):
+    """p_bar_ma and case_symmetric of each instance.
+
+    From the powers p1 on alpha1 at (cap1, its step-7 level), p2 on alpha2
+    at (cap2, its step-7 level) and p_ma on the pooled gains at 1/mu_ma.
+    Asymmetric: the tight direction at its cap, the loose one at the level
+    whose rate is r_ma minus the tight ceiling.
+    """
+    symmetric = mu_ma <= np.minimum(cap1, cap2) + TIE_TOL
+    loose = np.where(cap1 >= cap2, p1[1] + p2[0], p1[0] + p2[1])
+    return np.where(symmetric, p_ma, loose), symmetric
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
-    if not (math.isfinite(pr_max) and pr_max >= 0.0):
-        raise ValueError("pr_max must be finite and nonnegative")
-    pooled = gains.pooled
-    return RelativeLevels(
-        inv_mu1=inverse_waterfill(gains.alpha2, strategy.r_bar_1r).level,
-        inv_mu2=inverse_waterfill(gains.alpha1, strategy.r_bar_2r).level,
-        inv_mu_ma=inverse_waterfill(pooled, strategy.r_ma).level,
-        inv_lambda0=forward_waterfill(pooled, pr_max).level,
-    )
+    pr = _budgets(pr_max, 1)
+    table, log_table, widths = _tables([gains])
+    cap1, cap2, mu_ma, _, _ = inverse_level(table, _targets(*_rates([strategy])), log_table).tolist()
+    lam = forward_level(_block(table, _POOLED, widths[2]), pr)
+    return RelativeLevels(inv_mu1=cap2, inv_mu2=cap1, inv_mu_ma=mu_ma, inv_lambda0=float(lam[0]))
 
 
 def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceRates) -> ThresholdLedger:
@@ -185,34 +254,33 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceR
     its ceiling and gives the loose direction d the level whose rate is
     r_ma - r_bar_dr.
     """
-    pooled = gains.pooled
-    low = min(levels.inv_mu1, levels.inv_mu2)
-    high = max(levels.inv_mu1, levels.inv_mu2)
-    p_ma = power_of_level(pooled, levels.inv_mu_ma)
-    p_l = power_of_level(pooled, low)
-    p_s = power_of_level(pooled, high)
-    p_t = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, levels.cap2)
-    symmetric = levels.inv_mu_ma <= low + TIE_TOL
-    if symmetric:
-        p_bar_ma = p_ma
-    elif levels.cap1 >= levels.cap2:
-        bar1 = inverse_waterfill(gains.alpha1, max(strategy.r_ma - strategy.r_bar_1r, 0.0)).level
-        p_bar_ma = power_of_level(gains.alpha1, bar1) + power_of_level(gains.alpha2, levels.cap2)
-    else:
-        bar2 = inverse_waterfill(gains.alpha2, max(strategy.r_ma - strategy.r_bar_2r, 0.0)).level
-        p_bar_ma = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, bar2)
+    table, log_table, (k1, k2, kp) = _tables([gains])
+    *_, bar1, bar2 = inverse_level(table, _targets(*_rates([strategy])), log_table)
+    cap1, cap2, mu_ma = levels.cap1, levels.cap2, levels.inv_mu_ma
+    p1 = power_of_level(_block(table, _ALPHA1, k1), [[cap1], [bar1]])
+    p2 = power_of_level(_block(table, _ALPHA2, k2), [[cap2], [bar2]])
+    p_ma, p_l, p_s = power_of_level(_block(table, _POOLED, kp), [[mu_ma], [min(cap1, cap2)], [max(cap1, cap2)]])
+    p_bar_ma, symmetric = _p_bar_ma(cap1, cap2, mu_ma, p1, p2, p_ma)
     return ThresholdLedger(
-        p_ma=p_ma,
-        p_l=p_l,
-        p_t=p_t,
-        p_s=p_s,
-        p_bar_ma=p_bar_ma,
-        case_symmetric=symmetric,
+        p_ma=float(p_ma[0]),
+        p_l=float(p_l[0]),
+        p_t=float(p1[0, 0] + p2[0, 0]),
+        p_s=float(p_s[0]),
+        p_bar_ma=float(p_bar_ma[0]),
+        case_symmetric=bool(symmetric),
     )
 
 
-def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelaySolution:
-    """Run the seven-step allocation and package the optimal solution.
+def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
+    """Run the seven-step allocation on N instances at once.
+
+    gains and rates are sequences of N SubchannelGains and SourceRates;
+    pr_max is one budget (watts) for all or one per instance. Returns one
+    RelaySolution per instance, in order, each equal bit for bit to the
+    instance's own solve whenever every gain kind of the batch is narrower
+    than 8 subchannels or the same width in every instance (see waterfill).
+    Raises InvalidStrategyError if any instance's rates are invalid, and
+    ValueError if any budget is negative or non-finite or the lengths differ.
 
     Steps: (1) water-fill the full budget on the pooled gains; (2) if some
     direction sits above its ceiling level, (3) clip the tighter direction
@@ -223,64 +291,96 @@ def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> Re
     in which case (7) the higher level is lowered through the closed-form
     inverse water-fill so the sum lands on r_ma exactly.
     """
-    rates = _validated_rates(strategy)
-    levels = relative_levels(gains, strategy, pr_max)
-    ledger = thresholds(gains, levels, strategy)
+    n = len(gains)
+    if len(rates) != n:
+        raise ValueError("gains and rates must have one entry per instance")
+    if not n:
+        return []
+    r_ma, r1, r2 = _rates([_validated_rates(r) for r in rates])
+    pr = _budgets(pr_max, n)
+    table, log_table, (k1, k2, kp) = _tables(gains)
+    a1, a2, pooled = _block(table, _ALPHA1, k1), _block(table, _ALPHA2, k2), _block(table, _POOLED, kp)
+    ceilings = inverse_waterfill(table, _targets(r_ma, r1, r2), log_table)
+    cap1, cap2, mu_ma, bar1, bar2 = ceilings.level.reshape(5, n)
+    powers = ceilings.powers.reshape(5, n, -1)
+    p1 = powers[0::3, :, :k1].sum(axis=-1)  # alpha1 at cap1 and at bar1
+    p2 = powers[1::3, :, :k2].sum(axis=-1)  # alpha2 at cap2 and at bar2
+    p_bar_ma = _p_bar_ma(cap1, cap2, mu_ma, p1, p2, powers[2].sum(axis=-1))[0]
 
-    alpha = {1: gains.alpha1, 2: gains.alpha2}
-    cap = {1: levels.cap1, 2: levels.cap2}
-    r_bar = {1: rates.r_bar_1r, 2: rates.r_bar_2r}
-    lv = {1: levels.inv_lambda0, 2: levels.inv_lambda0}
+    # Step 1 on the pooled gains, and step 4 for either order: only the
+    # direction with the smaller ceiling can be the (first) violator; it is
+    # clipped to its cap and the other direction re-spends the remainder.
+    spare = np.maximum(pr - np.array([p2[0], p1[0]]), 0.0)
+    refill1, refill2, lam = forward_level(table[: 3 * n], np.concatenate([*spare, pr])).reshape(3, n)
+    first1 = cap1 <= cap2  # direction 1 is the violator a, 2 is b
+    refilled = np.where(first1, refill2, refill1)
 
-    trace = [1, 2]
-    if not (lv[1] <= cap[1] + TIE_TOL and lv[2] <= cap[2] + TIE_TOL):
-        # Only the direction with the smaller ceiling can be the (first)
-        # violator; call it a and its partner b.
-        a = 1 if cap[1] <= cap[2] else 2
-        b = 3 - a
-        trace.append(3)
-        lv[a] = cap[a]
-        if lv[b] <= cap[b] + TIE_TOL:
-            trace.append(4)
-            remainder = pr_max - power_of_level(alpha[a], cap[a])
-            lv[b] = forward_level(alpha[b], max(remainder, 0.0))
-            if lv[b] > cap[b] + TIE_TOL:
-                trace.append(5)
-                lv[b] = cap[b]
-        else:
-            trace.append(5)
-            lv[b] = cap[b]
+    # Steps 3-5.
+    cap_a, cap_b = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
+    clip = lam > cap_a + TIE_TOL
+    loose_b = cap_b + TIE_TOL
+    refill = clip & (lam <= loose_b)
+    reclip = clip & ~(refill & (refilled <= loose_b))
+    level_b = np.where(reclip, cap_b, np.where(refill, refilled, lam))
+    level_a = np.where(clip, cap_a, lam)
+    lv1, lv2 = np.where(first1, level_a, level_b), np.where(first1, level_b, level_a)
 
-    trace.append(6)
-    if lv[1] >= levels.inv_mu_ma - TIE_TOL and lv[2] >= levels.inv_mu_ma - TIE_TOL:
-        lv[1] = lv[2] = levels.inv_mu_ma
-    elif lv[1] <= levels.inv_mu_ma + TIE_TOL and lv[2] <= levels.inv_mu_ma + TIE_TOL:
-        pass
-    else:
-        bc_sum = rate_of_level(alpha[1], lv[1]) + rate_of_level(alpha[2], lv[2])
-        if bc_sum > rates.r_ma + TIE_TOL:
-            trace.append(7)
-            j = 1 if lv[1] > lv[2] else 2
-            lv[j] = inverse_waterfill(alpha[j], max(rates.r_ma - r_bar[j], 0.0)).level
+    # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
+    pinned = np.minimum(lv1, lv2) >= mu_ma - TIE_TOL
+    below = np.maximum(lv1, lv2) <= mu_ma + TIE_TOL
+    lv1, lv2 = np.where(pinned, mu_ma, lv1), np.where(pinned, mu_ma, lv2)
+    bc1, bar_bc1 = rate_of_level(a1, np.array([lv1, bar1]))
+    bc2, bar_bc2 = rate_of_level(a2, np.array([lv2, bar2]))
+    cut = ~(pinned | below) & (bc1 + bc2 > r_ma + TIE_TOL)
+    cut1 = cut & (lv1 > lv2)
+    cut2 = cut & ~cut1
+    lv1, bc1 = np.where(cut1, bar1, lv1), np.where(cut1, bar_bc1, bc1)
+    lv2, bc2 = np.where(cut2, bar2, lv2), np.where(cut2, bar_bc2, bc2)
 
-    powers = {i: np.maximum(lv[i] - 1.0 / alpha[i], 0.0) for i in (1, 2)}
-    bc = {i: rate_of_level(alpha[i], lv[i]) for i in (1, 2)}
-    consumed = float(np.sum(powers[1]) + np.sum(powers[2]))
-    best_bc = forward_waterfill(gains.pooled, consumed).rate
-    return RelaySolution(
-        level1=lv[1],
-        level2=lv[2],
-        powers1=powers[1],
-        powers2=powers[2],
-        b1=relay_covariance(gains.v1, powers[1]),
-        b2=relay_covariance(gains.v2, powers[2]),
-        consumed_power=consumed,
-        sum_rate_tw=two_way_rate(rates.r_ma, rates.r_bar_1r, rates.r_bar_2r, bc[1], bc[2]),
-        bc_rates=(bc[1], bc[2]),
-        step_trace=tuple(trace),
-        efficient=bool(bc[1] + bc[2] >= best_bc - TIE_TOL),
-        source_waste=bool(pr_max < ledger.p_bar_ma - TIE_TOL),
-    )
+    with np.errstate(divide="ignore"):
+        powers1 = np.maximum(lv1[:, np.newaxis] - 1.0 / a1, 0.0)
+        powers2 = np.maximum(lv2[:, np.newaxis] - 1.0 / a2, 0.0)
+    consumed = powers1.sum(axis=-1) + powers2.sum(axis=-1)
+    best_bc = rate_of_level(pooled, forward_level(pooled, consumed))
+    efficient = bc1 + bc2 >= best_bc - TIE_TOL
+    source_waste = pr < p_bar_ma - TIE_TOL
+    sum_rate = two_way_rate(r_ma, r1, r2, bc1, bc2)
+    steps = zip(clip.tolist(), refill.tolist(), reclip.tolist(), cut.tolist())
+    return list(map(
+        RelaySolution, lv1.tolist(), lv2.tolist(),
+        [p[: g.alpha1.size] for p, g in zip(powers1, gains)],
+        [p[: g.alpha2.size] for p, g in zip(powers2, gains)],
+        *_covariances(gains, powers1, powers2), consumed.tolist(), sum_rate.tolist(),
+        zip(bc1.tolist(), bc2.tolist()), [_TRACES[s3 + 2 * s4 + 4 * s5 + 8 * s7] for s3, s4, s5, s7 in steps],
+        efficient.tolist(), source_waste.tolist(),
+    ))
+
+
+def _covariances(gains, powers1: np.ndarray, powers2: np.ndarray) -> tuple[list, list]:
+    """Relay covariances b1, b2 of each instance, one stacked product per relay antenna count."""
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(gains):
+        groups.setdefault(g.n_r, []).append(i)
+    b1, b2 = [None] * len(gains), [None] * len(gains)
+    for n_r, idx in groups.items():
+        m, rows = len(idx), idx if len(groups) > 1 else slice(None)
+        # Columns past n_r hold only padding of wider instances.
+        w1, w2 = min(powers1.shape[1], n_r), min(powers2.shape[1], n_r)
+        diag = np.zeros((2 * m, n_r))
+        diag[:m, :w1] = powers1[rows, :w1]
+        diag[m:, :w2] = powers2[rows, :w2]
+        stack = relay_covariance(np.array([gains[i].v1 for i in idx] + [gains[i].v2 for i in idx]), diag)
+        for k, i in enumerate(idx):
+            b1[i], b2[i] = stack[k], stack[m + k]
+    return b1, b2
+
+
+def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelaySolution:
+    """Run the seven-step allocation and package the optimal solution.
+
+    The N=1 view of optimize_many, which lists the steps.
+    """
+    return optimize_many([gains], [strategy], pr_max)[0]
 
 
 def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float) -> tuple[int, ...]:

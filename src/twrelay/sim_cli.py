@@ -59,7 +59,7 @@ from .channel import (
 from .errors import ConfigError, RankZeroError
 from .ma_phase import max_ma_strategies, max_ma_strategy
 from .oracle import grid_certify
-from .relay_opt import RelaySolution, SourceRates, optimize, two_way_rate
+from .relay_opt import RelaySolution, SourceRates, optimize, optimize_many, two_way_rate
 from .waterfill import forward_level, power_of_level, rate_of_level
 
 __all__ = [
@@ -75,6 +75,10 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
+# The asymmetry study hands its cells to the relay optimizer in one batch;
+# once the antenna splits not yet solved hold this many cells, it solves
+# them before drawing the next split, so a long study keeps memory bounded.
+STUDY_BATCH_CELLS = 4096
 
 
 class Lemma2Record(NamedTuple):
@@ -284,9 +288,9 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     gains = decompose(channels, cfg)
     strategy = max_ma_strategy(channels, cfg)
     budgets = np.linspace(spec.sweep_start, spec.sweep_stop, spec.sweep_points)
+    solutions = optimize_many([gains] * budgets.size, [strategy] * budgets.size, budgets)
     records: list[PrmaxRecord] = []
-    for point, pr in enumerate(budgets):
-        sol = optimize(gains, strategy, float(pr))
+    for point, (pr, sol) in enumerate(zip(budgets, solutions)):
         cert = grid_certify(gains, strategy, float(pr), spec.resolution)
         bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
         bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(
@@ -308,15 +312,33 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     Antenna splits cover every n1 in 1..n_total-1 with n1+n2 fixed; power
     splits cover five evenly spaced fractions of the fixed power total.
     Channel realizations are reused across power splits within an antenna
-    split, so cells differ only in what they must.
+    split, so cells differ only in what they must. A trial whose downlink
+    is rank zero or whose gains overflow counts as skipped in every cell of
+    its antenna split, and a cell whose MA phase does not converge in its
+    own. The MA phase runs one batch per antenna split, and the relay
+    optimizer one batch per study (see STUDY_BATCH_CELLS).
     """
     cfg = spec.config
     n_total = cfg.n1 + cfg.n2
     p_total = cfg.p1_max + cfg.p2_max
     if n_total < 2:
         raise ConfigError("asymmetry study needs n1 + n2 >= 2")
+    splits = []
     records: list[AsymRecord] = []
-    aggregates: list[dict] = []
+    jobs = []  # (n1, trial, p1, cell, gains, strategy) of the cells not yet solved, in record order
+
+    def solve_jobs() -> None:
+        solutions = optimize_many([job[4] for job in jobs], [job[5] for job in jobs], cfg.pr_max)
+        for (n1, trial, p1, cell, _, _), sol in zip(jobs, solutions):
+            cell["sum_rate"].append(sol.sum_rate_tw)
+            cell["consumed"].append(sol.consumed_power)
+            cell["efficient"].append(sol.efficient)
+            records.append(AsymRecord(
+                trial, n1, n_total - n1, p1, p_total - p1,
+                sol.sum_rate_tw, sol.consumed_power, sol.efficient,
+            ))
+        jobs.clear()
+
     for n1 in range(1, n_total):
         base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
         cells = {
@@ -329,7 +351,7 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
             try:
                 channels = generate_channels(base, trial)
                 drawn[trial] = channels, decompose(channels, base)
-            except RankZeroError:
+            except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
                 for cell in cells.values():
                     cell["skipped"] += 1
         # One MA-phase batch per antenna split: every drawn trial x every power split.
@@ -344,15 +366,14 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
                 strategy = next(strategies)
                 if strategy is None:  # the MA phase did not converge
                     cell["skipped"] += 1
-                    continue
-                sol = optimize(gains, strategy, base.pr_max)
-                cell["sum_rate"].append(sol.sum_rate_tw)
-                cell["consumed"].append(sol.consumed_power)
-                cell["efficient"].append(sol.efficient)
-                records.append(AsymRecord(
-                    trial, n1, n_total - n1, p1, p_total - p1,
-                    sol.sum_rate_tw, sol.consumed_power, sol.efficient,
-                ))
+                else:
+                    jobs.append((n1, trial, p1, cell, gains, strategy))
+        splits.append((n1, cells))
+        if len(jobs) >= STUDY_BATCH_CELLS:
+            solve_jobs()
+    solve_jobs()
+    aggregates: list[dict] = []
+    for n1, cells in splits:
         for p1, cell in cells.items():
             done = len(cell["sum_rate"])
             aggregates.append({

@@ -1,4 +1,4 @@
-"""Scalar water-filling kernels over subchannel gain lists.
+"""Water-filling kernels, row-wise over padded gain tables.
 
 All rates are in nats and all powers and water levels in watts. A "level"
 is the water level 1/lambda: subchannel k with gain alpha(k) carries power
@@ -10,6 +10,16 @@ scanning active-set sizes over the sorted gain list, not by bisection.
 A subchannel whose inverse gain equals the level exactly is counted as
 active with zero power; this keeps the active-set size deterministic and
 does not change any power or rate.
+
+Every kernel takes either one gain list (1-D) or a table of N lists, one
+per row, zero-padded to a common width K (gain_table builds one). A padded
+cell has gain 0 and inverse gain +inf: it carries no power, has no
+activation threshold and adds no rate. With a table, budgets, targets and
+levels are per row, shape (N,), and so are the results; with one list
+they may be scalars (the results are then floats) or, for the level
+functions, arrays of any shape. Padding only appends zero terms to each
+row's sums, and numpy adds fewer than 8 terms one after another, so a row
+of a table narrower than 8 gives the same bits as its list alone.
 
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
@@ -26,10 +36,12 @@ import numpy as np
 
 __all__ = [
     "LevelAllocation",
+    "gain_table",
     "rate_of_level",
     "power_of_level",
     "forward_level",
     "forward_waterfill",
+    "inverse_level",
     "inverse_waterfill",
 ]
 
@@ -39,17 +51,17 @@ _MAX_LOG_LEVEL = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class LevelAllocation:
-    """Water-filling allocation induced by a single water level.
+    """Water-filling allocation induced by a water level (one per table row).
 
     Attributes
     ----------
-    level : float
-        Water level 1/lambda in watts.
+    level : float or np.ndarray
+        Water level 1/lambda in watts; (N,) for a table.
     powers : np.ndarray
-        Per-subchannel powers in watts, aligned with the gain list.
-    rate : float
+        Per-subchannel powers in watts, aligned with the gains.
+    rate : float or np.ndarray
         Sum rate over active subchannels, nats.
-    total_power : float
+    total_power : float or np.ndarray
         Sum of powers, watts.
     """
 
@@ -59,73 +71,117 @@ class LevelAllocation:
     total_power: float
 
 
+def _out(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
+def gain_table(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (N, K) table of the 1-D gain lists `rows`, and its np.log.
+
+    The log of each row is the one np.log(row) gives. np.log takes numpy's
+    SIMD loop on a contiguous array but libm's on a reversed view, such as
+    ``SubchannelGains.pooled``, and the two differ in the last bit for
+    about one value in a thousand; so a level the inverse kernel computes
+    from the table equals, bit for bit, the level from the list itself.
+    Padded cells have log -inf.
+    """
+    sizes = [row.size for row in rows]
+    cells = np.arange(max(sizes)) < np.asarray(sizes)[:, np.newaxis]
+    table = np.zeros(cells.shape)
+    table[cells] = np.concatenate(rows)
+    reversed_rows = [row.strides[0] < 0 for row in rows]
+    with np.errstate(divide="ignore"):
+        log_table = np.log(table)
+        if any(reversed_rows):
+            libm = np.log(table.reshape(-1)[::-1])[::-1]  # a reversed view takes libm's loop
+            log_table = np.where(np.asarray(reversed_rows)[:, np.newaxis], libm.reshape(cells.shape), log_table)
+    return table, log_table
+
+
+def _active(activation: np.ndarray, csum: np.ndarray, target: np.ndarray) -> tuple:
+    """m, the count of activation thresholds at or below each target (at least 1), and csum[m-1].
+
+    A list is searched (it is sorted), a table compared row by row.
+    """
+    if activation.ndim == 1:
+        m = np.maximum(np.searchsorted(activation, target, side="right"), 1)
+        return m, csum[m - 1]
+    m = np.maximum((activation <= target[:, np.newaxis]).sum(axis=-1), 1)
+    return m, csum.reshape(-1)[np.arange(-1, csum.size - 1, csum.shape[1]) + m]
+
+
 def rate_of_level(gains, level):
     """Rate in nats of water level(s) `level` over `gains`.
 
     Sum over active subchannels of ln(alpha(k) * level); a subchannel is
     active when alpha(k) * level > 1. Accepts a scalar or array of levels
-    and returns a matching shape. Nondecreasing in the level.
+    for a list, or (..., N) levels for a table, and returns a matching
+    shape. Nondecreasing in the level.
     """
     gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
-    rate = np.sum(np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)), axis=-1)
-    return float(rate) if rate.ndim == 0 else rate
+    return _out(np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)).sum(axis=-1))
 
 
 def power_of_level(gains, level):
     """Total power in watts consumed by water level(s) `level` over `gains`.
 
     Sum over subchannels of (level - 1/alpha(k))^+. Accepts a scalar or
-    array of levels. Piecewise linear, convex, nondecreasing in the level.
+    array of levels for a list, or (..., N) levels for a table. Piecewise
+    linear, convex, nondecreasing in the level.
     """
     gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
-    power = np.sum(np.maximum(level[..., np.newaxis] - 1.0 / gains, 0.0), axis=-1)
-    return float(power) if power.ndim == 0 else power
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / gains
+    return _out(np.maximum(level[..., np.newaxis] - inv, 0.0).sum(axis=-1))
 
 
 def forward_level(gains, budget):
     """Water level(s) that spend exactly `budget` watts over `gains`.
 
     Closed form: with m subchannels active the level is
-    (budget + sum_{k<=m} 1/alpha(k)) / m, and m is found from the
-    activation thresholds of the sorted inverse gains. Accepts a scalar
-    or array of budgets and returns a matching shape.
+    (budget + sum_{k<=m} 1/alpha(k)) / m, and m is the count of activation
+    thresholds of the sorted inverse gains at or below the budget. Accepts
+    a scalar or array of budgets for a list, or (N,) budgets for a table,
+    and returns a matching shape. A table row with no positive gain gets
+    level +inf.
     """
     gains = np.asarray(gains, dtype=float)
     budget = np.asarray(budget, dtype=float)
-    if np.any(budget < 0.0):
+    if (budget < 0.0).any():
         raise ValueError("budget must be nonnegative")
-    inv = 1.0 / gains  # ascending since gains are descending
-    csum = np.cumsum(inv)
-    m_all = np.arange(1, inv.size + 1, dtype=float)
-    # Power spent when the level reaches 1/alpha(m): (m-1)*inv[m] - csum[m-1].
-    activation = m_all * inv - csum
-    m = np.searchsorted(activation, budget, side="right")
-    m = np.maximum(m, 1)
-    level = (budget + csum[m - 1]) / m
-    return float(level) if level.ndim == 0 else level
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / gains  # ascending since gains are descending
+        csum = inv.cumsum(axis=-1)
+        # Power spent when the level reaches 1/alpha(m): (m-1)*inv[m] - csum[m-1].
+        activation = np.arange(1.0, gains.shape[-1] + 1) * inv - csum
+    m, spent = _active(activation, csum, budget)
+    return _out((budget + spent) / m)
 
 
-def _allocation(gains: np.ndarray, level: float) -> LevelAllocation:
-    powers = np.maximum(level - 1.0 / gains, 0.0)
+def _allocation(gains: np.ndarray, level) -> LevelAllocation:
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / gains
+    powers = np.maximum(np.asarray(level)[..., np.newaxis] - inv, 0.0)
     return LevelAllocation(
-        level=float(level),
+        level=level,
         powers=powers,
         rate=rate_of_level(gains, level),
-        total_power=float(np.sum(powers)),
+        total_power=_out(powers.sum(axis=-1)),
     )
 
 
-def forward_waterfill(gains, budget: float) -> LevelAllocation:
+def forward_waterfill(gains, budget) -> LevelAllocation:
     """Rate-maximizing allocation of `budget` watts over `gains`.
 
     Parameters
     ----------
     gains : array_like
-        Subchannel gains in 1/watts, sorted descending, strictly positive.
-    budget : float
-        Total power to spend, watts; spent exactly.
+        Subchannel gains in 1/watts, sorted descending, strictly positive;
+        or a padded (N, K) table of such lists.
+    budget : float or array_like
+        Total power to spend, watts, spent exactly; (N,) for a table.
 
     Returns
     -------
@@ -134,44 +190,63 @@ def forward_waterfill(gains, budget: float) -> LevelAllocation:
         A zero budget yields level 1/alpha_max and all-zero powers.
     """
     gains = np.asarray(gains, dtype=float)
-    return _allocation(gains, forward_level(gains, float(budget)))
+    return _allocation(gains, forward_level(gains, budget))
 
 
-def inverse_waterfill(gains, target_rate: float) -> LevelAllocation:
+def inverse_level(gains, target_rate, log_gains=None):
+    """Water level(s) whose rate over `gains` is exactly `target_rate` nats.
+
+    With m subchannels active, ln(level) = (target_rate + sum_{k<=m}
+    ln(1/alpha(k))) / m, and m is the count of activation thresholds of the
+    sorted ln(1/alpha) at or below the target. A scalar target for a list,
+    or (N,) targets for a table. `log_gains` is np.log(gains) if the caller
+    has it (gain_table's second result); it is computed otherwise.
+
+    Raises
+    ------
+    ValueError
+        If a target is negative or non-finite, or its level overflows.
+    """
+    gains = np.asarray(gains, dtype=float)
+    target = np.asarray(target_rate, dtype=float)
+    if not (np.isfinite(target) & (target >= 0.0)).all():
+        raise ValueError("target_rate must be finite and nonnegative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_inv = -(np.log(gains) if log_gains is None else log_gains)  # ascending
+        csum = log_inv.cumsum(axis=-1)
+        # Rate accumulated when the level reaches 1/alpha(m).
+        activation = np.arange(1.0, gains.shape[-1] + 1) * log_inv - csum
+    m, log_spent = _active(activation, csum, target)
+    log_level = (target + log_spent) / m
+    if log_level.max() > _MAX_LOG_LEVEL:
+        raise ValueError("target_rate needs a water level beyond the float range")
+    return _out(np.exp(log_level))
+
+
+def inverse_waterfill(gains, target_rate, log_gains=None) -> LevelAllocation:
     """Minimum-power allocation over `gains` achieving `target_rate` nats.
 
     Parameters
     ----------
     gains : array_like
-        Subchannel gains in 1/watts, sorted descending, strictly positive.
-    target_rate : float
-        Rate to achieve, nats; achieved exactly.
+        Subchannel gains in 1/watts, sorted descending, strictly positive;
+        or a padded (N, K) table of such lists.
+    target_rate : float or array_like
+        Rate to achieve, nats, achieved exactly; (N,) for a table.
+    log_gains : np.ndarray, optional
+        np.log(gains), as gain_table returns it.
 
     Returns
     -------
     LevelAllocation
         The unique allocation with rate_of_level(gains, level) ==
-        target_rate: with m subchannels active,
-        ln(level) = (target_rate - sum_{k<=m} ln alpha(k)) / m.
-        A zero target yields level 1/alpha_max and all-zero powers.
+        target_rate (see inverse_level). A zero target yields level
+        1/alpha_max and all-zero powers.
 
     Raises
     ------
     ValueError
-        If target_rate is negative or non-finite, or its level overflows.
+        If a target is negative or non-finite, or its level overflows.
     """
     gains = np.asarray(gains, dtype=float)
-    target_rate = float(target_rate)
-    if not (target_rate >= 0.0 and math.isfinite(target_rate)):
-        raise ValueError("target_rate must be finite and nonnegative")
-    log_inv = -np.log(gains)  # ascending
-    csum = np.cumsum(log_inv)
-    m_all = np.arange(1, gains.size + 1, dtype=float)
-    # Rate accumulated when the level reaches 1/alpha(m).
-    activation = m_all * log_inv - csum
-    m = int(np.searchsorted(activation, target_rate, side="right"))
-    m = max(m, 1)
-    log_level = (target_rate + csum[m - 1]) / m
-    if log_level > _MAX_LOG_LEVEL:
-        raise ValueError("target_rate needs a water level beyond the float range")
-    return _allocation(gains, float(np.exp(log_level)))
+    return _allocation(gains, inverse_level(gains, target_rate, log_gains))

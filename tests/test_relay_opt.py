@@ -1,4 +1,6 @@
-"""Relay optimizer: worked instances, feasibility, structure, conformance."""
+"""Relay optimizer: worked instances, feasibility, structure, conformance, batching."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -363,3 +365,224 @@ def test_efficiency_matches_pooled_waterfill_definition(rng):
         best_bc = forward_waterfill(g.pooled, sol.consumed_power).rate
         assert sol.efficient == (sum(sol.bc_rates) >= best_bc - 1e-9)
         assert sum(sol.bc_rates) <= best_bc + 1e-9  # never above the pooled optimum
+
+
+# --- the batch engine against the scalar seven-step ---------------------------
+#
+# The reference below is the scalar optimizer that optimize_many replaced,
+# kept as it was: one instance at a time through the 1-D water-fill kernels.
+
+
+def _scalar_levels(gains, rates, pr_max):
+    pooled = gains.pooled
+    return tw.RelativeLevels(
+        inv_mu1=inverse_waterfill(gains.alpha2, rates.r_bar_1r).level,
+        inv_mu2=inverse_waterfill(gains.alpha1, rates.r_bar_2r).level,
+        inv_mu_ma=inverse_waterfill(pooled, rates.r_ma).level,
+        inv_lambda0=forward_waterfill(pooled, pr_max).level,
+    )
+
+
+def _scalar_thresholds(gains, levels, rates):
+    pooled = gains.pooled
+    low = min(levels.inv_mu1, levels.inv_mu2)
+    high = max(levels.inv_mu1, levels.inv_mu2)
+    p_ma = power_of_level(pooled, levels.inv_mu_ma)
+    p_t = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, levels.cap2)
+    symmetric = levels.inv_mu_ma <= low + tw.relay_opt.TIE_TOL
+    if symmetric:
+        p_bar_ma = p_ma
+    elif levels.cap1 >= levels.cap2:
+        bar1 = inverse_waterfill(gains.alpha1, max(rates.r_ma - rates.r_bar_1r, 0.0)).level
+        p_bar_ma = power_of_level(gains.alpha1, bar1) + power_of_level(gains.alpha2, levels.cap2)
+    else:
+        bar2 = inverse_waterfill(gains.alpha2, max(rates.r_ma - rates.r_bar_2r, 0.0)).level
+        p_bar_ma = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, bar2)
+    return tw.ThresholdLedger(
+        p_ma=p_ma, p_l=power_of_level(pooled, low), p_t=p_t, p_s=power_of_level(pooled, high),
+        p_bar_ma=p_bar_ma, case_symmetric=symmetric,
+    )
+
+
+def _scalar_covariance(v_factor, powers):
+    diag = np.zeros(v_factor.shape[0])
+    diag[: powers.size] = powers
+    return (v_factor * diag) @ v_factor.conj().T
+
+
+def _scalar_optimize(gains, rates, pr_max):
+    tol = tw.relay_opt.TIE_TOL
+    levels = _scalar_levels(gains, rates, pr_max)
+    ledger = _scalar_thresholds(gains, levels, rates)
+    alpha = {1: gains.alpha1, 2: gains.alpha2}
+    cap = {1: levels.cap1, 2: levels.cap2}
+    r_bar = {1: rates.r_bar_1r, 2: rates.r_bar_2r}
+    lv = {1: levels.inv_lambda0, 2: levels.inv_lambda0}
+    trace = [1, 2]
+    if not (lv[1] <= cap[1] + tol and lv[2] <= cap[2] + tol):
+        a = 1 if cap[1] <= cap[2] else 2
+        b = 3 - a
+        trace.append(3)
+        lv[a] = cap[a]
+        if lv[b] <= cap[b] + tol:
+            trace.append(4)
+            remainder = pr_max - power_of_level(alpha[a], cap[a])
+            lv[b] = forward_level(alpha[b], max(remainder, 0.0))
+            if lv[b] > cap[b] + tol:
+                trace.append(5)
+                lv[b] = cap[b]
+        else:
+            trace.append(5)
+            lv[b] = cap[b]
+    trace.append(6)
+    if lv[1] >= levels.inv_mu_ma - tol and lv[2] >= levels.inv_mu_ma - tol:
+        lv[1] = lv[2] = levels.inv_mu_ma
+    elif lv[1] <= levels.inv_mu_ma + tol and lv[2] <= levels.inv_mu_ma + tol:
+        pass
+    else:
+        bc_sum = rate_of_level(alpha[1], lv[1]) + rate_of_level(alpha[2], lv[2])
+        if bc_sum > rates.r_ma + tol:
+            trace.append(7)
+            j = 1 if lv[1] > lv[2] else 2
+            lv[j] = inverse_waterfill(alpha[j], max(rates.r_ma - r_bar[j], 0.0)).level
+    powers = {i: np.maximum(lv[i] - 1.0 / alpha[i], 0.0) for i in (1, 2)}
+    bc = {i: rate_of_level(alpha[i], lv[i]) for i in (1, 2)}
+    consumed = float(np.sum(powers[1]) + np.sum(powers[2]))
+    best_bc = forward_waterfill(gains.pooled, consumed).rate
+    forwarded = min(bc[1], rates.r_bar_2r) + min(bc[2], rates.r_bar_1r)
+    return tw.RelaySolution(
+        level1=lv[1], level2=lv[2], powers1=powers[1], powers2=powers[2],
+        b1=_scalar_covariance(gains.v1, powers[1]), b2=_scalar_covariance(gains.v2, powers[2]),
+        consumed_power=consumed, sum_rate_tw=0.5 * min(rates.r_ma, forwarded),
+        bc_rates=(bc[1], bc[2]), step_trace=tuple(trace),
+        efficient=bool(bc[1] + bc[2] >= best_bc - tol),
+        source_waste=bool(pr_max < ledger.p_bar_ma - tol),
+    )
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _assert_same_solution(sol, ref):
+    floats = ("level1", "level2", "consumed_power", "sum_rate_tw", "bc_rates")
+    for name in floats:
+        assert _bits(getattr(sol, name)) == _bits(getattr(ref, name)), name
+    for name in ("powers1", "powers2", "b1", "b2"):
+        got, want = getattr(sol, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert (sol.step_trace, sol.efficient, sol.source_waste) == (ref.step_trace, ref.efficient, ref.source_waste)
+
+
+def _c1_c3_set(seed, count):
+    """The instances and budgets of acceptance C1 (seed 2001, 200) or C3 (seed 2003, 1000)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        _, _, gains, strategy = random_instance(rng)
+        cases.append((gains, strategy, float(rng.uniform(0.1, 10.0))))
+    return cases
+
+
+def _c5_set():
+    """The instances of acceptance C5, each at its budgets straddling the thresholds."""
+    rng = np.random.default_rng(2005)
+    cases = []
+    for _ in range(1000):
+        _, _, gains, strategy = random_instance(rng)
+        led = _scalar_thresholds(gains, _scalar_levels(gains, strategy, 1.0), strategy)
+        ths = sorted({led.p_ma, led.p_l, led.p_t, led.p_s, led.p_bar_ma})
+        budgets = [0.5 * ths[0]] if ths[0] > 1e-9 else [1e-3]
+        budgets += [0.5 * (a + b) for a, b in zip(ths, ths[1:]) if b - a > 1e-6]
+        budgets.append(1.5 * ths[-1] + 0.1)
+        cases += [(gains, strategy, pr) for pr in budgets]
+    return cases
+
+
+def _asym_mc_set(trials):
+    """Asymmetry-study cells at the benchmark's shape: n1 + n2 = 6, n_r = 6, P1 + P2 = 5 W, Pr = 3 W."""
+    cases = []
+    for n1 in range(1, 6):
+        base = tw.SystemConfig(n1=n1, n2=6 - n1, n_r=6, pr_max=3.0, seed=104729)
+        for trial in range(trials):
+            channels = tw.generate_channels(base, trial)
+            gains = tw.decompose(channels, base)
+            p1 = np.linspace(0.1, 0.9, 5) * 5.0
+            strategies = tw.max_ma_strategies(
+                np.stack([channels.h1r] * 5), np.stack([channels.h2r] * 5), p1, 5.0 - p1, 1.0
+            )
+            cases += [(gains, strategy, 3.0) for strategy in strategies]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def c5_cases():
+    return _c5_set()
+
+
+def test_engine_matches_scalar_optimizer_bit_for_bit(c5_cases):
+    rng = np.random.default_rng(5)
+    sets = {
+        "C1": _c1_c3_set(2001, 200),
+        "C3": _c1_c3_set(2003, 1000),
+        "C5": c5_cases,
+        "asym-mc": _asym_mc_set(20),
+    }
+    for name, cases in sets.items():
+        reference = [_scalar_optimize(*case) for case in cases]
+        assert len({case[0].alpha1.size for case in cases}) > 1, name  # mixed widths
+        for case, ref in zip(cases, reference):
+            _assert_same_solution(tw.optimize(*case), ref)
+        for size in (5, 25, len(cases)):
+            order = rng.permutation(len(cases))
+            for start in range(0, len(order), size):
+                part = order[start:start + size]
+                batch = tw.optimize_many(
+                    [cases[k][0] for k in part], [cases[k][1] for k in part], [cases[k][2] for k in part]
+                )
+                for k, sol in zip(part, batch):
+                    _assert_same_solution(sol, reference[k])
+
+
+def test_relative_levels_and_thresholds_match_scalar_bits(c5_cases):
+    seen = set()
+    for gains, strategy, pr in c5_cases:
+        levels = tw.relative_levels(gains, strategy, pr)
+        ref = _scalar_levels(gains, strategy, pr)
+        assert _bits(*dataclasses.astuple(levels)) == _bits(*dataclasses.astuple(ref))
+        if id(gains) in seen:  # the ledger does not depend on the budget
+            continue
+        seen.add(id(gains))
+        ledger, want = tw.thresholds(gains, levels, strategy), _scalar_thresholds(gains, ref, strategy)
+        assert _bits(*dataclasses.astuple(ledger)[:5]) == _bits(*dataclasses.astuple(want)[:5])
+        assert ledger.case_symmetric == want.case_symmetric
+
+
+def test_optimize_many_empty_batch():
+    assert tw.optimize_many([], [], 1.0) == []
+
+
+def test_optimize_many_rejects_what_optimize_rejects():
+    g, good = unit_gains(), asym_rates()
+    bad = tw.SourceRates(r_ma=LN2, r_bar_1r=LN4, r_bar_2r=LN2)
+    with pytest.raises(tw.InvalidStrategyError) as alone:
+        tw.optimize(g, bad, 1.0)
+    with pytest.raises(tw.InvalidStrategyError) as batched:
+        tw.optimize_many([g] * 3, [good, bad, good], 1.0)
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(ValueError) as alone:
+        tw.optimize(g, good, np.nan)
+    with pytest.raises(ValueError) as batched:
+        tw.optimize_many([g] * 3, [good] * 3, [1.0, np.nan, 2.0])
+    assert str(batched.value) == str(alone.value)
+    with pytest.raises(tw.InvalidStrategyError):  # rates are checked before budgets, as in optimize
+        tw.optimize_many([g] * 2, [good, bad], [1.0, np.nan])
+    with pytest.raises(ValueError):
+        tw.optimize_many([g] * 2, [good], 1.0)
+
+
+def test_optimize_many_broadcasts_one_budget():
+    g = tw.synthetic_gains([2.0, 0.5], [1.0])
+    sols = tw.optimize_many([g, unit_gains()], [asym_rates(), sym_rates()], 6.0)
+    for sol, (gains, rates) in zip(sols, [(g, asym_rates()), (unit_gains(), sym_rates())]):
+        _assert_same_solution(sol, tw.optimize(gains, rates, 6.0))

@@ -202,6 +202,48 @@ def test_asymmetry_study_non_convergence_is_per_cell(monkeypatch):
         tw.max_ma_strategy(channels, cell_cfg)
 
 
+def test_asymmetry_study_batch_bound_changes_no_record(monkeypatch):
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
+    whole = run_asymmetry_study(spec)
+    monkeypatch.setattr(tw.sim_cli, "STUDY_BATCH_CELLS", 7)  # solve after every split
+    assert run_asymmetry_study(spec) == whole
+
+
+def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
+    # sigma^2 = 3e-308 is a normal float, but every downlink gain s^2/sigma^2
+    # above ~0.54 overflows: each trial is skipped in every cell of its split.
+    out = tmp_path / "study.json"
+    argv = ["--scenario", "asymmetry-study", "--trials", "3", "--sigma", "3e-308",
+            "--deterministic", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["records"] == []
+    assert [(a["completed"], a["skipped"]) for a in payload["aggregates"]] == [(0, 3)] * 25
+
+
+def test_asymmetry_study_counts_an_overflowing_trial_like_a_rank_zero_one(monkeypatch):
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=3)
+    records, aggregates = run_asymmetry_study(spec)
+    dropped = tw.generate_channels(dataclasses.replace(cfg, n1=1, n2=3), 1)
+    real = tw.sim_cli.decompose
+
+    def decompose(channels, config):
+        if channels.hr1.shape == dropped.hr1.shape and np.array_equal(channels.hr1, dropped.hr1):
+            raise ValueError("alpha1 must be finite, strictly positive and sorted descending")
+        return real(channels, config)
+
+    monkeypatch.setattr(tw.sim_cli, "decompose", decompose)
+    patched, patched_aggs = run_asymmetry_study(spec)
+    assert patched == [r for r in records if (r.trial, r.n1) != (1, 1)]
+    for agg, before in zip(patched_aggs, aggregates, strict=True):
+        if agg["n1"] == 1:
+            assert (agg["completed"], agg["skipped"]) == (before["completed"] - 1, before["skipped"] + 1)
+        else:
+            assert agg == before
+
+
 # --- single --------------------------------------------------------------------
 
 

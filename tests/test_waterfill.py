@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 from twrelay.waterfill import (
     forward_level,
     forward_waterfill,
+    gain_table,
+    inverse_level,
     inverse_waterfill,
     power_of_level,
     rate_of_level,
@@ -191,3 +193,62 @@ def test_powers_nonincreasing_with_gains(rng):
         gains = random_gain_list(rng, max_len=6)
         alloc = forward_waterfill(gains, float(rng.uniform(0.0, 10.0)))
         assert np.all(np.diff(alloc.powers) <= 1e-15)
+
+
+# --- padded tables ----------------------------------------------------------
+
+
+def _mixed_rows(rng, count):
+    """Descending gain lists of 1-7 gains, stored contiguous or as reversed views."""
+    rows = []
+    for k in range(count):
+        ascending = np.sort(np.exp(rng.normal(0.0, 2.0, size=int(rng.integers(1, 8)))))
+        rows.append(ascending[::-1] if k % 2 else ascending[::-1].copy())
+    return rows
+
+
+def test_gain_table_log_is_each_rows_own_log(rng):
+    # np.log can round a value differently in a reversed view than in a
+    # contiguous array (about one value in a thousand); enough rows that a
+    # table logged in one layout would show it.
+    rows = _mixed_rows(rng, 6000)
+    table, log_table = gain_table(rows)
+    for row, cells, logs in zip(rows, table, log_table):
+        k = row.size
+        assert np.array_equal(cells[:k], row) and np.all(cells[k:] == 0.0)
+        assert np.log(row).tobytes() == logs[:k].tobytes()  # the loop np.log picks for the row
+        assert np.all(logs[k:] == -np.inf)
+
+
+def test_table_rows_match_their_lists_bit_for_bit(rng):
+    rows = _mixed_rows(rng, 300)
+    table, log_table = gain_table(rows)
+    budgets = rng.uniform(0.0, 20.0, size=len(rows))
+    targets = rng.uniform(0.0, 8.0, size=len(rows))
+    fwd = forward_waterfill(table, budgets)
+    inv = inverse_waterfill(table, targets, log_table)
+    assert np.array_equal(forward_level(table, budgets), fwd.level)
+    assert np.array_equal(inverse_level(table, targets, log_table), inv.level)
+    for k, row in enumerate(rows):
+        one_fwd, one_inv = forward_waterfill(row, budgets[k]), inverse_waterfill(row, targets[k])
+        for got, want in ((fwd, one_fwd), (inv, one_inv)):
+            assert got.level[k] == want.level and got.rate[k] == want.rate
+            assert got.total_power[k] == want.total_power
+            assert np.array_equal(got.powers[k, : row.size], want.powers)
+            assert np.all(got.powers[k, row.size:] == 0.0)
+        levels = np.array([one_fwd.level, one_inv.level])
+        assert rate_of_level(table, levels[:, np.newaxis])[:, k].tolist() == [
+            rate_of_level(row, level) for level in levels
+        ]
+        assert power_of_level(table, levels[:, np.newaxis])[:, k].tolist() == [
+            power_of_level(row, level) for level in levels
+        ]
+
+
+def test_table_kernels_reject_bad_rows():
+    table, log_table = gain_table([np.array([2.0, 1.0]), np.array([1.0])])
+    with pytest.raises(ValueError):
+        forward_level(table, [1.0, -0.5])
+    for targets in ([1.0, np.nan], [-1.0, 1.0], [1.0, 800.0]):
+        with pytest.raises(ValueError):
+            inverse_waterfill(table, targets, log_table)
