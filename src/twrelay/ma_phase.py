@@ -120,8 +120,9 @@ def logdet_identity_plus(s: np.ndarray) -> float:
 
 
 def _not_psd(herm: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of a stack has an eigenvalue below -PSD_TOL."""
-    return np.linalg.eigvalsh(herm).min(axis=-1) < -PSD_TOL
+    """Whether each Hermitian matrix of a stack has an eigenvalue below -PSD_TOL * max |eigenvalue|."""
+    eig = np.linalg.eigvalsh(herm)
+    return eig.min(axis=-1) < -PSD_TOL * np.abs(eig).max(axis=-1)
 
 
 def _check_covariance(d: np.ndarray, n: int, name: str) -> np.ndarray:
@@ -130,7 +131,7 @@ def _check_covariance(d: np.ndarray, n: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} has shape {d.shape}, expected {(n, n)}")
     herm = _hermitian(d)
     if _not_psd(herm):
-        raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL}")
+        raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
     return herm
 
 
@@ -239,7 +240,7 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
         d1_out[k], d2_out[k], sweeps[k], rates[0, k] = d1[done], d2[done], sweep, current[done]
         for row, h, herm in ((1, h1[done], herm1[done]), (2, h2[done], herm2[done])):
             if _not_psd(herm).any():
-                raise NonPSDError(f"d{row} has an eigenvalue below {-PSD_TOL}")
+                raise NonPSDError(f"d{row} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
             rates[row, k] = _logdet_identity_plus(h @ herm @ _ct(h) / sig[done])
         if done.all():
             break

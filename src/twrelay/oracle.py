@@ -70,9 +70,9 @@ def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float
     r_ma - r_bar_2r.
     """
     r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
-    table, log_table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
+    table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
     targets = [r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)]
-    return np.append(inverse_level(table, targets, log_table), forward_level(gains.pooled, pr_max))
+    return np.append(inverse_level(table, targets), forward_level(gains.pooled, pr_max))
 
 
 def _axes(
@@ -151,7 +151,7 @@ def grid_certify(
     ok = idx < m2.size
     idx = np.minimum(idx, m2.size - 1)
     cand_power = p1 + p2[idx]
-    ok &= cand_power <= pr_max + 1e-12
+    ok &= cand_power <= pr_max * (1.0 + 1e-12)
     if not np.any(ok):
         # Defensive: the boundary maximizer itself always qualifies.
         raise AssertionError("grid certification found no qualifying pair")

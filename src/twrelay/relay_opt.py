@@ -26,10 +26,14 @@ optimize_many runs the procedure on N instances at once, every branch a
 per-row mask, with one water-fill kernel call per stage for the whole
 batch (Palomar & Fonollosa, "Practical algorithms for a family of
 waterfilling solutions", IEEE T-SP 2005, for the exact finite-step
-kernels); optimize, relative_levels and thresholds are its N=1 views.
+kernels). One ledger derives the levels, the budget thresholds and the
+tie slack of a batch; optimize, relative_levels and thresholds are N=1
+views of it and of the engine.
 
-Level-comparison branches use an absolute slack of 1e-9 W so exact-tie
-instances do not chatter between paths.
+Branch tests allow a slack so that exact-tie instances do not chatter
+between paths. Level and power comparisons allow TIE_TOL times the
+instance's lowest activation level 1/alpha_max, so the path does not
+depend on the units; rate comparisons allow TIE_TOL nats.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .ma_phase import SourceRates
 from .waterfill import (
     forward_level,
     gain_table,
-    inverse_level,
     inverse_waterfill,
     power_of_level,
     rate_of_level,
@@ -64,7 +67,8 @@ __all__ = [
     "two_way_rate",
 ]
 
-# Absolute slack on level / rate / power comparisons in branch tests.
+# Relative slack of level and power comparisons, absolute (nats) of rate
+# comparisons, in branch tests.
 TIE_TOL = 1e-9
 
 
@@ -102,7 +106,9 @@ class ThresholdLedger:
     1/mu_ma does not exceed min(1/mu_1, 1/mu_2), in which case the optimum
     keeps both directions at a common level for every budget. p_bar_ma is
     the power at which the broadcast rate sum first reaches r_ma (equals
-    p_ma in the symmetric case).
+    p_ma in the symmetric case). slack is the instance's tie slack in
+    watts, TIE_TOL / alpha_max: levels and budgets within it of each other
+    count as equal.
     """
 
     p_ma: float
@@ -111,6 +117,7 @@ class ThresholdLedger:
     p_s: float
     p_bar_ma: float
     case_symmetric: bool
+    slack: float
 
 
 @dataclass(frozen=True)
@@ -118,8 +125,9 @@ class RelaySolution:
     """Optimal relay allocation plus bookkeeping.
 
     level1/level2 are the per-direction water levels 1/lambda_i; powers
-    align with the sorted gain lists; b1/b2 are the n_r x n_r relay
-    covariances; bc_rates are the raw broadcast rates per direction;
+    align with the sorted gain lists; gains is the instance solved, and
+    b1/b2, the n_r x n_r relay covariances, are built from it on each
+    access; bc_rates are the raw broadcast rates per direction;
     sum_rate_tw includes the 1/2 two-slot factor; step_trace lists the
     visited steps of the seven-step procedure.
 
@@ -134,14 +142,23 @@ class RelaySolution:
     level2: float
     powers1: np.ndarray
     powers2: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
+    gains: SubchannelGains
     consumed_power: float
     sum_rate_tw: float
     bc_rates: tuple[float, float]
     step_trace: tuple[int, ...]
     efficient: bool
     source_waste: bool
+
+    @property
+    def b1(self) -> np.ndarray:
+        """Relay covariance of direction 1."""
+        return relay_covariance(self.gains.v1, self.powers1)
+
+    @property
+    def b2(self) -> np.ndarray:
+        """Relay covariance of direction 2."""
+        return relay_covariance(self.gains.v2, self.powers2)
 
 
 def _validated_rates(rates: SourceRates) -> SourceRates:
@@ -174,11 +191,12 @@ def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
 
 # The batch engine. The gains of N instances sit in one zero-padded table
 # of five blocks of N rows: alpha1, alpha2, the pooled gains, then alpha1
-# and alpha2 again. One inverse water-fill over the whole table finds,
-# block by block, the level on alpha1 whose rate is r_bar_2r (1/mu_2, the
-# cap of direction 1), on alpha2 for r_bar_1r (1/mu_1, the cap of direction
-# 2), on the pooled gains for r_ma (1/mu_ma), and the levels that p_bar_ma
-# and step 7 need: alpha1 for r_ma - r_bar_1r and alpha2 for r_ma - r_bar_2r.
+# and alpha2 again. One inverse water-fill over the whole table (in
+# _ledger) finds, block by block, the level on alpha1 whose rate is
+# r_bar_2r (1/mu_2, the cap of direction 1), on alpha2 for r_bar_1r (1/mu_1,
+# the cap of direction 2), on the pooled gains for r_ma (1/mu_ma), and the
+# levels that p_bar_ma and step 7 need: alpha1 for r_ma - r_bar_1r and
+# alpha2 for r_ma - r_bar_2r.
 # One forward water-fill over the first three blocks finds the step-1
 # level and both step-4 candidates. A kind's sums run over its own columns
 # only (alpha1 over the widest alpha1 list, and so on). Every branch of the
@@ -190,13 +208,6 @@ _TRACES = [
     (1, 2) + tuple(s for bit, s in ((1, 3), (2, 4), (4, 5)) if code & bit) + (6,) + ((7,) if code & 8 else ())
     for code in range(16)
 ]
-
-
-def _tables(gains) -> tuple:
-    """Gain table and its log of a batch, and the widest alpha1, alpha2 and pooled list."""
-    a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
-    table, log_table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
-    return table, log_table, (max(a.size for a in a1), max(a.size for a in a2), table.shape[1])
 
 
 def _block(array: np.ndarray, block: int, width: int) -> np.ndarray:
@@ -217,30 +228,42 @@ def _budgets(pr_max, n: int) -> np.ndarray:
     return pr
 
 
-def _targets(r_ma, r1, r2) -> np.ndarray:
-    """The rates of the stacked inverse water-fill, block by block."""
-    return np.concatenate([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
+def _ledger(gains, r_ma, r1, r2) -> tuple:
+    """The batch's gain table and, per instance, its levels, thresholds and tie slack.
 
-
-def _p_bar_ma(cap1, cap2, mu_ma, p1, p2, p_ma):
-    """p_bar_ma and case_symmetric of each instance.
-
-    From the powers p1 on alpha1 at (cap1, its step-7 level), p2 on alpha2
-    at (cap2, its step-7 level) and p_ma on the pooled gains at 1/mu_ma.
-    Asymmetric: the tight direction at its cap, the loose one at the level
-    whose rate is r_ma minus the tight ceiling.
+    Returns the table; the widest alpha1, alpha2 and pooled list; the
+    levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the powers p1 (alpha1 at
+    cap1), p2 (alpha2 at cap2), p_ma, p_l, p_t, p_s, p_bar_ma (7, N);
+    case_symmetric (N,); and the slack TIE_TOL / alpha_max (N,).
     """
-    symmetric = mu_ma <= np.minimum(cap1, cap2) + TIE_TOL
-    loose = np.where(cap1 >= cap2, p1[1] + p2[0], p1[0] + p2[1])
-    return np.where(symmetric, p_ma, loose), symmetric
+    n = len(gains)
+    a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
+    table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
+    k1, k2, kp = max(a.size for a in a1), max(a.size for a in a2), table.shape[1]
+    targets = np.concatenate([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
+    ceilings = inverse_waterfill(table, targets)
+    levels = ceilings.level.reshape(5, n)
+    cap1, cap2, mu_ma = levels[:3]
+    cell_powers = ceilings.powers.reshape(5, n, -1)
+    p1 = cell_powers[0::3, :, :k1].sum(axis=-1)  # alpha1 at cap1 and at bar1
+    p2 = cell_powers[1::3, :, :k2].sum(axis=-1)  # alpha2 at cap2 and at bar2
+    p_ma = cell_powers[2].sum(axis=-1)
+    pooled = _block(table, _POOLED, kp)
+    low, high = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
+    p_l, p_s = power_of_level(pooled, np.array([low, high]))
+    slack = TIE_TOL / pooled[:, 0]
+    symmetric = mu_ma <= low + slack
+    p_bar_ma = np.where(symmetric, p_ma, np.where(cap1 >= cap2, p1[1] + p2[0], p1[0] + p2[1]))
+    powers = np.array([p1[0], p2[0], p_ma, p_l, p1[0] + p2[0], p_s, p_bar_ma])
+    return table, (k1, k2, kp), levels, powers, symmetric, slack
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
     pr = _budgets(pr_max, 1)
-    table, log_table, widths = _tables([gains])
-    cap1, cap2, mu_ma, _, _ = inverse_level(table, _targets(*_rates([strategy])), log_table).tolist()
-    lam = forward_level(_block(table, _POOLED, widths[2]), pr)
+    table, (*_, kp), levels, *_ = _ledger([gains], *_rates([strategy]))
+    cap1, cap2, mu_ma = levels[:3, 0].tolist()
+    lam = forward_level(_block(table, _POOLED, kp), pr)
     return RelativeLevels(inv_mu1=cap2, inv_mu2=cap1, inv_mu_ma=mu_ma, inv_lambda0=float(lam[0]))
 
 
@@ -252,23 +275,12 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceR
     per-direction ceilings exactly tight (1/mu_2 on alpha_1 and 1/mu_1 on
     alpha_2). In the asymmetric case p_bar_ma pins the tight direction at
     its ceiling and gives the loose direction d the level whose rate is
-    r_ma - r_bar_dr.
+    r_ma - r_bar_dr. `levels` is not read: the ledger derives the same
+    levels relative_levels returns, bit for bit.
     """
-    table, log_table, (k1, k2, kp) = _tables([gains])
-    *_, bar1, bar2 = inverse_level(table, _targets(*_rates([strategy])), log_table)
-    cap1, cap2, mu_ma = levels.cap1, levels.cap2, levels.inv_mu_ma
-    p1 = power_of_level(_block(table, _ALPHA1, k1), [[cap1], [bar1]])
-    p2 = power_of_level(_block(table, _ALPHA2, k2), [[cap2], [bar2]])
-    p_ma, p_l, p_s = power_of_level(_block(table, _POOLED, kp), [[mu_ma], [min(cap1, cap2)], [max(cap1, cap2)]])
-    p_bar_ma, symmetric = _p_bar_ma(cap1, cap2, mu_ma, p1, p2, p_ma)
-    return ThresholdLedger(
-        p_ma=float(p_ma[0]),
-        p_l=float(p_l[0]),
-        p_t=float(p1[0, 0] + p2[0, 0]),
-        p_s=float(p_s[0]),
-        p_bar_ma=float(p_bar_ma[0]),
-        case_symmetric=bool(symmetric),
-    )
+    *_, powers, symmetric, slack = _ledger([gains], *_rates([strategy]))
+    _, _, p_ma, p_l, p_t, p_s, p_bar_ma = powers[:, 0].tolist()
+    return ThresholdLedger(p_ma, p_l, p_t, p_s, p_bar_ma, bool(symmetric[0]), float(slack[0]))
 
 
 def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
@@ -298,27 +310,23 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
         return []
     r_ma, r1, r2 = _rates([_validated_rates(r) for r in rates])
     pr = _budgets(pr_max, n)
-    table, log_table, (k1, k2, kp) = _tables(gains)
+    table, (k1, k2, kp), levels, powers, _, slack = _ledger(gains, r_ma, r1, r2)
     a1, a2, pooled = _block(table, _ALPHA1, k1), _block(table, _ALPHA2, k2), _block(table, _POOLED, kp)
-    ceilings = inverse_waterfill(table, _targets(r_ma, r1, r2), log_table)
-    cap1, cap2, mu_ma, bar1, bar2 = ceilings.level.reshape(5, n)
-    powers = ceilings.powers.reshape(5, n, -1)
-    p1 = powers[0::3, :, :k1].sum(axis=-1)  # alpha1 at cap1 and at bar1
-    p2 = powers[1::3, :, :k2].sum(axis=-1)  # alpha2 at cap2 and at bar2
-    p_bar_ma = _p_bar_ma(cap1, cap2, mu_ma, p1, p2, powers[2].sum(axis=-1))[0]
+    cap1, cap2, mu_ma, bar1, bar2 = levels
+    p1, p2, *_, p_bar_ma = powers
 
     # Step 1 on the pooled gains, and step 4 for either order: only the
     # direction with the smaller ceiling can be the (first) violator; it is
     # clipped to its cap and the other direction re-spends the remainder.
-    spare = np.maximum(pr - np.array([p2[0], p1[0]]), 0.0)
+    spare = np.maximum(pr - np.array([p2, p1]), 0.0)
     refill1, refill2, lam = forward_level(table[: 3 * n], np.concatenate([*spare, pr])).reshape(3, n)
     first1 = cap1 <= cap2  # direction 1 is the violator a, 2 is b
     refilled = np.where(first1, refill2, refill1)
 
     # Steps 3-5.
     cap_a, cap_b = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
-    clip = lam > cap_a + TIE_TOL
-    loose_b = cap_b + TIE_TOL
+    clip = lam > cap_a + slack
+    loose_b = cap_b + slack
     refill = clip & (lam <= loose_b)
     reclip = clip & ~(refill & (refilled <= loose_b))
     level_b = np.where(reclip, cap_b, np.where(refill, refilled, lam))
@@ -326,8 +334,8 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
     lv1, lv2 = np.where(first1, level_a, level_b), np.where(first1, level_b, level_a)
 
     # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
-    pinned = np.minimum(lv1, lv2) >= mu_ma - TIE_TOL
-    below = np.maximum(lv1, lv2) <= mu_ma + TIE_TOL
+    pinned = np.minimum(lv1, lv2) >= mu_ma - slack
+    below = np.maximum(lv1, lv2) <= mu_ma + slack
     lv1, lv2 = np.where(pinned, mu_ma, lv1), np.where(pinned, mu_ma, lv2)
     bc1, bar_bc1 = rate_of_level(a1, np.array([lv1, bar1]))
     bc2, bar_bc2 = rate_of_level(a2, np.array([lv2, bar2]))
@@ -343,36 +351,17 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
     consumed = powers1.sum(axis=-1) + powers2.sum(axis=-1)
     best_bc = rate_of_level(pooled, forward_level(pooled, consumed))
     efficient = bc1 + bc2 >= best_bc - TIE_TOL
-    source_waste = pr < p_bar_ma - TIE_TOL
+    source_waste = pr < p_bar_ma - slack
     sum_rate = two_way_rate(r_ma, r1, r2, bc1, bc2)
     steps = zip(clip.tolist(), refill.tolist(), reclip.tolist(), cut.tolist())
     return list(map(
         RelaySolution, lv1.tolist(), lv2.tolist(),
         [p[: g.alpha1.size] for p, g in zip(powers1, gains)],
         [p[: g.alpha2.size] for p, g in zip(powers2, gains)],
-        *_covariances(gains, powers1, powers2), consumed.tolist(), sum_rate.tolist(),
+        gains, consumed.tolist(), sum_rate.tolist(),
         zip(bc1.tolist(), bc2.tolist()), [_TRACES[s3 + 2 * s4 + 4 * s5 + 8 * s7] for s3, s4, s5, s7 in steps],
         efficient.tolist(), source_waste.tolist(),
     ))
-
-
-def _covariances(gains, powers1: np.ndarray, powers2: np.ndarray) -> tuple[list, list]:
-    """Relay covariances b1, b2 of each instance, one stacked product per relay antenna count."""
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(gains):
-        groups.setdefault(g.n_r, []).append(i)
-    b1, b2 = [None] * len(gains), [None] * len(gains)
-    for n_r, idx in groups.items():
-        m, rows = len(idx), idx if len(groups) > 1 else slice(None)
-        # Columns past n_r hold only padding of wider instances.
-        w1, w2 = min(powers1.shape[1], n_r), min(powers2.shape[1], n_r)
-        diag = np.zeros((2 * m, n_r))
-        diag[:m, :w1] = powers1[rows, :w1]
-        diag[m:, :w2] = powers2[rows, :w2]
-        stack = relay_covariance(np.array([gains[i].v1 for i in idx] + [gains[i].v2 for i in idx]), diag)
-        for k, i in enumerate(idx):
-            b1[i], b2[i] = stack[k], stack[m + k]
-    return b1, b2
 
 
 def optimize(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelaySolution:
@@ -387,23 +376,24 @@ def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float
     """Predicted step path from the budget/threshold table alone.
 
     Independent of optimize's internal state; used as a conformance oracle
-    for step_trace. Ties within 1e-9 W of a threshold resolve downward
-    (the same orientation the optimizer's level comparisons use).
+    for step_trace. Ties within the ledger's slack of a threshold resolve
+    downward (the same orientation the optimizer's level comparisons use).
     """
+    slack = ledger.slack
     if ledger.case_symmetric:
-        if pr_max <= ledger.p_l + TIE_TOL:
+        if pr_max <= ledger.p_l + slack:
             return (1, 2, 6)
-        if pr_max <= ledger.p_t + TIE_TOL:
+        if pr_max <= ledger.p_t + slack:
             return (1, 2, 3, 4, 6)
-        if pr_max <= ledger.p_s + TIE_TOL:
+        if pr_max <= ledger.p_s + slack:
             return (1, 2, 3, 4, 5, 6)
         return (1, 2, 3, 5, 6)
-    if pr_max <= ledger.p_l + TIE_TOL:
+    if pr_max <= ledger.p_l + slack:
         return (1, 2, 6)
-    if pr_max <= ledger.p_bar_ma + TIE_TOL:
+    if pr_max <= ledger.p_bar_ma + slack:
         return (1, 2, 3, 4, 6)
-    if pr_max <= ledger.p_t + TIE_TOL:
+    if pr_max <= ledger.p_t + slack:
         return (1, 2, 3, 4, 6, 7)
-    if pr_max <= ledger.p_s + TIE_TOL:
+    if pr_max <= ledger.p_s + slack:
         return (1, 2, 3, 4, 5, 6, 7)
     return (1, 2, 3, 5, 6, 7)

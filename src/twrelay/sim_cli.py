@@ -268,7 +268,7 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
         power1 = power_of_level(gains.alpha1, grid)
         for db, pr in zip(ratios_db, budgets):
             inv_lambda0 = forward_level(gains.pooled, pr)
-            feasible = power1 <= pr + 1e-12
+            feasible = power1 <= pr * (1.0 + 1e-12)
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
             bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(
@@ -540,10 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line; omitted flags take the scenario's defaults."""
-    parser = build_parser()
-    scenario = parser.parse_args(argv).scenario
-    parser.set_defaults(**SCENARIOS[scenario].defaults)
-    return parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for name, value in SCENARIOS[args.scenario].defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+    return args
 
 
 def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:

@@ -75,27 +75,13 @@ def _out(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
-def gain_table(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (N, K) table of the 1-D gain lists `rows`, and its np.log.
-
-    The log of each row is the one np.log(row) gives. np.log takes numpy's
-    SIMD loop on a contiguous array but libm's on a reversed view, such as
-    ``SubchannelGains.pooled``, and the two differ in the last bit for
-    about one value in a thousand; so a level the inverse kernel computes
-    from the table equals, bit for bit, the level from the list itself.
-    Padded cells have log -inf.
-    """
+def gain_table(rows) -> np.ndarray:
+    """Zero-padded (N, K) table of the 1-D gain lists `rows`."""
     sizes = [row.size for row in rows]
     cells = np.arange(max(sizes)) < np.asarray(sizes)[:, np.newaxis]
     table = np.zeros(cells.shape)
     table[cells] = np.concatenate(rows)
-    reversed_rows = [row.strides[0] < 0 for row in rows]
-    with np.errstate(divide="ignore"):
-        log_table = np.log(table)
-        if any(reversed_rows):
-            libm = np.log(table.reshape(-1)[::-1])[::-1]  # a reversed view takes libm's loop
-            log_table = np.where(np.asarray(reversed_rows)[:, np.newaxis], libm.reshape(cells.shape), log_table)
-    return table, log_table
+    return table
 
 
 def _active(activation: np.ndarray, csum: np.ndarray, target: np.ndarray) -> tuple:
@@ -193,14 +179,15 @@ def forward_waterfill(gains, budget) -> LevelAllocation:
     return _allocation(gains, forward_level(gains, budget))
 
 
-def inverse_level(gains, target_rate, log_gains=None):
+def inverse_level(gains, target_rate):
     """Water level(s) whose rate over `gains` is exactly `target_rate` nats.
 
     With m subchannels active, ln(level) = (target_rate + sum_{k<=m}
     ln(1/alpha(k))) / m, and m is the count of activation thresholds of the
     sorted ln(1/alpha) at or below the target. A scalar target for a list,
-    or (N,) targets for a table. `log_gains` is np.log(gains) if the caller
-    has it (gain_table's second result); it is computed otherwise.
+    or (N,) targets for a table. The log is taken of a contiguous copy, so
+    a list stored as a reversed view gives the bits of its table row (np.log
+    rounds differently on a reversed view).
 
     Raises
     ------
@@ -212,7 +199,7 @@ def inverse_level(gains, target_rate, log_gains=None):
     if not (np.isfinite(target) & (target >= 0.0)).all():
         raise ValueError("target_rate must be finite and nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_inv = -(np.log(gains) if log_gains is None else log_gains)  # ascending
+        log_inv = -np.log(np.ascontiguousarray(gains))  # ascending
         csum = log_inv.cumsum(axis=-1)
         # Rate accumulated when the level reaches 1/alpha(m).
         activation = np.arange(1.0, gains.shape[-1] + 1) * log_inv - csum
@@ -223,7 +210,7 @@ def inverse_level(gains, target_rate, log_gains=None):
     return _out(np.exp(log_level))
 
 
-def inverse_waterfill(gains, target_rate, log_gains=None) -> LevelAllocation:
+def inverse_waterfill(gains, target_rate) -> LevelAllocation:
     """Minimum-power allocation over `gains` achieving `target_rate` nats.
 
     Parameters
@@ -233,8 +220,6 @@ def inverse_waterfill(gains, target_rate, log_gains=None) -> LevelAllocation:
         or a padded (N, K) table of such lists.
     target_rate : float or array_like
         Rate to achieve, nats, achieved exactly; (N,) for a table.
-    log_gains : np.ndarray, optional
-        np.log(gains), as gain_table returns it.
 
     Returns
     -------
@@ -249,4 +234,4 @@ def inverse_waterfill(gains, target_rate, log_gains=None) -> LevelAllocation:
         If a target is negative or non-finite, or its level overflows.
     """
     gains = np.asarray(gains, dtype=float)
-    return _allocation(gains, inverse_level(gains, target_rate, log_gains))
+    return _allocation(gains, inverse_level(gains, target_rate))

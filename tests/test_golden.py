@@ -5,7 +5,8 @@ the asymmetry study at three trials, ``single --certify`` and ``single`` on
 the README's worked instance. Any change to a column, its order, a default,
 a value or the number formatting shows up as a byte difference. The files
 are gzip-compressed (the uncompressed set is about 200 KB, mostly the
-lemma2-sweep and prmax-sweep JSON).
+lemma2-sweep and prmax-sweep JSON). ``help.txt`` holds the ``--help``
+text at 80 columns.
 
 Regenerate them only for an intended output change:
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from twrelay.sim_cli import main
+from twrelay.sim_cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
 FORMATS = ("csv", "json")
@@ -51,7 +52,16 @@ def test_deterministic_output_matches_golden(name, fmt, tmp_path):
     assert _output(name, fmt, tmp_path / f"{name}.{fmt}") == expected
 
 
+def test_help_matches_golden(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / "help.txt").read_text()
+
+
 if __name__ == "__main__":
+    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -59,3 +69,5 @@ if __name__ == "__main__":
             for fmt in FORMATS:
                 data = _output(name, fmt, Path(tmp) / f"{name}.{fmt}")
                 (GOLDEN / f"{name}.{fmt}.gz").write_bytes(gzip.compress(data, mtime=0))
+    os.environ["COLUMNS"] = "80"
+    (GOLDEN / "help.txt").write_text(build_parser().format_help())

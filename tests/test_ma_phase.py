@@ -266,7 +266,7 @@ def test_non_convergence_raises(monkeypatch, rng):
 
 def test_returned_pair_is_psd_checked(monkeypatch, rng):
     cfg, ch, _, _ = random_instance(rng)
-    # With the tolerance at -10 W every covariance of trace <= 4 W fails.
+    # With the relative tolerance at -10 every nonzero covariance fails.
     monkeypatch.setattr(tw.ma_phase, "PSD_TOL", -10.0)
     with pytest.raises(tw.NonPSDError, match="d1"):
         tw.max_ma_strategy(ch, cfg)

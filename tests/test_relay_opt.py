@@ -389,7 +389,8 @@ def _scalar_thresholds(gains, levels, rates):
     high = max(levels.inv_mu1, levels.inv_mu2)
     p_ma = power_of_level(pooled, levels.inv_mu_ma)
     p_t = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, levels.cap2)
-    symmetric = levels.inv_mu_ma <= low + tw.relay_opt.TIE_TOL
+    slack = tw.relay_opt.TIE_TOL / pooled[0]
+    symmetric = levels.inv_mu_ma <= low + slack
     if symmetric:
         p_bar_ma = p_ma
     elif levels.cap1 >= levels.cap2:
@@ -400,7 +401,7 @@ def _scalar_thresholds(gains, levels, rates):
         p_bar_ma = power_of_level(gains.alpha1, levels.cap1) + power_of_level(gains.alpha2, bar2)
     return tw.ThresholdLedger(
         p_ma=p_ma, p_l=power_of_level(pooled, low), p_t=p_t, p_s=power_of_level(pooled, high),
-        p_bar_ma=p_bar_ma, case_symmetric=symmetric,
+        p_bar_ma=p_bar_ma, case_symmetric=symmetric, slack=slack,
     )
 
 
@@ -411,33 +412,34 @@ def _scalar_covariance(v_factor, powers):
 
 
 def _scalar_optimize(gains, rates, pr_max):
-    tol = tw.relay_opt.TIE_TOL
+    tol = tw.relay_opt.TIE_TOL  # rate ties, in nats
     levels = _scalar_levels(gains, rates, pr_max)
     ledger = _scalar_thresholds(gains, levels, rates)
+    slack = ledger.slack  # level and power ties, in watts
     alpha = {1: gains.alpha1, 2: gains.alpha2}
     cap = {1: levels.cap1, 2: levels.cap2}
     r_bar = {1: rates.r_bar_1r, 2: rates.r_bar_2r}
     lv = {1: levels.inv_lambda0, 2: levels.inv_lambda0}
     trace = [1, 2]
-    if not (lv[1] <= cap[1] + tol and lv[2] <= cap[2] + tol):
+    if not (lv[1] <= cap[1] + slack and lv[2] <= cap[2] + slack):
         a = 1 if cap[1] <= cap[2] else 2
         b = 3 - a
         trace.append(3)
         lv[a] = cap[a]
-        if lv[b] <= cap[b] + tol:
+        if lv[b] <= cap[b] + slack:
             trace.append(4)
             remainder = pr_max - power_of_level(alpha[a], cap[a])
             lv[b] = forward_level(alpha[b], max(remainder, 0.0))
-            if lv[b] > cap[b] + tol:
+            if lv[b] > cap[b] + slack:
                 trace.append(5)
                 lv[b] = cap[b]
         else:
             trace.append(5)
             lv[b] = cap[b]
     trace.append(6)
-    if lv[1] >= levels.inv_mu_ma - tol and lv[2] >= levels.inv_mu_ma - tol:
+    if lv[1] >= levels.inv_mu_ma - slack and lv[2] >= levels.inv_mu_ma - slack:
         lv[1] = lv[2] = levels.inv_mu_ma
-    elif lv[1] <= levels.inv_mu_ma + tol and lv[2] <= levels.inv_mu_ma + tol:
+    elif lv[1] <= levels.inv_mu_ma + slack and lv[2] <= levels.inv_mu_ma + slack:
         pass
     else:
         bc_sum = rate_of_level(alpha[1], lv[1]) + rate_of_level(alpha[2], lv[2])
@@ -451,12 +453,11 @@ def _scalar_optimize(gains, rates, pr_max):
     best_bc = forward_waterfill(gains.pooled, consumed).rate
     forwarded = min(bc[1], rates.r_bar_2r) + min(bc[2], rates.r_bar_1r)
     return tw.RelaySolution(
-        level1=lv[1], level2=lv[2], powers1=powers[1], powers2=powers[2],
-        b1=_scalar_covariance(gains.v1, powers[1]), b2=_scalar_covariance(gains.v2, powers[2]),
+        level1=lv[1], level2=lv[2], powers1=powers[1], powers2=powers[2], gains=gains,
         consumed_power=consumed, sum_rate_tw=0.5 * min(rates.r_ma, forwarded),
         bc_rates=(bc[1], bc[2]), step_trace=tuple(trace),
         efficient=bool(bc[1] + bc[2] >= best_bc - tol),
-        source_waste=bool(pr_max < ledger.p_bar_ma - tol),
+        source_waste=bool(pr_max < ledger.p_bar_ma - slack),
     )
 
 
@@ -468,8 +469,11 @@ def _assert_same_solution(sol, ref):
     floats = ("level1", "level2", "consumed_power", "sum_rate_tw", "bc_rates")
     for name in floats:
         assert _bits(getattr(sol, name)) == _bits(getattr(ref, name)), name
-    for name in ("powers1", "powers2", "b1", "b2"):
+    for name in ("powers1", "powers2"):
         got, want = getattr(sol, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    for name, v_factor, powers in (("b1", ref.gains.v1, ref.powers1), ("b2", ref.gains.v2, ref.powers2)):
+        got, want = getattr(sol, name), _scalar_covariance(v_factor, powers)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
     assert (sol.step_trace, sol.efficient, sol.source_waste) == (ref.step_trace, ref.efficient, ref.source_waste)
 
@@ -556,6 +560,7 @@ def test_relative_levels_and_thresholds_match_scalar_bits(c5_cases):
         ledger, want = tw.thresholds(gains, levels, strategy), _scalar_thresholds(gains, ref, strategy)
         assert _bits(*dataclasses.astuple(ledger)[:5]) == _bits(*dataclasses.astuple(want)[:5])
         assert ledger.case_symmetric == want.case_symmetric
+        assert _bits(ledger.slack) == _bits(want.slack)
 
 
 def test_optimize_many_empty_batch():

@@ -207,28 +207,17 @@ def _mixed_rows(rng, count):
     return rows
 
 
-def test_gain_table_log_is_each_rows_own_log(rng):
-    # np.log can round a value differently in a reversed view than in a
-    # contiguous array (about one value in a thousand); enough rows that a
-    # table logged in one layout would show it.
-    rows = _mixed_rows(rng, 6000)
-    table, log_table = gain_table(rows)
-    for row, cells, logs in zip(rows, table, log_table):
-        k = row.size
-        assert np.array_equal(cells[:k], row) and np.all(cells[k:] == 0.0)
-        assert np.log(row).tobytes() == logs[:k].tobytes()  # the loop np.log picks for the row
-        assert np.all(logs[k:] == -np.inf)
-
-
 def test_table_rows_match_their_lists_bit_for_bit(rng):
+    # A reversed view must give the bits of its table row, though np.log
+    # rounds differently on one (about one value in a thousand).
     rows = _mixed_rows(rng, 300)
-    table, log_table = gain_table(rows)
+    table = gain_table(rows)
     budgets = rng.uniform(0.0, 20.0, size=len(rows))
     targets = rng.uniform(0.0, 8.0, size=len(rows))
     fwd = forward_waterfill(table, budgets)
-    inv = inverse_waterfill(table, targets, log_table)
+    inv = inverse_waterfill(table, targets)
     assert np.array_equal(forward_level(table, budgets), fwd.level)
-    assert np.array_equal(inverse_level(table, targets, log_table), inv.level)
+    assert np.array_equal(inverse_level(table, targets), inv.level)
     for k, row in enumerate(rows):
         one_fwd, one_inv = forward_waterfill(row, budgets[k]), inverse_waterfill(row, targets[k])
         for got, want in ((fwd, one_fwd), (inv, one_inv)):
@@ -245,10 +234,21 @@ def test_table_rows_match_their_lists_bit_for_bit(rng):
         ]
 
 
+def test_inverse_level_does_not_depend_on_list_layout(rng):
+    # np.log can round a value differently in a reversed view than in a
+    # contiguous array (about one value in a thousand on an AVX-512 x86-64
+    # host). Each such value heads a two-gain list stored reversed, whose
+    # zero-rate level is exp(-ln alpha_max): it would show the layout.
+    x = np.exp(rng.normal(0.0, 2.0, size=60000))
+    for v in x[np.log(x[::-1])[::-1] != np.log(x)]:
+        view = np.array([0.5 * v, v])[::-1]
+        assert inverse_level(view, 0.0) == inverse_level(view.copy(), 0.0)
+
+
 def test_table_kernels_reject_bad_rows():
-    table, log_table = gain_table([np.array([2.0, 1.0]), np.array([1.0])])
+    table = gain_table([np.array([2.0, 1.0]), np.array([1.0])])
     with pytest.raises(ValueError):
         forward_level(table, [1.0, -0.5])
     for targets in ([1.0, np.nan], [-1.0, 1.0], [1.0, 800.0]):
         with pytest.raises(ValueError):
-            inverse_waterfill(table, targets, log_table)
+            inverse_waterfill(table, targets)
