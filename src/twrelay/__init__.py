@@ -53,7 +53,6 @@ from .relay_opt import (
 from .waterfill import (
     LevelAllocation,
     forward_level,
-    forward_waterfill,
     gain_table,
     inverse_level,
     inverse_waterfill,
@@ -83,7 +82,6 @@ __all__ = [
     "classify_case",
     "decompose",
     "forward_level",
-    "forward_waterfill",
     "gain_table",
     "generate_channels",
     "grid_certify",

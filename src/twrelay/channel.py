@@ -63,7 +63,7 @@ class SystemConfig:
             raise ValueError("power budgets must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
 class ChannelSet:
     """One realization of the four channel matrices.
 
@@ -76,7 +76,7 @@ class ChannelSet:
     hr2: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
 class SubchannelGains:
     """Per-direction subchannel gains for one channel realization.
 

@@ -21,7 +21,10 @@ max_ma_strategy is its N=1 view. Every step acts on each matrix alone and
 each instance leaves the stack at its own converged sweep, so a result is
 the same, bit for bit, in any batch. Best responses are V diag(p) V^H with
 p >= 0, PSD by construction: the sweeps skip the PSD check, and each
-returned pair is checked once, as strategy_from_covariances checks it.
+converged pair is checked once, by the helper that gives
+strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
+instance whose interference-plus-noise matrix does not factor, or whose
+rates come out inconsistent, leaves the stack without a strategy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,15 @@ __all__ = [
 PSD_TOL = 1e-9
 SWEEP_GAIN_TOL = 1e-10
 MAX_SWEEPS = 500
+
+_SINGULAR = (
+    "iterative water-filling stopped: the interference-plus-noise matrix "
+    "sigma_r^2 I + H D H^H is numerically singular"
+)
+_UNRELIABLE = (
+    "iterative water-filling stopped: its rates break "
+    "max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r (log-dets lost to round-off)"
+)
 
 
 @dataclass(frozen=True)
@@ -119,65 +131,82 @@ def logdet_identity_plus(s: np.ndarray) -> float:
     return float(_logdet_identity_plus(np.asarray(s)[np.newaxis])[0])
 
 
-def _not_psd(herm: np.ndarray) -> np.ndarray:
-    """Whether each Hermitian matrix of a stack has an eigenvalue below -PSD_TOL * max |eigenvalue|."""
-    eig = np.linalg.eigvalsh(herm)
-    return eig.min(axis=-1) < -PSD_TOL * np.abs(eig).max(axis=-1)
+def _pair_rates(h1, h2, d1, d2, sig) -> np.ndarray:
+    """r_ma, r_bar_1r, r_bar_2r of each covariance pair of a stack, (3, N).
+
+    Takes stacks h1 (N, n_r, n1), h2 (N, n_r, n2), d1 (N, n1, n1),
+    d2 (N, n2, n2) and sig (N, 1, 1). Each pair is PSD-checked once.
+    """
+    terms = []
+    for name, h, d in (("d1", h1, d1), ("d2", h2, d2)):
+        herm = _hermitian(d)
+        eig = np.linalg.eigvalsh(herm)
+        if (eig.min(axis=-1) < -PSD_TOL * np.abs(eig).max(axis=-1)).any():
+            raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
+        terms.append(h @ herm @ _ct(h))
+    t1, t2 = terms
+    return np.array([_logdet_identity_plus(t / sig) for t in (t1 + t2, t1, t2)])
 
 
-def _check_covariance(d: np.ndarray, n: int, name: str) -> np.ndarray:
-    d = np.asarray(d, dtype=complex)
-    if d.shape != (n, n):
-        raise ValueError(f"{name} has shape {d.shape}, expected {(n, n)}")
-    herm = _hermitian(d)
-    if _not_psd(herm):
-        raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-    return herm
+def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
+    """Package arbitrary PSD covariances with their recomputed rates.
+
+    Raises ValueError if a covariance has the wrong shape and NonPSDError
+    if one is not PSD.
+    """
+    d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
+    for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
+        if d.shape != (h.shape[1],) * 2:
+            raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
+    sig = np.full((1, 1, 1), float(sigmar_sq))
+    r_ma, r_bar_1r, r_bar_2r = _pair_rates(
+        channels.h1r[np.newaxis], channels.h2r[np.newaxis], d1[np.newaxis], d2[np.newaxis], sig
+    )[:, 0]
+    return SourceStrategy(d1=d1, d2=d2, r_ma=r_ma, r_bar_1r=r_bar_1r, r_bar_2r=r_bar_2r)
 
 
 def rate_ma(d1, d2, channels: ChannelSet, sigmar_sq: float) -> float:
     """MA-phase sum rate of the covariance pair, nats."""
-    d1 = _check_covariance(d1, channels.h1r.shape[1], "d1")
-    d2 = _check_covariance(d2, channels.h2r.shape[1], "d2")
-    s = (
-        channels.h1r @ d1 @ channels.h1r.conj().T
-        + channels.h2r @ d2 @ channels.h2r.conj().T
-    ) / sigmar_sq
-    return logdet_identity_plus(s)
+    return strategy_from_covariances(d1, d2, channels, sigmar_sq).r_ma
 
 
 def rate_bar(i: int, d_i, channels: ChannelSet, sigmar_sq: float) -> float:
     """Single-user uplink rate of node i's covariance, nats."""
     if i not in (1, 2):
         raise ValueError("node index must be 1 or 2")
-    h = channels.h1r if i == 1 else channels.h2r
-    d_i = _check_covariance(d_i, h.shape[1], f"d{i}")
-    return logdet_identity_plus(h @ d_i @ h.conj().T / sigmar_sq)
+    pair = [np.zeros((h.shape[1],) * 2) for h in (channels.h1r, channels.h2r)]
+    pair[i - 1] = d_i
+    strategy = strategy_from_covariances(*pair, channels, sigmar_sq)
+    return (strategy.r_bar_1r, strategy.r_bar_2r)[i - 1]
 
 
-def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
-    """Package arbitrary PSD covariances with their recomputed rates."""
-    return SourceStrategy(
-        d1=np.asarray(d1, dtype=complex),
-        d2=np.asarray(d2, dtype=complex),
-        r_ma=rate_ma(d1, d2, channels, sigmar_sq),
-        r_bar_1r=rate_bar(1, d1, channels, sigmar_sq),
-        r_bar_2r=rate_bar(2, d2, channels, sigmar_sq),
-    )
+def _whitening(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of Hermitian matrices, and which are numerically singular.
+
+    A singular matrix gets the identity as a placeholder factor.
+    """
+    try:
+        return np.linalg.cholesky(z), np.zeros(len(z), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(z) > 1:  # find the failing instances one by one
+            parts = [_whitening(one[np.newaxis]) for one in z]
+            return np.concatenate([c for c, _ in parts]), np.concatenate([f for _, f in parts])
+        return np.eye(z.shape[-1], dtype=z.dtype)[np.newaxis], np.ones(1, dtype=bool)
 
 
-def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> np.ndarray:
+def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> tuple:
     """Single-user water-filling of each instance against fixed interference-plus-noise.
 
     Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max with
     Z = sigma_r^2 I + other_term, by water-filling over the eigenmodes of
     the whitened channel G = Z^{-1/2} H. Takes stacks h (N, n_r, n_i) and
     other_term (N, n_r, n_r), p_max (N,) and sigmar_sq (N, 1, 1); returns
-    D (N, n_i, n_i).
+    D (N, n_i, n_i) and which instances' Z is numerically singular (their
+    D is meaningless).
     """
     n_i = h.shape[2]
-    z = sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term)
-    g = np.linalg.solve(np.linalg.cholesky(z), h)
+    chol, singular = _whitening(sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term))
+    g = np.linalg.solve(chol, h)
     eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
     active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
@@ -193,21 +222,11 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
     flat = ~active[:, 0]
     if flat.any():
         d[flat] = (p_max[flat, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
-    return d
+    return d, singular
 
 
-def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrategy | None]:
-    """MA-sum-rate-maximizing source covariances of N instances at full budgets.
-
-    h1r, h2r are stacked uplinks, (N, n_r, n1) and (N, n_r, n2); the budgets
-    p1_max, p2_max and the relay noise variance sigmar_sq (watts) are per
-    instance, (N,), or one for all. Returns one SourceStrategy per instance,
-    in order, its `sweeps` the sweep at which it converged, or None for an
-    instance still improving after MAX_SWEEPS sweeps (ill-conditioned
-    realization; drop the trial). The sum rate is nondecreasing across
-    sweeps and the fixed point satisfies both users' single-user optimality
-    conditions. Raises NonPSDError if a converged pair is not PSD.
-    """
+def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
+    """The engine: per instance a SourceStrategy, or the message of why there is none."""
     h1 = np.ascontiguousarray(h1r, dtype=complex)
     h2 = np.ascontiguousarray(h2r, dtype=complex)
     n, _, n1 = h1.shape
@@ -219,6 +238,7 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
     d2_out = np.empty((n, n2, n2), complex)
     rates = np.empty((3, n))
     sweeps = np.zeros(n, dtype=int)
+    failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
     # Live instances: index, uplinks and their conjugates, budgets, noise,
     # the last d2 and the last sum rate.
     live = (
@@ -228,43 +248,64 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
     for sweep in range(1, MAX_SWEEPS + 1):
         idx, h1, h1c, h2, h2c, p1, p2, sig, d2, previous = live
         h1h, h2h = h1c.swapaxes(1, 2), h2c.swapaxes(1, 2)
-        d1 = _best_response(h1, h2 @ d2 @ h2h, p1, sig)
-        d2 = _best_response(h2, h1 @ d1 @ h1h, p2, sig)
-        herm1, herm2 = _hermitian(d1), _hermitian(d2)
-        current = _logdet_identity_plus((h1 @ herm1 @ h1h + h2 @ herm2 @ h2h) / sig)
-        done = current - previous < SWEEP_GAIN_TOL
+        d1, singular1 = _best_response(h1, h2 @ d2 @ h2h, p1, sig)
+        d2, singular2 = _best_response(h2, h1 @ d1 @ h1h, p2, sig)
+        singular = singular1 | singular2
+        current = _logdet_identity_plus((h1 @ _hermitian(d1) @ h1h + h2 @ _hermitian(d2) @ h2h) / sig)
+        done = (current - previous < SWEEP_GAIN_TOL) & ~singular
         live = (idx, h1, h1c, h2, h2c, p1, p2, sig, d2, current)
-        if not done.any():
+        leaving = done | singular
+        if not leaving.any():
             continue
+        failure[idx[singular]] = _SINGULAR
         k = idx[done]
-        d1_out[k], d2_out[k], sweeps[k], rates[0, k] = d1[done], d2[done], sweep, current[done]
-        for row, h, herm in ((1, h1[done], herm1[done]), (2, h2[done], herm2[done])):
-            if _not_psd(herm).any():
-                raise NonPSDError(f"d{row} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-            rates[row, k] = _logdet_identity_plus(h @ herm @ _ct(h) / sig[done])
-        if done.all():
+        d1_out[k], d2_out[k], sweeps[k] = d1[done], d2[done], sweep
+        r_ma, r1, r2 = rates[:, k] = _pair_rates(h1[done], h2[done], d1[done], d2[done], sig[done])
+        # r_ma is at least either single-user rate and at most their sum;
+        # beyond round-off, the log-dets have lost their accuracy.
+        valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
+        failure[k] = np.where(valid, None, _UNRELIABLE)
+        if leaving.all():
             break
-        live = tuple(a[~done] for a in live)
+        live = tuple(a[~leaving] for a in live)
     # Copies, so that each strategy owns its matrices and the stacks are freed.
     return [
-        SourceStrategy(
+        failure[k] or SourceStrategy(
             d1=d1_out[k].copy(), d2=d2_out[k].copy(), r_ma=rates[0, k], r_bar_1r=rates[1, k],
             r_bar_2r=rates[2, k], sweeps=int(sweeps[k]),
-        ) if sweeps[k] else None
+        )
         for k in range(n)
     ]
+
+
+def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrategy | None]:
+    """MA-sum-rate-maximizing source covariances of N instances at full budgets.
+
+    h1r, h2r are stacked uplinks, (N, n_r, n1) and (N, n_r, n2); the budgets
+    p1_max, p2_max and the relay noise variance sigmar_sq (watts) are per
+    instance, (N,), or one for all. Returns one SourceStrategy per instance,
+    in order, its `sweeps` the sweep at which it converged, or None for an
+    ill-conditioned realization (drop the trial): one still improving after
+    MAX_SWEEPS sweeps, one whose interference-plus-noise matrix is
+    numerically singular, or one whose rates break
+    max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off.
+    The sum rate is nondecreasing across sweeps and the fixed point
+    satisfies both users' single-user optimality conditions. Raises
+    NonPSDError if a converged pair is not PSD.
+    """
+    return [None if isinstance(s, str) else s for s in _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq)]
 
 
 def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrategy:
     """MA-sum-rate-maximizing source covariances at full budgets.
 
-    The N=1 view of max_ma_strategies. Raises NoConvergenceError after
-    MAX_SWEEPS sweeps (ill-conditioned realization; drop the trial).
+    The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
+    returns None, with the reason.
     """
-    (strategy,) = max_ma_strategies(
+    (strategy,) = _strategies(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis],
         config.p1_max, config.p2_max, config.sigmar_sq,
     )
-    if strategy is None:
-        raise NoConvergenceError(f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps")
+    if isinstance(strategy, str):
+        raise NoConvergenceError(strategy)
     return strategy

@@ -120,7 +120,7 @@ class ThresholdLedger:
     slack: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
 class RelaySolution:
     """Optimal relay allocation plus bookkeeping.
 
@@ -159,17 +159,6 @@ class RelaySolution:
     def b2(self) -> np.ndarray:
         """Relay covariance of direction 2."""
         return relay_covariance(self.gains.v2, self.powers2)
-
-
-def _validated_rates(rates: SourceRates) -> SourceRates:
-    if rates.r_ma - (rates.r_bar_1r + rates.r_bar_2r) > -1e-12:
-        raise InvalidStrategyError(
-            "r_ma must be strictly below r_bar_1r + r_bar_2r "
-            "(no covariance pair can induce such rates)"
-        )
-    if rates.r_ma < max(rates.r_bar_1r, rates.r_bar_2r) - 1e-12:
-        raise InvalidStrategyError("r_ma cannot be below either single-user rate")
-    return rates
 
 
 def two_way_rate(r_ma, r_bar_1r, r_bar_2r, bc1, bc2):
@@ -308,7 +297,14 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
         raise ValueError("gains and rates must have one entry per instance")
     if not n:
         return []
-    r_ma, r1, r2 = _rates([_validated_rates(r) for r in rates])
+    r_ma, r1, r2 = _rates(rates)
+    if (r_ma - (r1 + r2) > -1e-12).any():
+        raise InvalidStrategyError(
+            "r_ma must be strictly below r_bar_1r + r_bar_2r "
+            "(no covariance pair can induce such rates)"
+        )
+    if (r_ma < np.maximum(r1, r2) - 1e-12).any():
+        raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
     table, (k1, k2, kp), levels, powers, _, slack = _ledger(gains, r_ma, r1, r2)
     a1, a2, pooled = _block(table, _ALPHA1, k1), _block(table, _ALPHA2, k2), _block(table, _POOLED, kp)

@@ -314,25 +314,24 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     Channel realizations are reused across power splits within an antenna
     split, so cells differ only in what they must. A trial whose downlink
     is rank zero or whose gains overflow counts as skipped in every cell of
-    its antenna split, and a cell whose MA phase does not converge in its
+    its antenna split, and a cell whose MA phase finds no strategy (no
+    convergence, or a numerically singular or inaccurate instance) in its
     own. The MA phase runs one batch per antenna split, and the relay
-    optimizer one batch per study (see STUDY_BATCH_CELLS).
+    optimizer one batch whenever the unsolved cells reach
+    STUDY_BATCH_CELLS, and one at the end.
     """
     cfg = spec.config
     n_total = cfg.n1 + cfg.n2
     p_total = cfg.p1_max + cfg.p2_max
     if n_total < 2:
         raise ConfigError("asymmetry study needs n1 + n2 >= 2")
-    splits = []
+    p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
     records: list[AsymRecord] = []
-    jobs = []  # (n1, trial, p1, cell, gains, strategy) of the cells not yet solved, in record order
+    jobs = []  # (n1, trial, p1, gains, strategy) of the cells not yet solved, in record order
 
     def solve_jobs() -> None:
-        solutions = optimize_many([job[4] for job in jobs], [job[5] for job in jobs], cfg.pr_max)
-        for (n1, trial, p1, cell, _, _), sol in zip(jobs, solutions):
-            cell["sum_rate"].append(sol.sum_rate_tw)
-            cell["consumed"].append(sol.consumed_power)
-            cell["efficient"].append(sol.efficient)
+        solutions = optimize_many([job[3] for job in jobs], [job[4] for job in jobs], cfg.pr_max)
+        for (n1, trial, p1, _, _), sol in zip(jobs, solutions):
             records.append(AsymRecord(
                 trial, n1, n_total - n1, p1, p_total - p1,
                 sol.sum_rate_tw, sol.consumed_power, sol.efficient,
@@ -341,53 +340,47 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
 
     for n1 in range(1, n_total):
         base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
-        cells = {
-            float(p1): {"sum_rate": [], "consumed": [], "efficient": [], "skipped": 0}
-            for p1 in np.linspace(0.1, 0.9, 5) * p_total
-        }
-        cell_cfgs = [dataclasses.replace(base, p1_max=p1, p2_max=p_total - p1) for p1 in cells]
-        drawn = {}
+        drawn = []
         for trial in range(spec.trials):
             try:
                 channels = generate_channels(base, trial)
-                drawn[trial] = channels, decompose(channels, base)
+                drawn.append((trial, channels, decompose(channels, base)))
             except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
-                for cell in cells.values():
-                    cell["skipped"] += 1
+                continue
         # One MA-phase batch per antenna split: every drawn trial x every power split.
-        batch = [(ch, c) for ch, _ in drawn.values() for c in cell_cfgs]
-        strategies = iter(max_ma_strategies(
-            np.array([ch.h1r for ch, _ in batch]).reshape(-1, base.n_r, base.n1),
-            np.array([ch.h2r for ch, _ in batch]).reshape(-1, base.n_r, base.n2),
-            [c.p1_max for _, c in batch], [c.p2_max for _, c in batch], base.sigmar_sq,
-        ))
-        for trial, (_, gains) in drawn.items():
-            for p1, cell in cells.items():
-                strategy = next(strategies)
-                if strategy is None:  # the MA phase did not converge
-                    cell["skipped"] += 1
-                else:
-                    jobs.append((n1, trial, p1, cell, gains, strategy))
-        splits.append((n1, cells))
+        batch = [(trial, channels, gains, p1) for trial, channels, gains in drawn for p1 in p1_splits]
+        p1_batch = np.array([p1 for *_, p1 in batch])
+        strategies = max_ma_strategies(
+            np.array([ch.h1r for _, ch, _, _ in batch]).reshape(-1, base.n_r, base.n1),
+            np.array([ch.h2r for _, ch, _, _ in batch]).reshape(-1, base.n_r, base.n2),
+            p1_batch, p_total - p1_batch, base.sigmar_sq,
+        )
+        jobs += [
+            (n1, trial, p1, gains, strategy)
+            for (trial, _, gains, p1), strategy in zip(batch, strategies) if strategy is not None
+        ]
         if len(jobs) >= STUDY_BATCH_CELLS:
             solve_jobs()
     solve_jobs()
+    # Each cell's aggregate is over its records; every trial without one was skipped.
+    cells = {(n1, p1): [] for n1 in range(1, n_total) for p1 in p1_splits}
+    for rec in records:
+        cells[rec.n1, rec.p1_max].append(rec)
     aggregates: list[dict] = []
-    for n1, cells in splits:
-        for p1, cell in cells.items():
-            done = len(cell["sum_rate"])
-            aggregates.append({
-                "n1": n1,
-                "n2": n_total - n1,
-                "p1_max": p1,
-                "p2_max": p_total - p1,
-                "trials": spec.trials,
-                "completed": done,
-                "skipped": cell["skipped"],
-                "avg_sum_rate_tw": float(np.mean(cell["sum_rate"])) if done else float("nan"),
-                "avg_consumed_power": float(np.mean(cell["consumed"])) if done else float("nan"),
-                "efficient_fraction": float(np.mean(cell["efficient"])) if done else float("nan"),
-            })
+    for (n1, p1), cell in cells.items():
+        done = len(cell)
+        aggregates.append({
+            "n1": n1,
+            "n2": n_total - n1,
+            "p1_max": p1,
+            "p2_max": p_total - p1,
+            "trials": spec.trials,
+            "completed": done,
+            "skipped": spec.trials - done,
+            "avg_sum_rate_tw": float(np.mean([r.sum_rate_tw for r in cell])) if done else float("nan"),
+            "avg_consumed_power": float(np.mean([r.consumed_power for r in cell])) if done else float("nan"),
+            "efficient_fraction": float(np.mean([r.efficient for r in cell])) if done else float("nan"),
+        })
     return records, aggregates
 
 

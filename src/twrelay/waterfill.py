@@ -40,7 +40,6 @@ __all__ = [
     "rate_of_level",
     "power_of_level",
     "forward_level",
-    "forward_waterfill",
     "inverse_level",
     "inverse_waterfill",
 ]
@@ -49,7 +48,7 @@ __all__ = [
 _MAX_LOG_LEVEL = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
 class LevelAllocation:
     """Water-filling allocation induced by a water level (one per table row).
 
@@ -156,27 +155,6 @@ def _allocation(gains: np.ndarray, level) -> LevelAllocation:
         rate=rate_of_level(gains, level),
         total_power=_out(powers.sum(axis=-1)),
     )
-
-
-def forward_waterfill(gains, budget) -> LevelAllocation:
-    """Rate-maximizing allocation of `budget` watts over `gains`.
-
-    Parameters
-    ----------
-    gains : array_like
-        Subchannel gains in 1/watts, sorted descending, strictly positive;
-        or a padded (N, K) table of such lists.
-    budget : float or array_like
-        Total power to spend, watts, spent exactly; (N,) for a table.
-
-    Returns
-    -------
-    LevelAllocation
-        The unique allocation with power_of_level(gains, level) == budget.
-        A zero budget yields level 1/alpha_max and all-zero powers.
-    """
-    gains = np.asarray(gains, dtype=float)
-    return _allocation(gains, forward_level(gains, budget))
 
 
 def inverse_level(gains, target_rate):

@@ -68,6 +68,14 @@ def test_non_psd_rejected():
         rate_ma([[-1.0]], [[0.0]], ch, 1.0)
 
 
+def test_non_psd_d2_rejected_by_name():
+    ch = _scalar_channels([1.0], [1.0], 1)
+    with pytest.raises(tw.NonPSDError, match="d2"):
+        tw.strategy_from_covariances([[1.0]], [[-1.0]], ch, 1.0)
+    with pytest.raises(tw.NonPSDError, match="d2"):
+        tw.rate_bar(2, [[-1.0]], ch, 1.0)
+
+
 def test_logdet_matches_slogdet(rng):
     for _ in range(20):
         n = int(rng.integers(1, 6))
@@ -127,9 +135,10 @@ def test_strategy_rates_self_consistent(rng):
 
 def _best_response_one(h, other_term, p_max, sigmar_sq):
     """The engine's best response at N=1."""
-    return _best_response(
+    d, _ = _best_response(
         h[np.newaxis], other_term[np.newaxis], np.array([p_max]), np.full((1, 1, 1), sigmar_sq)
-    )[0]
+    )
+    return d[0]
 
 
 def test_sweeps_monotone_and_fixed_point(rng):
@@ -217,7 +226,8 @@ def _loop_best_response(h, other_term, p_max, sigmar_sq):
     if eigvals[0] <= 0.0 or not np.any(active):
         return (p_max / n_i) * np.eye(n_i, dtype=complex)
     powers = np.zeros(n_i)
-    powers[active] = tw.forward_waterfill(eigvals[active], p_max).powers
+    gains = eigvals[active]
+    powers[active] = np.maximum(tw.forward_level(gains, p_max) - 1.0 / gains, 0.0)
     return (eigvecs * powers) @ eigvecs.conj().T
 
 
@@ -262,6 +272,31 @@ def test_non_convergence_raises(monkeypatch, rng):
         tw.max_ma_strategy(ch, cfg)
     h1, h2 = ch.h1r[np.newaxis], ch.h2r[np.newaxis]
     assert max_ma_strategies(h1, h2, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq) == [None]
+
+
+def test_ill_conditioned_instances_drop_out_and_leave_the_others_bits():
+    # At sigma^2 = 1e-15 the interference-plus-noise matrix of some cells
+    # does not factor, and the rates of others break
+    # max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r by tenths of a nat.
+    base = tw.SystemConfig(n1=1, n2=5, n_r=6, sigma1_sq=1e-15, sigma2_sq=1e-15, sigmar_sq=1e-15)
+    cells = [
+        (tw.generate_channels(base, trial), tw.SystemConfig(**{**base.__dict__, "p1_max": p1, "p2_max": 5.0 - p1}))
+        for trial in range(8) for p1 in np.linspace(0.1, 0.9, 5) * 5.0
+    ]
+    batch = max_ma_strategies(
+        np.stack([ch.h1r for ch, _ in cells]), np.stack([ch.h2r for ch, _ in cells]),
+        [cfg.p1_max for _, cfg in cells], [cfg.p2_max for _, cfg in cells], 1e-15,
+    )
+    reasons = set()
+    for (ch, cfg), st in zip(cells, batch):
+        if st is None:
+            with pytest.raises(tw.NoConvergenceError) as err:
+                tw.max_ma_strategy(ch, cfg)
+            reasons.add(str(err.value))
+        else:
+            _assert_same_bits(st, tw.max_ma_strategy(ch, cfg))
+    assert any(st is not None for st in batch)
+    assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
 
 
 def test_returned_pair_is_psd_checked(monkeypatch, rng):

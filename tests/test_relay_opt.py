@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import twrelay as tw
 from twrelay.waterfill import (
     forward_level,
-    forward_waterfill,
     inverse_waterfill,
     power_of_level,
     rate_of_level,
@@ -160,6 +159,16 @@ def test_invalid_strategy_rejected():
         tw.optimize(g, tw.SourceRates(r_ma=LN2, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
     with pytest.raises(tw.InvalidStrategyError):
         tw.optimize(g, tw.SourceRates(r_ma=np.inf, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
+
+
+def test_array_holding_results_compare_and_hash_by_identity():
+    g = tw.synthetic_gains([2.0, 1.0], [1.0])
+    a, b = tw.optimize(g, asym_rates(), 6.0), tw.optimize(g, asym_rates(), 6.0)
+    assert a == a and a != b
+    channels = tw.generate_channels(tw.SystemConfig(n1=2, n2=2, n_r=3), 0)
+    for obj in (a, g, channels, tw.inverse_waterfill(g.alpha1, 1.0)):
+        assert obj == obj and {obj: 1}[obj] == 1
+    assert dataclasses.replace(a, consumed_power=1.0).consumed_power == 1.0
 
 
 def test_non_finite_budget_rejected():
@@ -362,7 +371,7 @@ def test_efficiency_matches_pooled_waterfill_definition(rng):
         rates = random_synthetic_rates(rng)
         pr = float(rng.uniform(0.0, 8.0))
         sol = tw.optimize(g, rates, pr)
-        best_bc = forward_waterfill(g.pooled, sol.consumed_power).rate
+        best_bc = rate_of_level(g.pooled, forward_level(g.pooled, sol.consumed_power))
         assert sol.efficient == (sum(sol.bc_rates) >= best_bc - 1e-9)
         assert sum(sol.bc_rates) <= best_bc + 1e-9  # never above the pooled optimum
 
@@ -379,7 +388,7 @@ def _scalar_levels(gains, rates, pr_max):
         inv_mu1=inverse_waterfill(gains.alpha2, rates.r_bar_1r).level,
         inv_mu2=inverse_waterfill(gains.alpha1, rates.r_bar_2r).level,
         inv_mu_ma=inverse_waterfill(pooled, rates.r_ma).level,
-        inv_lambda0=forward_waterfill(pooled, pr_max).level,
+        inv_lambda0=forward_level(pooled, pr_max),
     )
 
 
@@ -450,7 +459,7 @@ def _scalar_optimize(gains, rates, pr_max):
     powers = {i: np.maximum(lv[i] - 1.0 / alpha[i], 0.0) for i in (1, 2)}
     bc = {i: rate_of_level(alpha[i], lv[i]) for i in (1, 2)}
     consumed = float(np.sum(powers[1]) + np.sum(powers[2]))
-    best_bc = forward_waterfill(gains.pooled, consumed).rate
+    best_bc = rate_of_level(gains.pooled, forward_level(gains.pooled, consumed))
     forwarded = min(bc[1], rates.r_bar_2r) + min(bc[2], rates.r_bar_1r)
     return tw.RelaySolution(
         level1=lv[1], level2=lv[2], powers1=powers[1], powers2=powers[2], gains=gains,

@@ -162,12 +162,22 @@ def test_asymmetry_study_trials_are_schedule_independent():
     # Aggregates are plain means of per-trial records, so any schedule that
     # preserves per-trial values reproduces them.
     _, aggs = run_asymmetry_study(ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=2))
-    by_cell = {}
-    for rec in short:
-        by_cell.setdefault((rec.n1, rec.p1_max), []).append(rec.sum_rate_tw)
-    for agg in aggs:
-        key = (agg["n1"], agg["p1_max"])
-        assert_allclose(agg["avg_sum_rate_tw"], np.mean(by_cell[key]), rtol=1e-12)
+    _assert_aggregates_are_record_means(short, aggs)
+
+
+def _assert_aggregates_are_record_means(records, aggregates):
+    for agg in aggregates:
+        cell = [r for r in records if (r.n1, r.p1_max) == (agg["n1"], agg["p1_max"])]
+        assert agg["completed"] == len(cell)
+        for key, field in (
+            ("avg_sum_rate_tw", "sum_rate_tw"),
+            ("avg_consumed_power", "consumed_power"),
+            ("efficient_fraction", "efficient"),
+        ):
+            if cell:
+                assert agg[key] == float(np.mean([getattr(r, field) for r in cell]))
+            else:
+                assert np.isnan(agg[key])
 
 
 def test_asymmetry_study_non_convergence_is_per_cell(monkeypatch):
@@ -196,6 +206,7 @@ def test_asymmetry_study_non_convergence_is_per_cell(monkeypatch):
         assert agg["skipped"] == failed and agg["completed"] == spec.trials - failed
         if not failed:
             assert agg == before
+    _assert_aggregates_are_record_means(patched, patched_aggs)
     key = next(iter(failing))
     _, cell_cfg, channels = solved[key]
     with pytest.raises(tw.NoConvergenceError):
@@ -222,6 +233,18 @@ def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
     assert [(a["completed"], a["skipped"]) for a in payload["aggregates"]] == [(0, 3)] * 25
 
 
+def test_asymmetry_study_skips_ill_conditioned_ma_instances(tmp_path):
+    # At sigma^2 = 1e-15 the MA phase of some cells meets a numerically
+    # singular interference-plus-noise matrix; those cells are skipped.
+    out = tmp_path / "study.json"
+    argv = ["--scenario", "asymmetry-study", "--trials", "40", "--sigma", "1e-15",
+            "--deterministic", "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    aggregates = json.loads(out.read_text())["aggregates"]
+    assert all(a["completed"] + a["skipped"] == 40 for a in aggregates)
+    assert sum(a["skipped"] for a in aggregates) > 0
+
+
 def test_asymmetry_study_counts_an_overflowing_trial_like_a_rank_zero_one(monkeypatch):
     cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=3)
@@ -245,6 +268,11 @@ def test_asymmetry_study_counts_an_overflowing_trial_like_a_rank_zero_one(monkey
 
 
 # --- single --------------------------------------------------------------------
+
+
+def test_single_reports_a_numerically_singular_ma_instance(capsys):
+    assert main(["--scenario", "single", "--sigma", "1e-300", "--deterministic"]) == 3
+    assert "interference-plus-noise matrix" in capsys.readouterr().err
 
 
 def test_single_with_certification(tmp_path):

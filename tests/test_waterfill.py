@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from twrelay.waterfill import (
     forward_level,
-    forward_waterfill,
     gain_table,
     inverse_level,
     inverse_waterfill,
@@ -18,6 +17,12 @@ from twrelay.waterfill import (
 )
 
 from conftest import random_gain_list
+
+
+def _powers(gains, level):
+    """Per-subchannel powers (level - 1/alpha(k))^+ of a level, or of one level per table row."""
+    with np.errstate(divide="ignore"):
+        return np.maximum(np.asarray(level)[..., np.newaxis] - 1.0 / np.asarray(gains), 0.0)
 
 
 def gain_lists(max_len=6):
@@ -61,33 +66,33 @@ def test_power_zero_at_top_breakpoint():
     assert power_of_level([5.0, 2.0], 0.2) == 0.0
 
 
-# --- forward_waterfill ---------------------------------------------------
+# --- forward_level --------------------------------------------------------
 
 
 def test_forward_single_channel():
-    alloc = forward_waterfill([1.0], 1.0)
-    assert_allclose(alloc.level, 2.0, rtol=1e-14)
-    assert_allclose(alloc.powers, [1.0], rtol=1e-14)
-    assert_allclose(alloc.rate, np.log(2.0), rtol=1e-14)
+    level = forward_level([1.0], 1.0)
+    assert_allclose(level, 2.0, rtol=1e-14)
+    assert_allclose(_powers([1.0], level), [1.0], rtol=1e-14)
+    assert_allclose(rate_of_level([1.0], level), np.log(2.0), rtol=1e-14)
 
 
 def test_forward_partial_activation():
-    alloc = forward_waterfill([4.0, 1.0], 0.5)
-    assert_allclose(alloc.level, 0.75, rtol=1e-14)
-    assert_allclose(alloc.powers, [0.5, 0.0], atol=1e-15)
+    level = forward_level([4.0, 1.0], 0.5)
+    assert_allclose(level, 0.75, rtol=1e-14)
+    assert_allclose(_powers([4.0, 1.0], level), [0.5, 0.0], atol=1e-15)
 
 
 def test_forward_symmetric():
-    alloc = forward_waterfill([1.0, 1.0], 6.0)
-    assert_allclose(alloc.level, 4.0, rtol=1e-14)
-    assert_allclose(alloc.powers, [3.0, 3.0], rtol=1e-14)
+    level = forward_level([1.0, 1.0], 6.0)
+    assert_allclose(level, 4.0, rtol=1e-14)
+    assert_allclose(_powers([1.0, 1.0], level), [3.0, 3.0], rtol=1e-14)
 
 
 def test_forward_zero_budget():
-    alloc = forward_waterfill([4.0, 1.0], 0.0)
-    assert_allclose(alloc.level, 0.25, rtol=1e-14)
-    assert np.all(alloc.powers == 0.0)
-    assert alloc.rate == 0.0
+    level = forward_level([4.0, 1.0], 0.0)
+    assert_allclose(level, 0.25, rtol=1e-14)
+    assert np.all(_powers([4.0, 1.0], level) == 0.0)
+    assert rate_of_level([4.0, 1.0], level) == 0.0
 
 
 def test_forward_level_vectorized_matches_scalar(rng):
@@ -103,7 +108,7 @@ def test_forward_rejects_bad_inputs():
     # Malformed gain lists are rejected where instances are built
     # (test_channel::test_malformed_gains_rejected_at_construction).
     with pytest.raises(ValueError):
-        forward_waterfill([1.0], -0.5)
+        forward_level([1.0], -0.5)
 
 
 # --- inverse_waterfill ----------------------------------------------------
@@ -139,10 +144,10 @@ def test_inverse_rejects_bad_and_overflowing_targets():
 @settings(max_examples=200, deadline=None)
 @given(gains=gain_lists(), budget=st.floats(min_value=0.0, max_value=1e3))
 def test_round_trip_forward_inverse(gains, budget):
-    fwd = forward_waterfill(gains, budget)
-    inv = inverse_waterfill(gains, fwd.rate)
-    assert abs(inv.level - fwd.level) <= 1e-10 * max(1.0, fwd.level)
-    assert abs(fwd.total_power - budget) <= 1e-12 * max(1.0, budget)
+    level = forward_level(gains, budget)
+    inv = inverse_waterfill(gains, rate_of_level(gains, level))
+    assert abs(inv.level - level) <= 1e-10 * max(1.0, level)
+    assert abs(power_of_level(gains, level) - budget) <= 1e-12 * max(1.0, budget)
 
 
 @settings(max_examples=200, deadline=None)
@@ -177,7 +182,7 @@ def test_forward_beats_dense_power_split_grid(rng):
     for _ in range(20):
         gains = random_gain_list(rng, max_len=4)
         budget = float(rng.uniform(0.1, 10.0))
-        best = forward_waterfill(gains, budget).rate
+        best = rate_of_level(gains, forward_level(gains, budget))
         k = gains.size
         if k <= 3:
             splits = _simplex_grid(budget, k, 40)
@@ -191,8 +196,8 @@ def test_forward_beats_dense_power_split_grid(rng):
 def test_powers_nonincreasing_with_gains(rng):
     for _ in range(50):
         gains = random_gain_list(rng, max_len=6)
-        alloc = forward_waterfill(gains, float(rng.uniform(0.0, 10.0)))
-        assert np.all(np.diff(alloc.powers) <= 1e-15)
+        powers = _powers(gains, forward_level(gains, float(rng.uniform(0.0, 10.0))))
+        assert np.all(np.diff(powers) <= 1e-15)
 
 
 # --- padded tables ----------------------------------------------------------
@@ -214,18 +219,26 @@ def test_table_rows_match_their_lists_bit_for_bit(rng):
     table = gain_table(rows)
     budgets = rng.uniform(0.0, 20.0, size=len(rows))
     targets = rng.uniform(0.0, 8.0, size=len(rows))
-    fwd = forward_waterfill(table, budgets)
-    inv = inverse_waterfill(table, targets)
-    assert np.array_equal(forward_level(table, budgets), fwd.level)
-    assert np.array_equal(inverse_level(table, targets), inv.level)
+    def forward(gains, budget):  # the fields of an inverse_waterfill result, forward
+        level = forward_level(gains, budget)
+        return level, rate_of_level(gains, level), power_of_level(gains, level), _powers(gains, level)
+
+    def inverse(gains, target):
+        alloc = inverse_waterfill(gains, target)
+        return alloc.level, alloc.rate, alloc.total_power, alloc.powers
+
+    fwd, inv = forward(table, budgets), inverse(table, targets)
+    assert np.array_equal(inverse_level(table, targets), inv[0])
     for k, row in enumerate(rows):
-        one_fwd, one_inv = forward_waterfill(row, budgets[k]), inverse_waterfill(row, targets[k])
-        for got, want in ((fwd, one_fwd), (inv, one_inv)):
-            assert got.level[k] == want.level and got.rate[k] == want.rate
-            assert got.total_power[k] == want.total_power
-            assert np.array_equal(got.powers[k, : row.size], want.powers)
-            assert np.all(got.powers[k, row.size:] == 0.0)
-        levels = np.array([one_fwd.level, one_inv.level])
+        one_fwd, one_inv = forward(row, budgets[k]), inverse(row, targets[k])
+        for (level, rate, power, powers), (one_level, one_rate, one_power, one_powers) in (
+            (fwd, one_fwd), (inv, one_inv)
+        ):
+            assert level[k] == one_level and rate[k] == one_rate
+            assert power[k] == one_power
+            assert np.array_equal(powers[k, : row.size], one_powers)
+            assert np.all(powers[k, row.size:] == 0.0)
+        levels = np.array([one_fwd[0], one_inv[0]])
         assert rate_of_level(table, levels[:, np.newaxis])[:, k].tolist() == [
             rate_of_level(row, level) for level in levels
         ]
