@@ -83,7 +83,7 @@ class SourceRates:
             object.__setattr__(self, name, max(rate, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
 class SourceStrategy(SourceRates):
     """Source covariances (watts) and the rates they induce (nats).
 
@@ -94,6 +94,10 @@ class SourceStrategy(SourceRates):
     d1: np.ndarray
     d2: np.ndarray
     sweeps: int = 0
+
+    # Not SourceRates' value equality, which would compare the rates alone.
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -227,13 +231,14 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
 
 def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     """The engine: per instance a SourceStrategy, or the message of why there is none."""
-    h1 = np.ascontiguousarray(h1r, dtype=complex)
-    h2 = np.ascontiguousarray(h2r, dtype=complex)
-    n, _, n1 = h1.shape
-    n2 = h2.shape[2]
+    h1r = np.ascontiguousarray(h1r, dtype=complex)
+    h2r = np.ascontiguousarray(h2r, dtype=complex)
+    n, _, n1 = h1r.shape
+    n2 = h2r.shape[2]
     if not n:
         return []
     p1, p2, sig = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p1_max, p2_max, sigmar_sq))
+    sig_all = sig[:, np.newaxis, np.newaxis]
     d1_out = np.empty((n, n1, n1), complex)
     d2_out = np.empty((n, n2, n2), complex)
     rates = np.empty((3, n))
@@ -242,7 +247,7 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     # Live instances: index, uplinks and their conjugates, budgets, noise,
     # the last d2 and the last sum rate.
     live = (
-        np.arange(n), h1, h1.conj(), h2, h2.conj(), p1, p2, sig[:, np.newaxis, np.newaxis],
+        np.arange(n), h1r, h1r.conj(), h2r, h2r.conj(), p1, p2, sig_all,
         np.zeros((n, n2, n2), complex), np.zeros(n),
     )
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -260,14 +265,17 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
         failure[idx[singular]] = _SINGULAR
         k = idx[done]
         d1_out[k], d2_out[k], sweeps[k] = d1[done], d2[done], sweep
-        r_ma, r1, r2 = rates[:, k] = _pair_rates(h1[done], h2[done], d1[done], d2[done], sig[done])
-        # r_ma is at least either single-user rate and at most their sum;
-        # beyond round-off, the log-dets have lost their accuracy.
-        valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
-        failure[k] = np.where(valid, None, _UNRELIABLE)
         if leaving.all():
             break
         live = tuple(a[~leaving] for a in live)
+    # The converged pairs' rates, in one call (each matrix is factored
+    # alone, so the bits do not depend on which pairs share the call).
+    k = np.flatnonzero(sweeps)
+    r_ma, r1, r2 = rates[:, k] = _pair_rates(h1r[k], h2r[k], d1_out[k], d2_out[k], sig_all[k])
+    # r_ma is at least either single-user rate and at most their sum;
+    # beyond round-off, the log-dets have lost their accuracy.
+    valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
+    failure[k] = np.where(valid, None, _UNRELIABLE)
     # Copies, so that each strategy owns its matrices and the stacks are freed.
     return [
         failure[k] or SourceStrategy(

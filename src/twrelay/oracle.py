@@ -57,8 +57,17 @@ class OracleResult:
     grid_resolution: float
 
 
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError("resolution must be positive and finite")
+
+
 def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
-    """Upper bound on the rate change across one grid step, nats."""
+    """Upper bound on the rate change across one grid step, nats.
+
+    Raises ValueError unless the resolution is positive and finite.
+    """
+    _check_resolution(resolution)
     return float(np.sum(gains.pooled) * resolution)
 
 
@@ -122,9 +131,10 @@ def grid_certify(
     Suitable for desk-size instances (a few gains per direction). Returns
     the maximum two-way rate over all feasible level pairs on the grid,
     and the minimum consumed power among pairs within 1e-9 nats of it.
+    Raises ValueError unless the resolution is positive and finite and the
+    budget finite and nonnegative.
     """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    _check_resolution(resolution)
     if not (math.isfinite(pr_max) and pr_max >= 0.0):
         raise ValueError("pr_max must be finite and nonnegative")
     r_ma = strategy.r_ma

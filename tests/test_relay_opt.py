@@ -165,8 +165,12 @@ def test_array_holding_results_compare_and_hash_by_identity():
     g = tw.synthetic_gains([2.0, 1.0], [1.0])
     a, b = tw.optimize(g, asym_rates(), 6.0), tw.optimize(g, asym_rates(), 6.0)
     assert a == a and a != b
-    channels = tw.generate_channels(tw.SystemConfig(n1=2, n2=2, n_r=3), 0)
-    for obj in (a, g, channels, tw.inverse_waterfill(g.alpha1, 1.0)):
+    config = tw.SystemConfig(n1=2, n2=2, n_r=3)
+    channels = tw.generate_channels(config, 0)
+    s, t = tw.max_ma_strategy(channels, config), tw.max_ma_strategy(channels, config)
+    assert s != t and s != tw.SourceRates(s.r_ma, s.r_bar_1r, s.r_bar_2r)
+    assert asym_rates() == asym_rates() and hash(asym_rates()) == hash(asym_rates())
+    for obj in (a, g, channels, tw.inverse_waterfill(g.alpha1, 1.0), s):
         assert obj == obj and {obj: 1}[obj] == 1
     assert dataclasses.replace(a, consumed_power=1.0).consumed_power == 1.0
 
@@ -181,6 +185,17 @@ def test_non_finite_budget_rejected():
             tw.optimize(g, asym_rates(), bad)
         with pytest.raises(ValueError):
             tw.grid_certify(g, asym_rates(), bad, 1e-3)
+
+
+def test_non_finite_resolution_rejected():
+    # An infinite resolution used to come back as an OracleResult with
+    # grid_resolution=inf, and a NaN bound as nan.
+    g = unit_gains()
+    for bad in (np.nan, np.inf, -np.inf, 0.0):
+        with pytest.raises(ValueError, match="resolution"):
+            tw.grid_certify(g, asym_rates(), 1.0, bad)
+        with pytest.raises(ValueError, match="resolution"):
+            tw.grid_lipschitz_bound(g, bad)
 
 
 # --- solution invariants -----------------------------------------------------

@@ -265,3 +265,41 @@ def test_table_kernels_reject_bad_rows():
     for targets in ([1.0, np.nan], [-1.0, 1.0], [1.0, 800.0]):
         with pytest.raises(ValueError):
             inverse_waterfill(table, targets)
+
+
+# --- summation order -----------------------------------------------------
+
+
+def _last_axis_rate(gains, level):
+    """Reference rate_of_level: (..., K) terms summed over the last axis."""
+    gains = np.asarray(gains, dtype=float)
+    level = np.asarray(level, dtype=float)
+    return np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)).sum(axis=-1)
+
+
+def _last_axis_power(gains, level):
+    """Reference power_of_level: (..., K) terms summed over the last axis."""
+    gains = np.asarray(gains, dtype=float)
+    level = np.asarray(level, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / gains
+    return np.maximum(level[..., np.newaxis] - inv, 0.0).sum(axis=-1)
+
+
+@pytest.mark.parametrize("width", [*range(1, 17), 24])
+def test_level_kernels_keep_the_bits_of_a_last_axis_sum(rng, width):
+    # Subchannel-major terms summed over axis 0 add one subchannel after
+    # another, as numpy's last-axis sum does below 8 terms; from 8 on that
+    # sum is pairwise (at width 8, summed over axis 0, about a fifth of the
+    # 4,000 list values would change in their last bits).
+    sizes = np.append(width, rng.integers(1, width + 1, size=47))
+    rows = [np.sort(np.exp(rng.normal(0.0, 2.0, size=k)))[::-1] for k in sizes]
+    table = gain_table(rows)
+    levels = np.exp(rng.uniform(-6.0, 9.0, size=(2, len(rows))))
+    cases = [(row, float(level)) for row, level in zip(rows, levels[0])]
+    cases += [(rows[0], np.exp(rng.uniform(-6.0, 9.0, size=4000))), (table, levels[0]), (table, levels)]
+    for gains, level in cases:
+        rate, power = rate_of_level(gains, level), power_of_level(gains, level)
+        assert type(rate) is type(power) is (float if np.ndim(level) == 0 else np.ndarray)
+        assert np.asarray(rate).tobytes() == _last_axis_rate(gains, level).tobytes()
+        assert np.asarray(power).tobytes() == _last_axis_power(gains, level).tobytes()
