@@ -71,56 +71,46 @@ def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
     return float(np.sum(gains.pooled) * resolution)
 
 
-def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> np.ndarray:
-    """The relative levels, the full-budget level and the two step-7 levels.
+def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> tuple:
+    """The relative levels, the full-budget level and the two step-7 levels,
+    then the full-budget levels of alpha1 and alpha2.
 
-    The five inverse levels come from one call on a five-row table: 1/mu_1,
-    1/mu_2, 1/mu_ma, then alpha1 at r_ma - r_bar_1r and alpha2 at
-    r_ma - r_bar_2r.
+    One five-row table (alpha2, alpha1, pooled, alpha1, alpha2) serves both
+    kernels. Its inverse levels are 1/mu_1, 1/mu_2, 1/mu_ma, then alpha1 at
+    r_ma - r_bar_1r and alpha2 at r_ma - r_bar_2r.
     """
     r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
     table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
     targets = [r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)]
-    return np.append(inverse_level(table, targets), forward_level(gains.pooled, pr_max))
+    full = forward_level(table, np.full(5, pr_max))
+    return np.append(inverse_level(table, targets), full[2]), full[1], full[0]
 
 
 def _axes(
     gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Level axes (ascending, deduplicated) for the two directions."""
-    specials = _special_levels(gains, strategy, pr_max)
-    base = []
-    for alpha in (gains.alpha1, gains.alpha2):
+    """Level axes (ascending, deduplicated) for the two directions.
+
+    Each direction's candidates stay unsorted until the budget complements
+    computed from the other direction's are added; each axis is then sorted
+    once, by a merge sort as both parts are nearly monotone runs, and
+    deduplicated.
+    """
+    specials, *full = _special_levels(gains, strategy, pr_max)
+    alphas = (gains.alpha1, gains.alpha2)
+    cands = []
+    for alpha, hi in zip(alphas, full):
         lo = 1.0 / alpha[0]
-        hi = forward_level(alpha, pr_max)
-        parts = [
-            np.arange(lo, hi, resolution),
-            np.asarray([lo, hi]),
-            1.0 / alpha,
-            specials,
-        ]
-        axis = np.concatenate(parts)
-        base.append(np.unique(axis[(axis >= lo) & (axis <= hi)]))
-    # Budget complements of the other direction's grid make every
-    # full-power pair representable on the cross grid.
-    axis1, axis2 = base
-    comp1 = forward_level(
-        gains.alpha1, np.maximum(pr_max - power_of_level(gains.alpha2, axis2), 0.0)
-    )
-    comp2 = forward_level(
-        gains.alpha2, np.maximum(pr_max - power_of_level(gains.alpha1, axis1), 0.0)
-    )
-    full1 = np.unique(np.concatenate([axis1, comp1]))
-    full2 = np.unique(np.concatenate([axis2, comp2]))
-    return full1, full2
-
-
-def _capped_rates(gains, strategy, axis1, axis2):
-    r1 = rate_of_level(gains.alpha1, axis1)
-    r2 = rate_of_level(gains.alpha2, axis2)
-    m1 = np.minimum(r1, strategy.r_bar_2r)
-    m2 = np.minimum(r2, strategy.r_bar_1r)
-    return r1, r2, m1, m2
+        axis = np.concatenate([np.arange(lo, hi, resolution), [lo, hi], 1.0 / alpha, specials])
+        cands.append(axis[(axis >= lo) & (axis <= hi)])
+    axes = []
+    for alpha, cand, other, other_cand in zip(alphas, cands, alphas[::-1], cands[::-1]):
+        # Budget complements of the other direction's grid make every
+        # full-power pair representable on the cross grid.
+        comp = forward_level(alpha, np.maximum(pr_max - power_of_level(other, other_cand), 0.0))
+        axis = np.sort(np.concatenate([cand, comp]), kind="stable")
+        axes.append(axis[np.append(True, axis[1:] != axis[:-1])])
+    return tuple(axes)
 
 
 def grid_certify(
@@ -141,7 +131,10 @@ def grid_certify(
     axis1, axis2 = _axes(gains, strategy, pr_max, resolution)
     p1 = power_of_level(gains.alpha1, axis1)
     p2 = power_of_level(gains.alpha2, axis2)
-    r1, r2, m1, m2 = _capped_rates(gains, strategy, axis1, axis2)
+    r1 = rate_of_level(gains.alpha1, axis1)
+    r2 = rate_of_level(gains.alpha2, axis2)
+    m1 = np.minimum(r1, strategy.r_bar_2r)
+    m2 = np.minimum(r2, strategy.r_bar_1r)
 
     # Full-power boundary sweep: for every level in direction 1, direction 2
     # absorbs the remaining budget. The componentwise monotone objective

@@ -39,6 +39,7 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -531,9 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first parse (several times a parse's cost), not at import.
+_parser = functools.cache(build_parser)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line; omitted flags take the scenario's defaults."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for name, value in SCENARIOS[args.scenario].defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)

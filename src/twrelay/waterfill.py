@@ -28,7 +28,9 @@ or table 8 or more wide keeps the (..., K) layout and numpy's pairwise
 order, and so do fewer levels, where the layout saves less than arranging
 it costs. Either way the bits are those of a last-axis sum. Padding only
 appends zero terms to each row's sums, so a row of a table narrower than 8
-gives the same bits as its list alone.
+gives the same bits as its list alone. forward_level and inverse_level
+count the activation thresholds at or below each budget or target in that
+layout too, by one rule for a list and a table, and search nothing.
 
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
@@ -92,18 +94,6 @@ def gain_table(rows) -> np.ndarray:
     return table
 
 
-def _active(activation: np.ndarray, csum: np.ndarray, target: np.ndarray) -> tuple:
-    """m, the count of activation thresholds at or below each target (at least 1), and csum[m-1].
-
-    A list is searched (it is sorted), a table compared row by row.
-    """
-    if activation.ndim == 1:
-        m = np.maximum(np.searchsorted(activation, target, side="right"), 1)
-        return m, csum[m - 1]
-    m = np.maximum((activation <= target[:, np.newaxis]).sum(axis=-1), 1)
-    return m, csum.reshape(-1)[np.arange(-1, csum.size - 1, csum.shape[1]) + m]
-
-
 def _by_subchannel(values: np.ndarray, level: np.ndarray) -> tuple:
     """Per-subchannel `values` (a list's or a table's) and `level`, shaped to
     broadcast into per-subchannel terms, and the axis to sum the terms over.
@@ -117,6 +107,18 @@ def _by_subchannel(values: np.ndarray, level: np.ndarray) -> tuple:
         return values, level[..., np.newaxis], -1
     spread = level.ndim + 1 - values.ndim  # level axes ahead of a table's row axis
     return (values.T[(slice(None),) + (np.newaxis,) * spread] if spread > 0 else values.T), level, 0
+
+
+def _active(activation: np.ndarray, csum: np.ndarray, target: np.ndarray) -> tuple:
+    """m, the count of activation thresholds at or below each target (at
+    least 1), counted in _by_subchannel's layout, and csum[m-1]."""
+    thresholds, target, axis = _by_subchannel(activation, target)
+    # Axis 0 means fewer than 8 subchannels, so a uint8 holds the count:
+    # numpy sums bools into it, and take gathers with it, several times faster.
+    m = np.maximum((thresholds <= target).sum(axis=axis, dtype=None if axis else np.uint8), 1)
+    if activation.ndim == 1:
+        return m, csum.take(m - 1)
+    return m, csum.take(np.arange(-1, csum.size - 1, csum.shape[1]) + m)
 
 
 def rate_of_level(gains, level):
@@ -149,10 +151,10 @@ def forward_level(gains, budget):
 
     Closed form: with m subchannels active the level is
     (budget + sum_{k<=m} 1/alpha(k)) / m, and m is the count of activation
-    thresholds of the sorted inverse gains at or below the budget. Accepts
-    a scalar or array of budgets for a list, or (N,) budgets for a table,
-    and returns a matching shape. A table row with no positive gain gets
-    level +inf.
+    thresholds of the sorted inverse gains at or below the budget, counted
+    (see _active). Accepts a scalar or array of budgets for a list, or
+    (N,) budgets for a table, and returns a matching shape. A table row
+    with no positive gain gets level +inf.
     """
     gains = np.asarray(gains, dtype=float)
     budget = np.asarray(budget, dtype=float)

@@ -39,6 +39,20 @@ def random_gain_list(rng, max_len=4):
     return np.sort(gains)[::-1]
 
 
+def searchsorted_forward_level(gains, budget):
+    """Reference forward_level for one gain list: the active-set size m by
+    np.searchsorted into the sorted activation thresholds, the way the
+    kernel found it before it counted them."""
+    gains = np.asarray(gains, dtype=float)
+    budget = np.asarray(budget, dtype=float)
+    inv = 1.0 / gains
+    csum = inv.cumsum()
+    activation = np.arange(1.0, gains.size + 1) * inv - csum
+    m = np.maximum(np.searchsorted(activation, budget, side="right"), 1)
+    level = (budget + csum[m - 1]) / m
+    return float(level) if level.ndim == 0 else level
+
+
 def random_synthetic_rates(rng):
     """Rate triple satisfying max(r1, r2) < r_ma < r1 + r2 with real margin."""
     r1 = float(rng.uniform(0.2, 3.0))

@@ -1,13 +1,15 @@
 """Grid oracle: frozen examples, naive-scan equivalence, convergence."""
 
+import dataclasses
+
 import numpy as np
 from numpy.testing import assert_allclose
 
 import twrelay as tw
-from twrelay.oracle import _axes
-from twrelay.waterfill import power_of_level, rate_of_level
+from twrelay.oracle import RATE_TIE, _axes
+from twrelay.waterfill import gain_table, inverse_level, power_of_level, rate_of_level
 
-from conftest import random_gain_list, random_synthetic_rates
+from conftest import random_gain_list, random_synthetic_rates, searchsorted_forward_level
 
 LN2, LN3, LN6 = np.log(2.0), np.log(3.0), np.log(6.0)
 
@@ -128,3 +130,76 @@ def test_baseline_equals_min_power_solution_below_saturation():
         levels, bc = res.baseline_levels, res.baseline_bc_rates
         assert_allclose(levels, [sol.level1, sol.level2], atol=1e-9)
         assert_allclose(bc, sol.bc_rates, atol=1e-9)
+
+
+# --- frozen two-pass reference ------------------------------------------------
+
+
+def _two_pass_axes(gains, rates, pr_max, resolution):
+    """The level axes as first built: np.unique of each direction's base
+    grid, the budget complements of the other (deduplicated) base grid,
+    then np.unique again."""
+    forward = searchsorted_forward_level
+    r_ma, r1, r2 = rates.r_ma, rates.r_bar_1r, rates.r_bar_2r
+    table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
+    targets = [r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)]
+    specials = np.append(inverse_level(table, targets), forward(gains.pooled, pr_max))
+    base = []
+    for alpha in (gains.alpha1, gains.alpha2):
+        lo, hi = 1.0 / alpha[0], forward(alpha, pr_max)
+        axis = np.concatenate([np.arange(lo, hi, resolution), [lo, hi], 1.0 / alpha, specials])
+        base.append(np.unique(axis[(axis >= lo) & (axis <= hi)]))
+    axis1, axis2 = base
+    comp1 = forward(gains.alpha1, np.maximum(pr_max - power_of_level(gains.alpha2, axis2), 0.0))
+    comp2 = forward(gains.alpha2, np.maximum(pr_max - power_of_level(gains.alpha1, axis1), 0.0))
+    return np.unique(np.concatenate([axis1, comp1])), np.unique(np.concatenate([axis2, comp2]))
+
+
+def _two_pass_certify(gains, rates, pr_max, resolution):
+    """grid_certify over the two-pass axes, with the searchsorted forward level."""
+    axis1, axis2 = _two_pass_axes(gains, rates, pr_max, resolution)
+    p1 = power_of_level(gains.alpha1, axis1)
+    p2 = power_of_level(gains.alpha2, axis2)
+    r1 = rate_of_level(gains.alpha1, axis1)
+    r2 = rate_of_level(gains.alpha2, axis2)
+    m1 = np.minimum(r1, rates.r_bar_2r)
+    m2 = np.minimum(r2, rates.r_bar_1r)
+    comp_level = searchsorted_forward_level(gains.alpha2, np.maximum(pr_max - p1, 0.0))
+    comp_rate = rate_of_level(gains.alpha2, comp_level)
+    boundary = 0.5 * np.minimum(rates.r_ma, m1 + np.minimum(comp_rate, rates.r_bar_1r))
+    best_rate = float(np.max(boundary))
+    idx = np.searchsorted(m2, 2.0 * (best_rate - RATE_TIE) - m1, side="left")
+    ok = idx < m2.size
+    idx = np.minimum(idx, m2.size - 1)
+    cand_power = p1 + p2[idx]
+    cand_power = np.where(ok & (cand_power <= pr_max * (1.0 + 1e-12)), cand_power, np.inf)
+    best_i = int(np.argmin(cand_power))
+    bc_sum = np.where(boundary >= best_rate - RATE_TIE, r1 + comp_rate, -np.inf)
+    base_i = int(np.argmax(bc_sum))
+    return tw.OracleResult(
+        best_rate=best_rate,
+        min_power_at_best=float(cand_power[best_i]),
+        argmax_levels=(float(axis1[best_i]), float(axis2[idx[best_i]])),
+        baseline_levels=(float(axis1[base_i]), float(comp_level[base_i])),
+        baseline_bc_rates=(float(r1[base_i]), float(comp_rate[base_i])),
+        grid_resolution=float(resolution),
+    )
+
+
+def test_single_sort_axes_and_results_match_the_two_pass_reference(rng):
+    for k in range(60):
+        a1, a2 = (np.sort(np.exp(rng.normal(0.0, 1.0, size=int(n))))[::-1]
+                  for n in rng.integers(1, 9, size=2))
+        g = tw.synthetic_gains(a1, a2)
+        rates = random_synthetic_rates(rng)
+        first = 1.0 / g.pooled[1] - 1.0 / g.pooled[0]  # budget that activates a second subchannel
+        pr = (0.0, float(rng.uniform(0.0, first)), float(rng.uniform(0.0, 12.0)))[k % 3]
+        resolution = (1e-3, 1e-2)[k % 2]
+        for got, want in zip(_axes(g, rates, pr, resolution), _two_pass_axes(g, rates, pr, resolution)):
+            assert np.array_equal(got, want)
+        got = tw.grid_certify(g, rates, pr, resolution)
+        want = _two_pass_certify(g, rates, pr, resolution)
+        for field in dataclasses.fields(tw.OracleResult):
+            assert np.asarray(getattr(got, field.name)).tobytes() == np.asarray(
+                getattr(want, field.name)
+            ).tobytes(), field.name

@@ -10,8 +10,10 @@ from numpy.testing import assert_allclose
 import twrelay as tw
 from twrelay.sim_cli import (
     LEMMA2_LEVEL_POINTS,
+    SCENARIOS,
     ScenarioSpec,
     main,
+    parse_args,
     run_asymmetry_study,
     run_lemma2_sweep,
     run_prmax_sweep,
@@ -374,6 +376,17 @@ def test_cli_exit_code_on_config_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["--scenario", "not-a-scenario"])
     assert err.value.code == 2
+
+
+def test_parse_args_carries_nothing_between_calls():
+    # One parser serves every call in the process: a flag given once must
+    # not reappear in a later parse that omits it.
+    first = parse_args(["--scenario", "single", "--pr", "5", "--certify", "--seed", "4"])
+    assert (first.pr_max, first.certify, first.seed) == (5.0, True, 4)
+    second = parse_args(["--scenario", "single"])
+    assert (second.certify, second.seed) == (False, 0)
+    assert second.pr_max == SCENARIOS["single"].defaults["pr_max"]
+    assert vars(second) == vars(parse_args(["--scenario", "single"]))
 
 
 def test_cli_exit_code_on_runtime_error(tmp_path):

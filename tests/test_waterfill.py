@@ -16,7 +16,7 @@ from twrelay.waterfill import (
     rate_of_level,
 )
 
-from conftest import random_gain_list
+from conftest import random_gain_list, searchsorted_forward_level
 
 
 def _powers(gains, level):
@@ -102,6 +102,35 @@ def test_forward_level_vectorized_matches_scalar(rng):
         vec = forward_level(gains, budgets)
         for b, lv in zip(budgets, vec):
             assert forward_level(gains, float(b)) == lv
+
+
+def _budgets_on_and_around_thresholds(rng, gains, size):
+    """Random budgets plus zero, +inf and every activation threshold exactly."""
+    inv = 1.0 / gains
+    thresholds = np.arange(1.0, gains.size + 1) * inv - inv.cumsum()
+    edges = np.concatenate([[0.0, np.inf], thresholds, np.nextafter(thresholds, 0.0)])
+    return np.concatenate([edges, rng.uniform(0.0, 1.5 * thresholds[-1] + 1.0, size=size)])
+
+
+def test_forward_level_counting_matches_searchsorted(rng):
+    # Short and long budget vectors, so both the (..., K) and the
+    # subchannel-major layout of the count are checked.
+    for width in range(1, 9):
+        for size in (3, 4000):
+            gains = np.sort(np.exp(rng.normal(0.0, 2.0, size=width)))[::-1]
+            budgets = rng.permutation(_budgets_on_and_around_thresholds(rng, gains, size))
+            got = forward_level(gains, budgets)
+            assert got.tobytes() == searchsorted_forward_level(gains, budgets).tobytes()
+            assert [forward_level(gains, b) for b in budgets[:40]] == got[:40].tolist()
+    # Padded table rows: fewer than 32, and more in tables narrower than 8
+    # (subchannel-major) and 8 wide.
+    for count, widest in ((20, 8), (600, 7), (600, 8)):
+        rows = [np.sort(np.exp(rng.normal(0.0, 2.0, size=int(k))))[::-1]
+                for k in rng.integers(1, widest + 1, size=count)]
+        budgets = np.array([rng.choice(_budgets_on_and_around_thresholds(rng, row, 2)) for row in rows])
+        got = forward_level(gain_table(rows), budgets)
+        want = [searchsorted_forward_level(row, b) for row, b in zip(rows, budgets)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_forward_rejects_bad_inputs():
