@@ -57,6 +57,7 @@ from .waterfill import (
     inverse_level,
     inverse_waterfill,
     power_of_level,
+    powers_of_level,
     rate_of_level,
 )
 
@@ -94,6 +95,7 @@ __all__ = [
     "optimize",
     "optimize_many",
     "power_of_level",
+    "powers_of_level",
     "rate_bar",
     "rate_ma",
     "relative_levels",

@@ -14,7 +14,7 @@ class RankZeroError(TwrelayError):
 
 
 class NonPSDError(TwrelayError):
-    """A covariance matrix has an eigenvalue below -1e-9."""
+    """A covariance matrix has an eigenvalue below -1e-9 times its largest eigenvalue magnitude."""
 
 
 class NoConvergenceError(TwrelayError):
@@ -25,8 +25,10 @@ class InvalidStrategyError(TwrelayError):
     """Source rates are mutually inconsistent.
 
     Raised when the multiple-access sum-rate is not strictly below the sum of
-    the individual uplink rates (impossible for rates induced by actual
-    covariances) or when it is below one of them.
+    the individual uplink rates or when it is below one of them. Rates
+    induced by actual covariances can meet the sum, e.g. single-antenna
+    users on orthogonal uplinks or a user whose uplink is zero; the relay
+    optimizer rejects those as well.
     """
 
 

@@ -30,13 +30,14 @@ rates come out inconsistent, leaves the stack without a strategy.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import forward_level
+from .waterfill import forward_level, powers_of_level
 
 __all__ = [
     "SourceRates",
@@ -109,21 +110,33 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _ct(a))
 
 
+def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of a stack of Hermitian matrices, and which failed to factor.
+
+    A matrix that fails gets the identity as a placeholder factor. Each
+    factor has the bits of its matrix factored alone.
+    """
+    try:
+        return np.linalg.cholesky(stack), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(stack) > 1:  # find the failing matrices one by one
+            parts = [_cholesky(one[np.newaxis]) for one in stack]
+            return np.concatenate([c for c, _ in parts]), np.concatenate([f for _, f in parts])
+        return np.eye(stack.shape[-1], dtype=stack.dtype)[np.newaxis], np.ones(1, dtype=bool)
+
+
 def _logdet_identity_plus(s: np.ndarray) -> np.ndarray:
     """ln det(I + S) of each Hermitian PSD matrix of the stack s, (N, n, n) -> (N,).
 
     Cholesky of I + S for stability; an instance whose factorization fails
     near the PSD boundary falls back to clipped eigenvalues.
     """
-    m = np.eye(s.shape[-1]) + _hermitian(s)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        if len(s) > 1:  # find the failing instances one by one
-            return np.concatenate([_logdet_identity_plus(one[np.newaxis]) for one in s])
-        eig = np.clip(np.linalg.eigvalsh(_hermitian(s)), 0.0, None)
-        return np.sum(np.log1p(eig), axis=-1)
-    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    chol, failed = _cholesky(np.eye(s.shape[-1]) + _hermitian(s))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
+    if failed.any():
+        eig = np.clip(np.linalg.eigvalsh(_hermitian(s[failed])), 0.0, None)
+        logdet[failed] = np.sum(np.log1p(eig), axis=-1)
+    return logdet
 
 
 def logdet_identity_plus(s: np.ndarray) -> float:
@@ -184,20 +197,6 @@ def rate_bar(i: int, d_i, channels: ChannelSet, sigmar_sq: float) -> float:
     return (strategy.r_bar_1r, strategy.r_bar_2r)[i - 1]
 
 
-def _whitening(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of Hermitian matrices, and which are numerically singular.
-
-    A singular matrix gets the identity as a placeholder factor.
-    """
-    try:
-        return np.linalg.cholesky(z), np.zeros(len(z), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(z) > 1:  # find the failing instances one by one
-            parts = [_whitening(one[np.newaxis]) for one in z]
-            return np.concatenate([c for c, _ in parts]), np.concatenate([f for _, f in parts])
-        return np.eye(z.shape[-1], dtype=z.dtype)[np.newaxis], np.ones(1, dtype=bool)
-
-
 def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> tuple:
     """Single-user water-filling of each instance against fixed interference-plus-noise.
 
@@ -209,7 +208,7 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
     D is meaningless).
     """
     n_i = h.shape[2]
-    chol, singular = _whitening(sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term))
+    chol, singular = _cholesky(sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term))
     g = np.linalg.solve(chol, h)
     eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
@@ -218,8 +217,7 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
     # others are padding (gain 0). A row with no active mode comes out NaN
     # and is replaced below.
     gains = np.where(active, eigvals, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.maximum(forward_level(gains, p_max)[:, np.newaxis] - 1.0 / gains, 0.0)
+    powers = powers_of_level(gains, forward_level(gains, p_max))
     d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
     # Zero effective channel (top eigenvalue not positive): spend the
     # budget uniformly (it has no effect on any rate, but keeps Tr(D) = p_max).
@@ -238,6 +236,13 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     if not n:
         return []
     p1, p2, sig = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p1_max, p2_max, sigmar_sq))
+    if not (np.isfinite(h1r).all() and np.isfinite(h2r).all()):
+        raise ValueError("uplinks must be finite")
+    budgets = np.array([p1, p2])
+    if not 0.0 <= budgets.min() <= budgets.max() < np.inf:  # NaN fails too
+        raise ValueError("power budgets must be finite and nonnegative")
+    if not sys.float_info.min <= sig.min() <= sig.max() < np.inf:
+        raise ValueError("the relay noise variance must be finite and at least sys.float_info.min")
     sig_all = sig[:, np.newaxis, np.newaxis]
     d1_out = np.empty((n, n1, n1), complex)
     d2_out = np.empty((n, n2, n2), complex)
@@ -299,7 +304,9 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
     max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off.
     The sum rate is nondecreasing across sweeps and the fixed point
     satisfies both users' single-user optimality conditions. Raises
-    NonPSDError if a converged pair is not PSD.
+    ValueError on a non-finite uplink, a negative or non-finite budget or a
+    noise variance SystemConfig rejects, and NonPSDError if a converged pair
+    is not PSD.
     """
     return [None if isinstance(s, str) else s for s in _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq)]
 

@@ -114,7 +114,7 @@ def _axes(
 
 
 def grid_certify(
-    gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float = 1e-4
+    gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float
 ) -> OracleResult:
     """Exhaustive-grid optimum of one instance.
 

@@ -50,6 +50,7 @@ from .waterfill import (
     gain_table,
     inverse_waterfill,
     power_of_level,
+    powers_of_level,
     rate_of_level,
 )
 
@@ -299,10 +300,7 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
         return []
     r_ma, r1, r2 = _rates(rates)
     if (r_ma - (r1 + r2) > -1e-12).any():
-        raise InvalidStrategyError(
-            "r_ma must be strictly below r_bar_1r + r_bar_2r "
-            "(no covariance pair can induce such rates)"
-        )
+        raise InvalidStrategyError("r_ma must be strictly below r_bar_1r + r_bar_2r")
     if (r_ma < np.maximum(r1, r2) - 1e-12).any():
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
@@ -341,9 +339,7 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
     lv1, bc1 = np.where(cut1, bar1, lv1), np.where(cut1, bar_bc1, bc1)
     lv2, bc2 = np.where(cut2, bar2, lv2), np.where(cut2, bar_bc2, bc2)
 
-    with np.errstate(divide="ignore"):
-        powers1 = np.maximum(lv1[:, np.newaxis] - 1.0 / a1, 0.0)
-        powers2 = np.maximum(lv2[:, np.newaxis] - 1.0 / a2, 0.0)
+    powers1, powers2 = powers_of_level(a1, lv1), powers_of_level(a2, lv2)
     consumed = powers1.sum(axis=-1) + powers2.sum(axis=-1)
     best_bc = rate_of_level(pooled, forward_level(pooled, consumed))
     efficient = bc1 + bc2 >= best_bc - TIE_TOL

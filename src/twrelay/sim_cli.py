@@ -324,8 +324,6 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     cfg = spec.config
     n_total = cfg.n1 + cfg.n2
     p_total = cfg.p1_max + cfg.p2_max
-    if n_total < 2:
-        raise ConfigError("asymmetry study needs n1 + n2 >= 2")
     p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
     records: list[AsymRecord] = []
     jobs = []  # (n1, trial, p1, gains, strategy) of the cells not yet solved, in record order
@@ -437,26 +435,16 @@ def run_scenario(spec: ScenarioSpec):
 
 def _fmt_cell(value) -> str:
     """CSV text of one value: booleans as 0/1, floats at 12 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
     return str(value)
 
 
-def _json_clean(value):
-    """JSON-ready copy with numpy scalars made plain and floats rounded as in CSV."""
-    if isinstance(value, dict):
-        return {k: _json_clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_clean(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (float, np.floating)):
-        return float(_fmt_cell(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _rounded(row: dict) -> dict:
+    """A flat JSON row of Python scalars (a numpy float64 is a float), floats rounded as in CSV."""
+    return {key: float(_fmt_cell(v)) if isinstance(v, float) else v for key, v in row.items()}
 
 
 def render_csv(spec: ScenarioSpec, records: list) -> str:
@@ -472,7 +460,7 @@ def render_csv(spec: ScenarioSpec, records: list) -> str:
 
 def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
     payload = {
-        "config": _json_clean({
+        "config": _rounded({
             "scenario": spec.scenario,
             **dataclasses.asdict(spec.config),
             "trials": spec.trials,
@@ -481,8 +469,9 @@ def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
             "sweep_points": spec.sweep_points,
             "certify": spec.certify,
         }),
-        "records": _json_clean([rec._asdict() for rec in records]),
-        "aggregates": _json_clean(aggregates),
+        "records": [_rounded(rec._asdict()) for rec in records],
+        # One dict of counts, or the asymmetry study's list of cell rows.
+        "aggregates": _rounded(aggregates) if isinstance(aggregates, dict) else [*map(_rounded, aggregates)],
     }
     if not spec.deterministic:
         payload["generated"] = datetime.now(timezone.utc).isoformat()

@@ -50,6 +50,7 @@ __all__ = [
     "gain_table",
     "rate_of_level",
     "power_of_level",
+    "powers_of_level",
     "forward_level",
     "inverse_level",
     "inverse_waterfill",
@@ -146,6 +147,18 @@ def power_of_level(gains, level):
     return _out(np.maximum(level - inv, 0.0).sum(axis=axis))
 
 
+def powers_of_level(gains, level) -> np.ndarray:
+    """Per-subchannel powers (level - 1/alpha(k))^+ in watts, (..., K).
+
+    Takes a level, or levels of any shape, for a list, or (N,) levels for
+    a table, one per row; power_of_level is the sum over the last axis. A
+    padded cell gets zero power; a row with no positive gain, whose level
+    is +inf, gets NaN powers.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.maximum(np.asarray(level)[..., np.newaxis] - 1.0 / np.asarray(gains, dtype=float), 0.0)
+
+
 def forward_level(gains, budget):
     """Water level(s) that spend exactly `budget` watts over `gains`.
 
@@ -154,12 +167,13 @@ def forward_level(gains, budget):
     thresholds of the sorted inverse gains at or below the budget, counted
     (see _active). Accepts a scalar or array of budgets for a list, or
     (N,) budgets for a table, and returns a matching shape. A table row
-    with no positive gain gets level +inf.
+    with no positive gain gets level +inf. Raises ValueError if a budget
+    is negative or non-finite.
     """
     gains = np.asarray(gains, dtype=float)
     budget = np.asarray(budget, dtype=float)
-    if (budget < 0.0).any():
-        raise ValueError("budget must be nonnegative")
+    if not (np.isfinite(budget) & (budget >= 0.0)).all():
+        raise ValueError("budget must be finite and nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / gains  # ascending since gains are descending
         csum = inv.cumsum(axis=-1)
@@ -167,18 +181,6 @@ def forward_level(gains, budget):
         activation = np.arange(1.0, gains.shape[-1] + 1) * inv - csum
     m, spent = _active(activation, csum, budget)
     return _out((budget + spent) / m)
-
-
-def _allocation(gains: np.ndarray, level) -> LevelAllocation:
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / gains
-    powers = np.maximum(np.asarray(level)[..., np.newaxis] - inv, 0.0)
-    return LevelAllocation(
-        level=level,
-        powers=powers,
-        rate=rate_of_level(gains, level),
-        total_power=_out(powers.sum(axis=-1)),
-    )
 
 
 def inverse_level(gains, target_rate):
@@ -236,4 +238,6 @@ def inverse_waterfill(gains, target_rate) -> LevelAllocation:
         If a target is negative or non-finite, or its level overflows.
     """
     gains = np.asarray(gains, dtype=float)
-    return _allocation(gains, inverse_level(gains, target_rate))
+    level = inverse_level(gains, target_rate)
+    powers = powers_of_level(gains, level)
+    return LevelAllocation(level, powers, rate_of_level(gains, level), _out(powers.sum(axis=-1)))

@@ -164,6 +164,11 @@ def test_decompose_validates_shapes():
     ch = _channels_with_downlinks(np.eye(2), np.eye(2), 2)  # n_r mismatch
     with pytest.raises(ValueError):
         tw.decompose(ch, cfg)
+    for bad in (np.nan, np.inf):
+        hr1 = np.ones((2, 3))
+        hr1[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            tw.decompose(_channels_with_downlinks(hr1, np.ones((2, 3)), 3), cfg)
 
 
 def test_synthetic_gains_identity_factors():

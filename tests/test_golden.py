@@ -14,6 +14,9 @@ Regenerate them only for an intended output change:
 """
 
 import gzip
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,8 +63,23 @@ def test_help_matches_golden(monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / "help.txt").read_text()
 
 
+def test_module_entry_point_matches_golden():
+    # `python -m twrelay` runs __main__.py and cli_entry, which the
+    # in-process main() calls above never reach.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(*flags):
+        argv = [sys.executable, "-m", "twrelay", "--scenario", "single", *flags]
+        return subprocess.run(argv, capture_output=True, env=env, timeout=120)
+
+    done = run("--deterministic")
+    assert done.returncode == 0
+    assert done.stdout == gzip.decompress((GOLDEN / "single.csv.gz").read_bytes())
+    assert run("--sigma", "nan").returncode == 2
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:

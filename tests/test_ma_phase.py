@@ -68,6 +68,14 @@ def test_non_psd_rejected():
         rate_ma([[-1.0]], [[0.0]], ch, 1.0)
 
 
+def test_malformed_covariance_and_node_rejected():
+    ch = _scalar_channels([1.0], [1.0], 1)
+    with pytest.raises(ValueError, match="d2 has shape"):
+        tw.strategy_from_covariances([[1.0]], np.eye(2), ch, 1.0)
+    with pytest.raises(ValueError, match="node index"):
+        tw.rate_bar(3, [[1.0]], ch, 1.0)
+
+
 def test_non_psd_d2_rejected_by_name():
     ch = _scalar_channels([1.0], [1.0], 1)
     with pytest.raises(tw.NonPSDError, match="d2"):
@@ -305,6 +313,21 @@ def test_returned_pair_is_psd_checked(monkeypatch, rng):
     monkeypatch.setattr(tw.ma_phase, "PSD_TOL", -10.0)
     with pytest.raises(tw.NonPSDError, match="d1"):
         tw.max_ma_strategy(ch, cfg)
+
+
+def test_bad_raw_inputs_rejected_at_entry(rng):
+    # Before the entry check, most of these came back as [None], a skipped trial.
+    cfg, ch, _, _ = random_instance(rng)
+    h1, h2 = ch.h1r[np.newaxis], ch.h2r[np.newaxis]
+    good = dict(h1r=h1, h2r=h2, p1_max=cfg.p1_max, p2_max=cfg.p2_max, sigmar_sq=cfg.sigmar_sq)
+    assert max_ma_strategies(**good)[0] is not None
+    for name, bad in (
+        ("sigmar_sq", np.nan), ("sigmar_sq", 0.0), ("sigmar_sq", 1e-310), ("sigmar_sq", np.inf),
+        ("p1_max", np.nan), ("p2_max", np.nan), ("p2_max", np.inf), ("p1_max", -1.0),
+        ("h1r", h1 * np.inf), ("h2r", h2 * np.nan),
+    ):
+        with pytest.raises(ValueError, match="uplinks|power budgets|relay noise"):
+            max_ma_strategies(**{**good, name: bad})
 
 
 def test_empty_batch():

@@ -57,6 +57,11 @@ def test_spec_validation():
         ScenarioSpec(scenario="single", config=cfg, sweep_points=0)
     with pytest.raises(tw.ConfigError):
         ScenarioSpec(scenario="single", config=cfg, fmt="xml")
+    with pytest.raises(tw.ConfigError):
+        ScenarioSpec(scenario="prmax-sweep", config=cfg, sweep_start=2.0, sweep_stop=1.0)
+    for resolution in (0.0, -1e-3):
+        with pytest.raises(tw.ConfigError):
+            ScenarioSpec(scenario="single", config=cfg, certify=True, resolution=resolution)
 
 
 # --- lemma2 sweep -------------------------------------------------------------

@@ -13,6 +13,7 @@ from twrelay.waterfill import (
     inverse_level,
     inverse_waterfill,
     power_of_level,
+    powers_of_level,
     rate_of_level,
 )
 
@@ -105,10 +106,10 @@ def test_forward_level_vectorized_matches_scalar(rng):
 
 
 def _budgets_on_and_around_thresholds(rng, gains, size):
-    """Random budgets plus zero, +inf and every activation threshold exactly."""
+    """Random budgets plus zero and every activation threshold exactly."""
     inv = 1.0 / gains
     thresholds = np.arange(1.0, gains.size + 1) * inv - inv.cumsum()
-    edges = np.concatenate([[0.0, np.inf], thresholds, np.nextafter(thresholds, 0.0)])
+    edges = np.concatenate([[0.0], thresholds, np.nextafter(thresholds, 0.0)])
     return np.concatenate([edges, rng.uniform(0.0, 1.5 * thresholds[-1] + 1.0, size=size)])
 
 
@@ -136,8 +137,9 @@ def test_forward_level_counting_matches_searchsorted(rng):
 def test_forward_rejects_bad_inputs():
     # Malformed gain lists are rejected where instances are built
     # (test_channel::test_malformed_gains_rejected_at_construction).
-    with pytest.raises(ValueError):
-        forward_level([1.0], -0.5)
+    for budget in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            forward_level([1.0], budget)
 
 
 # --- inverse_waterfill ----------------------------------------------------
@@ -250,17 +252,24 @@ def test_table_rows_match_their_lists_bit_for_bit(rng):
     targets = rng.uniform(0.0, 8.0, size=len(rows))
     def forward(gains, budget):  # the fields of an inverse_waterfill result, forward
         level = forward_level(gains, budget)
-        return level, rate_of_level(gains, level), power_of_level(gains, level), _powers(gains, level)
+        return (level, rate_of_level(gains, level), power_of_level(gains, level), powers_of_level(gains, level),
+                _powers(gains, level))
 
     def inverse(gains, target):
         alloc = inverse_waterfill(gains, target)
-        return alloc.level, alloc.rate, alloc.total_power, alloc.powers
+        return alloc.level, alloc.rate, alloc.total_power, alloc.powers, _powers(gains, alloc.level)
 
     fwd, inv = forward(table, budgets), inverse(table, targets)
     assert np.array_equal(inverse_level(table, targets), inv[0])
+
+    def same_powers(fields):  # the kernel's powers and the reference's, bit for bit
+        return fields[3].tobytes() == fields[4].tobytes()
+
+    assert same_powers(fwd) and same_powers(inv)
     for k, row in enumerate(rows):
         one_fwd, one_inv = forward(row, budgets[k]), inverse(row, targets[k])
-        for (level, rate, power, powers), (one_level, one_rate, one_power, one_powers) in (
+        assert same_powers(one_fwd) and same_powers(one_inv)
+        for (level, rate, power, powers, _), (one_level, one_rate, one_power, one_powers, _) in (
             (fwd, one_fwd), (inv, one_inv)
         ):
             assert level[k] == one_level and rate[k] == one_rate
@@ -289,8 +298,9 @@ def test_inverse_level_does_not_depend_on_list_layout(rng):
 
 def test_table_kernels_reject_bad_rows():
     table = gain_table([np.array([2.0, 1.0]), np.array([1.0])])
-    with pytest.raises(ValueError):
-        forward_level(table, [1.0, -0.5])
+    for budgets in ([1.0, -0.5], [np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            forward_level(table, budgets)
     for targets in ([1.0, np.nan], [-1.0, 1.0], [1.0, 800.0]):
         with pytest.raises(ValueError):
             inverse_waterfill(table, targets)
