@@ -19,7 +19,15 @@ pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi,
 IEEE T-IT 2004) over N stacked instances of equal antenna counts at once;
 max_ma_strategy is its N=1 view. Every step acts on each matrix alone and
 each instance leaves the stack at its own converged sweep, so a result is
-the same, bit for bit, in any batch. Best responses are V diag(p) V^H with
+the same, bit for bit, in any batch. A sweep's sum rate comes from node 2's
+best response, whose whitening matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is
+already factored as L2 L2^H:
+
+    r_ma = 2 sum ln diag(L2) + sum_k log1p(lambda_k p_k) - n_r ln sigma_r^2
+
+over node 2's whitened eigenvalues lambda_k and powers p_k, with no third
+factorization; an instance converges when a sweep gains less than
+SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with
 p >= 0, PSD by construction: the sweeps skip the PSD check, and each
 converged pair is checked once, by the helper that gives
 strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
@@ -89,12 +97,14 @@ class SourceStrategy(SourceRates):
     """Source covariances (watts) and the rates they induce (nats).
 
     `sweeps` is the sweep at which max_ma_strategies converged for this
-    pair, and 0 for a pair from strategy_from_covariances.
+    pair and `last_gain` that sweep's sum-rate gain in nats (below
+    SWEEP_GAIN_TOL); a pair from strategy_from_covariances has 0 and NaN.
     """
 
     d1: np.ndarray
     d2: np.ndarray
     sweeps: int = 0
+    last_gain: float = math.nan
 
     # Not SourceRates' value equality, which would compare the rates alone.
     __eq__ = object.__eq__
@@ -162,7 +172,9 @@ def _pair_rates(h1, h2, d1, d2, sig) -> np.ndarray:
             raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
         terms.append(h @ herm @ _ct(h))
     t1, t2 = terms
-    return np.array([_logdet_identity_plus(t / sig) for t in (t1 + t2, t1, t2)])
+    # The three stacks in one call; each matrix is factored alone.
+    s = np.stack([t1 + t2, t1, t2]) / sig
+    return _logdet_identity_plus(s.reshape(-1, *s.shape[2:])).reshape(3, -1)
 
 
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
@@ -197,18 +209,20 @@ def rate_bar(i: int, d_i, channels: ChannelSet, sigmar_sq: float) -> float:
     return (strategy.r_bar_1r, strategy.r_bar_2r)[i - 1]
 
 
-def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sigmar_sq: np.ndarray) -> tuple:
+def _best_response(h: np.ndarray, z: np.ndarray, p_max: np.ndarray, objective: bool = False) -> tuple:
     """Single-user water-filling of each instance against fixed interference-plus-noise.
 
-    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max with
-    Z = sigma_r^2 I + other_term, by water-filling over the eigenmodes of
-    the whitened channel G = Z^{-1/2} H. Takes stacks h (N, n_r, n_i) and
-    other_term (N, n_r, n_r), p_max (N,) and sigmar_sq (N, 1, 1); returns
-    D (N, n_i, n_i) and which instances' Z is numerically singular (their
-    D is meaningless).
+    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max by water-filling over
+    the eigenmodes of the whitened channel G = L^{-1} H, where Z = L L^H.
+    Takes stacks h (N, n_r, n_i), z (N, n_r, n_r) Hermitian and p_max (N,).
+    Returns D (N, n_i, n_i); with `objective`, the maximum
+    ln det(Z + H D H^H) = 2 sum ln diag(L) + sum_k log1p(lambda_k p_k) over
+    G's eigenvalues lambda_k and the powers p_k of D (N,), else None; and
+    which instances' Z is numerically singular (their D and ln det are
+    meaningless).
     """
     n_i = h.shape[2]
-    chol, singular = _cholesky(sigmar_sq * np.eye(h.shape[1]) + _hermitian(other_term))
+    chol, singular = _cholesky(z)
     g = np.linalg.solve(chol, h)
     eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
@@ -224,14 +238,18 @@ def _best_response(h: np.ndarray, other_term: np.ndarray, p_max: np.ndarray, sig
     flat = ~active[:, 0]
     if flat.any():
         d[flat] = (p_max[flat, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
-    return d, singular
+        powers[flat] = p_max[flat, np.newaxis] / n_i
+    if not objective:
+        return d, None, singular
+    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
+    return d, logdet + np.log1p(eigvals * powers).sum(axis=-1), singular
 
 
 def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     """The engine: per instance a SourceStrategy, or the message of why there is none."""
     h1r = np.ascontiguousarray(h1r, dtype=complex)
     h2r = np.ascontiguousarray(h2r, dtype=complex)
-    n, _, n1 = h1r.shape
+    n, n_r, n1 = h1r.shape
     n2 = h2r.shape[2]
     if not n:
         return []
@@ -248,31 +266,38 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     d2_out = np.empty((n, n2, n2), complex)
     rates = np.empty((3, n))
     sweeps = np.zeros(n, dtype=int)
+    last_gain = np.full(n, np.nan)
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
-    # Live instances: index, uplinks and their conjugates, budgets, noise,
-    # the last d2 and the last sum rate.
+    # Live instances: index, uplinks and their conjugates, budgets, the
+    # noise sigma_r^2 I and n_r ln sigma_r^2, the last d2 and the last sum rate.
     live = (
-        np.arange(n), h1r, h1r.conj(), h2r, h2r.conj(), p1, p2, sig_all,
+        np.arange(n), h1r, h1r.conj(), h2r, h2r.conj(), p1, p2,
+        sig_all * np.eye(n_r), n_r * np.log(sig),
         np.zeros((n, n2, n2), complex), np.zeros(n),
     )
     for sweep in range(1, MAX_SWEEPS + 1):
-        idx, h1, h1c, h2, h2c, p1, p2, sig, d2, previous = live
+        idx, h1, h1c, h2, h2c, p1, p2, noise, log_noise, d2, previous = live
         h1h, h2h = h1c.swapaxes(1, 2), h2c.swapaxes(1, 2)
-        d1, singular1 = _best_response(h1, h2 @ d2 @ h2h, p1, sig)
-        d2, singular2 = _best_response(h2, h1 @ d1 @ h1h, p2, sig)
+        d1, _, singular1 = _best_response(h1, noise + _hermitian(h2 @ d2 @ h2h), p1)
+        # Node 2's objective ln det(sigma_r^2 I + S1 + S2) is the sum rate
+        # plus n_r ln sigma_r^2: no third factorization.
+        d2, logdet, singular2 = _best_response(h2, noise + _hermitian(h1 @ d1 @ h1h), p2, objective=True)
         singular = singular1 | singular2
-        current = _logdet_identity_plus((h1 @ _hermitian(d1) @ h1h + h2 @ _hermitian(d2) @ h2h) / sig)
-        done = (current - previous < SWEEP_GAIN_TOL) & ~singular
-        live = (idx, h1, h1c, h2, h2c, p1, p2, sig, d2, current)
+        current = logdet - log_noise
+        gain = current - previous
+        done = (gain < SWEEP_GAIN_TOL) & ~singular
+        live = (idx, h1, h1c, h2, h2c, p1, p2, noise, log_noise, d2, current)
         leaving = done | singular
         if not leaving.any():
             continue
         failure[idx[singular]] = _SINGULAR
         k = idx[done]
         d1_out[k], d2_out[k], sweeps[k] = d1[done], d2[done], sweep
+        last_gain[k] = gain[done]
         if leaving.all():
             break
-        live = tuple(a[~leaving] for a in live)
+        keep = ~leaving
+        live = tuple(a[keep] for a in live)
     # The converged pairs' rates, in one call (each matrix is factored
     # alone, so the bits do not depend on which pairs share the call).
     k = np.flatnonzero(sweeps)
@@ -285,7 +310,7 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     return [
         failure[k] or SourceStrategy(
             d1=d1_out[k].copy(), d2=d2_out[k].copy(), r_ma=rates[0, k], r_bar_1r=rates[1, k],
-            r_bar_2r=rates[2, k], sweeps=int(sweeps[k]),
+            r_bar_2r=rates[2, k], sweeps=int(sweeps[k]), last_gain=float(last_gain[k]),
         )
         for k in range(n)
     ]

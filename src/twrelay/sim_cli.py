@@ -458,6 +458,34 @@ def render_csv(spec: ScenarioSpec, records: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The C encoders of flat rows under a top-level key and in a top-level list:
+# their item separators carry the newline and indentation of indent=2.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": "))
+_LIST_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, without its pure-Python encoder.
+
+    The payload maps string keys to scalars, to flat rows (dicts of
+    scalars) and to lists of nonempty flat rows. A list of rows is one C
+    encoder call, split into rows where the row separator meets "}," and
+    "{", which no row holds inside (its values are scalars, and an encoded
+    string holds no raw newline).
+    """
+    items = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, list) and value:
+            rows = _LIST_ROW_ENCODER.encode(value)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + rows + "\n    }\n  ]"
+        elif isinstance(value, dict) and value:
+            text = "{\n    " + _ROW_ENCODER.encode(value)[1:-1] + "\n  }"
+        else:
+            text = json.dumps(value)  # a scalar, [] or {}
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
 def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
     payload = {
         "config": _rounded({
@@ -475,7 +503,7 @@ def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
     }
     if not spec.deterministic:
         payload["generated"] = datetime.now(timezone.utc).isoformat()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload) + "\n"
 
 
 def emit(spec: ScenarioSpec, records: list, aggregates) -> None:

@@ -1,5 +1,7 @@
 """MA-phase rate functionals and the default source strategy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -143,9 +145,8 @@ def test_strategy_rates_self_consistent(rng):
 
 def _best_response_one(h, other_term, p_max, sigmar_sq):
     """The engine's best response at N=1."""
-    d, _ = _best_response(
-        h[np.newaxis], other_term[np.newaxis], np.array([p_max]), np.full((1, 1, 1), sigmar_sq)
-    )
+    z = sigmar_sq * np.eye(h.shape[0]) + 0.5 * (other_term + other_term.conj().T)
+    d, _, _ = _best_response(h[np.newaxis], z[np.newaxis], np.array([p_max]))
     return d[0]
 
 
@@ -265,6 +266,68 @@ def test_engine_matches_scalar_loop_bit_for_bit(rng):
         assert np.array_equal(st.d1, reference.d1) and np.array_equal(st.d2, reference.d2)
         assert (st.r_ma, st.r_bar_1r, st.r_bar_2r) == (reference.r_ma, reference.r_bar_1r, reference.r_bar_2r)
         assert st.sweeps == sweeps
+
+
+def _scaled(cells, sigma_sq):
+    """The cells with every noise variance and budget multiplied by sigma_sq."""
+    return [
+        (ch, tw.SystemConfig(**{
+            **cfg.__dict__, "p1_max": cfg.p1_max * sigma_sq, "p2_max": cfg.p2_max * sigma_sq,
+            "sigma1_sq": sigma_sq, "sigma2_sq": sigma_sq, "sigmar_sq": sigma_sq,
+        }))
+        for ch, cfg in cells
+    ]
+
+
+@pytest.mark.parametrize("sigma_sq", [1e-9, 1e-3, 1e3, 1e6])
+def test_engine_matches_scalar_loop_bit_for_bit_away_from_unit_noise(rng, sigma_sq):
+    # The engine takes each sweep's sum rate from node 2's factor, less
+    # n_r ln sigma_r^2; the loop keeps the third log-det. Both stop at the same sweep.
+    cells = _asym_mc_cells(2, range(2)) + _conftest_shape_cells(rng, (2, 3, 4), 5)
+    cells += [random_instance(rng)[1::-1] for _ in range(10)]
+    for ch, cfg in _scaled(cells, sigma_sq):
+        reference, sweeps = _loop_strategy(ch, cfg)
+        st = tw.max_ma_strategy(ch, cfg)
+        _assert_same_bits(st, dataclasses.replace(reference, sweeps=sweeps))
+
+
+@pytest.mark.parametrize("sigma_sq", [1e-12, 1e-6, 1.0, 1e3, 1e9])
+def test_sweep_sum_rate_from_node_2_factor(rng, sigma_sq):
+    zero_h2 = tw.ChannelSet(
+        h1r=np.array([[1.0], [0.5j]]), h2r=np.zeros((2, 2), complex),
+        hr1=np.ones((1, 2), complex), hr2=np.ones((1, 2), complex),
+    )
+    cells = [random_instance(rng)[1::-1] for _ in range(10)]
+    cells.append((zero_h2, tw.SystemConfig(n1=1, n2=2, n_r=2)))  # node 2's best response is flat
+    for ch, cfg in _scaled(cells, sigma_sq):
+        h1, h2, n_r = ch.h1r, ch.h2r, ch.h1r.shape[0]
+        d2 = np.zeros((h2.shape[1],) * 2, complex)
+        for _sweep in range(3):
+            d1 = _best_response_one(h1, h2 @ d2 @ h2.conj().T, cfg.p1_max, sigma_sq)
+            s1 = h1 @ d1 @ h1.conj().T
+            z = sigma_sq * np.eye(n_r) + 0.5 * (s1 + s1.conj().T)
+            d2, logdet, singular = _best_response(h2[np.newaxis], z[np.newaxis], np.array([cfg.p2_max]), True)
+            d2 = d2[0]
+            assert not singular[0]
+            rate = logdet[0] - n_r * np.log(sigma_sq)
+            reference = logdet_identity_plus((s1 + h2 @ d2 @ h2.conj().T) / sigma_sq)
+            assert abs(rate - reference) <= 1e-12 * reference
+
+
+def test_last_gain_below_the_tolerance(rng):
+    for group in (_conftest_shape_cells(rng, (2, 3, 4), 20), _asym_mc_cells(1, range(4))):
+        for sigma_sq in (1e-9, 1.0, 1e6):
+            cells = _scaled(group, sigma_sq)
+            batch = max_ma_strategies(
+                np.stack([ch.h1r for ch, _ in cells]), np.stack([ch.h2r for ch, _ in cells]),
+                [cfg.p1_max for _, cfg in cells], [cfg.p2_max for _, cfg in cells], sigma_sq,
+            )
+            gains = np.array([st.last_gain for st in batch])
+            # The sum rate does not fall, up to the round-off of n_r ln sigma_r^2.
+            assert ((-1e-12 < gains) & (gains < tw.ma_phase.SWEEP_GAIN_TOL)).all(), gains
+            assert batch[0].last_gain == tw.max_ma_strategy(*cells[0]).last_gain
+    pair = tw.strategy_from_covariances(batch[0].d1, batch[0].d2, cells[0][0], sigma_sq)
+    assert np.isnan(pair.last_gain) and pair.sweeps == 0
 
 
 def test_strategy_sweeps_field(rng):

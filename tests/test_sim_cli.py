@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import twrelay as tw
+from twrelay import sim_cli
 from twrelay.sim_cli import (
     LEMMA2_LEVEL_POINTS,
     SCENARIOS,
@@ -420,3 +422,47 @@ def test_lemma2_record_count_matches_feasible_grid():
     records, _ = run_lemma2_sweep(spec)
     # Single ratio: the whole shared grid is feasible.
     assert len(records) == LEMMA2_LEVEL_POINTS
+
+
+# --- JSON writer ---------------------------------------------------------------
+
+
+class _OddRow(NamedTuple):
+    name: str
+    value: float
+    flag: bool
+    note: object
+
+
+_ODD_ROWS = [
+    _OddRow("nan", float("nan"), True, None),
+    _OddRow("+inf", float("inf"), False, 1),
+    _OddRow("-inf", float("-inf"), True, "plain"),
+    _OddRow("-0.0", -0.0, False, 'quote " backslash \\ newline \n tab \t'),
+    _OddRow("non-ascii", 1e-300, True, "σ² → ∞, naïve, 中文, \U0001f600"),
+    _OddRow("tiny", 5e-324, False, 12345678901234567890),
+    # The separator between rows of a list, raw and escaped.
+    _OddRow("},\n      {", 1.0, True, "},\\n      {"),
+]
+
+
+@pytest.mark.parametrize("records", [[], _ODD_ROWS], ids=["no-records", "odd-values"])
+@pytest.mark.parametrize("aggregates", [
+    {"trials": 3, "skipped": 1},
+    [{"n1": 1, "avg": float("nan"), "frac": -0.0}, {"n1": 2, "avg": float("inf"), "frac": 0.5}],
+    [],
+    {},
+], ids=["dict-aggregates", "list-aggregates", "no-aggregates", "empty-aggregates"])
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_json_writer_matches_the_pure_python_encoder(monkeypatch, records, aggregates, deterministic):
+    spec = ScenarioSpec(scenario="single", config=small_config(), fmt="json", deterministic=deterministic)
+    payloads = []
+    writer = sim_cli._json_text
+    monkeypatch.setattr(sim_cli, "_json_text", lambda payload: payloads.append(payload) or writer(payload))
+    text = sim_cli.render_json(spec, records, aggregates)
+    (payload,) = payloads
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert ("generated" in payload) is not deterministic
+    if records:
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "\\u03c3" in text
+
