@@ -15,6 +15,7 @@ routine downstream operates on.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +39,7 @@ RANK_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Antenna counts, power budgets (W), noise variances (W) and RNG seed."""
+    """Antenna counts, power budgets (W), noise variances (W) and RNG seed (an integer >= 0)."""
 
     n1: int
     n2: int
@@ -61,6 +62,8 @@ class SystemConfig:
         budgets = (self.p1_max, self.p2_max, self.pr_max)
         if not all(math.isfinite(v) and v >= 0.0 for v in budgets):
             raise ValueError("power budgets must be finite and nonnegative")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity

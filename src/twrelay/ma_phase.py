@@ -45,7 +45,7 @@ import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import forward_level, powers_of_level
+from .waterfill import _level, _powers, _prepared
 
 __all__ = [
     "SourceRates",
@@ -228,14 +228,16 @@ def _best_response(h: np.ndarray, z: np.ndarray, p_max: np.ndarray, objective: b
     eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
     active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
     # Water-fill each row over its active modes, a descending prefix; the
-    # others are padding (gain 0). A row with no active mode comes out NaN
-    # and is replaced below.
-    gains = np.where(active, eigvals, 0.0)
-    powers = powers_of_level(gains, forward_level(gains, p_max))
-    d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
-    # Zero effective channel (top eigenvalue not positive): spend the
-    # budget uniformly (it has no effect on any rate, but keeps Tr(D) = p_max).
+    # others are padding (gain 0). The budgets were checked at entry.
+    prepared = _prepared(np.where(active, eigvals, 0.0))
+    level = _level(prepared, p_max)
+    # Zero effective channel (top eigenvalue not positive): its level is
+    # +inf; it gets zero powers here, then spends the budget uniformly
+    # (that has no effect on any rate, but keeps Tr(D) = p_max).
     flat = ~active[:, 0]
+    level[flat] = 0.0
+    powers = _powers(prepared[0], level)
+    d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
     if flat.any():
         d[flat] = (p_max[flat, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
         powers[flat] = p_max[flat, np.newaxis] / n_i
@@ -253,7 +255,7 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     n2 = h2r.shape[2]
     if not n:
         return []
-    p1, p2, sig = (np.broadcast_to(np.asarray(v, dtype=float), (n,)) for v in (p1_max, p2_max, sigmar_sq))
+    p1, p2, sig = (np.zeros(n) + v for v in (p1_max, p2_max, sigmar_sq))
     if not (np.isfinite(h1r).all() and np.isfinite(h2r).all()):
         raise ValueError("uplinks must be finite")
     budgets = np.array([p1, p2])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import SubchannelGains
 from .ma_phase import SourceRates
-from .waterfill import forward_level, gain_table, inverse_level, power_of_level, rate_of_level
+from .waterfill import _exp_level, _level, _power, _prepared, gain_table, power_of_level, rate_of_level
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -81,9 +81,9 @@ def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float
     """
     r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
     table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
-    targets = [r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)]
-    full = forward_level(table, np.full(5, pr_max))
-    return np.append(inverse_level(table, targets), full[2]), full[1], full[0]
+    targets = np.array([r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)])
+    full = _level(_prepared(table), np.full(5, pr_max))
+    return np.append(_exp_level(_prepared(table, log=True), targets), full[2]), full[1], full[0]
 
 
 def _axes(
@@ -97,17 +97,17 @@ def _axes(
     deduplicated.
     """
     specials, *full = _special_levels(gains, strategy, pr_max)
-    alphas = (gains.alpha1, gains.alpha2)
+    prepared = _prepared(gains.alpha1), _prepared(gains.alpha2)
     cands = []
-    for alpha, hi in zip(alphas, full):
-        lo = 1.0 / alpha[0]
-        axis = np.concatenate([np.arange(lo, hi, resolution), [lo, hi], 1.0 / alpha, specials])
+    for (inv, *_), hi in zip(prepared, full):
+        lo = inv[0]
+        axis = np.concatenate([np.arange(lo, hi, resolution), [lo, hi], inv, specials])
         cands.append(axis[(axis >= lo) & (axis <= hi)])
     axes = []
-    for alpha, cand, other, other_cand in zip(alphas, cands, alphas[::-1], cands[::-1]):
+    for prep, cand, other, other_cand in zip(prepared, cands, prepared[::-1], cands[::-1]):
         # Budget complements of the other direction's grid make every
         # full-power pair representable on the cross grid.
-        comp = forward_level(alpha, np.maximum(pr_max - power_of_level(other, other_cand), 0.0))
+        comp = _level(prep, np.maximum(pr_max - _power(other[0], other_cand), 0.0))
         axis = np.sort(np.concatenate([cand, comp]), kind="stable")
         axes.append(axis[np.append(True, axis[1:] != axis[:-1])])
     return tuple(axes)
@@ -139,7 +139,7 @@ def grid_certify(
     # Full-power boundary sweep: for every level in direction 1, direction 2
     # absorbs the remaining budget. The componentwise monotone objective
     # attains the grid maximum here.
-    comp_level = forward_level(gains.alpha2, np.maximum(pr_max - p1, 0.0))
+    comp_level = _level(_prepared(gains.alpha2), np.maximum(pr_max - p1, 0.0))
     comp_rate = rate_of_level(gains.alpha2, comp_level)
     boundary_rtw = 0.5 * np.minimum(
         r_ma, m1 + np.minimum(comp_rate, strategy.r_bar_1r)

@@ -28,7 +28,11 @@ batch (Palomar & Fonollosa, "Practical algorithms for a family of
 waterfilling solutions", IEEE T-SP 2005, for the exact finite-step
 kernels). One ledger derives the levels, the budget thresholds and the
 tie slack of a batch; optimize, relative_levels and thresholds are N=1
-views of it and of the engine.
+views of it and of the engine. The ledger prepares the batch's gain
+table for the forward water-fill once (inverse gains, their cumulative
+sums, the activation thresholds); the engine's forward passes, power
+sums and per-subchannel powers read that preparation through waterfill's
+unchecked cores, as budgets and rates are checked once, on entry.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -45,14 +49,7 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates
-from .waterfill import (
-    forward_level,
-    gain_table,
-    inverse_waterfill,
-    power_of_level,
-    powers_of_level,
-    rate_of_level,
-)
+from .waterfill import _level, _power, _powers, _prepared, gain_table, inverse_waterfill, rate_of_level
 
 __all__ = [
     "SourceRates",
@@ -187,23 +184,16 @@ def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
 # the cap of direction 2), on the pooled gains for r_ma (1/mu_ma), and the
 # levels that p_bar_ma and step 7 need: alpha1 for r_ma - r_bar_1r and
 # alpha2 for r_ma - r_bar_2r.
-# One forward water-fill over the first three blocks finds the step-1
-# level and both step-4 candidates. A kind's sums run over its own columns
-# only (alpha1 over the widest alpha1 list, and so on). Every branch of the
-# seven steps is a per-row mask.
-_ALPHA1, _ALPHA2, _POOLED = 0, 1, 2
+# One forward pass over the first three blocks, prepared once in the
+# ledger, finds the step-1 level and both step-4 candidates. A kind's sums
+# run over its own columns only (alpha1 over the widest alpha1 list, and
+# so on). Every branch of the seven steps is a per-row mask.
 
 # Step trace by branch code: step 3 (1), step 4 (2), step 5 (4), step 7 (8).
 _TRACES = [
     (1, 2) + tuple(s for bit, s in ((1, 3), (2, 4), (4, 5)) if code & bit) + (6,) + ((7,) if code & 8 else ())
     for code in range(16)
 ]
-
-
-def _block(array: np.ndarray, block: int, width: int) -> np.ndarray:
-    """One row block of a batch array, cut to `width` columns."""
-    n = len(array) // 5
-    return array[block * n : (block + 1) * n, :width]
 
 
 def _rates(rates) -> np.ndarray:
@@ -219,17 +209,19 @@ def _budgets(pr_max, n: int) -> np.ndarray:
 
 
 def _ledger(gains, r_ma, r1, r2) -> tuple:
-    """The batch's gain table and, per instance, its levels, thresholds and tie slack.
+    """The batch's prepared gains and, per instance, its levels, thresholds and tie slack.
 
-    Returns the table; the widest alpha1, alpha2 and pooled list; the
-    levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the powers p1 (alpha1 at
+    Returns the alpha1, alpha2 and pooled blocks, each cut to its widest
+    list; the forward preparation of the three blocks, (3N, K) each, and
+    its pooled rows; the levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the powers p1 (alpha1 at
     cap1), p2 (alpha2 at cap2), p_ma, p_l, p_t, p_s, p_bar_ma (7, N);
     case_symmetric (N,); and the slack TIE_TOL / alpha_max (N,).
     """
     n = len(gains)
     a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
     table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
-    k1, k2, kp = max(a.size for a in a1), max(a.size for a in a2), table.shape[1]
+    k1, k2 = max(a.size for a in a1), max(a.size for a in a2)
+    blocks = table[:n, :k1], table[n : 2 * n, :k2], table[2 * n : 3 * n]
     targets = np.concatenate([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
     ceilings = inverse_waterfill(table, targets)
     levels = ceilings.level.reshape(5, n)
@@ -238,22 +230,23 @@ def _ledger(gains, r_ma, r1, r2) -> tuple:
     p1 = cell_powers[0::3, :, :k1].sum(axis=-1)  # alpha1 at cap1 and at bar1
     p2 = cell_powers[1::3, :, :k2].sum(axis=-1)  # alpha2 at cap2 and at bar2
     p_ma = cell_powers[2].sum(axis=-1)
-    pooled = _block(table, _POOLED, kp)
+    prepared = _prepared(table[: 3 * n])
+    on_pooled = tuple(a[2 * n :] for a in prepared)
     low, high = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
-    p_l, p_s = power_of_level(pooled, np.array([low, high]))
-    slack = TIE_TOL / pooled[:, 0]
+    p_l, p_s = _power(on_pooled[0], np.array([low, high]))
+    slack = TIE_TOL / blocks[2][:, 0]
     symmetric = mu_ma <= low + slack
     p_bar_ma = np.where(symmetric, p_ma, np.where(cap1 >= cap2, p1[1] + p2[0], p1[0] + p2[1]))
     powers = np.array([p1[0], p2[0], p_ma, p_l, p1[0] + p2[0], p_s, p_bar_ma])
-    return table, (k1, k2, kp), levels, powers, symmetric, slack
+    return blocks, prepared, on_pooled, levels, powers, symmetric, slack
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
     pr = _budgets(pr_max, 1)
-    table, (*_, kp), levels, *_ = _ledger([gains], *_rates([strategy]))
+    _, _, on_pooled, levels, *_ = _ledger([gains], *_rates([strategy]))
     cap1, cap2, mu_ma = levels[:3, 0].tolist()
-    lam = forward_level(_block(table, _POOLED, kp), pr)
+    lam = _level(on_pooled, pr)
     return RelativeLevels(inv_mu1=cap2, inv_mu2=cap1, inv_mu_ma=mu_ma, inv_lambda0=float(lam[0]))
 
 
@@ -304,8 +297,8 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
     if (r_ma < np.maximum(r1, r2) - 1e-12).any():
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
-    table, (k1, k2, kp), levels, powers, _, slack = _ledger(gains, r_ma, r1, r2)
-    a1, a2, pooled = _block(table, _ALPHA1, k1), _block(table, _ALPHA2, k2), _block(table, _POOLED, kp)
+    (a1, a2, pooled), prepared, on_pooled, levels, powers, _, slack = _ledger(gains, r_ma, r1, r2)
+    inv = prepared[0]
     cap1, cap2, mu_ma, bar1, bar2 = levels
     p1, p2, *_, p_bar_ma = powers
 
@@ -313,35 +306,35 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
     # direction with the smaller ceiling can be the (first) violator; it is
     # clipped to its cap and the other direction re-spends the remainder.
     spare = np.maximum(pr - np.array([p2, p1]), 0.0)
-    refill1, refill2, lam = forward_level(table[: 3 * n], np.concatenate([*spare, pr])).reshape(3, n)
+    refill1, refill2, lam = _level(prepared, np.concatenate([*spare, pr])).reshape(3, n)
     first1 = cap1 <= cap2  # direction 1 is the violator a, 2 is b
-    refilled = np.where(first1, refill2, refill1)
 
-    # Steps 3-5.
-    cap_a, cap_b = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
-    clip = lam > cap_a + slack
-    loose_b = cap_b + slack
+    # Steps 3-5: the violator a is clipped to its cap; b takes its refill,
+    # or its own cap where the refill (or lam itself) overshoots it.
+    loose_b = np.maximum(cap1, cap2) + slack
+    clip = lam > np.minimum(cap1, cap2) + slack
     refill = clip & (lam <= loose_b)
-    reclip = clip & ~(refill & (refilled <= loose_b))
-    level_b = np.where(reclip, cap_b, np.where(refill, refilled, lam))
-    level_a = np.where(clip, cap_a, lam)
-    lv1, lv2 = np.where(first1, level_a, level_b), np.where(first1, level_b, level_a)
+    reclip = clip & ~(refill & (np.where(first1, refill2, refill1) <= loose_b))
+    lv1 = np.where(clip, np.where(first1 | reclip, cap1, refill1), lam)
+    lv2 = np.where(clip, np.where(~first1 | reclip, cap2, refill2), lam)
 
     # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
     pinned = np.minimum(lv1, lv2) >= mu_ma - slack
     below = np.maximum(lv1, lv2) <= mu_ma + slack
-    lv1, lv2 = np.where(pinned, mu_ma, lv1), np.where(pinned, mu_ma, lv2)
+    if pinned.any():
+        lv1, lv2 = np.where(pinned, mu_ma, lv1), np.where(pinned, mu_ma, lv2)
     bc1, bar_bc1 = rate_of_level(a1, np.array([lv1, bar1]))
     bc2, bar_bc2 = rate_of_level(a2, np.array([lv2, bar2]))
     cut = ~(pinned | below) & (bc1 + bc2 > r_ma + TIE_TOL)
-    cut1 = cut & (lv1 > lv2)
-    cut2 = cut & ~cut1
-    lv1, bc1 = np.where(cut1, bar1, lv1), np.where(cut1, bar_bc1, bc1)
-    lv2, bc2 = np.where(cut2, bar2, lv2), np.where(cut2, bar_bc2, bc2)
+    if cut.any():
+        cut1 = cut & (lv1 > lv2)
+        cut2 = cut & ~cut1
+        lv1, bc1 = np.where(cut1, bar1, lv1), np.where(cut1, bar_bc1, bc1)
+        lv2, bc2 = np.where(cut2, bar2, lv2), np.where(cut2, bar_bc2, bc2)
 
-    powers1, powers2 = powers_of_level(a1, lv1), powers_of_level(a2, lv2)
+    powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv1), _powers(inv[n : 2 * n, : a2.shape[1]], lv2)
     consumed = powers1.sum(axis=-1) + powers2.sum(axis=-1)
-    best_bc = rate_of_level(pooled, forward_level(pooled, consumed))
+    best_bc = rate_of_level(pooled, _level(on_pooled, consumed))
     efficient = bc1 + bc2 >= best_bc - TIE_TOL
     source_waste = pr < p_bar_ma - slack
     sum_rate = two_way_rate(r_ma, r1, r2, bc1, bc2)

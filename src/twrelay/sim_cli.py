@@ -232,6 +232,8 @@ class ScenarioSpec:
             raise ConfigError("sweep bounds and certification resolution must be finite")
         if self.sweep_stop < self.sweep_start:
             raise ConfigError("sweep stop must be >= sweep start")
+        if self.scenario == "prmax-sweep" and self.sweep_start < 0.0:  # lemma2-sweep's is in dB
+            raise ConfigError("relay budget sweep must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.resolution <= 0.0:
@@ -341,8 +343,8 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
         base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
         drawn = []
         for trial in range(spec.trials):
+            channels = generate_channels(base, trial)
             try:
-                channels = generate_channels(base, trial)
                 drawn.append((trial, channels, decompose(channels, base)))
             except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
                 continue

@@ -35,6 +35,9 @@ layout too, by one rule for a list and a table, and search nothing.
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
 ``channel.SubchannelGains`` checks it once, when an instance is built.
+The public kernels check their budgets and targets. Callers inside the
+package that checked theirs at entry prepare a list or table once
+(_prepared) and call the unchecked cores on it, with the same bits.
 """
 
 from __future__ import annotations
@@ -110,16 +113,54 @@ def _by_subchannel(values: np.ndarray, level: np.ndarray) -> tuple:
     return (values.T[(slice(None),) + (np.newaxis,) * spread] if spread > 0 else values.T), level, 0
 
 
-def _active(activation: np.ndarray, csum: np.ndarray, target: np.ndarray) -> tuple:
-    """m, the count of activation thresholds at or below each target (at
-    least 1), counted in _by_subchannel's layout, and csum[m-1]."""
-    thresholds, target, axis = _by_subchannel(activation, target)
+def _prepared(gains: np.ndarray, log: bool = False) -> tuple:
+    """Inverse gains 1/alpha of a list or table (-ln alpha of a contiguous copy
+    with `log`), their cumulative sums and the activation thresholds
+    (m-1)*inv[m] - csum[m-1], (..., K) each; a padded cell's threshold is NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = -np.log(np.ascontiguousarray(gains)) if log else 1.0 / gains  # ascending
+        csum = inv.cumsum(axis=-1)
+        return inv, csum, np.arange(1.0, gains.shape[-1] + 1) * inv - csum
+
+
+def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
+    """Unchecked (amount + csum[m-1]) / m: the level spending each budget (the
+    log level reaching each target with `log`), m the count of activation
+    thresholds at or below the amount (at least 1) in _by_subchannel's layout."""
+    _, csum, activation = prepared
+    thresholds, amounts, axis = _by_subchannel(activation, amount)
     # Axis 0 means fewer than 8 subchannels, so a uint8 holds the count:
     # numpy sums bools into it, and take gathers with it, several times faster.
-    m = np.maximum((thresholds <= target).sum(axis=axis, dtype=None if axis else np.uint8), 1)
+    m = np.maximum((thresholds <= amounts).sum(axis=axis, dtype=None if axis else np.uint8), 1)
     if activation.ndim == 1:
-        return m, csum.take(m - 1)
-    return m, csum.take(np.arange(-1, csum.size - 1, csum.shape[1]) + m)
+        return (amount + csum.take(m - 1)) / m
+    return (amount + csum.take(np.arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
+
+
+def _power(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """power_of_level over prepared inverse gains, unconverted."""
+    inv, level, axis = _by_subchannel(inv, level)
+    return np.maximum(level - inv, 0.0).sum(axis=axis)
+
+
+def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """powers_of_level over prepared inverse gains, for a finite level."""
+    return np.maximum(level[..., np.newaxis] - inv, 0.0)
+
+
+def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
+    """inverse_level over a table prepared with `log`, unchecked targets."""
+    log_level = _level(prepared, target)
+    if log_level.max() > _MAX_LOG_LEVEL:
+        raise ValueError("target_rate needs a water level beyond the float range")
+    return np.exp(log_level)
+
+
+def _checked(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not (np.isfinite(values) & (values >= 0.0)).all():
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return values
 
 
 def rate_of_level(gains, level):
@@ -143,8 +184,7 @@ def power_of_level(gains, level):
     """
     with np.errstate(divide="ignore"):
         inv = 1.0 / np.asarray(gains, dtype=float)
-    inv, level, axis = _by_subchannel(inv, np.asarray(level, dtype=float))
-    return _out(np.maximum(level - inv, 0.0).sum(axis=axis))
+    return _out(_power(inv, np.asarray(level, dtype=float)))
 
 
 def powers_of_level(gains, level) -> np.ndarray:
@@ -156,7 +196,7 @@ def powers_of_level(gains, level) -> np.ndarray:
     is +inf, gets NaN powers.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.maximum(np.asarray(level)[..., np.newaxis] - 1.0 / np.asarray(gains, dtype=float), 0.0)
+        return _powers(1.0 / np.asarray(gains, dtype=float), np.asarray(level))
 
 
 def forward_level(gains, budget):
@@ -164,23 +204,14 @@ def forward_level(gains, budget):
 
     Closed form: with m subchannels active the level is
     (budget + sum_{k<=m} 1/alpha(k)) / m, and m is the count of activation
-    thresholds of the sorted inverse gains at or below the budget, counted
-    (see _active). Accepts a scalar or array of budgets for a list, or
-    (N,) budgets for a table, and returns a matching shape. A table row
-    with no positive gain gets level +inf. Raises ValueError if a budget
-    is negative or non-finite.
+    thresholds of the sorted inverse gains at or below the budget (see
+    _level). Accepts a scalar or array of budgets for a list, or (N,)
+    budgets for a table, and returns a matching shape. A table row with no
+    positive gain gets level +inf. Raises ValueError if a budget is
+    negative or non-finite.
     """
-    gains = np.asarray(gains, dtype=float)
-    budget = np.asarray(budget, dtype=float)
-    if not (np.isfinite(budget) & (budget >= 0.0)).all():
-        raise ValueError("budget must be finite and nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / gains  # ascending since gains are descending
-        csum = inv.cumsum(axis=-1)
-        # Power spent when the level reaches 1/alpha(m): (m-1)*inv[m] - csum[m-1].
-        activation = np.arange(1.0, gains.shape[-1] + 1) * inv - csum
-    m, spent = _active(activation, csum, budget)
-    return _out((budget + spent) / m)
+    budget = _checked(budget, "budget")
+    return _out(_level(_prepared(np.asarray(gains, dtype=float)), budget))
 
 
 def inverse_level(gains, target_rate):
@@ -198,20 +229,8 @@ def inverse_level(gains, target_rate):
     ValueError
         If a target is negative or non-finite, or its level overflows.
     """
-    gains = np.asarray(gains, dtype=float)
-    target = np.asarray(target_rate, dtype=float)
-    if not (np.isfinite(target) & (target >= 0.0)).all():
-        raise ValueError("target_rate must be finite and nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_inv = -np.log(np.ascontiguousarray(gains))  # ascending
-        csum = log_inv.cumsum(axis=-1)
-        # Rate accumulated when the level reaches 1/alpha(m).
-        activation = np.arange(1.0, gains.shape[-1] + 1) * log_inv - csum
-    m, log_spent = _active(activation, csum, target)
-    log_level = (target + log_spent) / m
-    if log_level.max() > _MAX_LOG_LEVEL:
-        raise ValueError("target_rate needs a water level beyond the float range")
-    return _out(np.exp(log_level))
+    target = _checked(target_rate, "target_rate")
+    return _out(_exp_level(_prepared(np.asarray(gains, dtype=float), log=True), target))
 
 
 def inverse_waterfill(gains, target_rate) -> LevelAllocation:

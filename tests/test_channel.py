@@ -53,6 +53,14 @@ def test_trial_index_must_be_nonnegative():
         tw.generate_channels(cfg, -1)
 
 
+def test_config_rejects_a_seed_that_is_not_a_nonnegative_integer():
+    for bad in (-1, -5, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="seed"):
+            tw.SystemConfig(n1=1, n2=1, n_r=1, seed=bad)
+    for good in (0, 7, np.int64(7), 2**63):
+        tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=good), 0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         tw.SystemConfig(n1=0, n2=1, n_r=1)

@@ -385,6 +385,30 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert err.value.code == 2
 
 
+def test_cli_exit_code_on_negative_seed(tmp_path, capsys):
+    # SeedSequence rejects a negative seed; the study once counted that
+    # error as a skipped trial and exited 0 with only the CSV header.
+    for scenario in SCENARIOS:
+        out = tmp_path / f"{scenario}.csv"
+        argv = ["--scenario", scenario, "--seed", "-5", "--trials", "2", "--deterministic", "--out", str(out)]
+        assert main(argv) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_exit_code_on_negative_relay_budget_sweep(tmp_path, capsys):
+    assert main(["--scenario", "prmax-sweep", "--sweep-start", "-1", "--deterministic"]) == 2
+    assert "relay budget sweep must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(tw.ConfigError):
+        ScenarioSpec(scenario="prmax-sweep", config=small_config(), sweep_start=-0.5, sweep_stop=1.0)
+    # lemma2-sweep sweeps a power-to-noise ratio in dB, which may be negative.
+    out = tmp_path / "lemma2.csv"
+    argv = ["--scenario", "lemma2-sweep", "--sweep-start", "-3", "--sweep-stop", "-1", "--sweep-points", "2",
+            "--deterministic", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(_read_csv(out)) > 0
+
+
 def test_parse_args_carries_nothing_between_calls():
     # One parser serves every call in the process: a flag given once must
     # not reappear in a later parse that omits it.

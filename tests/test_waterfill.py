@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from twrelay import waterfill
 from twrelay.waterfill import (
     forward_level,
     gain_table,
@@ -304,6 +305,48 @@ def test_table_kernels_reject_bad_rows():
     for targets in ([1.0, np.nan], [-1.0, 1.0], [1.0, 800.0]):
         with pytest.raises(ValueError):
             inverse_waterfill(table, targets)
+
+
+# --- prepared-table cores --------------------------------------------------
+
+
+def _list_and_tables(rng, count):
+    """A 1-D gain list, a padded table of rows 1 to 7 wide and one with a
+    row 9 wide, each with `count` budgets (one per row for a table)."""
+    rows = [np.sort(np.exp(rng.normal(0.0, 2.0, size=int(k))))[::-1] for k in rng.integers(1, 8, size=count)]
+    wide = rows[:-1] + [np.sort(np.exp(rng.normal(0.0, 2.0, size=9)))[::-1]]
+    return [np.sort(np.exp(rng.normal(0.0, 2.0, size=6)))[::-1].tolist(), gain_table(rows), gain_table(wide)]
+
+
+@pytest.mark.parametrize("count", [5, 31, 32, 40])
+def test_prepared_cores_match_the_public_kernels_bit_for_bit(rng, count):
+    # Fewer than 32 amounts, and 32 or more, so both layouts of the count
+    # and of the sums run (the row 9 wide keeps the last-axis layout).
+    for gains in _list_and_tables(rng, count):
+        budgets = rng.uniform(0.0, 20.0, size=count)
+        targets = rng.uniform(0.0, 8.0, size=count)
+        prepared = waterfill._prepared(np.asarray(gains, dtype=float))
+        logs = waterfill._prepared(np.asarray(gains, dtype=float), log=True)
+        levels = waterfill._level(prepared, budgets)
+        assert levels.tobytes() == forward_level(gains, budgets).tobytes()
+        assert waterfill._exp_level(logs, targets).tobytes() == inverse_level(gains, targets).tobytes()
+        assert waterfill._power(prepared[0], levels).tobytes() == power_of_level(gains, levels).tobytes()
+        assert waterfill._powers(prepared[0], levels).tobytes() == powers_of_level(gains, levels).tobytes()
+        if np.ndim(gains) == 1:  # one scalar budget and target
+            assert waterfill._level(prepared, budgets[0]) == forward_level(gains, float(budgets[0]))
+            assert waterfill._exp_level(logs, targets[0]) == inverse_level(gains, float(targets[0]))
+
+
+def test_public_kernels_check_budgets_and_targets(rng):
+    for gains in _list_and_tables(rng, 4):
+        for bad in (np.nan, np.inf, -np.inf, -0.5):
+            amounts = [1.0, bad, 2.0, 0.0]
+            for kernel in (forward_level, inverse_level, inverse_waterfill):
+                with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                    kernel(gains, amounts)
+                if np.ndim(gains) == 1:
+                    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                        kernel(gains, bad)
 
 
 # --- summation order -----------------------------------------------------
