@@ -14,10 +14,15 @@ exactly representable and equality checks are not resolution-limited.
 
 The two-way rate is componentwise nondecreasing in the two levels and the
 budget set is downward closed, so the grid maximum is attained on the
-full-power boundary and the minimum-power scan can walk each level column
-monotonically. Both scans return exactly what the exhaustive pair
-enumeration would (cross-checked against it in the test suite at coarse
-resolutions, where exhaustive enumeration is affordable).
+full-power boundary. The minimum-power scan looks up, per direction-1
+row, the cheapest direction-2 level meeting the row's need, but only on
+rows that can win. Let f be the first row whose capped rate m1 is
+r_bar_2r (else the last row). A capped row after f has f's need and at
+least f's power, so it never beats f, the first of equals, and qualifies
+only if f does. Rows before the first row (up to f) whose need the top
+direction-2 level meets cannot qualify. Uncapped rows after f are kept:
+the rate's last bits need not be monotone. Both scans return exactly what
+the exhaustive pair enumeration would (cross-checked in the test suite).
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SubchannelGains
+from .errors import TwrelayError
 from .ma_phase import SourceRates
-from .waterfill import _exp_level, _level, _power, _prepared, gain_table, power_of_level, rate_of_level
+from .waterfill import _exp_level, _level, _power, _prepared, gain_table, rate_of_level
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -71,35 +77,28 @@ def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
     return float(np.sum(gains.pooled) * resolution)
 
 
-def _special_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> tuple:
-    """The relative levels, the full-budget level and the two step-7 levels,
-    then the full-budget levels of alpha1 and alpha2.
+def _axes(gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float) -> tuple:
+    """Level axes (ascending, deduplicated) of the two directions, and
+    alpha1 and alpha2 prepared.
 
-    One five-row table (alpha2, alpha1, pooled, alpha1, alpha2) serves both
-    kernels. Its inverse levels are 1/mu_1, 1/mu_2, 1/mu_ma, then alpha1 at
-    r_ma - r_bar_1r and alpha2 at r_ma - r_bar_2r.
+    One five-row table (alpha2, alpha1, pooled, alpha1, alpha2) gives the
+    special levels: inverse levels 1/mu_1, 1/mu_2, 1/mu_ma, alpha1 at r_ma -
+    r_bar_1r and alpha2 at r_ma - r_bar_2r, and the pooled full-budget
+    level. Its preparation's rows 1 and 0, cut to width, are alpha1's and
+    alpha2's, bit for bit. Each axis, with the budget complements of the
+    other's candidates, is sorted once (a merge sort: both parts are nearly
+    monotone runs) and deduplicated.
     """
     r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
     table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
     targets = np.array([r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)])
-    full = _level(_prepared(table), np.full(5, pr_max))
-    return np.append(_exp_level(_prepared(table, log=True), targets), full[2]), full[1], full[0]
-
-
-def _axes(
-    gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Level axes (ascending, deduplicated) for the two directions.
-
-    Each direction's candidates stay unsorted until the budget complements
-    computed from the other direction's are added; each axis is then sorted
-    once, by a merge sort as both parts are nearly monotone runs, and
-    deduplicated.
-    """
-    specials, *full = _special_levels(gains, strategy, pr_max)
-    prepared = _prepared(gains.alpha1), _prepared(gains.alpha2)
+    whole = _prepared(table)
+    full = _level(whole, np.full(5, pr_max))
+    specials = np.append(_exp_level(_prepared(table, log=True), targets), full[2])
+    widths = (1, gains.alpha1.size), (0, gains.alpha2.size)
+    prepared = tuple(tuple(part[row, :n] for part in whole) for row, n in widths)
     cands = []
-    for (inv, *_), hi in zip(prepared, full):
+    for (inv, *_), hi in zip(prepared, full[1::-1]):
         lo = inv[0]
         axis = np.concatenate([np.arange(lo, hi, resolution), [lo, hi], inv, specials])
         cands.append(axis[(axis >= lo) & (axis <= hi)])
@@ -110,7 +109,7 @@ def _axes(
         comp = _level(prep, np.maximum(pr_max - _power(other[0], other_cand), 0.0))
         axis = np.sort(np.concatenate([cand, comp]), kind="stable")
         axes.append(axis[np.append(True, axis[1:] != axis[:-1])])
-    return tuple(axes)
+    return tuple(axes), prepared
 
 
 def grid_certify(
@@ -121,61 +120,60 @@ def grid_certify(
     Suitable for desk-size instances (a few gains per direction). Returns
     the maximum two-way rate over all feasible level pairs on the grid,
     and the minimum consumed power among pairs within 1e-9 nats of it.
-    Raises ValueError unless the resolution is positive and finite and the
-    budget finite and nonnegative.
+
+    Raises
+    ------
+    ValueError
+        Unless the resolution is positive and finite and the budget finite
+        and nonnegative.
+    TwrelayError
+        If no grid pair within 1e-9 nats of the best rate passes the budget
+        test, which the powers' round-off can cause at very low SNR.
     """
     _check_resolution(resolution)
     if not (math.isfinite(pr_max) and pr_max >= 0.0):
         raise ValueError("pr_max must be finite and nonnegative")
-    r_ma = strategy.r_ma
-    axis1, axis2 = _axes(gains, strategy, pr_max, resolution)
-    p1 = power_of_level(gains.alpha1, axis1)
-    p2 = power_of_level(gains.alpha2, axis2)
-    r1 = rate_of_level(gains.alpha1, axis1)
-    r2 = rate_of_level(gains.alpha2, axis2)
-    m1 = np.minimum(r1, strategy.r_bar_2r)
-    m2 = np.minimum(r2, strategy.r_bar_1r)
+    (axis1, axis2), (prep1, prep2) = _axes(gains, strategy, pr_max, resolution)
+    p1, p2 = _power(prep1[0], axis1), _power(prep2[0], axis2)
+    r1, r2 = rate_of_level(gains.alpha1, axis1), rate_of_level(gains.alpha2, axis2)
+    m1, m2 = np.minimum(r1, strategy.r_bar_2r), np.minimum(r2, strategy.r_bar_1r)
 
     # Full-power boundary sweep: for every level in direction 1, direction 2
     # absorbs the remaining budget. The componentwise monotone objective
     # attains the grid maximum here.
-    comp_level = _level(_prepared(gains.alpha2), np.maximum(pr_max - p1, 0.0))
+    comp_level = _level(prep2, np.maximum(pr_max - p1, 0.0))
     comp_rate = rate_of_level(gains.alpha2, comp_level)
-    boundary_rtw = 0.5 * np.minimum(
-        r_ma, m1 + np.minimum(comp_rate, strategy.r_bar_1r)
-    )
+    boundary_rtw = 0.5 * np.minimum(strategy.r_ma, m1 + np.minimum(comp_rate, strategy.r_bar_1r))
     best_rate = float(np.max(boundary_rtw))
 
     # Minimum power among near-best pairs: per direction-1 level, the
     # cheapest direction-2 level that still reaches the target capped sum.
-    target = 2.0 * (best_rate - RATE_TIE)
-    need = target - m1
-    idx = np.searchsorted(m2, need, side="left")
+    # Only rows that can win are searched (module docstring): from the first
+    # whose need m2 can meet to the first capped row f, and uncapped ones after.
+    need = 2.0 * (best_rate - RATE_TIE) - m1
+    capped = m1 == strategy.r_bar_2r
+    f = int(np.argmax(capped)) if capped.any() else m1.size - 1
+    start = int(np.argmax(np.append(need[: f + 1] <= m2[-1], True)))
+    rows = np.append(np.arange(start, f + 1), f + 1 + np.flatnonzero(~capped[f + 1 :]))
+    idx = np.searchsorted(m2, need[rows], side="left")
     ok = idx < m2.size
     idx = np.minimum(idx, m2.size - 1)
-    cand_power = p1 + p2[idx]
+    cand_power = p1[rows] + p2[idx]
     ok &= cand_power <= pr_max * (1.0 + 1e-12)
     if not np.any(ok):
-        # Defensive: the boundary maximizer itself always qualifies.
-        raise AssertionError("grid certification found no qualifying pair")
+        # Reachable at very low SNR: a full-budget power, level - 1/alpha,
+        # keeps about eps * level / pr_max of relative precision, which can
+        # exceed the 1e-12 budget slack, so even the boundary maximizer fails.
+        raise TwrelayError("grid certification found no qualifying pair")
     cand_power = np.where(ok, cand_power, np.inf)
-    best_i = int(np.argmin(cand_power))
-    min_power = float(cand_power[best_i])
-    argmax_levels = (float(axis1[best_i]), float(axis2[idx[best_i]]))
+    k = int(np.argmin(cand_power))
+    argmax_levels = (float(axis1[rows[k]]), float(axis2[idx[k]]))
 
     # Full-power baseline: among boundary maximizers (all consume the full
     # budget), prefer the largest raw broadcast sum.
     qualifying = boundary_rtw >= best_rate - RATE_TIE
-    bc_sum = r1 + comp_rate
-    base_i = int(np.argmax(np.where(qualifying, bc_sum, -np.inf)))
-    baseline_levels = (float(axis1[base_i]), float(comp_level[base_i]))
-    baseline_bc = (float(r1[base_i]), float(comp_rate[base_i]))
-
+    i = int(np.argmax(np.where(qualifying, r1 + comp_rate, -np.inf)))
     return OracleResult(
-        best_rate=best_rate,
-        min_power_at_best=min_power,
-        argmax_levels=argmax_levels,
-        baseline_levels=baseline_levels,
-        baseline_bc_rates=baseline_bc,
-        grid_resolution=float(resolution),
+        best_rate, float(cand_power[k]), argmax_levels, (float(axis1[i]), float(comp_level[i])),
+        (float(r1[i]), float(comp_rate[i])), float(resolution),
     )

@@ -52,7 +52,7 @@ def test_never_exceeds_half_ma_rate(rng):
 
 def _naive_scan(gains, rates, pr_max, resolution):
     """Exhaustive feasible-pair enumeration over the same axes."""
-    axis1, axis2 = _axes(gains, rates, pr_max, resolution)
+    (axis1, axis2), _ = _axes(gains, rates, pr_max, resolution)
     p1 = power_of_level(gains.alpha1, axis1)
     p2 = power_of_level(gains.alpha2, axis2)
     r1 = rate_of_level(gains.alpha1, axis1)
@@ -186,6 +186,17 @@ def _two_pass_certify(gains, rates, pr_max, resolution):
     )
 
 
+def _assert_matches_two_pass(g, rates, pr, resolution):
+    for got, want in zip(_axes(g, rates, pr, resolution)[0], _two_pass_axes(g, rates, pr, resolution)):
+        assert np.array_equal(got, want)
+    got = tw.grid_certify(g, rates, pr, resolution)
+    want = _two_pass_certify(g, rates, pr, resolution)
+    for field in dataclasses.fields(tw.OracleResult):
+        assert np.asarray(getattr(got, field.name)).tobytes() == np.asarray(
+            getattr(want, field.name)
+        ).tobytes(), field.name
+
+
 def test_single_sort_axes_and_results_match_the_two_pass_reference(rng):
     for k in range(60):
         a1, a2 = (np.sort(np.exp(rng.normal(0.0, 1.0, size=int(n))))[::-1]
@@ -194,12 +205,40 @@ def test_single_sort_axes_and_results_match_the_two_pass_reference(rng):
         rates = random_synthetic_rates(rng)
         first = 1.0 / g.pooled[1] - 1.0 / g.pooled[0]  # budget that activates a second subchannel
         pr = (0.0, float(rng.uniform(0.0, first)), float(rng.uniform(0.0, 12.0)))[k % 3]
+        _assert_matches_two_pass(g, rates, pr, (1e-3, 1e-2)[k % 2])
+    # Edges of the minimum-power scan's row window (grid_certify searches
+    # only the rows that can win; the two-pass reference searches them all).
+    for k in range(24):
+        g = tw.synthetic_gains(random_gain_list(rng, 3), random_gain_list(rng, 3))
+        base = random_synthetic_rates(rng)
         resolution = (1e-3, 1e-2)[k % 2]
-        for got, want in zip(_axes(g, rates, pr, resolution), _two_pass_axes(g, rates, pr, resolution)):
-            assert np.array_equal(got, want)
-        got = tw.grid_certify(g, rates, pr, resolution)
-        want = _two_pass_certify(g, rates, pr, resolution)
-        for field in dataclasses.fields(tw.OracleResult):
-            assert np.asarray(getattr(got, field.name)).tobytes() == np.asarray(
-                getattr(want, field.name)
-            ).tobytes(), field.name
+        pr = 0.0 if k % 8 == 7 else float(rng.uniform(0.5, 6.0))
+        early = rate_of_level(g.alpha1, 1.0 / g.alpha1[0] + 2.5 * resolution)
+        r1, r2 = base.r_bar_1r, base.r_bar_2r
+        rates = (
+            tw.SourceRates(r_ma=r1, r_bar_1r=r1, r_bar_2r=0.0),  # every row capped
+            tw.SourceRates(r_ma=r1 + early, r_bar_1r=r1, r_bar_2r=early),  # cap binds in the first rows
+            tw.SourceRates(r_ma=r2 + 0.01, r_bar_1r=0.01, r_bar_2r=r2),  # most rows need more than m2[-1]
+            base,
+        )[(k // 2) % 4]
+        _assert_matches_two_pass(g, rates, pr, resolution)
+
+
+def test_unqualified_boundary_raises_twrelay_error():
+    """At microwatt budgets over unit noise the full-budget power level -
+    1/alpha keeps about 1e-11 of relative precision, above the 1e-12 budget
+    slack, so the boundary maximizer fails the budget test. The oracle then
+    raises TwrelayError, not AssertionError; a result must meet C1."""
+    cfg = tw.SystemConfig(n1=1, n2=1, n_r=1, p1_max=1.122421072896774e-06,
+                          p2_max=2.674032931874404e-06, seed=34)
+    channels = tw.generate_channels(cfg, 0)
+    g, strategy = tw.decompose(channels, cfg), tw.max_ma_strategy(channels, cfg)
+    pr = 4.892514591402648e-06
+    try:
+        cert = tw.grid_certify(g, strategy, pr, 1e-3 * pr)
+    except tw.TwrelayError:
+        return
+    sol = tw.optimize(g, strategy, pr)
+    assert cert.best_rate - sol.sum_rate_tw <= 1e-6
+    bound = 2.0 * tw.grid_lipschitz_bound(g, 1e-3 * pr)
+    assert sol.consumed_power - cert.min_power_at_best - bound <= 0.0
