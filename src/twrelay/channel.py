@@ -89,7 +89,9 @@ class SubchannelGains:
     n_r x n_r right singular-vector matrices that rebuild relay
     covariances from per-subchannel powers. Construction is the one place
     these properties are checked (ValueError otherwise); the water-fill
-    kernels take them as a precondition.
+    kernels take them as a precondition. All four are stored as read-only
+    copies, so no edit of the caller's arrays can undo the checks or leave
+    `pooled` stale.
     """
 
     alpha1: np.ndarray
@@ -101,13 +103,15 @@ class SubchannelGains:
         shape = np.shape(self.v1)
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.v2) != shape:
             raise ValueError("v1 and v2 must both be n_r x n_r matrices")
-        for name in ("alpha1", "alpha2"):
-            alpha = np.asarray(getattr(self, name), dtype=float)
+        for name in ("alpha1", "alpha2", "v1", "v2"):
+            value = np.array(getattr(self, name), dtype=float if name.startswith("alpha") else None)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        for name, alpha in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if alpha.ndim != 1 or not 0 < alpha.size <= shape[0]:
                 raise ValueError(f"{name} must be a nonempty 1-D array of at most n_r gains")
             if not (np.all(np.isfinite(alpha)) and alpha[-1] > 0.0 and np.all(alpha[:-1] >= alpha[1:])):
                 raise ValueError(f"{name} must be finite, strictly positive and sorted descending")
-            object.__setattr__(self, name, alpha)
 
     @property
     def n_r(self) -> int:

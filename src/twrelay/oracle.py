@@ -40,6 +40,8 @@ from .waterfill import _exp_level, _level, _power, _prepared, gain_table, rate_o
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
 RATE_TIE = 1e-9
+# Budget slack of a grid pair per subchannel, relative to its level: 4 ulps.
+_ROUND_OFF = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,14 @@ def grid_certify(
         and nonnegative.
     TwrelayError
         If no grid pair within 1e-9 nats of the best rate passes the budget
-        test, which the powers' round-off can cause at very low SNR.
+        test, which allows a relative 1e-12 plus the round-off of the pair's
+        powers (4 ulps of each level per subchannel).
     """
     _check_resolution(resolution)
     if not (math.isfinite(pr_max) and pr_max >= 0.0):
         raise ValueError("pr_max must be finite and nonnegative")
     (axis1, axis2), (prep1, prep2) = _axes(gains, strategy, pr_max, resolution)
-    p1, p2 = _power(prep1[0], axis1), _power(prep2[0], axis2)
+    p1 = _power(prep1[0], axis1)
     r1, r2 = rate_of_level(gains.alpha1, axis1), rate_of_level(gains.alpha2, axis2)
     m1, m2 = np.minimum(r1, strategy.r_bar_2r), np.minimum(r2, strategy.r_bar_1r)
 
@@ -158,16 +161,19 @@ def grid_certify(
     idx = np.searchsorted(m2, need[rows], side="left")
     ok = idx < m2.size
     idx = np.minimum(idx, m2.size - 1)
-    cand_power = p1[rows] + p2[idx]
-    ok &= cand_power <= pr_max * (1.0 + 1e-12)
+    level1, level2 = axis1[rows], axis2[idx]
+    cand_power = p1[rows] + _power(prep2[0], level2)
+    # The budget test allows a relative 1e-12 and the round-off of the
+    # pair's powers: each of a direction's k terms level - 1/alpha, and the
+    # sums that gave a full-budget level, are exact to about an ulp of the
+    # level, which at low SNR (pr_max * alpha << 1) is far above 1e-12 * pr_max.
+    round_off = _ROUND_OFF * (gains.alpha1.size * level1 + gains.alpha2.size * level2)
+    ok &= cand_power <= pr_max * (1.0 + 1e-12) + round_off
     if not np.any(ok):
-        # Reachable at very low SNR: a full-budget power, level - 1/alpha,
-        # keeps about eps * level / pr_max of relative precision, which can
-        # exceed the 1e-12 budget slack, so even the boundary maximizer fails.
         raise TwrelayError("grid certification found no qualifying pair")
     cand_power = np.where(ok, cand_power, np.inf)
     k = int(np.argmin(cand_power))
-    argmax_levels = (float(axis1[rows[k]]), float(axis2[idx[k]]))
+    argmax_levels = (float(level1[k]), float(level2[k]))
 
     # Full-power baseline: among boundary maximizers (all consume the full
     # budget), prefer the largest raw broadcast sum.

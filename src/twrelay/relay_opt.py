@@ -23,16 +23,22 @@ water-fill. The result provably maximizes the two-way sum rate and, among
 all maximizers, consumes the least relay power.
 
 optimize_many runs the procedure on N instances at once, every branch a
-per-row mask, with one water-fill kernel call per stage for the whole
-batch (Palomar & Fonollosa, "Practical algorithms for a family of
-waterfilling solutions", IEEE T-SP 2005, for the exact finite-step
-kernels). One ledger derives the levels, the budget thresholds and the
-tie slack of a batch; optimize, relative_levels and thresholds are N=1
-views of it and of the engine. The ledger prepares the batch's gain
-table for the forward water-fill once (inverse gains, their cumulative
-sums, the activation thresholds); the engine's forward passes, power
-sums and per-subchannel powers read that preparation through waterfill's
-unchecked cores, as budgets and rates are checked once, on entry.
+per-row mask or a row of one branch table, with one water-fill kernel
+call per stage for the whole batch (Palomar & Fonollosa, "Practical
+algorithms for a family of waterfilling solutions", IEEE T-SP 2005, for
+the exact finite-step kernels). One ledger derives the levels of a batch
+and what the engine reads besides: the powers of both directions at
+their caps, p_bar_ma, the case and the tie slack. optimize,
+relative_levels and thresholds are N=1 views of it and of the engine;
+thresholds adds the pooled powers p_ma, p_l and p_s and p_t, which the
+engine never reads. The ledger finds the levels with the public
+inverse_waterfill (the benchmark's self-test pins that call, and the
+rate_of_level call inside it, though the ledger does not read the rate)
+and prepares the batch's gain table for the forward water-fill once
+(inverse gains, their cumulative sums, the activation thresholds); the
+engine's forward passes, rates, power sums and per-subchannel powers run
+through waterfill's unchecked cores, as budgets and rates are checked
+once, on entry.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -49,7 +55,7 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates
-from .waterfill import _level, _power, _powers, _prepared, gain_table, inverse_waterfill, rate_of_level
+from .waterfill import _level, _power, _powers, _prepared, _rate, gain_table, inverse_waterfill
 
 __all__ = [
     "SourceRates",
@@ -187,66 +193,99 @@ def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
 # One forward pass over the first three blocks, prepared once in the
 # ledger, finds the step-1 level and both step-4 candidates. A kind's sums
 # run over its own columns only (alpha1 over the widest alpha1 list, and
-# so on). Every branch of the seven steps is a per-row mask.
+# so on). Every branch of the seven steps is a per-row mask or a row of
+# the branch table below.
 
-# Step trace by branch code: step 3 (1), step 4 (2), step 5 (4), step 7 (8).
-_TRACES = [
-    (1, 2) + tuple(s for bit, s in ((1, 3), (2, 4), (4, 5)) if code & bit) + (6,) + ((7,) if code & 8 else ())
-    for code in range(16)
-]
+# Rows of the engine's candidate levels: the forward fills, then the
+# ledger's levels (row 5 is mu_ma).
+_REFILL1, _REFILL2, _LAM, _CAP1, _CAP2, _BAR1, _BAR2 = 0, 1, 2, 3, 4, 6, 7
 
 
-def _rates(rates) -> np.ndarray:
-    """r_ma, r_bar_1r, r_bar_2r of each instance, (3, N)."""
-    return np.array([[r.r_ma for r in rates], [r.r_bar_1r for r in rates], [r.r_bar_2r for r in rates]])
+def _branch(code: int) -> tuple:
+    """Candidate rows of the levels of directions 1 and 2 after steps 3-5,
+    and the steps among them visited, on branch code `code`.
+
+    The code's bits compare a fill with a cap plus the slack: lam with cap1
+    (1) and with cap2 (2), refill1 with cap1 (4), refill2 with cap2 (8),
+    each set when the fill does not exceed it. Above either cap, the
+    direction with the smaller cap, the violator a, is clipped (step 3) and
+    the other, b, re-spends the rest (step 4) unless lam overshoots its cap
+    too; b is clipped (step 5) where lam or its refill overshoots.
+    """
+    lam_fits1, lam_fits2, refill_fits1, refill_fits2 = (bool(code & bit) for bit in (1, 2, 4, 8))
+    if lam_fits1 and lam_fits2:
+        return (_LAM, _LAM), ()
+    if not (lam_fits1 or lam_fits2):
+        return (_CAP1, _CAP2), (3, 5)
+    if lam_fits2:  # a = 1: cap1 is the smaller
+        return ((_CAP1, _REFILL2), (3, 4)) if refill_fits2 else ((_CAP1, _CAP2), (3, 4, 5))
+    return ((_REFILL1, _CAP2), (3, 4)) if refill_fits1 else ((_CAP1, _CAP2), (3, 4, 5))
+
+
+_BRANCHES = [_branch(code) for code in range(16)]
+# Per code, the candidate rows of [[level1, bar1], [level2, bar2]], (2, 2, 16).
+_PICKS = np.array([[[rows[d] for rows, _ in _BRANCHES], [bar] * 16] for d, bar in ((0, _BAR1), (1, _BAR2))])
+# Code bit of each fill (refill1, refill2, lam) against cap1, then against cap2.
+_FIT_BITS = np.array([4, 0, 1, 0, 8, 2])
+# Step trace by code + 16 * (step 7 taken).
+_TRACES = [(1, 2) + steps + (6,) + cut for cut in ((), (7,)) for _, steps in _BRANCHES]
+
+
+def _targets(rates) -> np.ndarray:
+    """r_bar_2r, r_bar_1r, r_ma, (r_ma - r_bar_1r)^+ and (r_ma - r_bar_2r)^+
+    of each instance, (5, N): the rates of the gain table's five blocks."""
+    targets = np.array([(r.r_bar_2r, r.r_bar_1r, r.r_ma, r.r_ma - r.r_bar_1r, r.r_ma - r.r_bar_2r)
+                        for r in rates]).T
+    np.maximum(targets[3:], 0.0, out=targets[3:])
+    return targets
 
 
 def _budgets(pr_max, n: int) -> np.ndarray:
     pr = np.zeros(n) + pr_max
-    if not 0.0 <= pr.min() <= pr.max() < np.inf:  # NaN fails too
+    if pr.shape != (n,):
+        raise ValueError("pr_max must be one budget, or one per instance")
+    if not 0.0 <= np.minimum.reduce(pr) <= np.maximum.reduce(pr) < np.inf:  # NaN fails too
         raise ValueError("pr_max must be finite and nonnegative")
     return pr
 
 
-def _ledger(gains, r_ma, r1, r2) -> tuple:
-    """The batch's prepared gains and, per instance, its levels, thresholds and tie slack.
+def _ledger(gains, targets) -> tuple:
+    """The batch's prepared gains and what the engine reads of each instance.
 
     Returns the alpha1, alpha2 and pooled blocks, each cut to its widest
-    list; the forward preparation of the three blocks, (3N, K) each, and
-    its pooled rows; the levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the powers p1 (alpha1 at
-    cap1), p2 (alpha2 at cap2), p_ma, p_l, p_t, p_s, p_bar_ma (7, N);
-    case_symmetric (N,); and the slack TIE_TOL / alpha_max (N,).
+    list; the forward preparation of the three blocks, (3N, K) each; the
+    levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the power each forward
+    pass holds back, alpha2 at cap2 and alpha1 at cap1 for the two refills
+    and none for step 1 (3, N); p_bar_ma, case_symmetric and the slack
+    TIE_TOL / alpha_max, (N,) each.
     """
     n = len(gains)
     a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
     table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
     k1, k2 = max(a.size for a in a1), max(a.size for a in a2)
     blocks = table[:n, :k1], table[n : 2 * n, :k2], table[2 * n : 3 * n]
-    targets = np.concatenate([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
-    ceilings = inverse_waterfill(table, targets)
+    ceilings = inverse_waterfill(table, targets.reshape(-1))
     levels = ceilings.level.reshape(5, n)
-    cap1, cap2, mu_ma = levels[:3]
     cell_powers = ceilings.powers.reshape(5, n, -1)
-    p1 = cell_powers[0::3, :, :k1].sum(axis=-1)  # alpha1 at cap1 and at bar1
-    p2 = cell_powers[1::3, :, :k2].sum(axis=-1)  # alpha2 at cap2 and at bar2
-    p_ma = cell_powers[2].sum(axis=-1)
-    prepared = _prepared(table[: 3 * n])
-    on_pooled = tuple(a[2 * n :] for a in prepared)
-    low, high = np.minimum(cap1, cap2), np.maximum(cap1, cap2)
-    p_l, p_s = _power(on_pooled[0], np.array([low, high]))
+    p1 = np.add.reduce(cell_powers[0::3, :, :k1], axis=-1)  # alpha1 at cap1 and at bar1
+    p2 = np.add.reduce(cell_powers[1::3, :, :k2], axis=-1)  # alpha2 at cap2 and at bar2
+    held = np.zeros((3, n))
+    held[0], held[1] = p2[0], p1[0]
+    cap1, cap2, mu_ma = levels[:3]
     slack = TIE_TOL / blocks[2][:, 0]
-    symmetric = mu_ma <= low + slack
-    p_bar_ma = np.where(symmetric, p_ma, np.where(cap1 >= cap2, p1[1] + p2[0], p1[0] + p2[1]))
-    powers = np.array([p1[0], p2[0], p_ma, p_l, p1[0] + p2[0], p_s, p_bar_ma])
-    return blocks, prepared, on_pooled, levels, powers, symmetric, slack
+    symmetric = mu_ma <= np.minimum(cap1, cap2) + slack
+    crossed = p1 + p2[::-1]  # one direction at its cap, the other at its bar level
+    p_bar_ma = np.where(cap1 >= cap2, crossed[1], crossed[0])
+    p_bar_ma = np.where(symmetric, np.add.reduce(cell_powers[2], axis=-1), p_bar_ma)
+    return blocks, _prepared(table[: 3 * n]), levels, held, p_bar_ma, symmetric, slack
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
     pr = _budgets(pr_max, 1)
-    _, _, on_pooled, levels, *_ = _ledger([gains], *_rates([strategy]))
+    _, prepared, levels, *_ = _ledger([gains], _targets([strategy]))
     cap1, cap2, mu_ma = levels[:3, 0].tolist()
-    lam = _level(on_pooled, pr)
+    lam = _level(tuple(a[2:] for a in prepared), pr)
     return RelativeLevels(inv_mu1=cap2, inv_mu2=cap1, inv_mu_ma=mu_ma, inv_lambda0=float(lam[0]))
 
 
@@ -261,9 +300,21 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceR
     r_ma - r_bar_dr. `levels` is not read: the ledger derives the same
     levels relative_levels returns, bit for bit.
     """
-    *_, powers, symmetric, slack = _ledger([gains], *_rates([strategy]))
-    _, _, p_ma, p_l, p_t, p_s, p_bar_ma = powers[:, 0].tolist()
-    return ThresholdLedger(p_ma, p_l, p_t, p_s, p_bar_ma, bool(symmetric[0]), float(slack[0]))
+    _, prepared, ledger_levels, held, p_bar_ma, symmetric, slack = _ledger([gains], _targets([strategy]))
+    cap1, cap2, mu_ma = ledger_levels[:3]
+    pooled_powers = _power(prepared[0][2:], np.array([mu_ma, np.minimum(cap1, cap2), np.maximum(cap1, cap2)]))
+    p_ma, p_l, p_s = pooled_powers[:, 0].tolist()
+    p_t = float(held[0, 0] + held[1, 0])  # alpha1 at cap1 plus alpha2 at cap2
+    return ThresholdLedger(p_ma, p_l, p_t, p_s, float(p_bar_ma[0]), bool(symmetric[0]), float(slack[0]))
+
+
+def _steps_3_to_5(fills: np.ndarray, levels: np.ndarray, slack: np.ndarray) -> tuple:
+    """Levels [[level1, bar1], [level2, bar2]] after steps 3-5, (2, 2, N), and
+    the branch codes (N,) of the fills (refill1, refill2, lam), (3, N), that
+    pick them (see _branch)."""
+    fits = fills <= (levels[:2] + slack)[:, np.newaxis]
+    code = np.dot(_FIT_BITS, fits.reshape(6, -1))
+    return np.concatenate((fills, levels))[_PICKS.take(code, axis=-1), np.arange(code.size)], code
 
 
 def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
@@ -291,61 +342,48 @@ def optimize_many(gains, rates, pr_max) -> list[RelaySolution]:
         raise ValueError("gains and rates must have one entry per instance")
     if not n:
         return []
-    r_ma, r1, r2 = _rates(rates)
-    if (r_ma - (r1 + r2) > -1e-12).any():
+    targets = _targets(rates)
+    r2, r1, r_ma = targets[:3]
+    if np.logical_or.reduce(r_ma - (r1 + r2) > -1e-12):
         raise InvalidStrategyError("r_ma must be strictly below r_bar_1r + r_bar_2r")
-    if (r_ma < np.maximum(r1, r2) - 1e-12).any():
+    if np.logical_or.reduce(r_ma < np.maximum(r1, r2) - 1e-12):
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
-    (a1, a2, pooled), prepared, on_pooled, levels, powers, _, slack = _ledger(gains, r_ma, r1, r2)
-    inv = prepared[0]
-    cap1, cap2, mu_ma, bar1, bar2 = levels
-    p1, p2, *_, p_bar_ma = powers
+    (a1, a2, pooled), prepared, levels, held, p_bar_ma, _, slack = _ledger(gains, targets)
 
     # Step 1 on the pooled gains, and step 4 for either order: only the
     # direction with the smaller ceiling can be the (first) violator; it is
     # clipped to its cap and the other direction re-spends the remainder.
-    spare = np.maximum(pr - np.array([p2, p1]), 0.0)
-    refill1, refill2, lam = _level(prepared, np.concatenate([*spare, pr])).reshape(3, n)
-    first1 = cap1 <= cap2  # direction 1 is the violator a, 2 is b
-
-    # Steps 3-5: the violator a is clipped to its cap; b takes its refill,
-    # or its own cap where the refill (or lam itself) overshoots it.
-    loose_b = np.maximum(cap1, cap2) + slack
-    clip = lam > np.minimum(cap1, cap2) + slack
-    refill = clip & (lam <= loose_b)
-    reclip = clip & ~(refill & (np.where(first1, refill2, refill1) <= loose_b))
-    lv1 = np.where(clip, np.where(first1 | reclip, cap1, refill1), lam)
-    lv2 = np.where(clip, np.where(~first1 | reclip, cap2, refill2), lam)
+    fills = _level(prepared, np.maximum(pr - held, 0.0).reshape(-1)).reshape(3, n)
+    chosen, code = _steps_3_to_5(fills, levels, slack)
 
     # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
-    pinned = np.minimum(lv1, lv2) >= mu_ma - slack
-    below = np.maximum(lv1, lv2) <= mu_ma + slack
-    if pinned.any():
-        lv1, lv2 = np.where(pinned, mu_ma, lv1), np.where(pinned, mu_ma, lv2)
-    bc1, bar_bc1 = rate_of_level(a1, np.array([lv1, bar1]))
-    bc2, bar_bc2 = rate_of_level(a2, np.array([lv2, bar2]))
-    cut = ~(pinned | below) & (bc1 + bc2 > r_ma + TIE_TOL)
-    if cut.any():
-        cut1 = cut & (lv1 > lv2)
-        cut2 = cut & ~cut1
-        lv1, bc1 = np.where(cut1, bar1, lv1), np.where(cut1, bar_bc1, bc1)
-        lv2, bc2 = np.where(cut2, bar2, lv2), np.where(cut2, bar_bc2, bc2)
+    lv, mu_ma = chosen[:, 0], levels[2]
+    pinned = np.minimum(lv[0], lv[1]) >= mu_ma - slack
+    below = np.maximum(lv[0], lv[1]) <= mu_ma + slack
+    if np.logical_or.reduce(pinned):
+        lv[:] = np.where(pinned, mu_ma, lv)
+    rates_at = np.array([_rate(a1, chosen[0]), _rate(a2, chosen[1])])  # at each level and bar level
+    bc = rates_at[:, 0]
+    cut = (bc[0] + bc[1] > r_ma + TIE_TOL) & ~(pinned | below)
+    if np.logical_or.reduce(cut):
+        higher1 = lv[0] > lv[1]
+        cuts = cut & np.array([higher1, ~higher1])
+        lv, bc = np.where(cuts, chosen[:, 1], lv), np.where(cuts, rates_at[:, 1], bc)
 
-    powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv1), _powers(inv[n : 2 * n, : a2.shape[1]], lv2)
-    consumed = powers1.sum(axis=-1) + powers2.sum(axis=-1)
-    best_bc = rate_of_level(pooled, _level(on_pooled, consumed))
-    efficient = bc1 + bc2 >= best_bc - TIE_TOL
+    inv = prepared[0]
+    powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
+    consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
+    best_bc = _rate(pooled, _level(tuple(a[2 * n :] for a in prepared), consumed))
+    efficient = bc[0] + bc[1] >= best_bc - TIE_TOL
     source_waste = pr < p_bar_ma - slack
-    sum_rate = two_way_rate(r_ma, r1, r2, bc1, bc2)
-    steps = zip(clip.tolist(), refill.tolist(), reclip.tolist(), cut.tolist())
+    sum_rate = two_way_rate(r_ma, r1, r2, bc[0], bc[1])
     return list(map(
-        RelaySolution, lv1.tolist(), lv2.tolist(),
+        RelaySolution, *lv.tolist(),
         [p[: g.alpha1.size] for p, g in zip(powers1, gains)],
         [p[: g.alpha2.size] for p, g in zip(powers2, gains)],
-        gains, consumed.tolist(), sum_rate.tolist(),
-        zip(bc1.tolist(), bc2.tolist()), [_TRACES[s3 + 2 * s4 + 4 * s5 + 8 * s7] for s3, s4, s5, s7 in steps],
-        efficient.tolist(), source_waste.tolist(),
+        gains, consumed.tolist(), sum_rate.tolist(), zip(*bc.tolist()),
+        map(_TRACES.__getitem__, (code + 16 * cut).tolist()), efficient.tolist(), source_waste.tolist(),
     ))
 
 

@@ -35,9 +35,12 @@ layout too, by one rule for a list and a table, and search nothing.
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
 ``channel.SubchannelGains`` checks it once, when an instance is built.
-The public kernels check their budgets and targets. Callers inside the
-package that checked theirs at entry prepare a list or table once
-(_prepared) and call the unchecked cores on it, with the same bits.
+The public kernels check their budgets and targets, once, and then run
+the unchecked cores: _prepared (a list or table prepared once), _level,
+_rate, _power and _powers. Callers inside the package that checked their
+inputs at entry call the cores directly, with the same bits. The cores
+reduce through the ufuncs (np.add.reduce, not ndarray.sum, whose Python
+wrapper adds a fixed cost to every call on these small arrays).
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def _prepared(gains: np.ndarray, log: bool = False) -> tuple:
     (m-1)*inv[m] - csum[m-1], (..., K) each; a padded cell's threshold is NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = -np.log(np.ascontiguousarray(gains)) if log else 1.0 / gains  # ascending
-        csum = inv.cumsum(axis=-1)
+        csum = np.add.accumulate(inv, axis=-1)
         return inv, csum, np.arange(1.0, gains.shape[-1] + 1) * inv - csum
 
 
@@ -131,16 +134,22 @@ def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
     thresholds, amounts, axis = _by_subchannel(activation, amount)
     # Axis 0 means fewer than 8 subchannels, so a uint8 holds the count:
     # numpy sums bools into it, and take gathers with it, several times faster.
-    m = np.maximum((thresholds <= amounts).sum(axis=axis, dtype=None if axis else np.uint8), 1)
+    m = np.maximum(np.add.reduce(thresholds <= amounts, axis=axis, dtype=None if axis else np.uint8), 1)
     if activation.ndim == 1:
         return (amount + csum.take(m - 1)) / m
     return (amount + csum.take(np.arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
 
 
+def _rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """rate_of_level over a float list or table, unconverted."""
+    gains, level, axis = _by_subchannel(gains, level)
+    return np.add.reduce(np.log(np.maximum(level * gains, 1.0)), axis=axis)
+
+
 def _power(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
     """power_of_level over prepared inverse gains, unconverted."""
     inv, level, axis = _by_subchannel(inv, level)
-    return np.maximum(level - inv, 0.0).sum(axis=axis)
+    return np.add.reduce(np.maximum(level - inv, 0.0), axis=axis)
 
 
 def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -151,14 +160,14 @@ def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
 def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
     """inverse_level over a table prepared with `log`, unchecked targets."""
     log_level = _level(prepared, target)
-    if log_level.max() > _MAX_LOG_LEVEL:
+    if np.maximum.reduce(log_level, axis=None) > _MAX_LOG_LEVEL:
         raise ValueError("target_rate needs a water level beyond the float range")
     return np.exp(log_level)
 
 
 def _checked(values, name: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if not (np.isfinite(values) & (values >= 0.0)).all():
+    if not np.logical_and.reduce(np.isfinite(values) & (values >= 0.0), axis=None):
         raise ValueError(f"{name} must be finite and nonnegative")
     return values
 
@@ -171,8 +180,7 @@ def rate_of_level(gains, level):
     for a list, or (..., N) levels for a table, and returns a matching
     shape. Nondecreasing in the level.
     """
-    gains, level, axis = _by_subchannel(np.asarray(gains, dtype=float), np.asarray(level, dtype=float))
-    return _out(np.log(np.maximum(level * gains, 1.0)).sum(axis=axis))
+    return _out(_rate(np.asarray(gains, dtype=float), np.asarray(level, dtype=float)))
 
 
 def power_of_level(gains, level):
@@ -257,6 +265,8 @@ def inverse_waterfill(gains, target_rate) -> LevelAllocation:
         If a target is negative or non-finite, or its level overflows.
     """
     gains = np.asarray(gains, dtype=float)
-    level = inverse_level(gains, target_rate)
-    powers = powers_of_level(gains, level)
-    return LevelAllocation(level, powers, rate_of_level(gains, level), _out(powers.sum(axis=-1)))
+    level = _exp_level(_prepared(gains, log=True), _checked(target_rate, "target_rate"))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = _powers(1.0 / gains, level)
+    total = np.add.reduce(powers, axis=-1)
+    return LevelAllocation(_out(level), powers, rate_of_level(gains, level), _out(total))

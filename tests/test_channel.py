@@ -211,3 +211,19 @@ def test_malformed_gains_rejected_at_construction():
             tw.SubchannelGains(alpha1=[1.0], alpha2=[1.0], v1=v1, v2=v2)
     gains = tw.SubchannelGains(alpha1=[2.0, 1.0], alpha2=[1.0], v1=eye, v2=eye)
     assert gains.n_r == 2 and gains.alpha1.dtype == float
+
+
+def test_gains_are_read_only_copies_of_the_callers_arrays():
+    alpha1, alpha2, eye = np.array([2.0, 1.0]), np.array([1.0]), np.eye(2, dtype=complex)
+    gains = tw.SubchannelGains(alpha1=alpha1, alpha2=alpha2, v1=eye, v2=eye)
+    pooled = gains.pooled.copy()
+    alpha1[0], eye[0, 0] = -3.0, 5.0  # the caller's arrays stay its own
+    assert gains.alpha1.tolist() == [2.0, 1.0] and gains.v1[0, 0] == 1.0
+    assert np.array_equal(gains.pooled, pooled)
+    for name in ("alpha1", "alpha2", "v1", "v2", "pooled"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(gains, name)[0] = 0.5
+    # decompose's transposed V factors keep their memory layout.
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, seed=7)
+    decomposed = tw.decompose(tw.generate_channels(cfg, 0), cfg)
+    assert decomposed.v1.flags.f_contiguous and not decomposed.v1.flags.writeable

@@ -185,6 +185,14 @@ def test_non_finite_budget_rejected():
             tw.optimize(g, asym_rates(), bad)
         with pytest.raises(ValueError):
             tw.grid_certify(g, asym_rates(), bad, 1e-3)
+    # A (1, 1) budget came back as a solution whose flags were lists.
+    for bad in ([[1.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="one budget, or one per instance"):
+            tw.optimize(g, asym_rates(), bad)
+        with pytest.raises(ValueError, match="one budget, or one per instance"):
+            tw.relative_levels(g, asym_rates(), bad)
+    with pytest.raises(ValueError):
+        tw.optimize_many([g] * 2, [asym_rates()] * 2, [1.0, 2.0, 3.0])
 
 
 def test_non_finite_resolution_rejected():
@@ -615,3 +623,41 @@ def test_optimize_many_broadcasts_one_budget():
     sols = tw.optimize_many([g, unit_gains()], [asym_rates(), sym_rates()], 6.0)
     for sol, (gains, rates) in zip(sols, [(g, asym_rates()), (unit_gains(), sym_rates())]):
         _assert_same_solution(sol, tw.optimize(gains, rates, 6.0))
+
+
+# --- branch table of steps 3-5 ----------------------------------------------
+
+
+def _nested_where_steps(fills, levels, slack):
+    """Steps 3-5 as nested masks, the engine's formulation before its branch
+    table: the levels of both directions and the step-3/4/5 masks."""
+    refill1, refill2, lam = fills
+    cap1, cap2 = levels[:2]
+    first1 = cap1 <= cap2  # direction 1 is the violator a, 2 is b
+    loose_b = np.maximum(cap1, cap2) + slack
+    clip = lam > np.minimum(cap1, cap2) + slack
+    refill = clip & (lam <= loose_b)
+    reclip = clip & ~(refill & (np.where(first1, refill2, refill1) <= loose_b))
+    lv1 = np.where(clip, np.where(first1 | reclip, cap1, refill1), lam)
+    lv2 = np.where(clip, np.where(~first1 | reclip, cap2, refill2), lam)
+    return lv1, lv2, clip, refill, reclip
+
+
+def test_branch_table_matches_the_nested_masks_on_every_code():
+    # Every combination of caps, fills and slack on a small grid, so that
+    # fills tie with caps and with each other, and each of the 16 codes occurs.
+    caps, fills = [1.0, 2.0, 3.0], np.arange(1.0, 8.0) / 2.0
+    grid = np.array(np.meshgrid(caps, caps, fills, fills, fills, [0.0, 0.5])).reshape(6, -1)
+    cap1, cap2, lam, refill1, refill2, slack = grid
+    bars = np.array([[-1.0], [-2.0]]) * np.ones(cap1.size)  # marks for bar1 and bar2
+    levels = np.array([cap1, cap2, np.zeros_like(cap1), *bars])
+    fills = np.array([refill1, refill2, lam])
+    chosen, code = tw.relay_opt._steps_3_to_5(fills, levels, slack)
+    assert sorted(set(code.tolist())) == list(range(16))
+    lv1, lv2, clip, refill, reclip = _nested_where_steps(fills, levels, slack)
+    assert chosen[0, 0].tobytes() == lv1.tobytes() and chosen[1, 0].tobytes() == lv2.tobytes()
+    assert np.all(chosen[:, 1] == bars)
+    for k in range(cap1.size):
+        want = (1, 2) + tuple(s for s, on in ((3, clip[k]), (4, refill[k]), (5, reclip[k])) if on) + (6,)
+        assert tw.relay_opt._TRACES[code[k]] == want
+        assert tw.relay_opt._TRACES[code[k] + 16] == want + (7,)

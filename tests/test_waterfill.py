@@ -332,6 +332,20 @@ def test_prepared_cores_match_the_public_kernels_bit_for_bit(rng, count):
         assert waterfill._exp_level(logs, targets).tobytes() == inverse_level(gains, targets).tobytes()
         assert waterfill._power(prepared[0], levels).tobytes() == power_of_level(gains, levels).tobytes()
         assert waterfill._powers(prepared[0], levels).tobytes() == powers_of_level(gains, levels).tobytes()
+        # The reduction-based cores against references summed with ndarray.sum,
+        # on one level per row and on a (2, N) stack as the relay engine passes.
+        table = np.asarray(gains, dtype=float)
+        for lv in (levels, np.array([levels, 1.5 * levels])):
+            rate = waterfill._rate(table, lv)
+            assert rate.tobytes() == np.asarray(rate_of_level(gains, lv)).tobytes()
+            assert rate.tobytes() == _last_axis_rate(gains, lv).tobytes()
+            assert waterfill._power(prepared[0], lv).tobytes() == _last_axis_power(gains, lv).tobytes()
+        if table.ndim == 1:
+            assert levels.tobytes() == searchsorted_forward_level(gains, budgets).tobytes()
+        else:
+            rows = [row[row > 0.0] for row in table]
+            want = [searchsorted_forward_level(row, b) for row, b in zip(rows, budgets)]
+            assert levels.tobytes() == np.array(want).tobytes()
         if np.ndim(gains) == 1:  # one scalar budget and target
             assert waterfill._level(prepared, budgets[0]) == forward_level(gains, float(budgets[0]))
             assert waterfill._exp_level(logs, targets[0]) == inverse_level(gains, float(targets[0]))
