@@ -11,97 +11,16 @@ search, and reproduces the reference Monte-Carlo experiments at desk scale
 through the ``twrelay`` CLI.
 """
 
-from .channel import (
-    ChannelSet,
-    SubchannelGains,
-    SystemConfig,
-    decompose,
-    generate_channels,
-    synthetic_gains,
-)
-from .errors import (
-    ConfigError,
-    InvalidStrategyError,
-    NoConvergenceError,
-    NonPSDError,
-    RankZeroError,
-    TwrelayError,
-)
-from .ma_phase import (
-    SourceRates,
-    SourceStrategy,
-    logdet_identity_plus,
-    max_ma_strategies,
-    max_ma_strategy,
-    rate_bar,
-    rate_ma,
-    strategy_from_covariances,
-)
-from .oracle import OracleResult, grid_certify, grid_lipschitz_bound
-from .relay_opt import (
-    RelativeLevels,
-    RelaySolution,
-    ThresholdLedger,
-    classify_case,
-    optimize,
-    optimize_many,
-    relative_levels,
-    relay_covariance,
-    thresholds,
-    two_way_rate,
-)
-from .waterfill import (
-    LevelAllocation,
-    forward_level,
-    gain_table,
-    inverse_level,
-    inverse_waterfill,
-    power_of_level,
-    powers_of_level,
-    rate_of_level,
-)
+from . import channel, errors, ma_phase, oracle, relay_opt, waterfill
+from .channel import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .ma_phase import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .relay_opt import *  # noqa: F403
+from .waterfill import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelSet",
-    "ConfigError",
-    "InvalidStrategyError",
-    "LevelAllocation",
-    "NoConvergenceError",
-    "NonPSDError",
-    "OracleResult",
-    "RankZeroError",
-    "RelativeLevels",
-    "RelaySolution",
-    "SourceRates",
-    "SourceStrategy",
-    "SubchannelGains",
-    "SystemConfig",
-    "ThresholdLedger",
-    "TwrelayError",
-    "classify_case",
-    "decompose",
-    "forward_level",
-    "gain_table",
-    "generate_channels",
-    "grid_certify",
-    "grid_lipschitz_bound",
-    "inverse_level",
-    "inverse_waterfill",
-    "logdet_identity_plus",
-    "max_ma_strategies",
-    "max_ma_strategy",
-    "optimize",
-    "optimize_many",
-    "power_of_level",
-    "powers_of_level",
-    "rate_bar",
-    "rate_ma",
-    "relative_levels",
-    "relay_covariance",
-    "strategy_from_covariances",
-    "synthetic_gains",
-    "thresholds",
-    "two_way_rate",
-]
+# Each public name is listed once, in the __all__ of the module that defines it.
+_LAYERS = (channel, errors, ma_phase, oracle, relay_opt, waterfill)
+__all__ = sorted({name for layer in _LAYERS for name in layer.__all__})

@@ -14,7 +14,6 @@ routine downstream operates on.
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RankZeroError
+from .waterfill import _checked
 
 __all__ = [
     "SystemConfig",
@@ -55,13 +55,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n_r) < 1:
             raise ValueError("antenna counts must be >= 1")
-        noise = (self.sigma1_sq, self.sigma2_sq, self.sigmar_sq)
-        # A subnormal variance would overflow the gains it divides.
-        if not all(math.isfinite(v) and v >= sys.float_info.min for v in noise):
-            raise ValueError("noise variances must be finite and at least sys.float_info.min")
-        budgets = (self.p1_max, self.p2_max, self.pr_max)
-        if not all(math.isfinite(v) and v >= 0.0 for v in budgets):
-            raise ValueError("power budgets must be finite and nonnegative")
+        _checked((self.sigma1_sq, self.sigma2_sq, self.sigmar_sq), "noise variances", sys.float_info.min)
+        _checked((self.p1_max, self.p2_max, self.pr_max), "power budgets")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
 

@@ -1,5 +1,9 @@
 """Exceptions shared across the twrelay package."""
 
+__all__ = [
+    "TwrelayError", "RankZeroError", "NonPSDError", "NoConvergenceError", "InvalidStrategyError", "ConfigError",
+]
+
 
 class TwrelayError(Exception):
     """Base class for all twrelay errors."""

@@ -32,7 +32,8 @@ p >= 0, PSD by construction: the sweeps skip the PSD check, and each
 converged pair is checked once, by the helper that gives
 strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
 instance whose interference-plus-noise matrix does not factor, or whose
-rates come out inconsistent, leaves the stack without a strategy.
+rates come out inconsistent, leaves the stack without a strategy. Budgets
+and noise variances are checked at entry, by waterfill._checked.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import _level, _powers, _prepared
+from .waterfill import _checked, _level, _powers, _prepared
 
 __all__ = [
     "SourceRates",
@@ -180,14 +181,15 @@ def _pair_rates(h1, h2, d1, d2, sig) -> np.ndarray:
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
     """Package arbitrary PSD covariances with their recomputed rates.
 
-    Raises ValueError if a covariance has the wrong shape and NonPSDError
-    if one is not PSD.
+    Raises ValueError if the relay noise variance breaks the noise rule
+    (finite and at least sys.float_info.min) or a covariance has the wrong
+    shape, and NonPSDError if a covariance is not PSD.
     """
+    sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
     for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
         if d.shape != (h.shape[1],) * 2:
             raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
-    sig = np.full((1, 1, 1), float(sigmar_sq))
     r_ma, r_bar_1r, r_bar_2r = _pair_rates(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis], d1[np.newaxis], d2[np.newaxis], sig
     )[:, 0]
@@ -258,11 +260,8 @@ def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
     p1, p2, sig = (np.zeros(n) + v for v in (p1_max, p2_max, sigmar_sq))
     if not (np.isfinite(h1r).all() and np.isfinite(h2r).all()):
         raise ValueError("uplinks must be finite")
-    budgets = np.array([p1, p2])
-    if not 0.0 <= budgets.min() <= budgets.max() < np.inf:  # NaN fails too
-        raise ValueError("power budgets must be finite and nonnegative")
-    if not sys.float_info.min <= sig.min() <= sig.max() < np.inf:
-        raise ValueError("the relay noise variance must be finite and at least sys.float_info.min")
+    _checked((p1, p2), "power budgets")
+    _checked(sig, "the relay noise variance", sys.float_info.min)
     sig_all = sig[:, np.newaxis, np.newaxis]
     d1_out = np.empty((n, n1, n1), complex)
     d2_out = np.empty((n, n2, n2), complex)
@@ -332,8 +331,8 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
     The sum rate is nondecreasing across sweeps and the fixed point
     satisfies both users' single-user optimality conditions. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
-    noise variance SystemConfig rejects, and NonPSDError if a converged pair
-    is not PSD.
+    noise variance that is non-finite or below sys.float_info.min, and
+    NonPSDError if a converged pair is not PSD.
     """
     return [None if isinstance(s, str) else s for s in _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq)]
 

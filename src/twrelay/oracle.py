@@ -35,7 +35,7 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import TwrelayError
 from .ma_phase import SourceRates
-from .waterfill import _exp_level, _level, _power, _prepared, gain_table, rate_of_level
+from .waterfill import _checked, _exp_level, _level, _power, _prepared, gain_table, rate_of_level
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -134,8 +134,7 @@ def grid_certify(
         powers (4 ulps of each level per subchannel).
     """
     _check_resolution(resolution)
-    if not (math.isfinite(pr_max) and pr_max >= 0.0):
-        raise ValueError("pr_max must be finite and nonnegative")
+    _checked(pr_max, "pr_max")
     (axis1, axis2), (prep1, prep2) = _axes(gains, strategy, pr_max, resolution)
     p1 = _power(prep1[0], axis1)
     r1, r2 = rate_of_level(gains.alpha1, axis1), rate_of_level(gains.alpha2, axis2)

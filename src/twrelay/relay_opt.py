@@ -37,8 +37,8 @@ rate_of_level call inside it, though the ledger does not read the rate)
 and prepares the batch's gain table for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
 engine's forward passes, rates, power sums and per-subchannel powers run
-through waterfill's unchecked cores, as budgets and rates are checked
-once, on entry.
+through waterfill's unchecked cores, as rates (by their ordering rule)
+and budgets (by waterfill._checked) are checked once, on entry.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -55,10 +55,9 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates
-from .waterfill import _level, _power, _powers, _prepared, _rate, gain_table, inverse_waterfill
+from .waterfill import _checked, _level, _power, _powers, _prepared, _rate, gain_table, inverse_waterfill
 
 __all__ = [
-    "SourceRates",
     "RelativeLevels",
     "ThresholdLedger",
     "RelaySolution",
@@ -244,9 +243,7 @@ def _budgets(pr_max, n: int) -> np.ndarray:
     pr = np.zeros(n) + pr_max
     if pr.shape != (n,):
         raise ValueError("pr_max must be one budget, or one per instance")
-    if not 0.0 <= np.minimum.reduce(pr) <= np.maximum.reduce(pr) < np.inf:  # NaN fails too
-        raise ValueError("pr_max must be finite and nonnegative")
-    return pr
+    return _checked(pr, "pr_max")
 
 
 def _ledger(gains, targets) -> tuple:
@@ -401,7 +398,9 @@ def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float
     Independent of optimize's internal state; used as a conformance oracle
     for step_trace. Ties within the ledger's slack of a threshold resolve
     downward (the same orientation the optimizer's level comparisons use).
+    Raises ValueError if the budget is negative or non-finite.
     """
+    _checked(pr_max, "pr_max")
     slack = ledger.slack
     if ledger.case_symmetric:
         if pr_max <= ledger.p_l + slack:

@@ -31,11 +31,12 @@ suppressed by --deterministic. Floats are serialized with 12 significant
 digits. Rates are in nats: sum_rate_tw columns carry the 1/2 two-slot
 factor, bc_*/r_* columns do not.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure.
+Exit codes: 0 success, 2 configuration error (a flag, an instance file or
+a budget derived from flags that breaks an input rule), 3 runtime failure.
 """
 
 # No ``from __future__ import annotations``: NamedTuple would compile every
-# string annotation of the records (about 100) into a ForwardRef at import.
+# string annotation of the class-form records into a ForwardRef at import.
 
 import argparse
 import dataclasses
@@ -58,10 +59,10 @@ from .channel import (
     synthetic_gains,
 )
 from .errors import ConfigError, RankZeroError
-from .ma_phase import max_ma_strategies, max_ma_strategy
+from .ma_phase import SourceRates, max_ma_strategies, max_ma_strategy
 from .oracle import grid_certify
-from .relay_opt import RelaySolution, SourceRates, optimize, optimize_many, two_way_rate
-from .waterfill import forward_level, power_of_level, rate_of_level
+from .relay_opt import RelaySolution, optimize, optimize_many, two_way_rate
+from .waterfill import _checked, forward_level, power_of_level, rate_of_level
 
 __all__ = [
     "ScenarioSpec",
@@ -94,37 +95,22 @@ class Lemma2Record(NamedTuple):
     bc_sum: float
 
 
-class PrmaxRecord(NamedTuple):
-    """One budget of prmax-sweep: minimum-power solution and full-power baseline."""
+# The columns of prmax-sweep and single from the source rates and the
+# optimizer's answer, in order; _solution_values fills them.
+_SOLUTION_COLUMNS = [
+    ("r_ma", float), ("r_bar_1r", float), ("r_bar_2r", float), ("inv_lambda1", float),
+    ("inv_lambda2", float), ("consumed_power", float), ("bc_rate_1", float), ("bc_rate_2", float),
+    ("bc_sum", float), ("sum_rate_tw", float), ("step_path", str), ("efficient", bool), ("source_waste", bool),
+]
 
-    point: int
-    n1: int
-    n2: int
-    nr: int
-    p1_max: float
-    p2_max: float
-    sigma_sq: float
-    pr_max: float
-    r_ma: float
-    r_bar_1r: float
-    r_bar_2r: float
-    inv_lambda1: float
-    inv_lambda2: float
-    consumed_power: float
-    bc_rate_1: float
-    bc_rate_2: float
-    bc_sum: float
-    sum_rate_tw: float
-    step_path: str
-    efficient: bool
-    source_waste: bool
-    baseline_inv_lambda1: float
-    baseline_inv_lambda2: float
-    baseline_consumed: float
-    baseline_bc_1: float
-    baseline_bc_2: float
-    baseline_bc_sum: float
-    baseline_sum_rate_tw: float
+# One budget of prmax-sweep: minimum-power solution and full-power baseline.
+PrmaxRecord = NamedTuple("PrmaxRecord", [
+    ("point", int), ("n1", int), ("n2", int), ("nr", int), ("p1_max", float), ("p2_max", float),
+    ("sigma_sq", float), ("pr_max", float), *_SOLUTION_COLUMNS,
+    ("baseline_inv_lambda1", float), ("baseline_inv_lambda2", float), ("baseline_consumed", float),
+    ("baseline_bc_1", float), ("baseline_bc_2", float), ("baseline_bc_sum", float),
+    ("baseline_sum_rate_tw", float),
+])
 
 
 class AsymRecord(NamedTuple):
@@ -140,31 +126,11 @@ class AsymRecord(NamedTuple):
     efficient: bool
 
 
-class SingleRecord(NamedTuple):
-    """The row of single: the instance, its source rates and the optimizer's answer."""
-
-    trial: int
-    n1: int
-    n2: int
-    nr: int
-    p1_max: float
-    p2_max: float
-    pr_max: float
-    sigma_sq: float
-    r_ma: float
-    r_bar_1r: float
-    r_bar_2r: float
-    inv_lambda1: float
-    inv_lambda2: float
-    consumed_power: float
-    bc_rate_1: float
-    bc_rate_2: float
-    bc_sum: float
-    sum_rate_tw: float
-    step_path: str
-    efficient: bool
-    source_waste: bool
-
+# The row of single: the instance, its source rates and the optimizer's answer.
+SingleRecord = NamedTuple("SingleRecord", [
+    ("trial", int), ("n1", int), ("n2", int), ("nr", int), ("p1_max", float), ("p2_max", float),
+    ("pr_max", float), ("sigma_sq", float), *_SOLUTION_COLUMNS,
+])
 
 # The row of single --certify: the single row followed by the grid oracle's answer.
 CertifiedSingleRecord = NamedTuple("CertifiedSingleRecord", [
@@ -234,19 +200,27 @@ class ScenarioSpec:
             raise ConfigError("sweep stop must be >= sweep start")
         if self.scenario == "prmax-sweep" and self.sweep_start < 0.0:  # lemma2-sweep's is in dB
             raise ConfigError("relay budget sweep must be nonnegative")
+        # The budgets a scenario derives from finite flags can still overflow.
+        if self.scenario == "asymmetry-study" and not math.isfinite(self.config.p1_max + self.config.p2_max):
+            raise ConfigError("source power total p1 + p2 must be finite")
+        if self.scenario == "lemma2-sweep":
+            with np.errstate(over="ignore"):  # as run_lemma2_sweep computes it; inf on overflow
+                top = np.float64(10.0) ** (self.sweep_stop / 10.0) * self.config.sigmar_sq
+            if not np.isfinite(top):
+                raise ConfigError("relay budget 10^(sweep stop / 10) * sigma must be finite")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
         if self.resolution <= 0.0:
             raise ConfigError("certification resolution must be positive")
 
 
-def _solution_values(sol: RelaySolution) -> tuple:
-    """Values of the columns inv_lambda1 .. source_waste of prmax-sweep and single."""
+def _solution_values(strategy: SourceRates, sol: RelaySolution) -> tuple:
+    """Values of the _SOLUTION_COLUMNS of prmax-sweep and single."""
     bc1, bc2 = sol.bc_rates
     step_path = "-".join(str(s) for s in sol.step_trace)
     return (
-        sol.level1, sol.level2, sol.consumed_power, bc1, bc2, bc1 + bc2,
-        sol.sum_rate_tw, step_path, sol.efficient, sol.source_waste,
+        strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r, sol.level1, sol.level2, sol.consumed_power,
+        bc1, bc2, bc1 + bc2, sol.sum_rate_tw, step_path, sol.efficient, sol.source_waste,
     )
 
 
@@ -301,8 +275,7 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
         )
         records.append(PrmaxRecord(
             point, cfg.n1, cfg.n2, cfg.n_r, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq, float(pr),
-            strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r,
-            *_solution_values(sol),
+            *_solution_values(strategy, sol),
             *bl_levels, bl_consumed, *bl_bc, bl_bc[0] + bl_bc[1],
             two_way_rate(strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r, *bl_bc),
         ))
@@ -392,9 +365,7 @@ def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, Sourc
         rates = SourceRates(
             r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
         )
-        pr_max = float(payload.get("pr_max", cfg.pr_max))
-        if not (math.isfinite(pr_max) and pr_max >= 0.0):
-            raise ValueError("pr_max must be finite and nonnegative")
+        pr_max = float(_checked(payload.get("pr_max", cfg.pr_max), "pr_max"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
     return gains, rates, pr_max
@@ -414,11 +385,7 @@ def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
         pr_max = cfg.pr_max
         n1, n2, nr, sigma_sq = cfg.n1, cfg.n2, cfg.n_r, cfg.sigmar_sq
     sol = optimize(gains, strategy, pr_max)
-    row = (
-        0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq,
-        strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r,
-        *_solution_values(sol),
-    )
+    row = (0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq, *_solution_values(strategy, sol))
     if not spec.certify:
         return [SingleRecord(*row)], {"trials": 1, "skipped": 0}
     res = grid_certify(gains, strategy, pr_max, spec.resolution)

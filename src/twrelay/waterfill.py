@@ -35,9 +35,10 @@ layout too, by one rule for a list and a table, and search nothing.
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
 ``channel.SubchannelGains`` checks it once, when an instance is built.
-The public kernels check their budgets and targets, once, and then run
-the unchecked cores: _prepared (a list or table prepared once), _level,
-_rate, _power and _powers. Callers inside the package that checked their
+The public kernels check their budgets and targets, once, by _checked
+(the owner of the package's budget and noise rules), and then run the
+unchecked cores: _prepared (a list or table prepared once), _level, _rate,
+_power and _powers. Callers inside the package that checked their
 inputs at entry call the cores directly, with the same bits. The cores
 reduce through the ufuncs (np.add.reduce, not ndarray.sum, whose Python
 wrapper adds a fixed cost to every call on these small arrays).
@@ -165,10 +166,14 @@ def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
     return np.exp(log_level)
 
 
-def _checked(values, name: str) -> np.ndarray:
+def _checked(values, name: str, floor: float = 0.0) -> np.ndarray:
+    """`values` as a float array; ValueError unless each is finite and at least
+    `floor`: 0 for budgets and rate targets, sys.float_info.min for noise
+    variances (a subnormal one would overflow the gains it divides)."""
     values = np.asarray(values, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(values) & (values >= 0.0), axis=None):
-        raise ValueError(f"{name} must be finite and nonnegative")
+    if not np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None):
+        bound = "at least sys.float_info.min" if floor else "nonnegative"
+        raise ValueError(f"{name} must be finite and {bound}")
     return values
 
 

@@ -1,0 +1,87 @@
+"""The package boundary: its public names, and the input rules its entry points apply.
+
+Each public name is listed once, in the ``__all__`` of the module that
+defines it; the package exports their union. Each input rule, for power
+budgets and for noise variances, raises from one place (waterfill._checked)
+with one message, whichever entry point a bad value comes in through.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import twrelay as tw
+from twrelay import channel, errors, ma_phase, oracle, relay_opt, waterfill
+
+LAYERS = (channel, errors, ma_phase, oracle, relay_opt, waterfill)
+
+
+def test_package_exports_each_layer_name_once_from_its_owner():
+    names = [name for layer in LAYERS for name in layer.__all__]
+    assert len(names) == len(set(names)), "a name is exported by two modules"
+    assert tw.__all__ == sorted(names)
+    for layer in LAYERS:
+        for name in layer.__all__:
+            assert getattr(tw, name) is getattr(layer, name)
+            assert getattr(layer, name).__module__ == layer.__name__, f"{layer.__name__} re-exports {name}"
+    namespace = {}
+    exec("from twrelay import *", namespace)
+    assert "rate_of_level" in namespace
+    assert set(names) <= set(namespace)
+
+
+CONFIG = tw.SystemConfig(n1=1, n2=2, n_r=2)
+CHANNELS = tw.generate_channels(CONFIG, 0)
+GAINS = tw.synthetic_gains([2.0, 1.0], [1.5])
+RATES = tw.SourceRates(r_ma=1.0, r_bar_1r=0.8, r_bar_2r=0.7)
+LEVELS = tw.relative_levels(GAINS, RATES, 1.0)
+LEDGER = tw.thresholds(GAINS, LEVELS, RATES)
+H1R, H2R = CHANNELS.h1r[np.newaxis], CHANNELS.h2r[np.newaxis]
+D1, D2 = np.eye(1), np.eye(2)
+
+BUDGET_RULE = "must be finite and nonnegative"
+NOISE_RULE = "must be finite and at least sys.float_info.min"
+
+# Entry point -> (call with one bad budget, the owner's message).
+BUDGET_ENTRIES = {
+    "SystemConfig": (lambda b: tw.SystemConfig(n1=1, n2=1, n_r=1, pr_max=b), "power budgets"),
+    "max_ma_strategies": (lambda b: tw.max_ma_strategies(H1R, H2R, 1.0, b, 1.0), "power budgets"),
+    "optimize": (lambda b: tw.optimize(GAINS, RATES, b), "pr_max"),
+    "optimize_many": (lambda b: tw.optimize_many([GAINS] * 2, [RATES] * 2, [1.0, b]), "pr_max"),
+    "relative_levels": (lambda b: tw.relative_levels(GAINS, RATES, b), "pr_max"),
+    "grid_certify": (lambda b: tw.grid_certify(GAINS, RATES, b, 1e-2), "pr_max"),
+    "forward_level": (lambda b: tw.forward_level(GAINS.alpha1, b), "budget"),
+    "classify_case": (lambda b: tw.classify_case(LEDGER, LEVELS, b), "pr_max"),
+}
+
+# Entry point -> (call with one bad noise variance, the owner's message).
+NOISE_ENTRIES = {
+    "SystemConfig": (lambda s: tw.SystemConfig(n1=1, n2=1, n_r=1, sigmar_sq=s), "noise variances"),
+    "max_ma_strategies": (lambda s: tw.max_ma_strategies(H1R, H2R, 1.0, 1.0, s), "the relay noise variance"),
+    "strategy_from_covariances": (
+        lambda s: tw.strategy_from_covariances(D1, D2, CHANNELS, s), "the relay noise variance"),
+    "rate_ma": (lambda s: tw.rate_ma(D1, D2, CHANNELS, s), "the relay noise variance"),
+    "rate_bar": (lambda s: tw.rate_bar(2, D2, CHANNELS, s), "the relay noise variance"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("entry", BUDGET_ENTRIES)
+def test_every_budget_entry_point_raises_the_budget_rule(entry, bad):
+    call, name = BUDGET_ENTRIES[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} {BUDGET_RULE}")):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-320])
+@pytest.mark.parametrize("entry", NOISE_ENTRIES)
+def test_every_noise_entry_point_raises_the_noise_rule(entry, bad):
+    call, name = NOISE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} {NOISE_RULE}")):
+        call(bad)
+
+
+def test_every_budget_entry_point_accepts_a_zero_budget():
+    for call, _ in BUDGET_ENTRIES.values():
+        call(0.0)

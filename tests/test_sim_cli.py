@@ -372,6 +372,9 @@ def test_cli_exit_code_on_config_error(tmp_path):
     assert main(["--scenario", "prmax-sweep", "--sweep-start", "nan"]) == 2
     assert main(["--scenario", "single", "--certify", "--resolution", "nan"]) == 2
     assert main(["--scenario", "single", "--certify", "--resolution", "inf"]) == 2
+    # Finite flags whose derived budget overflows: P1 + P2, and 10^(400) * sigma^2.
+    assert main(["--scenario", "asymmetry-study", "--p1", "1e308", "--p2", "1e308"]) == 2
+    assert main(["--scenario", "lemma2-sweep", "--sweep-stop", "4000"]) == 2
     for name, change in (
         ("inf_gain", {"alpha1": [float("inf")]}),
         ("nan_gain", {"alpha1": [float("nan"), 1.0]}),
