@@ -17,9 +17,29 @@ via strategy_from_covariances.
 max_ma_strategies provides the simulation default, the sum-rate-maximizing
 pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi,
 IEEE T-IT 2004) over N stacked instances of equal antenna counts at once;
-max_ma_strategy is its N=1 view. Every step acts on each matrix alone and
-each instance leaves the stack at its own converged sweep, so a result is
-the same, bit for bit, in any batch. A sweep's sum rate comes from node 2's
+max_ma_strategy is its N=1 view. Both are one-group views of one engine,
+max_ma_strategy_groups, which runs groups of stacks that share n_r but
+differ in n1 and n2 (a study's antenna splits) in lockstep. Every step acts
+on each matrix alone and each instance leaves the stack at its own
+converged sweep, so a result is the same, bit for bit, in any batch and
+any grouping.
+
+Within a half-sweep, the steps whose operands have a group's own shape run
+per group, on exactly that shape: H D H^H, the whitening solve, G^H G and
+its eigh, and the covariance rebuild V diag(p) V^H; and, for the converged
+pairs, the PSD eigvalsh and H D H^H. OpenBLAS and LAPACK bits depend on an
+operand's shape, so none of these is zero-padded. The rest runs once over
+all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
+n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
+eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
+gets no power), the log-det objective, the convergence and drop-out
+bookkeeping, and the converged pairs' n_r x n_r log-dets. numpy sums fewer
+than 8 terms one after another, so trailing zero terms keep a row's sum;
+from 8 terms on it sums pairwise, so an objective table 8 or more wide is
+summed over each group's own width. On one group, the engine joins and
+splits nothing.
+
+A sweep's sum rate comes from node 2's
 best response, whose whitening matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is
 already factored as L2 L2^H:
 
@@ -32,8 +52,9 @@ p >= 0, PSD by construction: the sweeps skip the PSD check, and each
 converged pair is checked once, by the helper that gives
 strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
 instance whose interference-plus-noise matrix does not factor, or whose
-rates come out inconsistent, leaves the stack without a strategy. Budgets
-and noise variances are checked at entry, by waterfill._checked.
+rates come out inconsistent or overflow the float range, leaves the stack
+without a strategy. Budgets and noise variances are checked at entry, by
+waterfill._checked.
 """
 
 from __future__ import annotations
@@ -41,6 +62,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -56,6 +78,7 @@ __all__ = [
     "rate_bar",
     "max_ma_strategy",
     "max_ma_strategies",
+    "max_ma_strategy_groups",
     "strategy_from_covariances",
 ]
 
@@ -63,14 +86,16 @@ PSD_TOL = 1e-9
 SWEEP_GAIN_TOL = 1e-10
 MAX_SWEEPS = 500
 
+_STOPPED = "iterative water-filling stopped: "
 _SINGULAR = (
-    "iterative water-filling stopped: the interference-plus-noise matrix "
+    _STOPPED + "the interference-plus-noise matrix "
     "sigma_r^2 I + H D H^H is numerically singular"
 )
 _UNRELIABLE = (
-    "iterative water-filling stopped: its rates break "
+    _STOPPED + "its rates break "
     "max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r (log-dets lost to round-off)"
 )
+_OVERFLOW = "the MA-phase rates overflow: H D H^H / sigma_r^2 is beyond the float range"
 
 
 @dataclass(frozen=True)
@@ -121,6 +146,18 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + _ct(a))
 
 
+def _joined(parts: list) -> np.ndarray:
+    """The groups' row blocks as one stack, in order; a lone block is not copied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _row_slices(counts: list) -> list:
+    """Each group's rows in the joined stack of groups with these row counts."""
+    if len(counts) == 1:
+        return [slice(None)]
+    return [slice(end - count, end) for count, end in zip(counts, accumulate(counts))]
+
+
 def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cholesky factors of a stack of Hermitian matrices, and which failed to factor.
 
@@ -130,23 +167,25 @@ def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.cholesky(stack), np.zeros(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
-        if len(stack) > 1:  # find the failing matrices one by one
-            parts = [_cholesky(one[np.newaxis]) for one in stack]
-            return np.concatenate([c for c, _ in parts]), np.concatenate([f for _, f in parts])
+        if len(stack) > 1:  # find the failing matrices by halves
+            half = len(stack) // 2
+            (c1, f1), (c2, f2) = _cholesky(stack[:half]), _cholesky(stack[half:])
+            return np.concatenate([c1, c2]), np.concatenate([f1, f2])
         return np.eye(stack.shape[-1], dtype=stack.dtype)[np.newaxis], np.ones(1, dtype=bool)
 
 
-def _logdet_identity_plus(s: np.ndarray) -> np.ndarray:
-    """ln det(I + S) of each Hermitian PSD matrix of the stack s, (N, n, n) -> (N,).
+def _logdet_identity_plus(herm: np.ndarray) -> np.ndarray:
+    """ln det(I + S) of each Hermitian PSD matrix of a stack, (N, n, n) -> (N,),
+    given the Hermitian parts herm.
 
     Cholesky of I + S for stability; an instance whose factorization fails
     near the PSD boundary falls back to clipped eigenvalues.
     """
-    chol, failed = _cholesky(np.eye(s.shape[-1]) + _hermitian(s))
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1)
-    if failed.any():
-        eig = np.clip(np.linalg.eigvalsh(_hermitian(s[failed])), 0.0, None)
-        logdet[failed] = np.sum(np.log1p(eig), axis=-1)
+    chol, failed = _cholesky(np.eye(herm.shape[-1]) + herm)
+    logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
+    if np.count_nonzero(failed):
+        eig = np.clip(np.linalg.eigvalsh(herm[failed]), 0.0, None)
+        logdet[failed] = np.add.reduce(np.log1p(eig), axis=-1)
     return logdet
 
 
@@ -156,43 +195,64 @@ def logdet_identity_plus(s: np.ndarray) -> float:
     Cholesky of I + S for stability; falls back to clipped eigenvalues if
     the factorization fails near the PSD boundary.
     """
-    return float(_logdet_identity_plus(np.asarray(s)[np.newaxis])[0])
+    return float(_logdet_identity_plus(_hermitian(np.asarray(s)[np.newaxis]))[0])
 
 
-def _pair_rates(h1, h2, d1, d2, sig) -> np.ndarray:
-    """r_ma, r_bar_1r, r_bar_2r of each covariance pair of a stack, (3, N).
+def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
+    """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N),
+    and which pairs overflow (None if none does).
 
-    Takes stacks h1 (N, n_r, n1), h2 (N, n_r, n2), d1 (N, n1, n1),
-    d2 (N, n2, n2) and sig (N, 1, 1). Each pair is PSD-checked once.
+    `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
+    (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
+    groups' rows in order. Each pair is PSD-checked once. The n_r x n_r
+    log-dets run once over all groups. A pair whose H D H^H / sigma_r^2
+    overflows the float range has no rates.
     """
-    terms = []
-    for name, h, d in (("d1", h1, d1), ("d2", h2, d2)):
-        herm = _hermitian(d)
-        eig = np.linalg.eigvalsh(herm)
-        if (eig.min(axis=-1) < -PSD_TOL * np.abs(eig).max(axis=-1)).any():
-            raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-        terms.append(h @ herm @ _ct(h))
-    t1, t2 = terms
+    # S1 + S2, S1 and S2 of every pair, each group's written in place.
+    s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
+    rows = _row_slices([len(pair[0]) for pair in pairs])
+    for slot, name in ((1, "d1"), (2, "d2")):
+        for r, pair in zip(rows, pairs):
+            h, herm = pair[2 * slot - 2], _hermitian(pair[2 * slot - 1])
+            eig = np.linalg.eigvalsh(herm)
+            floor = -PSD_TOL * np.maximum.reduce(np.abs(eig), axis=-1)
+            if np.count_nonzero(np.minimum.reduce(eig, axis=-1) < floor):
+                raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
+            s[slot, r] = h @ herm @ _ct(h)
+    np.add(s[1], s[2], out=s[0])
+    try:
+        with np.errstate(over="raise"):
+            s /= sig
+            s = _hermitian(s)
+        overflow = None
+    except FloatingPointError:  # a tiny sigma_r^2; s holds the whole quotient
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _hermitian(s)
+        overflow = ~np.logical_and.reduce(np.isfinite(s), axis=(0, 2, 3))
+        s[:, overflow] = 0.0  # factored in place of the overflowing pairs
     # The three stacks in one call; each matrix is factored alone.
-    s = np.stack([t1 + t2, t1, t2]) / sig
-    return _logdet_identity_plus(s.reshape(-1, *s.shape[2:])).reshape(3, -1)
+    return _logdet_identity_plus(s.reshape(-1, *s.shape[2:])).reshape(3, -1), overflow
 
 
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
     """Package arbitrary PSD covariances with their recomputed rates.
 
     Raises ValueError if the relay noise variance breaks the noise rule
-    (finite and at least sys.float_info.min) or a covariance has the wrong
-    shape, and NonPSDError if a covariance is not PSD.
+    (finite and at least sys.float_info.min), a covariance has the wrong
+    shape or the rates overflow (H D H^H / sigma_r^2 beyond the float
+    range), and NonPSDError if a covariance is not PSD.
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
     for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
         if d.shape != (h.shape[1],) * 2:
             raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
-    r_ma, r_bar_1r, r_bar_2r = _pair_rates(
-        channels.h1r[np.newaxis], channels.h2r[np.newaxis], d1[np.newaxis], d2[np.newaxis], sig
-    )[:, 0]
+    rates, overflow = _pair_rates(
+        [(channels.h1r[np.newaxis], d1[np.newaxis], channels.h2r[np.newaxis], d2[np.newaxis])], sig
+    )
+    if overflow is not None:
+        raise ValueError(_OVERFLOW)
+    r_ma, r_bar_1r, r_bar_2r = rates[:, 0]
     return SourceStrategy(d1=d1, d2=d2, r_ma=r_ma, r_bar_1r=r_bar_1r, r_bar_2r=r_bar_2r)
 
 
@@ -211,23 +271,32 @@ def rate_bar(i: int, d_i, channels: ChannelSet, sigmar_sq: float) -> float:
     return (strategy.r_bar_1r, strategy.r_bar_2r)[i - 1]
 
 
-def _best_response(h: np.ndarray, z: np.ndarray, p_max: np.ndarray, objective: bool = False) -> tuple:
-    """Single-user water-filling of each instance against fixed interference-plus-noise.
+def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool = False,
+                   rows: tuple = (slice(None),)) -> tuple:
+    """Single-user water-filling of each row against fixed interference-plus-noise.
 
     Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max by water-filling over
     the eigenmodes of the whitened channel G = L^{-1} H, where Z = L L^H.
-    Takes stacks h (N, n_r, n_i), z (N, n_r, n_r) Hermitian and p_max (N,).
-    Returns D (N, n_i, n_i); with `objective`, the maximum
+    Takes the groups' uplink stacks hs, (N_g, n_r, n_g) each, and over
+    their rows in order (group g's are rows[g]; one group by default)
+    z (N, n_r, n_r) Hermitian and p_max (N,). Returns the groups' D stacks,
+    (N_g, n_g, n_g); with `objective`, the maximum
     ln det(Z + H D H^H) = 2 sum ln diag(L) + sum_k log1p(lambda_k p_k) over
     G's eigenvalues lambda_k and the powers p_k of D (N,), else None; and
-    which instances' Z is numerically singular (their D and ln det are
+    which rows' Z is numerically singular (their D and ln det are
     meaningless).
     """
-    n_i = h.shape[2]
     chol, singular = _cholesky(z)
-    g = np.linalg.solve(chol, h)
-    eigvals, eigvecs = np.linalg.eigh(_hermitian(_ct(g) @ g))
-    eigvals, eigvecs = eigvals[:, ::-1], eigvecs[..., ::-1]  # descending
+    modes = []  # per group, on its own shapes: G = L^{-1} H and the eigenmodes of G^H G
+    for r, h in zip(rows, hs):
+        g = np.linalg.solve(chol[r], h)
+        modes.append(np.linalg.eigh(_hermitian(_ct(g) @ g)))
+    if len(hs) == 1:
+        eigvals = modes[0][0][:, ::-1]  # descending
+    else:  # zero-padded to the widest group; a padded mode has gain 0
+        eigvals = np.zeros((len(z), max(h.shape[2] for h in hs)))
+        for r, (w, _) in zip(rows, modes):
+            eigvals[r, :w.shape[1]] = w[:, ::-1]
     active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
     # Water-fill each row over its active modes, a descending prefix; the
     # others are padding (gain 0). The budgets were checked at entry.
@@ -237,84 +306,148 @@ def _best_response(h: np.ndarray, z: np.ndarray, p_max: np.ndarray, objective: b
     # +inf; it gets zero powers here, then spends the budget uniformly
     # (that has no effect on any rate, but keeps Tr(D) = p_max).
     flat = ~active[:, 0]
-    level[flat] = 0.0
+    any_flat = np.count_nonzero(flat)
+    if any_flat:
+        level[flat] = 0.0
     powers = _powers(prepared[0], level)
-    d = (eigvecs * powers[:, np.newaxis, :]) @ _ct(eigvecs)
-    if flat.any():
-        d[flat] = (p_max[flat, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
-        powers[flat] = p_max[flat, np.newaxis] / n_i
+    ds = []
+    for r, (_, v) in zip(rows, modes):
+        v = v[..., ::-1]
+        ds.append((v * powers[r, np.newaxis, :v.shape[-1]]) @ _ct(v))
+    if any_flat:
+        for r, d in zip(rows, ds):
+            n_i, f = d.shape[-1], flat[r]
+            d[f] = (p_max[r][f, np.newaxis, np.newaxis] / n_i) * np.eye(n_i)
+            powers[r][f, :n_i] = p_max[r][f, np.newaxis] / n_i
     if not objective:
-        return d, None, singular
-    logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum(axis=-1)
-    return d, logdet + np.log1p(eigvals * powers).sum(axis=-1), singular
+        return ds, None, singular
+    logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
+    terms = np.log1p(eigvals * powers)
+    if len(hs) == 1 or terms.shape[1] < 8:  # trailing zero terms keep a sequential sum's bits
+        return ds, logdet + np.add.reduce(terms, axis=-1), singular
+    # From 8 terms on numpy sums pairwise: each group over its own width.
+    own = np.concatenate([np.add.reduce(terms[r, :h.shape[2]], axis=-1) for r, h in zip(rows, hs)])
+    return ds, logdet + own, singular
 
 
-def _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list:
-    """The engine: per instance a SourceStrategy, or the message of why there is none."""
-    h1r = np.ascontiguousarray(h1r, dtype=complex)
-    h2r = np.ascontiguousarray(h2r, dtype=complex)
-    n, n_r, n1 = h1r.shape
-    n2 = h2r.shape[2]
-    if not n:
+def _strategies(groups: list) -> list:
+    """The engine: per group, per row a SourceStrategy or the message of why there is none."""
+    if not groups:
         return []
-    p1, p2, sig = (np.zeros(n) + v for v in (p1_max, p2_max, sigmar_sq))
-    if not (np.isfinite(h1r).all() and np.isfinite(h2r).all()):
-        raise ValueError("uplinks must be finite")
+    uplinks, budgets, starts = [], [], [0]
+    for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
+        pair = np.ascontiguousarray(h1r, dtype=complex), np.ascontiguousarray(h2r, dtype=complex)
+        if not (np.logical_and.reduce(np.isfinite(pair[0]), axis=None)
+                and np.logical_and.reduce(np.isfinite(pair[1]), axis=None)):
+            raise ValueError("uplinks must be finite")
+        uplinks.append(pair)
+        budgets.append([np.zeros(len(pair[0])) + v for v in (p1_max, p2_max, sigmar_sq)])
+        starts.append(starts[-1] + len(pair[0]))
+    if len({h.shape[1] for pair in uplinks for h in pair}) > 1:
+        raise ValueError("every uplink must have the same n_r rows")
+    p1, p2, sig = budgets[0] if len(groups) == 1 else map(np.concatenate, zip(*budgets))
     _checked((p1, p2), "power budgets")
     _checked(sig, "the relay noise variance", sys.float_info.min)
+    n, n_r = starts[-1], uplinks[0][0].shape[1]
+    if not n:
+        return [[] for _ in groups]
     sig_all = sig[:, np.newaxis, np.newaxis]
-    d1_out = np.empty((n, n1, n1), complex)
-    d2_out = np.empty((n, n2, n2), complex)
     rates = np.empty((3, n))
     sweeps = np.zeros(n, dtype=int)
-    last_gain = np.full(n, np.nan)
+    last_gain = np.empty(n)  # read only where a row converged
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
-    # Live instances: index, uplinks and their conjugates, budgets, the
-    # noise sigma_r^2 I and n_r ln sigma_r^2, the last d2 and the last sum rate.
-    live = (
-        np.arange(n), h1r, h1r.conj(), h2r, h2r.conj(), p1, p2,
-        sig_all * np.eye(n_r), n_r * np.log(sig),
-        np.zeros((n, n2, n2), complex), np.zeros(n),
-    )
+    # Live rows, over the live groups in order: index, budgets, the noise
+    # sigma_r^2 I and n_r ln sigma_r^2, and the last sum rate; and per live
+    # group its index, uplinks and their conjugates, and the last d2.
+    idx, noise, log_noise, previous = np.arange(n), sig_all * np.eye(n_r), n_r * np.log(sig), np.zeros(n)
+    d_out, live, h1s, h1cs, h2s, h2cs, d2s, counts = [], [], [], [], [], [], [], []
+    for g, (h1, h2) in enumerate(uplinks):
+        size, n1, n2 = len(h1), h1.shape[2], h2.shape[2]
+        d_out.append((np.empty((size, n1, n1), complex), np.empty((size, n2, n2), complex)))
+        if size:
+            live.append(g)
+            h1s.append(h1)
+            h1cs.append(h1.conj())
+            h2s.append(h2)
+            h2cs.append(h2.conj())
+            d2s.append(np.zeros((size, n2, n2), complex))
+            counts.append(size)
+    rows = _row_slices(counts)
     for sweep in range(1, MAX_SWEEPS + 1):
-        idx, h1, h1c, h2, h2c, p1, p2, noise, log_noise, d2, previous = live
-        h1h, h2h = h1c.swapaxes(1, 2), h2c.swapaxes(1, 2)
-        d1, _, singular1 = _best_response(h1, noise + _hermitian(h2 @ d2 @ h2h), p1)
+        s2 = _joined([h2 @ d2 @ h2c.swapaxes(1, 2) for h2, h2c, d2 in zip(h2s, h2cs, d2s)])
+        d1s, _, singular1 = _best_response(h1s, noise + _hermitian(s2), p1, rows=rows)
+        s1 = _joined([h1 @ d1 @ h1c.swapaxes(1, 2) for h1, h1c, d1 in zip(h1s, h1cs, d1s)])
         # Node 2's objective ln det(sigma_r^2 I + S1 + S2) is the sum rate
         # plus n_r ln sigma_r^2: no third factorization.
-        d2, logdet, singular2 = _best_response(h2, noise + _hermitian(h1 @ d1 @ h1h), p2, objective=True)
+        d2s, logdet, singular2 = _best_response(h2s, noise + _hermitian(s1), p2, True, rows)
         singular = singular1 | singular2
         current = logdet - log_noise
         gain = current - previous
         done = (gain < SWEEP_GAIN_TOL) & ~singular
-        live = (idx, h1, h1c, h2, h2c, p1, p2, noise, log_noise, d2, current)
+        previous = current
         leaving = done | singular
-        if not leaving.any():
+        if not np.count_nonzero(leaving):
             continue
-        failure[idx[singular]] = _SINGULAR
+        if np.count_nonzero(singular):
+            failure[idx[singular]] = _SINGULAR
         k = idx[done]
-        d1_out[k], d2_out[k], sweeps[k] = d1[done], d2[done], sweep
-        last_gain[k] = gain[done]
-        if leaving.all():
+        sweeps[k], last_gain[k] = sweep, gain[done]
+        for g, r, d1, d2 in zip(live, rows, d1s, d2s):
+            out = done[r]
+            j = k if len(groups) == 1 else idx[r][out] - starts[g]  # the rows' indices within their group
+            d_out[g][0][j], d_out[g][1][j] = d1[out], d2[out]
+        if np.count_nonzero(leaving) == len(leaving):
             break
         keep = ~leaving
-        live = tuple(a[keep] for a in live)
+        idx, p1, p2, noise, log_noise, previous = (a[keep] for a in (idx, p1, p2, noise, log_noise, previous))
+        masks = [keep[r] for r in rows]
+        staying = [i for i, m in enumerate(masks) if np.count_nonzero(m)]
+        live = [live[i] for i in staying]
+        h1s, h1cs, h2s, h2cs, d2s = ([c[i][masks[i]] for i in staying] for c in (h1s, h1cs, h2s, h2cs, d2s))
+        rows = _row_slices([np.count_nonzero(masks[i]) for i in staying])
     # The converged pairs' rates, in one call (each matrix is factored
     # alone, so the bits do not depend on which pairs share the call).
     k = np.flatnonzero(sweeps)
-    r_ma, r1, r2 = rates[:, k] = _pair_rates(h1r[k], h2r[k], d1_out[k], d2_out[k], sig_all[k])
-    # r_ma is at least either single-user rate and at most their sum;
-    # beyond round-off, the log-dets have lost their accuracy.
-    valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
-    failure[k] = np.where(valid, None, _UNRELIABLE)
+    if k.size:
+        pairs = []
+        for (h1, h2), (d1, d2), start, end in zip(uplinks, d_out, starts, starts[1:]):
+            j = k if len(groups) == 1 else np.flatnonzero(sweeps[start:end])
+            if j.size:
+                pairs.append((h1[j], d1[j], h2[j], d2[j]))
+        pair, overflow = _pair_rates(pairs, sig_all[k])
+        r_ma, r1, r2 = rates[:, k] = pair
+        # r_ma is at least either single-user rate and at most their sum;
+        # beyond round-off, the log-dets have lost their accuracy.
+        valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
+        failure[k] = None
+        if np.count_nonzero(valid) < len(k):
+            failure[k[~valid]] = _UNRELIABLE
+        if overflow is not None:
+            failure[k[overflow]] = _STOPPED + _OVERFLOW
     # Copies, so that each strategy owns its matrices and the stacks are freed.
     return [
-        failure[k] or SourceStrategy(
-            d1=d1_out[k].copy(), d2=d2_out[k].copy(), r_ma=rates[0, k], r_bar_1r=rates[1, k],
-            r_bar_2r=rates[2, k], sweeps=int(sweeps[k]), last_gain=float(last_gain[k]),
-        )
-        for k in range(n)
+        [
+            failure[start + j] or SourceStrategy(
+                d1=d1[j].copy(), d2=d2[j].copy(), r_ma=rates[0, start + j], r_bar_1r=rates[1, start + j],
+                r_bar_2r=rates[2, start + j], sweeps=int(sweeps[start + j]),
+                last_gain=float(last_gain[start + j]),
+            )
+            for j in range(end - start)
+        ]
+        for start, end, (d1, d2) in zip(starts, starts[1:], d_out)
     ]
+
+
+def max_ma_strategy_groups(groups) -> list[list[SourceStrategy | None]]:
+    """max_ma_strategies of several groups at once, in lockstep.
+
+    Each group is a tuple (h1r, h2r, p1_max, p2_max, sigmar_sq) of
+    max_ma_strategies' arguments; the groups' uplinks share n_r but may
+    differ in n1 and n2. Returns, per group, the list max_ma_strategies
+    returns for that group alone, bit for bit. Raises as max_ma_strategies
+    does, and ValueError if two uplinks differ in n_r.
+    """
+    return [[None if isinstance(s, str) else s for s in found] for found in _strategies(groups)]
 
 
 def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrategy | None]:
@@ -326,15 +459,16 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrateg
     in order, its `sweeps` the sweep at which it converged, or None for an
     ill-conditioned realization (drop the trial): one still improving after
     MAX_SWEEPS sweeps, one whose interference-plus-noise matrix is
-    numerically singular, or one whose rates break
-    max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off.
+    numerically singular, one whose rates break
+    max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off,
+    or one whose H D H^H / sigma_r^2 overflows the float range.
     The sum rate is nondecreasing across sweeps and the fixed point
     satisfies both users' single-user optimality conditions. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
     noise variance that is non-finite or below sys.float_info.min, and
     NonPSDError if a converged pair is not PSD.
     """
-    return [None if isinstance(s, str) else s for s in _strategies(h1r, h2r, p1_max, p2_max, sigmar_sq)]
+    return max_ma_strategy_groups([(h1r, h2r, p1_max, p2_max, sigmar_sq)])[0]
 
 
 def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrategy:
@@ -343,10 +477,10 @@ def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrateg
     The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
     returns None, with the reason.
     """
-    (strategy,) = _strategies(
+    ((strategy,),) = _strategies([(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis],
         config.p1_max, config.p2_max, config.sigmar_sq,
-    )
+    )])
     if isinstance(strategy, str):
         raise NoConvergenceError(strategy)
     return strategy

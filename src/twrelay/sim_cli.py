@@ -41,6 +41,7 @@ a budget derived from flags that breaks an input rule), 3 runtime failure.
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -59,7 +60,7 @@ from .channel import (
     synthetic_gains,
 )
 from .errors import ConfigError, RankZeroError
-from .ma_phase import SourceRates, max_ma_strategies, max_ma_strategy
+from .ma_phase import SourceRates, max_ma_strategy, max_ma_strategy_groups
 from .oracle import grid_certify
 from .relay_opt import RelaySolution, optimize, optimize_many, two_way_rate
 from .waterfill import _checked, forward_level, power_of_level, rate_of_level
@@ -77,9 +78,10 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
-# The asymmetry study hands its cells to the relay optimizer in one batch;
-# once the antenna splits not yet solved hold this many cells, it solves
-# them before drawing the next split, so a long study keeps memory bounded.
+# The asymmetry study runs its cells through the MA phase in blocks of at
+# most this many, and hands them to the relay optimizer in one batch once
+# the antenna splits not yet solved hold this many, so a long study keeps
+# memory bounded.
 STUDY_BATCH_CELLS = 4096
 
 
@@ -292,8 +294,11 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     is rank zero or whose gains overflow counts as skipped in every cell of
     its antenna split, and a cell whose MA phase finds no strategy (no
     convergence, or a numerically singular or inaccurate instance) in its
-    own. The MA phase runs one batch per antenna split, and the relay
-    optimizer one batch whenever the unsolved cells reach
+    own. The cells are drawn in record order, (n1, trial, power split), and
+    run through the MA phase in blocks of at most STUDY_BATCH_CELLS cells:
+    one max_ma_strategy_groups call per block, with one group per antenna
+    split in it, not one call per split. The relay optimizer runs one batch
+    whenever, at the end of an antenna split, the unsolved cells reach
     STUDY_BATCH_CELLS, and one at the end.
     """
     cfg = spec.config
@@ -312,29 +317,36 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
             ))
         jobs.clear()
 
-    for n1 in range(1, n_total):
-        base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
-        drawn = []
-        for trial in range(spec.trials):
-            channels = generate_channels(base, trial)
-            try:
-                drawn.append((trial, channels, decompose(channels, base)))
-            except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
-                continue
-        # One MA-phase batch per antenna split: every drawn trial x every power split.
-        batch = [(trial, channels, gains, p1) for trial, channels, gains in drawn for p1 in p1_splits]
-        p1_batch = np.array([p1 for *_, p1 in batch])
-        strategies = max_ma_strategies(
-            np.array([ch.h1r for _, ch, _, _ in batch]).reshape(-1, base.n_r, base.n1),
-            np.array([ch.h2r for _, ch, _, _ in batch]).reshape(-1, base.n_r, base.n2),
-            p1_batch, p_total - p1_batch, base.sigmar_sq,
-        )
-        jobs += [
-            (n1, trial, p1, gains, strategy)
-            for (trial, _, gains, p1), strategy in zip(batch, strategies) if strategy is not None
-        ]
-        if len(jobs) >= STUDY_BATCH_CELLS:
-            solve_jobs()
+    def drawn_cells():
+        """(n1, trial, channels, gains, p1) of each cell whose trial was drawn, in record order."""
+        for n1 in range(1, n_total):
+            base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
+            for trial in range(spec.trials):
+                channels = generate_channels(base, trial)
+                try:
+                    gains = decompose(channels, base)
+                except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
+                    continue
+                yield from ((n1, trial, channels, gains, p1) for p1 in p1_splits)
+
+    stream, split = drawn_cells(), None
+    while block := list(itertools.islice(stream, STUDY_BATCH_CELLS)):
+        groups = [list(run) for _, run in itertools.groupby(block, key=lambda cell: cell[0])]
+        p1s = [np.array([cell[4] for cell in group]) for group in groups]
+        found = max_ma_strategy_groups([
+            (np.array([cell[2].h1r for cell in group]), np.array([cell[2].h2r for cell in group]),
+             p1, p_total - p1, cfg.sigmar_sq)
+            for group, p1 in zip(groups, p1s)
+        ])
+        for group, strategies in zip(groups, found):
+            if group[0][0] != split:  # a split has ended: solve once the unsolved cells are enough
+                split = group[0][0]
+                if len(jobs) >= STUDY_BATCH_CELLS:
+                    solve_jobs()
+            jobs += [
+                (n1, trial, p1, gains, strategy)
+                for (n1, trial, _, gains, p1), strategy in zip(group, strategies) if strategy is not None
+            ]
     solve_jobs()
     # Each cell's aggregate is over its records; every trial without one was skipped.
     cells = {(n1, p1): [] for n1 in range(1, n_total) for p1 in p1_splits}

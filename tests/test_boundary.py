@@ -7,6 +7,8 @@ with one message, whichever entry point a bad value comes in through.
 """
 
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -85,3 +87,16 @@ def test_every_noise_entry_point_raises_the_noise_rule(entry, bad):
 def test_every_budget_entry_point_accepts_a_zero_budget():
     for call, _ in BUDGET_ENTRIES.values():
         call(0.0)
+
+
+def test_rates_that_overflow_at_the_least_noise_raise_a_value_error_naming_it():
+    # sigma^2 = sys.float_info.min passes the noise rule, but H D H^H / sigma^2
+    # is beyond the float range: no RuntimeWarning, no misleading InvalidStrategyError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            tw.strategy_from_covariances(D1, D2, CHANNELS, sys.float_info.min)
+        with pytest.raises(ValueError, match="overflow"):
+            tw.rate_ma(D1, D2, CHANNELS, sys.float_info.min)
+        # At sigma^2 = 1e-300 the same pair has finite rates.
+        assert np.isfinite(tw.rate_ma(D1, D2, CHANNELS, 1e-300))

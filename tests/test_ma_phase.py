@@ -146,7 +146,7 @@ def test_strategy_rates_self_consistent(rng):
 def _best_response_one(h, other_term, p_max, sigmar_sq):
     """The engine's best response at N=1."""
     z = sigmar_sq * np.eye(h.shape[0]) + 0.5 * (other_term + other_term.conj().T)
-    d, _, _ = _best_response(h[np.newaxis], z[np.newaxis], np.array([p_max]))
+    (d,), _, _ = _best_response([h[np.newaxis]], z[np.newaxis], np.array([p_max]))
     return d[0]
 
 
@@ -306,7 +306,7 @@ def test_sweep_sum_rate_from_node_2_factor(rng, sigma_sq):
             d1 = _best_response_one(h1, h2 @ d2 @ h2.conj().T, cfg.p1_max, sigma_sq)
             s1 = h1 @ d1 @ h1.conj().T
             z = sigma_sq * np.eye(n_r) + 0.5 * (s1 + s1.conj().T)
-            d2, logdet, singular = _best_response(h2[np.newaxis], z[np.newaxis], np.array([cfg.p2_max]), True)
+            (d2,), logdet, singular = _best_response([h2[np.newaxis]], z[np.newaxis], np.array([cfg.p2_max]), True)
             d2 = d2[0]
             assert not singular[0]
             rate = logdet[0] - n_r * np.log(sigma_sq)
@@ -456,3 +456,91 @@ def test_matches_projected_ascent_oracle(rng):
         ch = tw.generate_channels(cfg, 0)
         st = tw.max_ma_strategy(ch, cfg)
         assert abs(st.r_ma - _ascent_oracle(ch, cfg)) < 1e-6
+
+
+# --- groups of antenna splits in lockstep -----------------------------------
+
+
+def _split_group(n1, n_total, n_r, trials, sigma_sq=1.0, seed=0):
+    """One antenna split of a study as an engine group: trials x five power splits, P1 + P2 = 5 W."""
+    base = tw.SystemConfig(n1=n1, n2=n_total - n1, n_r=n_r, seed=seed)
+    channels = [tw.generate_channels(base, trial) for trial in range(trials)]
+    p1 = np.tile(np.linspace(0.1, 0.9, 5) * 5.0, trials) * sigma_sq
+    return (
+        np.repeat(np.stack([ch.h1r for ch in channels]), 5, axis=0),
+        np.repeat(np.stack([ch.h2r for ch in channels]), 5, axis=0),
+        p1, 5.0 * sigma_sq - p1, sigma_sq,
+    )
+
+
+def _assert_groups_match_alone(groups):
+    """The grouped engine gives each group, row for row and bit for bit, what it gives that group alone."""
+    together = tw.ma_phase._strategies(groups)
+    for group, found in zip(groups, together, strict=True):
+        (alone,) = tw.ma_phase._strategies([group])
+        assert len(found) == len(alone)
+        for a, b in zip(found, alone):
+            if isinstance(b, str):
+                assert a == b
+            else:
+                _assert_same_bits(a, b)
+                assert a.last_gain == b.last_gain
+    return together
+
+
+@pytest.mark.parametrize("sigma_sq", [1.0, 1e-9, 1e3])
+def test_groups_of_widths_1_to_9_match_each_group_alone(sigma_sq):
+    # n1 + n2 = 10 on n_r = 10: the padded eigenvalue table is 9 wide, where
+    # numpy sums the objective's terms pairwise, so each group is summed over
+    # its own width; narrower tables keep trailing zeros.
+    groups = [_split_group(n1, 10, 10, 6, sigma_sq, seed=3) for n1 in range(1, 10)]
+    together = _assert_groups_match_alone(groups)
+    sweeps = [[st.sweeps for st in found if not isinstance(st, str)] for found in together]
+    assert all(sweeps) and len({max(s) for s in sweeps}) > 1  # the groups stop at different sweeps
+
+
+def test_groups_narrower_than_8_a_one_row_group_and_a_flat_group_match_each_group_alone():
+    groups = [_split_group(n1, 6, 6, 4, seed=9) for n1 in range(1, 6)]
+    h1, h2, p1, p2, sig = _split_group(2, 5, 6, 1, seed=11)
+    groups.insert(2, (h1[:1], h2[:1], p1[:1], p2[:1], sig))  # n1 = 2, n2 = 3: one row
+    groups.insert(4, (h1, np.zeros_like(h2), p1, p2, sig))  # node 2's best response is flat
+    _assert_groups_match_alone(groups)
+
+
+def test_ill_conditioned_group_drops_out_beside_healthy_groups():
+    # The cells of test_ill_conditioned_instances_drop_out_and_leave_the_others_bits.
+    sick = (*_split_group(1, 6, 6, 8)[:4], 1e-15)
+    groups = [_split_group(3, 6, 6, 4, seed=5), sick, _split_group(5, 6, 6, 4, seed=6)]
+    together = _assert_groups_match_alone(groups)
+    reasons = {st for st in together[1] if isinstance(st, str)}
+    assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
+    assert not any(isinstance(st, str) for found in together[::2] for st in found)
+    public = tw.max_ma_strategy_groups(groups)
+    assert [[st is None for st in found] for found in public] == [
+        [isinstance(st, str) for st in found] for found in together
+    ]
+
+
+def test_groups_must_share_n_r():
+    h1, h2, p1, p2, sig = _split_group(2, 4, 4, 1)
+    g1, g2, q1, q2, _ = _split_group(2, 4, 5, 1)
+    with pytest.raises(ValueError, match="n_r"):
+        tw.max_ma_strategy_groups([(h1, h2, p1, p2, sig), (g1, g2, q1, q2, sig)])
+    assert tw.max_ma_strategy_groups([]) == []
+    empty = np.zeros((0, 4, 2), complex)
+    assert tw.max_ma_strategy_groups([(empty, empty, [], [], 1.0), (h1, h2, p1, p2, sig)])[0] == []
+
+
+def test_rows_whose_rates_overflow_drop_out_alone():
+    # At sigma^2 = 1e-300 a 1e10 W budget converges, but H D H^H / sigma^2 is
+    # beyond the float range: those rows drop out with that reason, and only they.
+    channels = [tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=seed), 0) for seed in range(3)]
+    h1, h2 = np.stack([ch.h1r for ch in channels]), np.stack([ch.h2r for ch in channels])
+    budgets = [1e10, 1.0, 1e10]
+    groups = [(h1, h2, budgets, budgets, 1e-300), (h1, h2, 1.0, 1.0, 1.0)]
+    tiny, healthy = _assert_groups_match_alone(groups)
+    assert tiny[0] == tiny[2] == "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW
+    assert all(st.sweeps >= 1 for st in healthy)
+    # The row that does not overflow has the bits it has in a call where nothing overflows.
+    ((alone,),) = tw.ma_phase._strategies([(h1[1:2], h2[1:2], 1.0, 1.0, 1e-300)])
+    _assert_same_bits(tiny[1], alone)

@@ -230,6 +230,67 @@ def test_asymmetry_study_batch_bound_changes_no_record(monkeypatch):
     assert run_asymmetry_study(spec) == whole
 
 
+def _reference_study_records(spec):
+    """The study's records as one max_ma_strategies call per antenna split and optimize_many
+    batches flushed at the end of a split once STUDY_BATCH_CELLS cells wait, at the end too."""
+    cfg = spec.config
+    n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
+    p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
+    records, jobs = [], []
+
+    def solve():
+        solutions = tw.optimize_many([job[3] for job in jobs], [job[4] for job in jobs], cfg.pr_max)
+        records.extend(
+            sim_cli.AsymRecord(trial, n1, n_total - n1, p1, p_total - p1, sol.sum_rate_tw,
+                               sol.consumed_power, sol.efficient)
+            for (n1, trial, p1, _, _), sol in zip(jobs, solutions)
+        )
+        jobs.clear()
+
+    for n1 in range(1, n_total):
+        base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
+        cells = []
+        for trial in range(spec.trials):
+            channels = tw.generate_channels(base, trial)
+            try:
+                gains = sim_cli.decompose(channels, base)
+            except (tw.RankZeroError, ValueError):
+                continue
+            cells += [(trial, channels, gains, p1) for p1 in p1_splits]
+        p1 = np.array([cell[3] for cell in cells])
+        strategies = tw.max_ma_strategies(
+            np.array([cell[1].h1r for cell in cells]).reshape(-1, base.n_r, base.n1),
+            np.array([cell[1].h2r for cell in cells]).reshape(-1, base.n_r, base.n2),
+            p1, p_total - p1, base.sigmar_sq,
+        )
+        jobs += [(n1, trial, p1, gains, st) for (trial, _, gains, p1), st in zip(cells, strategies) if st is not None]
+        if len(jobs) >= sim_cli.STUDY_BATCH_CELLS:
+            solve()
+    solve()
+    return records
+
+
+@pytest.mark.parametrize("batch_cells", [4096, 40, 7])
+def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_cells):
+    # n1 + n2 = 10 on n_r = 10: gain lists of 8 or more, where optimize_many's
+    # bits depend on which cells share a batch, and MA blocks that span splits.
+    monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", batch_cells)
+    cfg = tw.SystemConfig(n1=5, n2=5, n_r=10, p1_max=2.5, p2_max=2.5, pr_max=3.0, seed=17)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
+    real = sim_cli.decompose
+
+    def decompose(channels, config):  # trial 2 of the n1 = 4 split is rank zero
+        if channels.hr1.shape[0] == 4 and np.array_equal(channels.hr1, tw.generate_channels(config, 2).hr1):
+            raise tw.RankZeroError("downlink channel has no nonzero singular value")
+        return real(channels, config)
+
+    monkeypatch.setattr(sim_cli, "decompose", decompose)
+    records, aggregates = run_asymmetry_study(spec)
+    assert records == _reference_study_records(spec)
+    assert [(a["n1"], a["skipped"]) for a in aggregates if a["skipped"]] == [(4, 1)] * 5
+    assert len({r.n1 for r in records}) == 9
+
+
 def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
     # sigma^2 = 3e-308 is a normal float, but every downlink gain s^2/sigma^2
     # above ~0.54 overflows: each trial is skipped in every cell of its split.
