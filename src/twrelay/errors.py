@@ -28,11 +28,10 @@ class NoConvergenceError(TwrelayError):
 class InvalidStrategyError(TwrelayError):
     """Source rates are mutually inconsistent.
 
-    Raised when the multiple-access sum-rate is not strictly below the sum of
-    the individual uplink rates or when it is below one of them. Rates
-    induced by actual covariances can meet the sum, e.g. single-antenna
-    users on orthogonal uplinks or a user whose uplink is zero; the relay
-    optimizer rejects those as well.
+    Raised when the multiple-access sum-rate exceeds the sum of the
+    individual uplink rates or is below one of them, beyond 1e-12 nats.
+    Rates that meet the sum (a user whose uplink or budget is zero) are
+    valid: there the MA ceiling is redundant.
     """
 
 

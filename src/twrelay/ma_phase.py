@@ -1,66 +1,51 @@
 """Multiple-access phase rates and the default source strategy.
 
-In the first time slot both source nodes transmit simultaneously to the
-relay. Given transmit covariances D1, D2 the relevant log-det functionals
-are the MA sum-rate
+In the first time slot both sources transmit to the relay. Given transmit
+covariances D1, D2 the MA sum rate is
 
     r_ma = ln det(I + (H1r D1 H1r^H + H2r D2 H2r^H) / sigma_r^2)
 
-and the individual uplink rates r_bar_ir with only one term inside. All
-rates are in nats.
+and the uplink rates r_bar_ir have only one term inside; all in nats. The
+relay optimizer needs only the three rates (SourceRates), so it works for
+any source covariances; strategy_from_covariances packages a PSD pair with
+its rates as a SourceStrategy.
 
-The relay optimizer needs only the three rates (SourceRates), so it works
-for arbitrary source covariances; callers can build a SourceStrategy, the
-rates together with the covariances that induce them, from any PSD pair
-via strategy_from_covariances.
+max_ma_strategy_groups finds the simulation default, the sum-rate-maximizing
+pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi, IEEE
+T-IT 2004), for groups of stacked instances that share n_r but differ in n1
+and n2 (a study's antenna splits), in lockstep. It returns per group one
+SourceStrategies, columns whose item i is a SourceStrategy built on access
+or None for a dropped row; max_ma_strategies is its one-group view and
+max_ma_strategy the N=1 view. Each instance leaves at its own converged
+sweep and every step acts on each matrix alone, so a result is the same,
+bit for bit, in any batch and grouping: the steps on a group's own shapes
+(H D H^H, the whitening solve, G^H G and its eigh, the covariance rebuild,
+the PSD eigvalsh) run per group, as LAPACK bits depend on the shape; the
+Cholesky of sigma_r^2 I + H D H^H, the water-fill over eigenvalues padded
+with zeros to the widest group, the objective (summed over each group's
+own width from 8 wide, where numpy sums pairwise), the bookkeeping and the
+n_r x n_r log-dets run once.
 
-max_ma_strategies provides the simulation default, the sum-rate-maximizing
-pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi,
-IEEE T-IT 2004) over N stacked instances of equal antenna counts at once;
-max_ma_strategy is its N=1 view. Both are one-group views of one engine,
-max_ma_strategy_groups, which runs groups of stacks that share n_r but
-differ in n1 and n2 (a study's antenna splits) in lockstep. Every step acts
-on each matrix alone and each instance leaves the stack at its own
-converged sweep, so a result is the same, bit for bit, in any batch and
-any grouping.
-
-Within a half-sweep, the steps whose operands have a group's own shape run
-per group, on exactly that shape: H D H^H, the whitening solve, G^H G and
-its eigh, and the covariance rebuild V diag(p) V^H; and, for the converged
-pairs, the PSD eigvalsh and H D H^H. OpenBLAS and LAPACK bits depend on an
-operand's shape, so none of these is zero-padded. The rest runs once over
-all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
-n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
-eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
-gets no power), the log-det objective, the convergence and drop-out
-bookkeeping, and the converged pairs' n_r x n_r log-dets. numpy sums fewer
-than 8 terms one after another, so trailing zero terms keep a row's sum;
-from 8 terms on it sums pairwise, so an objective table 8 or more wide is
-summed over each group's own width. On one group, the engine joins and
-splits nothing.
-
-A sweep's sum rate comes from node 2's
-best response, whose whitening matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is
-already factored as L2 L2^H:
+A sweep's sum rate comes from node 2's best response, whose whitening
+matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is already factored as L2 L2^H:
 
     r_ma = 2 sum ln diag(L2) + sum_k log1p(lambda_k p_k) - n_r ln sigma_r^2
 
-over node 2's whitened eigenvalues lambda_k and powers p_k, with no third
-factorization; an instance converges when a sweep gains less than
-SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with
-p >= 0, PSD by construction: the sweeps skip the PSD check, and each
-converged pair is checked once, by the helper that gives
-strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
-instance whose interference-plus-noise matrix does not factor, or whose
-rates come out inconsistent or overflow the float range, leaves the stack
-without a strategy. Budgets and noise variances are checked at entry, by
-waterfill._checked.
+with no third factorization; an instance converges when a sweep gains less
+than SWEEP_GAIN_TOL nats. Best responses are PSD by construction, so each
+converged pair is PSD-checked once, by the helper that gives
+strategy_from_covariances its rates. An instance whose uplinks'
+tr(H^H H) / sigma_r^2 would overflow a sweep (checked once, at entry),
+whose interference-plus-noise matrix does not factor, or whose rates come
+out inconsistent or overflow, is dropped, with the reason. Budgets and
+noise variances are checked at entry, by waterfill._checked.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -73,6 +58,7 @@ from .waterfill import _checked, _level, _powers, _prepared
 __all__ = [
     "SourceRates",
     "SourceStrategy",
+    "SourceStrategies",
     "logdet_identity_plus",
     "rate_ma",
     "rate_bar",
@@ -96,6 +82,7 @@ _UNRELIABLE = (
     "max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r (log-dets lost to round-off)"
 )
 _OVERFLOW = "the MA-phase rates overflow: H D H^H / sigma_r^2 is beyond the float range"
+_BAD_RATES = "source rates must be finite and nonnegative"
 
 
 @dataclass(frozen=True)
@@ -114,7 +101,7 @@ class SourceRates:
         for name in ("r_ma", "r_bar_1r", "r_bar_2r"):
             rate = float(getattr(self, name))
             if not (math.isfinite(rate) and rate >= -1e-12):
-                raise InvalidStrategyError("source rates must be finite and nonnegative")
+                raise InvalidStrategyError(_BAD_RATES)
             object.__setattr__(self, name, max(rate, 0.0))
 
 
@@ -135,6 +122,28 @@ class SourceStrategy(SourceRates):
     # Not SourceRates' value equality, which would compare the rates alone.
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+
+class SourceStrategies(Sequence):
+    """N instances' max_ma_strategies results as columns: rates (3, N), r_ma,
+    r_bar_1r, r_bar_2r clamped as SourceRates clamps them; d1, d2
+    (N, n_i, n_i); sweeps, last_gain (N,); reasons (N,), None or why the
+    row was dropped (its rates NaN, the rest meaningless)."""
+
+    __slots__ = ("rates", "d1", "d2", "sweeps", "last_gain", "reasons")
+
+    def __init__(self, *columns) -> None:
+        self.rates, self.d1, self.d2, self.sweeps, self.last_gain, self.reasons = columns
+
+    def __len__(self) -> int:
+        return len(self.reasons)
+
+    def __getitem__(self, i: int) -> SourceStrategy | None:
+        if self.reasons[i] is not None:
+            return None
+        r_ma, r_bar_1r, r_bar_2r = self.rates[:, i].tolist()
+        return SourceStrategy(d1=self.d1[i].copy(), d2=self.d2[i].copy(), r_ma=r_ma, r_bar_1r=r_bar_1r,
+                              r_bar_2r=r_bar_2r, sweeps=int(self.sweeps[i]), last_gain=float(self.last_gain[i]))
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -159,11 +168,8 @@ def _row_slices(counts: list) -> list:
 
 
 def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of Hermitian matrices, and which failed to factor.
-
-    A matrix that fails gets the identity as a placeholder factor. Each
-    factor has the bits of its matrix factored alone.
-    """
+    """Cholesky factors of a stack of Hermitian matrices (each with the bits of
+    its matrix alone), and which failed to factor (their factor is I)."""
     try:
         return np.linalg.cholesky(stack), np.zeros(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
@@ -176,11 +182,8 @@ def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _logdet_identity_plus(herm: np.ndarray) -> np.ndarray:
     """ln det(I + S) of each Hermitian PSD matrix of a stack, (N, n, n) -> (N,),
-    given the Hermitian parts herm.
-
-    Cholesky of I + S for stability; an instance whose factorization fails
-    near the PSD boundary falls back to clipped eigenvalues.
-    """
+    given the Hermitian parts herm: by Cholesky of I + S, or by clipped
+    eigenvalues where that fails near the PSD boundary."""
     chol, failed = _cholesky(np.eye(herm.shape[-1]) + herm)
     logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
     if np.count_nonzero(failed):
@@ -190,23 +193,17 @@ def _logdet_identity_plus(herm: np.ndarray) -> np.ndarray:
 
 
 def logdet_identity_plus(s: np.ndarray) -> float:
-    """ln det(I + S) for Hermitian PSD S.
-
-    Cholesky of I + S for stability; falls back to clipped eigenvalues if
-    the factorization fails near the PSD boundary.
-    """
+    """ln det(I + S) for Hermitian PSD S, as _logdet_identity_plus finds it."""
     return float(_logdet_identity_plus(_hermitian(np.asarray(s)[np.newaxis]))[0])
 
 
 def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
     """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N),
-    and which pairs overflow (None if none does).
+    and which pairs' H D H^H / sigma_r^2 overflows (None if none does).
 
-    `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
-    (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
-    groups' rows in order. Each pair is PSD-checked once. The n_r x n_r
-    log-dets run once over all groups. A pair whose H D H^H / sigma_r^2
-    overflows the float range has no rates.
+    `pairs` holds each group's stacks (h1, d1, h2, d2); sig is (N, 1, 1)
+    over the groups' rows in order. Each pair is PSD-checked once; the
+    n_r x n_r log-dets run once over all groups.
     """
     # S1 + S2, S1 and S2 of every pair, each group's written in place.
     s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
@@ -237,10 +234,9 @@ def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
     """Package arbitrary PSD covariances with their recomputed rates.
 
-    Raises ValueError if the relay noise variance breaks the noise rule
-    (finite and at least sys.float_info.min), a covariance has the wrong
-    shape or the rates overflow (H D H^H / sigma_r^2 beyond the float
-    range), and NonPSDError if a covariance is not PSD.
+    Raises ValueError if sigmar_sq breaks the noise rule, a covariance has
+    the wrong shape or H D H^H / sigma_r^2 overflows, and NonPSDError if a
+    covariance is not PSD.
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
@@ -275,16 +271,12 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
                    rows: tuple = (slice(None),)) -> tuple:
     """Single-user water-filling of each row against fixed interference-plus-noise.
 
-    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max by water-filling over
-    the eigenmodes of the whitened channel G = L^{-1} H, where Z = L L^H.
-    Takes the groups' uplink stacks hs, (N_g, n_r, n_g) each, and over
-    their rows in order (group g's are rows[g]; one group by default)
-    z (N, n_r, n_r) Hermitian and p_max (N,). Returns the groups' D stacks,
-    (N_g, n_g, n_g); with `objective`, the maximum
-    ln det(Z + H D H^H) = 2 sum ln diag(L) + sum_k log1p(lambda_k p_k) over
-    G's eigenvalues lambda_k and the powers p_k of D (N,), else None; and
-    which rows' Z is numerically singular (their D and ln det are
-    meaningless).
+    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max over the eigenmodes
+    of G = L^{-1} H, Z = L L^H, for the groups' uplink stacks hs
+    (N_g, n_r, n_g), with z (N, n_r, n_r) and p_max (N,) over their rows in
+    order (group g's are rows[g]). Returns the groups' D stacks; with
+    `objective` the maximum, 2 sum ln diag(L) + sum_k log1p(lambda_k p_k),
+    (N,), else None; and which rows' Z is singular (their results meaningless).
     """
     chol, singular = _cholesky(z)
     modes = []  # per group, on its own shapes: G = L^{-1} H and the eigenmodes of G^H G
@@ -330,15 +322,23 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
     return ds, logdet + own, singular
 
 
-def _strategies(groups: list) -> list:
-    """The engine: per group, per row a SourceStrategy or the message of why there is none."""
+def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
+    """max_ma_strategies of several groups at once, in lockstep.
+
+    Each group is a tuple (h1r, h2r, p1_max, p2_max, sigmar_sq) of
+    max_ma_strategies' arguments; the groups' uplinks share n_r but may
+    differ in n1 and n2. Returns, per group, what max_ma_strategies returns
+    for that group alone, bit for bit. Raises as max_ma_strategies does,
+    and ValueError if two uplinks differ in n_r.
+    """
     if not groups:
         return []
-    uplinks, budgets, starts = [], [], [0]
+    uplinks, budgets, totals, starts = [], [], [], [0]
     for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
         pair = np.ascontiguousarray(h1r, dtype=complex), np.ascontiguousarray(h2r, dtype=complex)
-        if not (np.logical_and.reduce(np.isfinite(pair[0]), axis=None)
-                and np.logical_and.reduce(np.isfinite(pair[1]), axis=None)):
+        # The stack's tr(H1^H H1) + tr(H2^H H2): not finite iff an entry or its square is not.
+        totals.append(np.vdot(pair[0], pair[0]).real + np.vdot(pair[1], pair[1]).real)
+        if not (math.isfinite(totals[-1]) or np.isfinite(pair[0]).all() and np.isfinite(pair[1]).all()):
             raise ValueError("uplinks must be finite")
         uplinks.append(pair)
         budgets.append([np.zeros(len(pair[0])) + v for v in (p1_max, p2_max, sigmar_sq)])
@@ -349,31 +349,36 @@ def _strategies(groups: list) -> list:
     _checked((p1, p2), "power budgets")
     _checked(sig, "the relay noise variance", sys.float_info.min)
     n, n_r = starts[-1], uplinks[0][0].shape[1]
-    if not n:
-        return [[] for _ in groups]
     sig_all = sig[:, np.newaxis, np.newaxis]
-    rates = np.empty((3, n))
+    rates = np.empty((3, n))  # a dropped row's are set to NaN at the end
     sweeps = np.zeros(n, dtype=int)
     last_gain = np.empty(n)  # read only where a row converged
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
+    # A sweep whitens against sigma_r^2 I or more: a row whose traces over
+    # sigma_r^2 pass a quarter of the float range would overflow G^H G. A
+    # stack's total bounds its rows' traces.
+    idx = np.arange(n)
+    if n and max(totals) * (4.0 / sys.float_info.max) > np.minimum.reduce(sig):
+        both = [np.concatenate(pair, axis=2).view(float) for pair in uplinks]
+        live_rows = np.concatenate([np.einsum("nij,nij->n", b, b) for b in both]) * (4.0 / sys.float_info.max) <= sig
+        failure[~live_rows] = _STOPPED + _OVERFLOW
+        idx, p1, p2, sig = idx[live_rows], p1[live_rows], p2[live_rows], sig[live_rows]
     # Live rows, over the live groups in order: index, budgets, the noise
     # sigma_r^2 I and n_r ln sigma_r^2, and the last sum rate; and per live
     # group its index, uplinks and their conjugates, and the last d2.
-    idx, noise, log_noise, previous = np.arange(n), sig_all * np.eye(n_r), n_r * np.log(sig), np.zeros(n)
-    d_out, live, h1s, h1cs, h2s, h2cs, d2s, counts = [], [], [], [], [], [], [], []
+    noise, log_noise, previous = sig[:, np.newaxis, np.newaxis] * np.eye(n_r), n_r * np.log(sig), np.zeros(len(idx))
+    d_out, live, h1s, h1cs, h2s, h2cs, d2s = [], [], [], [], [], [], []
     for g, (h1, h2) in enumerate(uplinks):
         size, n1, n2 = len(h1), h1.shape[2], h2.shape[2]
         d_out.append((np.empty((size, n1, n1), complex), np.empty((size, n2, n2), complex)))
-        if size:
-            live.append(g)
-            h1s.append(h1)
-            h1cs.append(h1.conj())
-            h2s.append(h2)
-            h2cs.append(h2.conj())
-            d2s.append(np.zeros((size, n2, n2), complex))
-            counts.append(size)
-    rows = _row_slices(counts)
-    for sweep in range(1, MAX_SWEEPS + 1):
+        if len(idx) < n:
+            h1, h2 = (h[live_rows[starts[g]:starts[g + 1]]] for h in (h1, h2))
+        if len(h1):
+            for column, value in zip((live, h1s, h1cs, h2s, h2cs, d2s),
+                                     (g, h1, h1.conj(), h2, h2.conj(), np.zeros((len(h1), n2, n2), complex))):
+                column.append(value)
+    rows = _row_slices([len(h1) for h1 in h1s])
+    for sweep in range(1, MAX_SWEEPS + 1 if live else 1):
         s2 = _joined([h2 @ d2 @ h2c.swapaxes(1, 2) for h2, h2c, d2 in zip(h2s, h2cs, d2s)])
         d1s, _, singular1 = _best_response(h1s, noise + _hermitian(s2), p1, rows=rows)
         s1 = _joined([h1 @ d1 @ h1c.swapaxes(1, 2) for h1, h1c, d1 in zip(h1s, h1cs, d1s)])
@@ -424,59 +429,43 @@ def _strategies(groups: list) -> list:
             failure[k[~valid]] = _UNRELIABLE
         if overflow is not None:
             failure[k[overflow]] = _STOPPED + _OVERFLOW
-    # Copies, so that each strategy owns its matrices and the stacks are freed.
+    dropped = np.not_equal(failure, None)
+    rates[:, dropped] = np.nan
+    if np.count_nonzero(~((rates >= -1e-12) & (rates < np.inf)) & ~dropped):
+        raise InvalidStrategyError(_BAD_RATES)
+    np.maximum(rates, 0.0, out=rates)
     return [
-        [
-            failure[start + j] or SourceStrategy(
-                d1=d1[j].copy(), d2=d2[j].copy(), r_ma=rates[0, start + j], r_bar_1r=rates[1, start + j],
-                r_bar_2r=rates[2, start + j], sweeps=int(sweeps[start + j]),
-                last_gain=float(last_gain[start + j]),
-            )
-            for j in range(end - start)
-        ]
+        SourceStrategies(rates[:, start:end], d1, d2, sweeps[start:end], last_gain[start:end], failure[start:end])
         for start, end, (d1, d2) in zip(starts, starts[1:], d_out)
     ]
 
 
-def max_ma_strategy_groups(groups) -> list[list[SourceStrategy | None]]:
-    """max_ma_strategies of several groups at once, in lockstep.
-
-    Each group is a tuple (h1r, h2r, p1_max, p2_max, sigmar_sq) of
-    max_ma_strategies' arguments; the groups' uplinks share n_r but may
-    differ in n1 and n2. Returns, per group, the list max_ma_strategies
-    returns for that group alone, bit for bit. Raises as max_ma_strategies
-    does, and ValueError if two uplinks differ in n_r.
-    """
-    return [[None if isinstance(s, str) else s for s in found] for found in _strategies(groups)]
+def _strategies(groups: list) -> list:
+    """Per group, per row its SourceStrategy or the message of why there is none."""
+    return [[reason or found[i] for i, reason in enumerate(found.reasons)] for found in max_ma_strategy_groups(groups)]
 
 
-def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> list[SourceStrategy | None]:
+def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> SourceStrategies:
     """MA-sum-rate-maximizing source covariances of N instances at full budgets.
 
     h1r, h2r are stacked uplinks, (N, n_r, n1) and (N, n_r, n2); the budgets
     p1_max, p2_max and the relay noise variance sigmar_sq (watts) are per
-    instance, (N,), or one for all. Returns one SourceStrategy per instance,
-    in order, its `sweeps` the sweep at which it converged, or None for an
-    ill-conditioned realization (drop the trial): one still improving after
-    MAX_SWEEPS sweeps, one whose interference-plus-noise matrix is
-    numerically singular, one whose rates break
+    instance, (N,), or one for all. Returns their SourceStrategies; item i
+    is None for an ill-conditioned realization (drop the trial): still
+    improving after MAX_SWEEPS sweeps, a numerically singular
+    interference-plus-noise matrix, rates that break
     max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off,
-    or one whose H D H^H / sigma_r^2 overflows the float range.
-    The sum rate is nondecreasing across sweeps and the fixed point
-    satisfies both users' single-user optimality conditions. Raises
+    or an overflow of H D H^H / sigma_r^2 or of a sweep's G^H G. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
-    noise variance that is non-finite or below sys.float_info.min, and
-    NonPSDError if a converged pair is not PSD.
+    noise variance that breaks the noise rule, and NonPSDError if a
+    converged pair is not PSD.
     """
     return max_ma_strategy_groups([(h1r, h2r, p1_max, p2_max, sigmar_sq)])[0]
 
 
 def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrategy:
-    """MA-sum-rate-maximizing source covariances at full budgets.
-
-    The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
-    returns None, with the reason.
-    """
+    """The N=1 view of max_ma_strategies; raises NoConvergenceError, with the
+    reason, where that returns None."""
     ((strategy,),) = _strategies([(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis],
         config.p1_max, config.p2_max, config.sigmar_sq,

@@ -17,12 +17,11 @@ Four scenarios:
                       optionally loaded from an explicit gains/rates file.
 
 SCENARIOS maps each name to its runner, its record type and its flag
-defaults. Runners return one immutable record (a NamedTuple) per row,
-whose fields, in order, are the CSV columns and the JSON record keys.
-Records are NamedTuples, not frozen dataclasses, because every CLI start
-imports them: on CPython 3.11 (2-core x86-64 host) the five record types
-cost about 11 ms to create as frozen dataclasses and about 2 ms as
-NamedTuples.
+defaults. Runners return one record (a NamedTuple: on CPython 3.11, 2-core
+x86-64 host, the five record types cost about 2 ms to create at import,
+against 11 ms as frozen dataclasses) per row. The record type is the one
+schema of both outputs: its fields, in order, are the CSV columns and the
+JSON keys, and both writers render the records column by column.
 
 Each trial derives its own RNG stream from (seed, trial index), so any
 execution order produces identical output. CSV output is byte-stable for a
@@ -78,10 +77,8 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
-# The asymmetry study runs its cells through the MA phase in blocks of at
-# most this many, and hands them to the relay optimizer in one batch once
-# the antenna splits not yet solved hold this many, so a long study keeps
-# memory bounded.
+# The asymmetry study's MA-phase blocks and relay batches hold at most
+# about this many cells, so a long study keeps memory bounded.
 STUDY_BATCH_CELLS = 4096
 
 
@@ -250,13 +247,9 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
             feasible = power1 <= pr * (1.0 + 1e-12)
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
-            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(
-                gains.alpha2, level2
-            )
+            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(gains.alpha2, level2)
             for l1, l2, bc in zip(grid[feasible], level2, bc_sum):
-                records.append(Lemma2Record(
-                    trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)
-                ))
+                records.append(Lemma2Record(trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)))
     return records, {"trials": spec.trials, "skipped": skipped}
 
 
@@ -272,9 +265,7 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     for point, (pr, sol) in enumerate(zip(budgets, solutions)):
         cert = grid_certify(gains, strategy, float(pr), spec.resolution)
         bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
-        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(
-            gains.alpha2, bl_levels[1]
-        )
+        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(gains.alpha2, bl_levels[1])
         records.append(PrmaxRecord(
             point, cfg.n1, cfg.n2, cfg.n_r, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq, float(pr),
             *_solution_values(strategy, sol),
@@ -290,35 +281,36 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     Antenna splits cover every n1 in 1..n_total-1 with n1+n2 fixed; power
     splits cover five evenly spaced fractions of the fixed power total.
     Channel realizations are reused across power splits within an antenna
-    split, so cells differ only in what they must. A trial whose downlink
-    is rank zero or whose gains overflow counts as skipped in every cell of
-    its antenna split, and a cell whose MA phase finds no strategy (no
-    convergence, or a numerically singular or inaccurate instance) in its
-    own. The cells are drawn in record order, (n1, trial, power split), and
-    run through the MA phase in blocks of at most STUDY_BATCH_CELLS cells:
-    one max_ma_strategy_groups call per block, with one group per antenna
-    split in it, not one call per split. The relay optimizer runs one batch
-    whenever, at the end of an antenna split, the unsolved cells reach
-    STUDY_BATCH_CELLS, and one at the end.
+    split. A trial whose downlink is rank zero or whose gains overflow is
+    skipped in every cell of its antenna split, and a cell whose MA phase
+    drops it in its own. The cells are drawn in record order, (n1, trial,
+    power split), and run through one max_ma_strategy_groups call per block
+    of at most STUDY_BATCH_CELLS cells, one group per antenna split in it;
+    the relay optimizer takes their rates columns in one batch whenever, at
+    the end of an antenna split, the unsolved cells reach
+    STUDY_BATCH_CELLS, and at the end. The solved cells stay columns; each
+    cell's aggregate is np.add.reduce over its records in trial order,
+    divided by their count: the bits of np.mean.
     """
     cfg = spec.config
     n_total = cfg.n1 + cfg.n2
     p_total = cfg.p1_max + cfg.p2_max
-    p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
-    records: list[AsymRecord] = []
-    jobs = []  # (n1, trial, p1, gains, strategy) of the cells not yet solved, in record order
+    p1_splits = np.linspace(0.1, 0.9, 5) * p_total
+    # Per solved cell in record order: n1, trial, power split, and the relay's
+    # sum rate, consumed power and efficient; and the gains and rates
+    # columns of the cells not yet solved by the relay.
+    n1s, trials, splits, solved, gains, rates = [], [], [], [[], [], []], [], []
 
-    def solve_jobs() -> None:
-        solutions = optimize_many([job[3] for job in jobs], [job[4] for job in jobs], cfg.pr_max)
-        for (n1, trial, p1, _, _), sol in zip(jobs, solutions):
-            records.append(AsymRecord(
-                trial, n1, n_total - n1, p1, p_total - p1,
-                sol.sum_rate_tw, sol.consumed_power, sol.efficient,
-            ))
-        jobs.clear()
+    def solve_waiting() -> None:
+        if gains:
+            sols = optimize_many(gains, np.concatenate(rates, axis=1), cfg.pr_max)
+            for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
+                column += values.tolist()
+            gains.clear()
+            rates.clear()
 
     def drawn_cells():
-        """(n1, trial, channels, gains, p1) of each cell whose trial was drawn, in record order."""
+        """(n1, trial, channels, gains, split) of each cell whose trial was drawn, in record order."""
         for n1 in range(1, n_total):
             base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
             for trial in range(spec.trials):
@@ -327,12 +319,12 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
                     gains = decompose(channels, base)
                 except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
                     continue
-                yield from ((n1, trial, channels, gains, p1) for p1 in p1_splits)
+                yield from ((n1, trial, channels, gains, split) for split in range(len(p1_splits)))
 
     stream, split = drawn_cells(), None
     while block := list(itertools.islice(stream, STUDY_BATCH_CELLS)):
         groups = [list(run) for _, run in itertools.groupby(block, key=lambda cell: cell[0])]
-        p1s = [np.array([cell[4] for cell in group]) for group in groups]
+        p1s = [p1_splits[[cell[4] for cell in group]] for group in groups]
         found = max_ma_strategy_groups([
             (np.array([cell[2].h1r for cell in group]), np.array([cell[2].h2r for cell in group]),
              p1, p_total - p1, cfg.sigmar_sq)
@@ -341,32 +333,34 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
         for group, strategies in zip(groups, found):
             if group[0][0] != split:  # a split has ended: solve once the unsolved cells are enough
                 split = group[0][0]
-                if len(jobs) >= STUDY_BATCH_CELLS:
-                    solve_jobs()
-            jobs += [
-                (n1, trial, p1, gains, strategy)
-                for (n1, trial, _, gains, p1), strategy in zip(group, strategies) if strategy is not None
-            ]
-    solve_jobs()
-    # Each cell's aggregate is over its records; every trial without one was skipped.
-    cells = {(n1, p1): [] for n1 in range(1, n_total) for p1 in p1_splits}
-    for rec in records:
-        cells[rec.n1, rec.p1_max].append(rec)
-    aggregates: list[dict] = []
-    for (n1, p1), cell in cells.items():
-        done = len(cell)
-        aggregates.append({
-            "n1": n1,
-            "n2": n_total - n1,
-            "p1_max": p1,
-            "p2_max": p_total - p1,
-            "trials": spec.trials,
-            "completed": done,
-            "skipped": spec.trials - done,
-            "avg_sum_rate_tw": float(np.mean([r.sum_rate_tw for r in cell])) if done else float("nan"),
-            "avg_consumed_power": float(np.mean([r.consumed_power for r in cell])) if done else float("nan"),
-            "efficient_fraction": float(np.mean([r.efficient for r in cell])) if done else float("nan"),
-        })
+                if len(gains) >= STUDY_BATCH_CELLS:
+                    solve_waiting()
+            kept = np.equal(strategies.reasons, None)
+            for column, k in ((n1s, 0), (trials, 1), (gains, 3), (splits, 4)):
+                column += [cell[k] for cell in itertools.compress(group, kept)]
+            rates.append(strategies.rates[:, kept])
+    solve_waiting()
+    # A cell's aggregates reduce its row of a C-contiguous (cells, count) table
+    # of the cells with as many records, in trial order: numpy sums a
+    # contiguous last axis pairwise from 8 terms on, as np.mean does.
+    cell = (np.array(n1s, dtype=int) - 1) * len(p1_splits) + np.array(splits, dtype=int)
+    done = np.bincount(cell, minlength=(n_total - 1) * len(p1_splits))
+    order, values, sums = np.argsort(cell, kind="stable"), np.array(solved, dtype=float), np.zeros((3, done.size))
+    for count in set(done.tolist()) - {0}:
+        of = done == count
+        sums[:, of] = np.add.reduce(np.take(values, order[np.repeat(of, done)], axis=1).reshape(3, -1, count), axis=-1)
+    means = np.divide(sums, done, out=np.full_like(sums, np.nan), where=done > 0)
+    p1_list = p1_splits.tolist()
+    aggregates = [
+        {"n1": n1, "n2": n_total - n1, "p1_max": p1, "p2_max": p_total - p1, "trials": spec.trials,
+         "completed": count, "skipped": spec.trials - count, "avg_sum_rate_tw": rate,
+         "avg_consumed_power": power, "efficient_fraction": fraction}
+        for (n1, p1), count, rate, power, fraction in zip(
+            itertools.product(range(1, n_total), p1_list), done.tolist(), *means.tolist())
+    ]
+    p1s = [p1_list[s] for s in splits]
+    records = list(map(AsymRecord, trials, n1s, [n_total - n1 for n1 in n1s], p1s, [p_total - p1 for p1 in p1s],
+                       *solved))
     return records, aggregates
 
 
@@ -374,9 +368,7 @@ def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, Sourc
     try:
         payload = json.loads(Path(path).read_text())
         gains = synthetic_gains(payload["alpha1"], payload["alpha2"])
-        rates = SourceRates(
-            r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
-        )
+        rates = SourceRates(r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"])
         pr_max = float(_checked(payload.get("pr_max", cfg.pr_max), "pr_max"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
@@ -423,19 +415,28 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _rounded(row: dict) -> dict:
-    """A flat JSON row of Python scalars (a numpy float64 is a float), floats rounded as in CSV."""
-    return {key: float(_fmt_cell(v)) if isinstance(v, float) else v for key, v in row.items()}
+def _rounded(values) -> list:
+    """A column of JSON values: Python scalars (a numpy float64 is a float), floats rounded as in CSV."""
+    return [float(f"{v:.12g}") if isinstance(v, float) else v for v in values]
+
+
+def _json_rows(keys, columns) -> list:
+    """Flat JSON rows of the columns under the keys, each column rounded once."""
+    return [dict(zip(keys, row)) for row in zip(*map(_rounded, columns))]
+
+
+def _schema(spec: ScenarioSpec, records: list) -> tuple:
+    """The records' field names, which head the CSV columns and key the JSON rows, and their columns."""
+    return (type(records[0]) if records else SCENARIOS[spec.scenario].record)._fields, zip(*records)
 
 
 def render_csv(spec: ScenarioSpec, records: list) -> str:
-    record_type = type(records[0]) if records else SCENARIOS[spec.scenario].record
+    fields, columns = _schema(spec, records)
     lines = []
     if not spec.deterministic:
         lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
-    lines.append(",".join(record_type._fields))
-    for rec in records:
-        lines.append(",".join(_fmt_cell(value) for value in rec))
+    lines.append(",".join(fields))
+    lines += map(",".join, zip(*[list(map(_fmt_cell, column)) for column in columns]))
     return "\n".join(lines) + "\n"
 
 
@@ -448,11 +449,10 @@ _LIST_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ":
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte, without its pure-Python encoder.
 
-    The payload maps string keys to scalars, to flat rows (dicts of
-    scalars) and to lists of nonempty flat rows. A list of rows is one C
-    encoder call, split into rows where the row separator meets "}," and
-    "{", which no row holds inside (its values are scalars, and an encoded
-    string holds no raw newline).
+    The payload maps string keys to scalars, flat rows (dicts of scalars)
+    and lists of nonempty flat rows. A list of rows is one C encoder call,
+    split where the row separator meets "}," and "{", which no row holds
+    inside (its values are scalars; an encoded string holds no newline).
     """
     items = []
     for key, value in sorted(payload.items()):
@@ -468,19 +468,18 @@ def _json_text(payload: dict) -> str:
 
 
 def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
+    """The JSON output. aggregates is one dict of counts, or the asymmetry
+    study's list of cell rows, which share the first row's keys."""
+    config = {"scenario": spec.scenario, **vars(spec.config), **{
+        name: getattr(spec, name) for name in ("trials", "sweep_start", "sweep_stop", "sweep_points", "certify")}}
+    if isinstance(aggregates, dict):
+        aggregates = dict(zip(aggregates, _rounded(aggregates.values())))
+    elif aggregates:
+        aggregates = _json_rows(aggregates[0], zip(*(row.values() for row in aggregates)))
     payload = {
-        "config": _rounded({
-            "scenario": spec.scenario,
-            **dataclasses.asdict(spec.config),
-            "trials": spec.trials,
-            "sweep_start": spec.sweep_start,
-            "sweep_stop": spec.sweep_stop,
-            "sweep_points": spec.sweep_points,
-            "certify": spec.certify,
-        }),
-        "records": [_rounded(rec._asdict()) for rec in records],
-        # One dict of counts, or the asymmetry study's list of cell rows.
-        "aggregates": _rounded(aggregates) if isinstance(aggregates, dict) else [*map(_rounded, aggregates)],
+        "config": dict(zip(config, _rounded(config.values()))),
+        "records": _json_rows(*_schema(spec, records)),
+        "aggregates": aggregates,
     }
     if not spec.deterministic:
         payload["generated"] = datetime.now(timezone.utc).isoformat()
@@ -488,11 +487,7 @@ def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
 
 
 def emit(spec: ScenarioSpec, records: list, aggregates) -> None:
-    text = (
-        render_csv(spec, records)
-        if spec.fmt == "csv"
-        else render_json(spec, records, aggregates)
-    )
+    text = render_csv(spec, records) if spec.fmt == "csv" else render_json(spec, records, aggregates)
     if spec.out is None:
         sys.stdout.write(text)
     else:

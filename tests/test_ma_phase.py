@@ -1,6 +1,8 @@
 """MA-phase rate functionals and the default source strategy."""
 
 import dataclasses
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -342,7 +344,7 @@ def test_non_convergence_raises(monkeypatch, rng):
     with pytest.raises(tw.NoConvergenceError):
         tw.max_ma_strategy(ch, cfg)
     h1, h2 = ch.h1r[np.newaxis], ch.h2r[np.newaxis]
-    assert max_ma_strategies(h1, h2, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq) == [None]
+    assert list(max_ma_strategies(h1, h2, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq)) == [None]
 
 
 def test_ill_conditioned_instances_drop_out_and_leave_the_others_bits():
@@ -395,7 +397,7 @@ def test_bad_raw_inputs_rejected_at_entry(rng):
 
 def test_empty_batch():
     h = np.zeros((0, 2, 1), complex)
-    assert max_ma_strategies(h, h, [], [], 1.0) == []
+    assert list(max_ma_strategies(h, h, [], [], 1.0)) == []
 
 
 # --- independent ascent oracle ---------------------------------------------
@@ -528,7 +530,7 @@ def test_groups_must_share_n_r():
         tw.max_ma_strategy_groups([(h1, h2, p1, p2, sig), (g1, g2, q1, q2, sig)])
     assert tw.max_ma_strategy_groups([]) == []
     empty = np.zeros((0, 4, 2), complex)
-    assert tw.max_ma_strategy_groups([(empty, empty, [], [], 1.0), (h1, h2, p1, p2, sig)])[0] == []
+    assert list(tw.max_ma_strategy_groups([(empty, empty, [], [], 1.0), (h1, h2, p1, p2, sig)])[0]) == []
 
 
 def test_rows_whose_rates_overflow_drop_out_alone():
@@ -544,3 +546,76 @@ def test_rows_whose_rates_overflow_drop_out_alone():
     # The row that does not overflow has the bits it has in a call where nothing overflows.
     ((alone,),) = tw.ma_phase._strategies([(h1[1:2], h2[1:2], 1.0, 1.0, 1e-300)])
     _assert_same_bits(tiny[1], alone)
+
+
+# --- column results ------------------------------------------------------------
+
+
+def _assert_columns_give_each_row_alone(found, group):
+    """A SourceStrategies gives, under len, iteration and indexing, what each row
+    of the group gives alone, bit for bit: a SourceStrategy, or None where the
+    row is dropped, with the reason in `reasons`; its columns hold the same."""
+    h1, h2, p1, p2, sig = group
+    p1, p2, sig = (np.broadcast_to(v, len(h1)) for v in (p1, p2, sig))
+    alone = [tw.ma_phase._strategies([(h1[i:i + 1], h2[i:i + 1], p1[i], p2[i], sig[i])])[0][0] for i in range(len(h1))]
+    assert len(found) == len(alone) == len(found.reasons) == found.rates.shape[1]
+    items = list(found)
+    for i, want in enumerate(alone):
+        for got in (items[i], found[i], found[i - len(alone)]):
+            if isinstance(want, str):
+                assert got is None
+            else:
+                assert type(got) is tw.SourceStrategy
+                _assert_same_bits(got, want)
+                assert np.array_equal(got.last_gain, want.last_gain)
+        if isinstance(want, str):
+            assert found.reasons[i] == want and np.isnan(found.rates[:, i]).all()
+        else:
+            assert found.reasons[i] is None
+            assert found.rates[:, i].tolist() == [want.r_ma, want.r_bar_1r, want.r_bar_2r]
+            assert (found.sweeps[i], found.last_gain[i]) == (want.sweeps, want.last_gain)
+            assert np.array_equal(found.d1[i], want.d1) and np.array_equal(found.d2[i], want.d2)
+    with pytest.raises(IndexError):
+        found[len(alone)]
+    return [want for want in alone if isinstance(want, str)]
+
+
+def test_one_group_columns_give_each_row_alone():
+    # The cells of test_ill_conditioned_instances_drop_out_and_leave_the_others_bits.
+    group = (*_split_group(1, 6, 6, 8)[:4], 1e-15)
+    reasons = _assert_columns_give_each_row_alone(max_ma_strategies(*group), group)
+    assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
+
+
+def test_several_groups_columns_give_each_row_alone():
+    groups = [_split_group(2, 6, 6, 3, seed=4), (*_split_group(1, 6, 6, 8)[:4], 1e-15), _split_group(5, 6, 6, 2)]
+    h1, h2, p1, p2, _ = _split_group(3, 6, 6, 1, seed=7)
+    groups.append((h1, h2, p1, p2, [1.0, sys.float_info.min, 2.0, sys.float_info.min, 0.5]))
+    found = tw.max_ma_strategy_groups(groups)
+    assert len(found) == len(groups)
+    reasons = [_assert_columns_give_each_row_alone(f, g) for f, g in zip(found, groups)]
+    assert not reasons[0] and not reasons[2] and reasons[1]
+    assert reasons[3] == ["iterative water-filling stopped: " + tw.ma_phase._OVERFLOW] * 2
+
+
+def test_rows_whose_first_whitening_overflows_drop_out_without_a_warning():
+    # At sigma^2 = sys.float_info.min node 1's first best response whitens
+    # against sigma^2 I alone: G^H G = H^H H / sigma^2 is beyond the float
+    # range. The engine warned "overflow encountered in add" and dropped the
+    # row as singular; it drops it, before the first sweep, as an overflow.
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=2, sigma1_sq=sys.float_info.min, sigma2_sq=sys.float_info.min,
+                          sigmar_sq=sys.float_info.min)
+    channels = tw.generate_channels(cfg, 0)
+    h1, h2 = np.stack([channels.h1r] * 3), np.stack([channels.h2r] * 3)
+    noise = [1.0, sys.float_info.min, 2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = max_ma_strategies(h1, h2, 1.0, 1.0, noise)
+        with pytest.raises(tw.NoConvergenceError, match="overflow"):
+            tw.max_ma_strategy(channels, cfg)
+    assert found[1] is None
+    assert found.reasons[1] == "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW
+    for i in (0, 2):  # the other rows keep their bits
+        (alone,) = max_ma_strategies(h1[i:i + 1], h2[i:i + 1], 1.0, 1.0, noise[i])
+        _assert_same_bits(found[i], alone)
+        assert found[i].last_gain == alone.last_gain

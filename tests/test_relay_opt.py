@@ -1,6 +1,7 @@
 """Relay optimizer: worked instances, feasibility, structure, conformance, batching."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ def test_optimize_relabels_swapped_directions():
 def test_invalid_strategy_rejected():
     g = unit_gains()
     with pytest.raises(tw.InvalidStrategyError):
-        tw.optimize(g, tw.SourceRates(r_ma=LN4 + LN2, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
+        tw.optimize(g, tw.SourceRates(r_ma=LN4 + LN2 + 1e-9, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
     with pytest.raises(tw.InvalidStrategyError):
         tw.optimize(g, tw.SourceRates(r_ma=LN2, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
     with pytest.raises(tw.InvalidStrategyError):
@@ -596,7 +597,7 @@ def test_relative_levels_and_thresholds_match_scalar_bits(c5_cases):
 
 
 def test_optimize_many_empty_batch():
-    assert tw.optimize_many([], [], 1.0) == []
+    assert list(tw.optimize_many([], [], 1.0)) == []
 
 
 def test_optimize_many_rejects_what_optimize_rejects():
@@ -661,3 +662,105 @@ def test_branch_table_matches_the_nested_masks_on_every_code():
         want = (1, 2) + tuple(s for s, on in ((3, clip[k]), (4, refill[k]), (5, reclip[k])) if on) + (6,)
         assert tw.relay_opt._TRACES[code[k]] == want
         assert tw.relay_opt._TRACES[code[k] + 16] == want + (7,)
+
+
+# --- the edge r_ma = r_bar_1r + r_bar_2r -------------------------------------
+
+
+def test_rates_on_the_edge_are_valid_and_never_take_step_7():
+    # On r_ma = r_bar_1r + r_bar_2r the MA ceiling is redundant. The optimizer
+    # rejected this edge, and classify_case predicted step 7 past p_bar_ma.
+    g = unit_gains()
+    edge = tw.SourceRates(r_ma=LN4 + LN2, r_bar_1r=LN4, r_bar_2r=LN2)
+    led = tw.thresholds(g, tw.relative_levels(g, edge, 1.0), edge)
+    assert not led.case_symmetric and led.p_bar_ma >= led.p_t - led.slack
+    paths = set()
+    for pr in [0.0, *_straddling_budgets(led, None), 2 * led.p_s + 1.0]:
+        lv = tw.relative_levels(g, edge, pr)
+        sol = tw.optimize(g, edge, pr)
+        paths.add(sol.step_trace)
+        assert sol.step_trace == tw.classify_case(tw.thresholds(g, lv, edge), lv, pr)
+        assert 7 not in sol.step_trace
+        cert = tw.grid_certify(g, edge, pr, 1e-3)
+        assert cert.best_rate - sol.sum_rate_tw <= 1e-6
+    assert len(paths) >= 3
+    # Beyond the edge and its 1e-12-nat slack the rates stay invalid.
+    with pytest.raises(tw.InvalidStrategyError, match="cannot exceed"):
+        tw.optimize(g, tw.SourceRates(r_ma=LN4 + LN2 + 1e-11, r_bar_1r=LN4, r_bar_2r=LN2), 1.0)
+
+
+@pytest.mark.parametrize("zero", ["p1_max", "p2_max"])
+def test_trace_matches_classification_when_a_source_budget_is_zero(rng, zero):
+    # A zero source budget puts r_ma on r_bar_1r + r_bar_2r (one uplink rate is 0).
+    checked = 0
+    for _ in range(25):
+        cfg, channels, gains, _ = random_instance(rng)
+        cfg = dataclasses.replace(cfg, **{zero: 0.0})
+        strategy = tw.max_ma_strategy(channels, cfg)
+        assert strategy.r_ma == strategy.r_bar_1r + strategy.r_bar_2r
+        led0 = tw.thresholds(gains, tw.relative_levels(gains, strategy, 1.0), strategy)
+        for pr in _straddling_budgets(led0, rng):
+            lv = tw.relative_levels(gains, strategy, pr)
+            sol = tw.optimize(gains, strategy, pr)
+            assert sol.step_trace == tw.classify_case(tw.thresholds(gains, lv, strategy), lv, pr)
+            assert tw.grid_certify(gains, strategy, pr, 1e-3).best_rate - sol.sum_rate_tw <= 1e-6
+            checked += 1
+    assert checked >= 50
+
+
+# --- column results ------------------------------------------------------------
+
+
+def _assert_columns_give_each_solve(sols, cases):
+    """RelaySolutions give, under len, iteration and indexing, each instance's own
+    optimize, bit for bit, and columns that hold the same values."""
+    assert len(sols) == len(cases)
+    items = list(sols)
+    for i, (gains, rates, pr) in enumerate(cases):
+        ref = tw.optimize(gains, rates, pr)
+        for sol in (items[i], sols[i], sols[i - len(cases)]):
+            assert type(sol) is tw.RelaySolution and sol.gains is gains
+            _assert_same_solution(sol, ref)
+        assert _bits(sols.levels[:, i], sols.bc_rates[:, i]) == _bits([ref.level1, ref.level2], ref.bc_rates)
+        assert _bits(sols.consumed_power[i], sols.sum_rate_tw[i]) == _bits(ref.consumed_power, ref.sum_rate_tw)
+        assert (bool(sols.efficient[i]), bool(sols.source_waste[i])) == (ref.efficient, ref.source_waste)
+        assert tw.relay_opt._TRACES[sols.step_codes[i]] == ref.step_trace
+    with pytest.raises(IndexError):
+        sols[len(cases)]
+
+
+def test_optimize_many_columns_give_each_solve_bit_for_bit(rng):
+    cases = [(gains, strategy, float(pr)) for _, _, gains, strategy in (random_instance(rng) for _ in range(30))
+             for pr in rng.uniform(0.1, 6.0, 2)]
+    sols = tw.optimize_many(*map(list, zip(*cases)))
+    _assert_columns_give_each_solve(sols, cases)
+    one = tw.optimize_many([cases[0][0]], [cases[0][1]], cases[0][2])
+    _assert_columns_give_each_solve(one, cases[:1])
+
+
+def test_optimize_many_takes_the_ma_phase_columns():
+    # An asymmetry-study split: the MA phase's columns, or their rates, in place of the strategies.
+    h1, h2, p1, p2, sig = _split_group_of_study(2, 3)
+    found = tw.max_ma_strategies(h1, h2, p1, p2, sig)
+    assert all(st is not None for st in found)
+    cfg = tw.SystemConfig(n1=2, n2=4, n_r=6, seed=104729)
+    gains = [tw.decompose(tw.generate_channels(cfg, trial), cfg) for trial in range(3) for _ in range(5)]
+    cases = [(g, st, 3.0) for g, st in zip(gains, found)]
+    for rates in (found, found.rates):
+        _assert_columns_give_each_solve(tw.optimize_many(gains, rates, 3.0), cases)
+    dropped = tw.max_ma_strategies(h1[:2], h2[:2], p1[:2], p2[:2], [1.0, sys.float_info.min])
+    assert dropped[1] is None
+    for rates, n in ((dropped, 2), (dropped.rates, 2), (np.array([[1.0], [0.5], [-1.0]]), 1)):
+        with pytest.raises(tw.InvalidStrategyError, match="finite and nonnegative"):
+            tw.optimize_many(gains[:n], rates, 3.0)
+    with pytest.raises(ValueError, match="one entry per instance"):
+        tw.optimize_many(gains[:3], found.rates, 3.0)
+
+
+def _split_group_of_study(n1, trials):
+    """The MA-phase group of one asym-mc antenna split: n1 + n2 = 6, n_r = 6, P1 + P2 = 5 W."""
+    cfg = tw.SystemConfig(n1=n1, n2=6 - n1, n_r=6, seed=104729)
+    channels = [tw.generate_channels(cfg, trial) for trial in range(trials)]
+    p1 = np.tile(np.linspace(0.1, 0.9, 5) * 5.0, trials)
+    return (np.repeat(np.stack([ch.h1r for ch in channels]), 5, axis=0),
+            np.repeat(np.stack([ch.h2r for ch in channels]), 5, axis=0), p1, 5.0 - p1, 1.0)

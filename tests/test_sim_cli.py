@@ -291,6 +291,31 @@ def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_
     assert len({r.n1 for r in records}) == 9
 
 
+@pytest.mark.parametrize("trials", [1, 7, 8, 9, 40])
+def test_asymmetry_study_aggregates_are_np_mean_bit_for_bit(monkeypatch, trials):
+    # numpy sums 8 or more terms pairwise: each cell's aggregate must be
+    # np.mean of its records, in trial order, whatever its record count.
+    cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=trials)
+    real = sim_cli.decompose
+
+    def decompose(channels, config):  # the last trial of the n1 = 2 split is rank zero
+        if config.n1 == 2 and np.array_equal(channels.hr1, tw.generate_channels(config, trials - 1).hr1):
+            raise tw.RankZeroError("downlink channel has no nonzero singular value")
+        return real(channels, config)
+
+    monkeypatch.setattr(sim_cli, "decompose", decompose)
+    records, aggregates = run_asymmetry_study(spec)
+    assert [a["completed"] for a in aggregates] == [trials] * 5 + [trials - 1] * 5 + [trials] * 5
+    for agg in aggregates:
+        cell = [r for r in records if (r.n1, r.p1_max) == (agg["n1"], agg["p1_max"])]
+        assert [r.trial for r in cell] == sorted(r.trial for r in cell)
+        for key, field in (("avg_sum_rate_tw", "sum_rate_tw"), ("avg_consumed_power", "consumed_power"),
+                           ("efficient_fraction", "efficient")):
+            want = float(np.mean([getattr(r, field) for r in cell])) if cell else float("nan")
+            assert type(agg[key]) is float and np.array([agg[key]]).tobytes() == np.array([want]).tobytes(), key
+
+
 def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
     # sigma^2 = 3e-308 is a normal float, but every downlink gain s^2/sigma^2
     # above ~0.54 overflows: each trial is skipped in every cell of its split.
