@@ -1,44 +1,66 @@
 """Multiple-access phase rates and the default source strategy.
 
-In the first time slot both sources transmit to the relay. Given transmit
-covariances D1, D2 the MA sum rate is
+In the first time slot both source nodes transmit simultaneously to the
+relay. Given transmit covariances D1, D2 the relevant log-det functionals
+are the MA sum-rate
 
     r_ma = ln det(I + (H1r D1 H1r^H + H2r D2 H2r^H) / sigma_r^2)
 
-and the uplink rates r_bar_ir have only one term inside; all in nats. The
-relay optimizer needs only the three rates (SourceRates), so it works for
-any source covariances; strategy_from_covariances packages a PSD pair with
-its rates as a SourceStrategy.
+and the individual uplink rates r_bar_ir with only one term inside. All
+rates are in nats.
 
-max_ma_strategy_groups finds the simulation default, the sum-rate-maximizing
-pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi, IEEE
-T-IT 2004), for groups of stacked instances that share n_r but differ in n1
-and n2 (a study's antenna splits), in lockstep. It returns per group one
-SourceStrategies, columns whose item i is a SourceStrategy built on access
-or None for a dropped row; max_ma_strategies is its one-group view and
-max_ma_strategy the N=1 view. Each instance leaves at its own converged
-sweep and every step acts on each matrix alone, so a result is the same,
-bit for bit, in any batch and grouping: the steps on a group's own shapes
-(H D H^H, the whitening solve, G^H G and its eigh, the covariance rebuild,
-the PSD eigvalsh) run per group, as LAPACK bits depend on the shape; the
-Cholesky of sigma_r^2 I + H D H^H, the water-fill over eigenvalues padded
-with zeros to the widest group, the objective (summed over each group's
-own width from 8 wide, where numpy sums pairwise), the bookkeeping and the
-n_r x n_r log-dets run once.
+The relay optimizer needs only the three rates (SourceRates), so it works
+for arbitrary source covariances; callers can build a SourceStrategy, the
+rates together with the covariances that induce them, from any PSD pair
+via strategy_from_covariances.
 
-A sweep's sum rate comes from node 2's best response, whose whitening
-matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is already factored as L2 L2^H:
+max_ma_strategies provides the simulation default, the sum-rate-maximizing
+pair, by cyclic best-response water-filling (Yu, Rhee, Boyd & Cioffi,
+IEEE T-IT 2004) over N stacked instances of equal antenna counts at once,
+and returns them as columns, a SourceStrategies whose item i is a
+SourceStrategy built on access, or None for a dropped instance;
+max_ma_strategy is its N=1 view. Both are one-group views of the engine,
+max_ma_strategy_groups, which runs groups of stacks that share n_r but
+differ in n1 and n2 (a study's antenna splits) in lockstep. Every step acts
+on each matrix alone and each instance leaves the stack at its own
+converged sweep, so a result is the same, bit for bit, in any batch and
+any grouping.
+
+Within a half-sweep, the steps whose operands have a group's own shape run
+per group, on exactly that shape: H D H^H, the whitening solve, G^H G and
+its eigh, and the covariance rebuild V diag(p) V^H; and, for the converged
+pairs, the PSD eigvalsh and H D H^H. OpenBLAS and LAPACK bits depend on an
+operand's shape, so none of these is zero-padded. The rest runs once over
+all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
+n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
+eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
+gets no power), the log-det objective, the convergence and drop-out
+bookkeeping, and the converged pairs' n_r x n_r log-dets. numpy sums fewer
+than 8 terms one after another, so trailing zero terms keep a row's sum;
+from 8 terms on it sums pairwise, so an objective table 8 or more wide is
+summed over each group's own width. On one group, the engine joins and
+splits nothing. The sweeps call the LAPACK gufuncs behind np.linalg's
+cholesky, solve and eigh directly (numpy.linalg._umath_linalg), with the
+same bits and none of the wrappers' per-call cost; a factorization that
+fails comes out NaN rather than raising.
+
+A sweep's sum rate comes from node 2's
+best response, whose whitening matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is
+already factored as L2 L2^H:
 
     r_ma = 2 sum ln diag(L2) + sum_k log1p(lambda_k p_k) - n_r ln sigma_r^2
 
-with no third factorization; an instance converges when a sweep gains less
-than SWEEP_GAIN_TOL nats. Best responses are PSD by construction, so each
-converged pair is PSD-checked once, by the helper that gives
-strategy_from_covariances its rates. An instance whose uplinks'
-tr(H^H H) / sigma_r^2 would overflow a sweep (checked once, at entry),
-whose interference-plus-noise matrix does not factor, or whose rates come
-out inconsistent or overflow, is dropped, with the reason. Budgets and
-noise variances are checked at entry, by waterfill._checked.
+over node 2's whitened eigenvalues lambda_k and powers p_k, with no third
+factorization; an instance converges when a sweep gains less than
+SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with
+p >= 0, PSD by construction: the sweeps skip the PSD check, and each
+converged pair is checked once, by the helper that gives
+strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
+instance whose uplinks' tr(H^H H) / sigma_r^2 would overflow a sweep
+(checked once, on entry), whose interference-plus-noise matrix does not
+factor, or whose rates come out inconsistent or overflow the float range,
+leaves the stack without a strategy. Budgets and noise variances are
+checked at entry, by waterfill._checked; rates, by _valid_rates.
 """
 
 from __future__ import annotations
@@ -50,6 +72,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+# The gufuncs np.linalg.cholesky, solve and eigh wrap: the same LAPACK loops
+# and bits, without the wrapper's type dispatch, errstate and result
+# wrapping (3-12 us a call; a sweep makes several per group).
+from numpy.linalg import _umath_linalg
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
@@ -82,7 +108,6 @@ _UNRELIABLE = (
     "max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r (log-dets lost to round-off)"
 )
 _OVERFLOW = "the MA-phase rates overflow: H D H^H / sigma_r^2 is beyond the float range"
-_BAD_RATES = "source rates must be finite and nonnegative"
 
 
 @dataclass(frozen=True)
@@ -98,11 +123,19 @@ class SourceRates:
     r_bar_2r: float
 
     def __post_init__(self) -> None:
-        for name in ("r_ma", "r_bar_1r", "r_bar_2r"):
-            rate = float(getattr(self, name))
-            if not (math.isfinite(rate) and rate >= -1e-12):
-                raise InvalidStrategyError(_BAD_RATES)
-            object.__setattr__(self, name, max(rate, 0.0))
+        rates = _valid_rates([float(self.r_ma), float(self.r_bar_1r), float(self.r_bar_2r)]).tolist()
+        for name, rate in zip(("r_ma", "r_bar_1r", "r_bar_2r"), rates):
+            object.__setattr__(self, name, rate)
+
+
+def _valid_rates(rates) -> np.ndarray:
+    """Rates r_ma, r_bar_1r, r_bar_2r down the first axis, (3,) or (3, N), by
+    SourceRates' rule: floats clamped to zero. Raises InvalidStrategyError
+    unless every rate is finite and not below -1e-12."""
+    rates = np.asarray(rates, dtype=float)
+    if np.count_nonzero((rates >= -1e-12) & (rates < np.inf)) < rates.size:
+        raise InvalidStrategyError("source rates must be finite and nonnegative")
+    return np.maximum(rates, 0.0)
 
 
 @dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
@@ -126,7 +159,7 @@ class SourceStrategy(SourceRates):
 
 class SourceStrategies(Sequence):
     """N instances' max_ma_strategies results as columns: rates (3, N), r_ma,
-    r_bar_1r, r_bar_2r clamped as SourceRates clamps them; d1, d2
+    r_bar_1r, r_bar_2r by SourceRates' rule (_valid_rates); d1, d2
     (N, n_i, n_i); sweeps, last_gain (N,); reasons (N,), None or why the
     row was dropped (its rates NaN, the rest meaningless)."""
 
@@ -168,22 +201,27 @@ def _row_slices(counts: list) -> list:
 
 
 def _cholesky(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of a stack of Hermitian matrices (each with the bits of
-    its matrix alone), and which failed to factor (their factor is I)."""
-    try:
-        return np.linalg.cholesky(stack), np.zeros(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(stack) > 1:  # find the failing matrices by halves
-            half = len(stack) // 2
-            (c1, f1), (c2, f2) = _cholesky(stack[:half]), _cholesky(stack[half:])
-            return np.concatenate([c1, c2]), np.concatenate([f1, f2])
-        return np.eye(stack.shape[-1], dtype=stack.dtype)[np.newaxis], np.ones(1, dtype=bool)
+    """Cholesky factors of a stack of Hermitian matrices, and which failed to factor.
+
+    A matrix that fails gets the identity as a placeholder factor. Each
+    factor has the bits of its matrix factored alone: the gufunc factors
+    each matrix by its own LAPACK call and fills a failed one with NaN.
+    """
+    with np.errstate(all="ignore"):  # as np.linalg.cholesky, which raises on the NaN
+        chol = _umath_linalg.cholesky_lo(stack)
+    failed = np.isnan(chol[:, 0, 0])
+    if np.count_nonzero(failed):
+        chol[failed] = np.eye(stack.shape[-1])
+    return chol, failed
 
 
 def _logdet_identity_plus(herm: np.ndarray) -> np.ndarray:
     """ln det(I + S) of each Hermitian PSD matrix of a stack, (N, n, n) -> (N,),
-    given the Hermitian parts herm: by Cholesky of I + S, or by clipped
-    eigenvalues where that fails near the PSD boundary."""
+    given the Hermitian parts herm.
+
+    Cholesky of I + S for stability; an instance whose factorization fails
+    near the PSD boundary falls back to clipped eigenvalues.
+    """
     chol, failed = _cholesky(np.eye(herm.shape[-1]) + herm)
     logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
     if np.count_nonzero(failed):
@@ -193,17 +231,23 @@ def _logdet_identity_plus(herm: np.ndarray) -> np.ndarray:
 
 
 def logdet_identity_plus(s: np.ndarray) -> float:
-    """ln det(I + S) for Hermitian PSD S, as _logdet_identity_plus finds it."""
+    """ln det(I + S) for Hermitian PSD S.
+
+    Cholesky of I + S for stability; falls back to clipped eigenvalues if
+    the factorization fails near the PSD boundary.
+    """
     return float(_logdet_identity_plus(_hermitian(np.asarray(s)[np.newaxis]))[0])
 
 
 def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
     """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N),
-    and which pairs' H D H^H / sigma_r^2 overflows (None if none does).
+    and which pairs overflow (None if none does).
 
-    `pairs` holds each group's stacks (h1, d1, h2, d2); sig is (N, 1, 1)
-    over the groups' rows in order. Each pair is PSD-checked once; the
-    n_r x n_r log-dets run once over all groups.
+    `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
+    (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
+    groups' rows in order. Each pair is PSD-checked once. The n_r x n_r
+    log-dets run once over all groups. A pair whose H D H^H / sigma_r^2
+    overflows the float range has no rates.
     """
     # S1 + S2, S1 and S2 of every pair, each group's written in place.
     s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
@@ -234,9 +278,10 @@ def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
     """Package arbitrary PSD covariances with their recomputed rates.
 
-    Raises ValueError if sigmar_sq breaks the noise rule, a covariance has
-    the wrong shape or H D H^H / sigma_r^2 overflows, and NonPSDError if a
-    covariance is not PSD.
+    Raises ValueError if the relay noise variance breaks the noise rule
+    (finite and at least sys.float_info.min), a covariance has the wrong
+    shape or the rates overflow (H D H^H / sigma_r^2 beyond the float
+    range), and NonPSDError if a covariance is not PSD.
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
@@ -271,18 +316,22 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
                    rows: tuple = (slice(None),)) -> tuple:
     """Single-user water-filling of each row against fixed interference-plus-noise.
 
-    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max over the eigenmodes
-    of G = L^{-1} H, Z = L L^H, for the groups' uplink stacks hs
-    (N_g, n_r, n_g), with z (N, n_r, n_r) and p_max (N,) over their rows in
-    order (group g's are rows[g]). Returns the groups' D stacks; with
-    `objective` the maximum, 2 sum ln diag(L) + sum_k log1p(lambda_k p_k),
-    (N,), else None; and which rows' Z is singular (their results meaningless).
+    Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max by water-filling over
+    the eigenmodes of the whitened channel G = L^{-1} H, where Z = L L^H.
+    Takes the groups' uplink stacks hs, (N_g, n_r, n_g) each, and over
+    their rows in order (group g's are rows[g]; one group by default)
+    z (N, n_r, n_r) Hermitian and p_max (N,). Returns the groups' D stacks,
+    (N_g, n_g, n_g); with `objective`, the maximum
+    ln det(Z + H D H^H) = 2 sum ln diag(L) + sum_k log1p(lambda_k p_k) over
+    G's eigenvalues lambda_k and the powers p_k of D (N,), else None; and
+    which rows' Z is numerically singular (their D and ln det are
+    meaningless).
     """
     chol, singular = _cholesky(z)
     modes = []  # per group, on its own shapes: G = L^{-1} H and the eigenmodes of G^H G
     for r, h in zip(rows, hs):
-        g = np.linalg.solve(chol[r], h)
-        modes.append(np.linalg.eigh(_hermitian(_ct(g) @ g)))
+        g = _umath_linalg.solve(chol[r], h)
+        modes.append(_umath_linalg.eigh_lo(_hermitian(_ct(g) @ g)))
     if len(hs) == 1:
         eigvals = modes[0][0][:, ::-1]  # descending
     else:  # zero-padded to the widest group; a padded mode has gain 0
@@ -430,10 +479,9 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         if overflow is not None:
             failure[k[overflow]] = _STOPPED + _OVERFLOW
     dropped = np.not_equal(failure, None)
+    rates[:, dropped] = 0.0
+    rates = _valid_rates(rates)
     rates[:, dropped] = np.nan
-    if np.count_nonzero(~((rates >= -1e-12) & (rates < np.inf)) & ~dropped):
-        raise InvalidStrategyError(_BAD_RATES)
-    np.maximum(rates, 0.0, out=rates)
     return [
         SourceStrategies(rates[:, start:end], d1, d2, sweeps[start:end], last_gain[start:end], failure[start:end])
         for start, end, (d1, d2) in zip(starts, starts[1:], d_out)
@@ -450,22 +498,29 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> SourceStrategies:
 
     h1r, h2r are stacked uplinks, (N, n_r, n1) and (N, n_r, n2); the budgets
     p1_max, p2_max and the relay noise variance sigmar_sq (watts) are per
-    instance, (N,), or one for all. Returns their SourceStrategies; item i
-    is None for an ill-conditioned realization (drop the trial): still
-    improving after MAX_SWEEPS sweeps, a numerically singular
-    interference-plus-noise matrix, rates that break
-    max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond round-off,
-    or an overflow of H D H^H / sigma_r^2 or of a sweep's G^H G. Raises
+    instance, (N,), or one for all. Returns their SourceStrategies, whose
+    item i is the SourceStrategy of instance i, its `sweeps` the sweep at
+    which it converged, or None for an ill-conditioned realization (drop
+    the trial): one still improving after MAX_SWEEPS sweeps, one whose
+    interference-plus-noise matrix is numerically singular, one whose rates
+    break max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond
+    round-off, or one whose H D H^H / sigma_r^2, or a sweep's G^H G,
+    overflows the float range.
+    The sum rate is nondecreasing across sweeps and the fixed point
+    satisfies both users' single-user optimality conditions. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
-    noise variance that breaks the noise rule, and NonPSDError if a
-    converged pair is not PSD.
+    noise variance that is non-finite or below sys.float_info.min, and
+    NonPSDError if a converged pair is not PSD.
     """
     return max_ma_strategy_groups([(h1r, h2r, p1_max, p2_max, sigmar_sq)])[0]
 
 
 def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrategy:
-    """The N=1 view of max_ma_strategies; raises NoConvergenceError, with the
-    reason, where that returns None."""
+    """MA-sum-rate-maximizing source covariances at full budgets.
+
+    The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
+    returns None, with the reason.
+    """
     ((strategy,),) = _strategies([(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis],
         config.p1_max, config.p2_max, config.sigmar_sq,

@@ -10,30 +10,41 @@ multiple-access phase:
     node j's uplink rate r_bar_jr, and
   * the broadcast rate sum is useless beyond the MA sum rate r_ma.
 
-Each ceiling converts into a "relative water level" through the inverse
-water-fill: 1/mu_1 on alpha_2 (rate r_bar_1r), 1/mu_2 on alpha_1 (rate
-r_bar_2r) and 1/mu_ma on the pooled gains (rate r_ma). A seven-step,
-non-iterative procedure (optimize_many lists it) water-fills the budget,
-clips each direction to its ceiling, re-spends freed power in the other
-and pulls the pair back onto the MA-rate ceiling. The result provably
-maximizes the two-way sum rate and, among all maximizers, consumes the
-least relay power.
+Each ceiling converts into a "relative water level" on the corresponding
+gain list via the inverse water-fill: the level on alpha_2 whose rate is
+r_bar_1r (written 1/mu_1), the level on alpha_1 whose rate is r_bar_2r
+(1/mu_2), and the level on the pooled gains whose rate is r_ma
+(1/mu_ma). The optimizer then runs a seven-step, non-iterative procedure:
+water-fill the full budget uniformly, clip each direction to its ceiling
+level, re-spend freed power in the other direction, and finally pull the
+pair back onto the MA-rate ceiling, either by dropping both levels to
+1/mu_ma or by lowering only the higher one through a closed-form inverse
+water-fill. The result provably maximizes the two-way sum rate and, among
+all maximizers, consumes the least relay power. Rates are valid up to the
+edge r_ma = r_bar_1r + r_bar_2r (within 1e-12 nats), where the MA ceiling
+is redundant and step 7 never fires.
 
 optimize_many runs the procedure on N instances at once, every branch a
 per-row mask or a row of one branch table, with one water-fill kernel
-call per stage (Palomar & Fonollosa, IEEE T-SP 2005, for the exact
-finite-step kernels), and returns RelaySolutions: the solutions' columns,
-whose item i is a RelaySolution built on access. It takes SourceRates or
-the rates columns of a SourceStrategies. optimize builds its one row
-directly. One ledger derives the levels of a batch and what the engine
-reads besides (the powers at the caps, p_bar_ma, the case, the tie
-slack); relative_levels and thresholds are its N=1 views, and thresholds
-adds p_ma, p_l, p_s and p_t. The ledger finds the levels with the public
-inverse_waterfill (the benchmark's self-test pins that call) and prepares
-the gain table for the forward water-fill once; the rest runs through
-waterfill's unchecked cores, as rates and budgets are checked once, on
-entry. Rates are valid up to r_ma = r_bar_1r + r_bar_2r (within 1e-12),
-where the MA ceiling is redundant and step 7 never fires.
+call per stage for the whole batch (Palomar & Fonollosa, "Practical
+algorithms for a family of waterfilling solutions", IEEE T-SP 2005, for
+the exact finite-step kernels). It takes N SourceRates or their columns
+(a SourceStrategies' rates) and returns RelaySolutions, the solutions'
+columns, whose item i is a RelaySolution built on access; optimize builds
+its one row directly. One ledger derives the levels of a batch
+and what the engine reads besides: the powers of both directions at
+their caps, p_bar_ma, the case and the tie slack. optimize,
+relative_levels and thresholds are N=1 views of it and of the engine;
+thresholds adds the pooled powers p_ma, p_l and p_s and p_t, which the
+engine never reads. The ledger finds the levels with the public
+inverse_waterfill (the benchmark's self-test pins that call, and the
+rate_of_level call inside it, though the ledger does not read the rate)
+and prepares the batch's gain table for the forward water-fill once
+(inverse gains, their cumulative sums, the activation thresholds); the
+engine's forward passes, rates, power sums and per-subchannel powers run
+through waterfill's unchecked cores, as rates (by SourceRates' rule and
+their ordering rule) and budgets (by waterfill._checked) are checked
+once, on entry.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -50,7 +61,7 @@ import numpy as np
 
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
-from .ma_phase import _BAD_RATES, SourceRates, SourceStrategies
+from .ma_phase import SourceRates, _valid_rates
 from .waterfill import _checked, _level, _power, _powers, _prepared, _rate, gain_table, inverse_waterfill
 
 __all__ = [
@@ -102,11 +113,13 @@ class RelativeLevels:
 class ThresholdLedger:
     """Budget thresholds (watts) separating the optimizer's regimes.
 
-    p_l <= p_t <= p_s always; case_symmetric: 1/mu_ma <= min(1/mu_1, 1/mu_2),
-    where the optimum keeps both directions at a common level for every
-    budget. p_bar_ma is the power at which the broadcast rate sum first
-    reaches r_ma (p_ma in the symmetric case). slack is the tie slack in
-    watts, TIE_TOL / alpha_max.
+    p_l <= p_t <= p_s always; case_symmetric is true when the pooled level
+    1/mu_ma does not exceed min(1/mu_1, 1/mu_2), in which case the optimum
+    keeps both directions at a common level for every budget. p_bar_ma is
+    the power at which the broadcast rate sum first reaches r_ma (equals
+    p_ma in the symmetric case). slack is the instance's tie slack in
+    watts, TIE_TOL / alpha_max: levels and budgets within it of each other
+    count as equal.
     """
 
     p_ma: float
@@ -123,13 +136,17 @@ class RelaySolution:
     """Optimal relay allocation plus bookkeeping.
 
     level1/level2 are the per-direction water levels 1/lambda_i; powers
-    align with the sorted gain lists of gains, the instance, from which
-    b1/b2, the relay covariances, are built on access; bc_rates are the raw
-    broadcast rates; sum_rate_tw includes the 1/2 two-slot factor;
-    step_trace lists the visited steps. efficient: the broadcast rate sum
-    is the best achievable with the power consumed. source_waste: the
-    budget sits below p_bar_ma, where the broadcast side stops binding the
-    two-way rate, so the sources could have spent less power.
+    align with the sorted gain lists; gains is the instance solved, and
+    b1/b2, the n_r x n_r relay covariances, are built from it on each
+    access; bc_rates are the raw broadcast rates per direction;
+    sum_rate_tw includes the 1/2 two-slot factor; step_trace lists the
+    visited steps of the seven-step procedure.
+
+    efficient: the broadcast rate sum matches the best achievable with the
+    power actually consumed (pooled water-fill of consumed_power).
+    source_waste: the budget sits below the threshold where the broadcast
+    side stops binding the two-way rate, so the sources could have spent
+    less power for the same end-to-end sum rate.
     """
 
     level1: float
@@ -173,15 +190,21 @@ def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
 
 
 # The batch engine. The gains of N instances sit in one zero-padded table
-# of five blocks of N rows: alpha1, alpha2, the pooled gains, alpha1 and
-# alpha2. One inverse water-fill (in _ledger) finds the levels of their
-# rates: 1/mu_2 (r_bar_2r, the cap of direction 1), 1/mu_1 (r_bar_1r, the
-# cap of direction 2), 1/mu_ma, and for p_bar_ma and step 7 the levels of
-# r_ma - r_bar_1r and r_ma - r_bar_2r. One forward pass over the first
-# three blocks finds the step-1 level and both step-4 candidates. A kind's
-# sums run over its own columns only.
+# of five blocks of N rows: alpha1, alpha2, the pooled gains, then alpha1
+# and alpha2 again. One inverse water-fill over the whole table (in
+# _ledger) finds, block by block, the level on alpha1 whose rate is
+# r_bar_2r (1/mu_2, the cap of direction 1), on alpha2 for r_bar_1r (1/mu_1,
+# the cap of direction 2), on the pooled gains for r_ma (1/mu_ma), and the
+# levels that p_bar_ma and step 7 need: alpha1 for r_ma - r_bar_1r and
+# alpha2 for r_ma - r_bar_2r.
+# One forward pass over the first three blocks, prepared once in the
+# ledger, finds the step-1 level and both step-4 candidates. A kind's sums
+# run over its own columns only (alpha1 over the widest alpha1 list, and
+# so on). Every branch of the seven steps is a per-row mask or a row of
+# the branch table below.
 
-# Rows of the candidate levels: the forward fills, then the ledger's (5 is mu_ma).
+# Rows of the engine's candidate levels: the forward fills, then the
+# ledger's levels (row 5 is mu_ma).
 _REFILL1, _REFILL2, _LAM, _CAP1, _CAP2, _BAR1, _BAR2 = 0, 1, 2, 3, 4, 6, 7
 
 
@@ -219,19 +242,14 @@ def _targets(rates) -> np.ndarray:
     """r_bar_2r, r_bar_1r, r_ma, (r_ma - r_bar_1r)^+ and (r_ma - r_bar_2r)^+
     of each instance, (5, N): the rates of the gain table's five blocks.
 
-    Takes SourceRates, or their columns (3, N) r_ma, r_bar_1r, r_bar_2r, as
-    a SourceStrategies holds them, checked and clamped as SourceRates
-    checks and clamps its rates (a dropped row's NaN fails).
+    Takes N SourceRates, or their columns (3, N) r_ma, r_bar_1r, r_bar_2r
+    (a SourceStrategies' rates), checked by SourceRates' rule, so a dropped
+    row's NaN fails.
     """
-    columns = rates.rates if isinstance(rates, SourceStrategies) else rates
-    if isinstance(columns, np.ndarray):
-        if not np.logical_and.reduce((columns >= -1e-12) & (columns < np.inf), axis=None):
-            raise InvalidStrategyError(_BAD_RATES)
-        r_ma, r1, r2 = np.maximum(columns, 0.0)
-        targets = np.array([r2, r1, r_ma, r_ma - r1, r_ma - r2])
-    else:
-        targets = np.array([(r.r_bar_2r, r.r_bar_1r, r.r_ma, r.r_ma - r.r_bar_1r, r.r_ma - r.r_bar_2r)
-                            for r in rates]).reshape(-1, 5).T
+    if not isinstance(rates, np.ndarray):
+        rates = np.array([(r.r_ma, r.r_bar_1r, r.r_bar_2r) for r in rates]).reshape(-1, 3).T
+    rates = _valid_rates(rates)
+    targets = np.concatenate((rates[::-1], rates[0] - rates[1:]))
     np.maximum(targets[3:], 0.0, out=targets[3:])
     return targets
 
@@ -244,11 +262,15 @@ def _budgets(pr_max, n: int) -> np.ndarray:
 
 
 def _ledger(gains, targets) -> tuple:
-    """The batch's prepared gains and what the engine reads of each instance:
-    the alpha1, alpha2 and pooled blocks, each cut to its widest list; their
-    forward preparation (3N, K); the levels cap1, cap2, mu_ma, bar1, bar2
-    (5, N); the power each forward pass holds back (alpha2 at cap2, alpha1
-    at cap1, none), (3, N); p_bar_ma, case_symmetric and the slack (N,)."""
+    """The batch's prepared gains and what the engine reads of each instance.
+
+    Returns the alpha1, alpha2 and pooled blocks, each cut to its widest
+    list; the forward preparation of the three blocks, (3N, K) each; the
+    levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the power each forward
+    pass holds back, alpha2 at cap2 and alpha1 at cap1 for the two refills
+    and none for step 1 (3, N); p_bar_ma, case_symmetric and the slack
+    TIE_TOL / alpha_max, (N,) each.
+    """
     n = len(gains)
     a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
     table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
@@ -282,12 +304,13 @@ def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float
 def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceRates) -> ThresholdLedger:
     """Budget thresholds of the instance.
 
-    p_ma / p_l / p_s are pooled water-fill powers at 1/mu_ma and the lower
-    and higher of 1/mu_1, 1/mu_2; p_t is the power with both directions at
-    their ceilings. In the asymmetric case p_bar_ma pins the tight
-    direction at its ceiling and gives the loose direction d the level of
-    rate r_ma - r_bar_dr. `levels` is not read: the ledger derives the
-    same levels, bit for bit.
+    p_ma / p_l / p_s are pooled water-fill powers at the levels 1/mu_ma,
+    min(1/mu_1, 1/mu_2) and max(1/mu_1, 1/mu_2). p_t is the power with both
+    per-direction ceilings exactly tight (1/mu_2 on alpha_1 and 1/mu_1 on
+    alpha_2). In the asymmetric case p_bar_ma pins the tight direction at
+    its ceiling and gives the loose direction d the level whose rate is
+    r_ma - r_bar_dr. `levels` is not read: the ledger derives the same
+    levels relative_levels returns, bit for bit.
     """
     _, prepared, ledger_levels, held, p_bar_ma, symmetric, slack = _ledger([gains], _targets([strategy]))
     cap1, cap2, mu_ma = ledger_levels[:3]
@@ -346,9 +369,9 @@ def _solve(gains, rates, pr_max) -> tuple:
         return empty, *np.empty((2, 0, 0)), empty[0], empty, empty[0], np.zeros(0, int), *np.zeros((2, 0), bool)
     r2, r1, r_ma = targets[:3]
     # At r_ma = r_bar_1r + r_bar_2r the MA ceiling is redundant: step 7 never fires.
-    if np.logical_or.reduce(r_ma - (r1 + r2) > 1e-12):
+    if np.count_nonzero(r_ma - (r1 + r2) > 1e-12):
         raise InvalidStrategyError("r_ma cannot exceed r_bar_1r + r_bar_2r")
-    if np.logical_or.reduce(r_ma < np.maximum(r1, r2) - 1e-12):
+    if np.count_nonzero(r_ma < np.maximum(r1, r2) - 1e-12):
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
     (a1, a2, pooled), prepared, levels, held, p_bar_ma, _, slack = _ledger(gains, targets)
@@ -363,19 +386,32 @@ def _solve(gains, rates, pr_max) -> tuple:
     lv, mu_ma = chosen[:, 0], levels[2]
     pinned = np.minimum(lv[0], lv[1]) >= mu_ma - slack
     below = np.maximum(lv[0], lv[1]) <= mu_ma + slack
-    if np.logical_or.reduce(pinned):
+    if np.count_nonzero(pinned):
         lv[:] = np.where(pinned, mu_ma, lv)
     rates_at = np.array([_rate(a1, chosen[0]), _rate(a2, chosen[1])])  # at each level and bar level
     bc = rates_at[:, 0]
     cut = (bc[0] + bc[1] > r_ma + TIE_TOL) & ~(pinned | below)
-    if np.logical_or.reduce(cut):
+    if np.count_nonzero(cut):
         higher1 = lv[0] > lv[1]
         cuts = cut & np.array([higher1, ~higher1])
         lv, bc = np.where(cuts, chosen[:, 1], lv), np.where(cuts, rates_at[:, 1], bc)
 
+    # A row whose powers overspend the budget beyond the relative 1e-12 of
+    # every budget test lowers both levels by the excess over its active
+    # subchannels, by an ulp at least, until it fits. At low SNR a level
+    # near 1/alpha has an ulp above the budget's, and a pinned pair sits up
+    # to the slack above its fill.
     inv = prepared[0]
-    powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
-    consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
+    while True:
+        powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
+        consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
+        over = consumed > pr * (1.0 + 1e-12)
+        if not np.count_nonzero(over):
+            break
+        active = np.count_nonzero(powers1, axis=-1) + np.count_nonzero(powers2, axis=-1)
+        lower = np.minimum(lv - (consumed - pr) / np.maximum(active, 1), np.nextafter(lv, -np.inf))
+        lv = np.where(over, lower, lv)
+        bc = np.where(over, [_rate(a1, lv[0]), _rate(a2, lv[1])], bc)
     best_bc = _rate(pooled, _level(tuple(a[2 * n :] for a in prepared), consumed))
     efficient = bc[0] + bc[1] >= best_bc - TIE_TOL
     source_waste = pr < p_bar_ma - slack
@@ -386,21 +422,26 @@ def _solve(gains, rates, pr_max) -> tuple:
 def optimize_many(gains, rates, pr_max) -> RelaySolutions:
     """Run the seven-step allocation on N instances at once.
 
-    gains is a sequence of N SubchannelGains; rates N SourceRates, or a
-    SourceStrategies without dropped rows, or its rates; pr_max one budget
-    (watts) for all or one per instance. Returns their RelaySolutions, row
-    i equal bit for bit to instance i's own solve whenever every gain kind
-    is narrower than 8 subchannels or of one width (see waterfill). Raises
-    InvalidStrategyError on invalid rates (r_ma above r_bar_1r + r_bar_2r
-    or below either), ValueError on a negative or non-finite budget or
-    mismatched lengths.
+    gains is a sequence of N SubchannelGains and rates N SourceRates or
+    their columns (3, N) r_ma, r_bar_1r, r_bar_2r (a SourceStrategies'
+    rates); pr_max is one budget (watts) for all or one per instance.
+    Returns their RelaySolutions, whose item i is instance i's solution,
+    equal bit for bit to the instance's own solve whenever every gain kind
+    of the batch is narrower than 8 subchannels or the same width in every
+    instance (see waterfill). Raises InvalidStrategyError if any instance's
+    rates are invalid (r_ma above r_bar_1r + r_bar_2r or below either,
+    beyond 1e-12 nats), and ValueError if any budget is negative or
+    non-finite or the lengths differ.
 
-    Steps: (1) water-fill the full budget on the pooled gains; (2) if a
-    direction sits above its ceiling, (3) clip the tighter one to its
-    ceiling and (4) re-spend the freed power in the other, (5) clipping it
-    too if it overshoots its own; (6) if both levels reached 1/mu_ma drop
-    them to it, else accept the pair unless its broadcast rate sum exceeds
-    r_ma, where (7) the higher level drops so the sum lands on r_ma.
+    Steps: (1) water-fill the full budget on the pooled gains; (2) if some
+    direction sits above its ceiling level, (3) clip the tighter direction
+    to its ceiling and (4) re-spend the freed power in the other
+    direction, (5) clipping it too if it overshoots its own ceiling;
+    (6) if both levels reached 1/mu_ma drop them to 1/mu_ma exactly, and
+    otherwise accept the pair unless its broadcast rate sum exceeds r_ma,
+    in which case (7) the higher level is lowered through the closed-form
+    inverse water-fill so the sum lands on r_ma exactly. The powers never
+    exceed the budget by more than a relative 1e-12.
     """
     return RelaySolutions(gains, _solve(gains, rates, pr_max))
 

@@ -17,11 +17,14 @@ Four scenarios:
                       optionally loaded from an explicit gains/rates file.
 
 SCENARIOS maps each name to its runner, its record type and its flag
-defaults. Runners return one record (a NamedTuple: on CPython 3.11, 2-core
-x86-64 host, the five record types cost about 2 ms to create at import,
-against 11 ms as frozen dataclasses) per row. The record type is the one
-schema of both outputs: its fields, in order, are the CSV columns and the
-JSON keys, and both writers render the records column by column.
+defaults. Runners return one immutable record (a NamedTuple) per row,
+whose fields, in order, are the CSV columns and the JSON record keys: the
+record type is the one schema of both outputs, and both writers render
+the records column by column.
+Records are NamedTuples, not frozen dataclasses, because every CLI start
+imports them: on CPython 3.11 (2-core x86-64 host) the five record types
+cost about 11 ms to create as frozen dataclasses and about 2 ms as
+NamedTuples.
 
 Each trial derives its own RNG stream from (seed, trial index), so any
 execution order produces identical output. CSV output is byte-stable for a
@@ -77,8 +80,10 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
-# The asymmetry study's MA-phase blocks and relay batches hold at most
-# about this many cells, so a long study keeps memory bounded.
+# The asymmetry study runs its cells through the MA phase in blocks of at
+# most this many, and hands them to the relay optimizer in one batch once
+# the antenna splits not yet solved hold this many, so a long study keeps
+# memory bounded.
 STUDY_BATCH_CELLS = 4096
 
 
@@ -247,9 +252,13 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
             feasible = power1 <= pr * (1.0 + 1e-12)
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
-            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(gains.alpha2, level2)
+            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(
+                gains.alpha2, level2
+            )
             for l1, l2, bc in zip(grid[feasible], level2, bc_sum):
-                records.append(Lemma2Record(trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)))
+                records.append(Lemma2Record(
+                    trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)
+                ))
     return records, {"trials": spec.trials, "skipped": skipped}
 
 
@@ -265,7 +274,9 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     for point, (pr, sol) in enumerate(zip(budgets, solutions)):
         cert = grid_certify(gains, strategy, float(pr), spec.resolution)
         bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
-        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(gains.alpha2, bl_levels[1])
+        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(
+            gains.alpha2, bl_levels[1]
+        )
         records.append(PrmaxRecord(
             point, cfg.n1, cfg.n2, cfg.n_r, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq, float(pr),
             *_solution_values(strategy, sol),
@@ -281,16 +292,19 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     Antenna splits cover every n1 in 1..n_total-1 with n1+n2 fixed; power
     splits cover five evenly spaced fractions of the fixed power total.
     Channel realizations are reused across power splits within an antenna
-    split. A trial whose downlink is rank zero or whose gains overflow is
-    skipped in every cell of its antenna split, and a cell whose MA phase
-    drops it in its own. The cells are drawn in record order, (n1, trial,
-    power split), and run through one max_ma_strategy_groups call per block
-    of at most STUDY_BATCH_CELLS cells, one group per antenna split in it;
-    the relay optimizer takes their rates columns in one batch whenever, at
-    the end of an antenna split, the unsolved cells reach
-    STUDY_BATCH_CELLS, and at the end. The solved cells stay columns; each
-    cell's aggregate is np.add.reduce over its records in trial order,
-    divided by their count: the bits of np.mean.
+    split, so cells differ only in what they must. A trial whose downlink
+    is rank zero or whose gains overflow counts as skipped in every cell of
+    its antenna split, and a cell whose MA phase finds no strategy (no
+    convergence, or a numerically singular or inaccurate instance) in its
+    own. The cells are drawn in record order, (n1, trial, power split), and
+    run through the MA phase in blocks of at most STUDY_BATCH_CELLS cells:
+    one max_ma_strategy_groups call per block, with one group per antenna
+    split in it, not one call per split. The relay optimizer takes their
+    rates columns in one batch whenever, at the end of an antenna split,
+    the unsolved cells reach STUDY_BATCH_CELLS, and one at the end.
+    The solved cells stay columns in record order; each cell's aggregate
+    is np.add.reduce over its records in trial order, divided by their
+    count: the bits of np.mean.
     """
     cfg = spec.config
     n_total = cfg.n1 + cfg.n2
@@ -368,7 +382,9 @@ def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, Sourc
     try:
         payload = json.loads(Path(path).read_text())
         gains = synthetic_gains(payload["alpha1"], payload["alpha2"])
-        rates = SourceRates(r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"])
+        rates = SourceRates(
+            r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
+        )
         pr_max = float(_checked(payload.get("pr_max", cfg.pr_max), "pr_max"))
     except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
@@ -449,10 +465,11 @@ _LIST_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ":
 def _json_text(payload: dict) -> str:
     """json.dumps(payload, indent=2, sort_keys=True), byte for byte, without its pure-Python encoder.
 
-    The payload maps string keys to scalars, flat rows (dicts of scalars)
-    and lists of nonempty flat rows. A list of rows is one C encoder call,
-    split where the row separator meets "}," and "{", which no row holds
-    inside (its values are scalars; an encoded string holds no newline).
+    The payload maps string keys to scalars, to flat rows (dicts of
+    scalars) and to lists of nonempty flat rows. A list of rows is one C
+    encoder call, split into rows where the row separator meets "}," and
+    "{", which no row holds inside (its values are scalars, and an encoded
+    string holds no raw newline).
     """
     items = []
     for key, value in sorted(payload.items()):
@@ -487,7 +504,11 @@ def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
 
 
 def emit(spec: ScenarioSpec, records: list, aggregates) -> None:
-    text = render_csv(spec, records) if spec.fmt == "csv" else render_json(spec, records, aggregates)
+    text = (
+        render_csv(spec, records)
+        if spec.fmt == "csv"
+        else render_json(spec, records, aggregates)
+    )
     if spec.out is None:
         sys.stdout.write(text)
     else:

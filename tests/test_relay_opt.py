@@ -708,6 +708,38 @@ def test_trace_matches_classification_when_a_source_budget_is_zero(rng, zero):
     assert checked >= 50
 
 
+def test_levels_that_overspend_step_down_to_the_budget(rng):
+    # At gains ~1e-9 the levels sit near 1/alpha ~ 1e9 W, whose ulp is
+    # 1.2e-7 W: the powers level - 1/alpha of the nearest level can sum
+    # past the budget by more than its round-off. The levels step down
+    # until the powers fit, within the relative 1e-12 of every budget test;
+    # the path and the rates' consistency stay.
+    stepped = 0
+    for _ in range(40):
+        g = tw.synthetic_gains(random_gain_list(rng) * 1e-9, random_gain_list(rng) * 1e-9)
+        rates = tw.SourceRates(r_ma=1.5, r_bar_1r=1.0, r_bar_2r=1.0)  # no ceiling binds
+        pr = float(rng.uniform(0.5, 5.0))
+        sol = tw.optimize(g, rates, pr)
+        lam = tw.relative_levels(g, rates, pr).inv_lambda0
+        stepped += power_of_level(g.pooled, lam) > pr * (1.0 + 1e-12)
+        assert sol.step_trace == (1, 2, 6)
+        assert sol.level1 == sol.level2 <= lam
+        assert sol.consumed_power <= pr * (1.0 + 1e-12)
+        assert sol.consumed_power == np.add.reduce(sol.powers1) + np.add.reduce(sol.powers2)
+        assert_allclose(sol.bc_rates, [rate_of_level(g.alpha1, sol.level1), rate_of_level(g.alpha2, sol.level2)],
+                        rtol=1e-12)
+        (batched,) = tw.optimize_many([g], [rates], pr)
+        _assert_same_solution(batched, sol)
+    assert stepped >= 10
+    # A fill within the slack below 1/mu_ma = sqrt(3) is pinned up to it,
+    # which spent 1.5e-9 W above this budget; the pair now stays within it.
+    pr = 2.0 * (np.sqrt(3.0) - 1.0) - 1.5e-9
+    sol = tw.optimize(unit_gains(), sym_rates(), pr)
+    assert sol.step_trace == (1, 2, 6) and sol.efficient
+    assert sol.consumed_power <= pr * (1.0 + 1e-12)
+    assert sol.level1 == sol.level2 and abs(sol.level1 - np.sqrt(3.0)) < 1e-9
+
+
 # --- column results ------------------------------------------------------------
 
 
@@ -750,7 +782,7 @@ def test_optimize_many_takes_the_ma_phase_columns():
         _assert_columns_give_each_solve(tw.optimize_many(gains, rates, 3.0), cases)
     dropped = tw.max_ma_strategies(h1[:2], h2[:2], p1[:2], p2[:2], [1.0, sys.float_info.min])
     assert dropped[1] is None
-    for rates, n in ((dropped, 2), (dropped.rates, 2), (np.array([[1.0], [0.5], [-1.0]]), 1)):
+    for rates, n in ((dropped.rates, 2), (np.array([[1.0], [0.5], [-1.0]]), 1)):
         with pytest.raises(tw.InvalidStrategyError, match="finite and nonnegative"):
             tw.optimize_many(gains[:n], rates, 3.0)
     with pytest.raises(ValueError, match="one entry per instance"):

@@ -328,6 +328,30 @@ def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
     assert [(a["completed"], a["skipped"]) for a in payload["aggregates"]] == [(0, 3)] * 25
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "single", "--p2", "0", "--certify"],
+    ["--scenario", "single", "--p1", "0", "--certify"],
+    ["--scenario", "asymmetry-study", "--trials", "5", "--sigma", "1e6"],
+    ["--scenario", "asymmetry-study", "--trials", "5", "--sigma", "1e9"],
+    ["--scenario", "asymmetry-study", "--trials", "2", "--sigma", "1e300"],
+])
+def test_rate_sum_edge_runs_finish_within_the_relay_budget(tmp_path, flags):
+    # A zero source budget, or noise so strong that the uplinks' rates add up
+    # within 1e-12 nats, puts r_ma on r_bar_1r + r_bar_2r. These runs exited
+    # 3; then, at sigma^2 = 1e9, 17 of the 125 study records reported up to
+    # 3.0000000596 W on the 3 W budget (levels near 1/alpha ~ 1e9 W round
+    # to 1.2e-7 W), and at 1e300 up to 5.7e285 W.
+    out = tmp_path / "run.json"
+    assert main([*flags, "--deterministic", "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    pr = payload["config"]["pr_max"]
+    assert payload["records"]
+    for rec in payload["records"]:
+        assert rec["consumed_power"] <= pr + 1e-9
+        if "oracle_best_rate" in rec:
+            assert abs(rec["oracle_best_rate"] - rec["sum_rate_tw"]) <= 1e-6
+
+
 def test_asymmetry_study_skips_ill_conditioned_ma_instances(tmp_path):
     # At sigma^2 = 1e-15 the MA phase of some cells meets a numerically
     # singular interference-plus-noise matrix; those cells are skipped.
