@@ -42,9 +42,10 @@ rate_of_level call inside it, though the ledger does not read the rate)
 and prepares the batch's gain table for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
 engine's forward passes, rates, power sums and per-subchannel powers run
-through waterfill's unchecked cores, as rates (by SourceRates' rule and
-their ordering rule) and budgets (by waterfill._checked) are checked
-once, on entry.
+through waterfill's unchecked cores. Inputs are checked once, on entry:
+a SourceRates by its own constructor, so its floats go straight into the
+targets; rate columns and other rate objects by SourceRates' rule; then
+the rate order; budgets by waterfill._checked.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -62,7 +63,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
-from .waterfill import _checked, _level, _power, _powers, _prepared, _rate, gain_table, inverse_waterfill
+from .waterfill import (_QUIET, _arange, _checked, _level, _power, _powers, _prepare, _rate, gain_table,
+                        inverse_waterfill)
 
 __all__ = [
     "RelativeLevels",
@@ -242,39 +244,43 @@ def _targets(rates) -> np.ndarray:
     """r_bar_2r, r_bar_1r, r_ma, (r_ma - r_bar_1r)^+ and (r_ma - r_bar_2r)^+
     of each instance, (5, N): the rates of the gain table's five blocks.
 
-    Takes N SourceRates, or their columns (3, N) r_ma, r_bar_1r, r_bar_2r
-    (a SourceStrategies' rates), checked by SourceRates' rule, so a dropped
-    row's NaN fails.
+    Takes N SourceRates, which their constructor checked, or other objects
+    with the three rates, checked here by becoming SourceRates; or their
+    columns (3, N) r_ma, r_bar_1r, r_bar_2r (a SourceStrategies' rates),
+    checked by SourceRates' rule, so a dropped row's NaN fails.
     """
-    if not isinstance(rates, np.ndarray):
-        rates = np.array([(r.r_ma, r.r_bar_1r, r.r_bar_2r) for r in rates]).reshape(-1, 3).T
-    rates = _valid_rates(rates)
-    targets = np.concatenate((rates[::-1], rates[0] - rates[1:]))
-    np.maximum(targets[3:], 0.0, out=targets[3:])
-    return targets
+    if isinstance(rates, np.ndarray):
+        r_ma, r1, r2 = _valid_rates(rates)
+        return np.array([r2, r1, r_ma, np.maximum(r_ma - r1, 0.0), np.maximum(r_ma - r2, 0.0)])
+    rates = (r if isinstance(r, SourceRates) else SourceRates(r.r_ma, r.r_bar_1r, r.r_bar_2r) for r in rates)
+    rows = [(r.r_bar_2r, r.r_bar_1r, r.r_ma, max(r.r_ma - r.r_bar_1r, 0.0), max(r.r_ma - r.r_bar_2r, 0.0))
+            for r in rates]
+    return np.array(rows).reshape(-1, 5).T
 
 
 def _budgets(pr_max, n: int) -> np.ndarray:
     pr = np.zeros(n) + pr_max
     if pr.shape != (n,):
         raise ValueError("pr_max must be one budget, or one per instance")
-    return _checked(pr, "pr_max")
+    _checked(pr_max, "pr_max")
+    return pr
 
 
+@_QUIET
 def _ledger(gains, targets) -> tuple:
     """The batch's prepared gains and what the engine reads of each instance.
 
     Returns the alpha1, alpha2 and pooled blocks, each cut to its widest
-    list; the forward preparation of the three blocks, (3N, K) each; the
-    levels cap1, cap2, mu_ma, bar1, bar2 (5, N); the power each forward
-    pass holds back, alpha2 at cap2 and alpha1 at cap1 for the two refills
-    and none for step 1 (3, N); p_bar_ma, case_symmetric and the slack
-    TIE_TOL / alpha_max, (N,) each.
+    list; the forward preparation of the three blocks, (3N, K) each, and
+    of the pooled block, (N, K) each; the levels cap1, cap2, mu_ma, bar1,
+    bar2 (5, N); the power each forward pass holds back, alpha2 at cap2
+    and alpha1 at cap1 for the two refills and none for step 1 (3, N);
+    p_bar_ma, case_symmetric and the slack TIE_TOL / alpha_max, (N,) each.
     """
     n = len(gains)
     a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
     table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
-    k1, k2 = max(a.size for a in a1), max(a.size for a in a2)
+    k1, k2 = max(map(len, a1)), max(map(len, a2))
     blocks = table[:n, :k1], table[n : 2 * n, :k2], table[2 * n : 3 * n]
     ceilings = inverse_waterfill(table, targets.reshape(-1))
     levels = ceilings.level.reshape(5, n)
@@ -289,15 +295,17 @@ def _ledger(gains, targets) -> tuple:
     crossed = p1 + p2[::-1]  # one direction at its cap, the other at its bar level
     p_bar_ma = np.where(cap1 >= cap2, crossed[1], crossed[0])
     p_bar_ma = np.where(symmetric, np.add.reduce(cell_powers[2], axis=-1), p_bar_ma)
-    return blocks, _prepared(table[: 3 * n]), levels, held, p_bar_ma, symmetric, slack
+    prepared = _prepare(table[: 3 * n])
+    pooled = prepared[0][2 * n :], prepared[1][2 * n :], prepared[2][2 * n :]
+    return blocks, prepared, pooled, levels, held, p_bar_ma, symmetric, slack
 
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
     pr = _budgets(pr_max, 1)
-    _, prepared, levels, *_ = _ledger([gains], _targets([strategy]))
+    _, _, pooled, levels, *_ = _ledger([gains], _targets([strategy]))
     cap1, cap2, mu_ma = levels[:3, 0].tolist()
-    lam = _level(tuple(a[2:] for a in prepared), pr)
+    lam = _level(pooled, pr)
     return RelativeLevels(inv_mu1=cap2, inv_mu2=cap1, inv_mu_ma=mu_ma, inv_lambda0=float(lam[0]))
 
 
@@ -312,9 +320,9 @@ def thresholds(gains: SubchannelGains, levels: RelativeLevels, strategy: SourceR
     r_ma - r_bar_dr. `levels` is not read: the ledger derives the same
     levels relative_levels returns, bit for bit.
     """
-    _, prepared, ledger_levels, held, p_bar_ma, symmetric, slack = _ledger([gains], _targets([strategy]))
+    _, _, pooled, ledger_levels, held, p_bar_ma, symmetric, slack = _ledger([gains], _targets([strategy]))
     cap1, cap2, mu_ma = ledger_levels[:3]
-    pooled_powers = _power(prepared[0][2:], np.array([mu_ma, np.minimum(cap1, cap2), np.maximum(cap1, cap2)]))
+    pooled_powers = _power(pooled[0], np.array([mu_ma, np.minimum(cap1, cap2), np.maximum(cap1, cap2)]))
     p_ma, p_l, p_s = pooled_powers[:, 0].tolist()
     p_t = float(held[0, 0] + held[1, 0])  # alpha1 at cap1 plus alpha2 at cap2
     return ThresholdLedger(p_ma, p_l, p_t, p_s, float(p_bar_ma[0]), bool(symmetric[0]), float(slack[0]))
@@ -326,7 +334,7 @@ def _steps_3_to_5(fills: np.ndarray, levels: np.ndarray, slack: np.ndarray) -> t
     pick them (see _branch)."""
     fits = fills <= (levels[:2] + slack)[:, np.newaxis]
     code = np.dot(_FIT_BITS, fits.reshape(6, -1))
-    return np.concatenate((fills, levels))[_PICKS.take(code, axis=-1), np.arange(code.size)], code
+    return np.concatenate((fills, levels))[_PICKS.take(code, axis=-1), _arange(code.size)], code
 
 
 class RelaySolutions(Sequence):
@@ -374,7 +382,7 @@ def _solve(gains, rates, pr_max) -> tuple:
     if np.count_nonzero(r_ma < np.maximum(r1, r2) - 1e-12):
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
     pr = _budgets(pr_max, n)
-    (a1, a2, pooled), prepared, levels, held, p_bar_ma, _, slack = _ledger(gains, targets)
+    (a1, a2, pooled), prepared, pooled_prepared, levels, held, p_bar_ma, _, slack = _ledger(gains, targets)
 
     # Step 1 on the pooled gains, and step 4 for either order: only the
     # direction with the smaller ceiling can be the (first) violator; it is
@@ -412,7 +420,7 @@ def _solve(gains, rates, pr_max) -> tuple:
         lower = np.minimum(lv - (consumed - pr) / np.maximum(active, 1), np.nextafter(lv, -np.inf))
         lv = np.where(over, lower, lv)
         bc = np.where(over, [_rate(a1, lv[0]), _rate(a2, lv[1])], bc)
-    best_bc = _rate(pooled, _level(tuple(a[2 * n :] for a in prepared), consumed))
+    best_bc = _rate(pooled, _level(pooled_prepared, consumed))
     efficient = bc[0] + bc[1] >= best_bc - TIE_TOL
     source_waste = pr < p_bar_ma - slack
     sum_rate = two_way_rate(r_ma, r1, r2, bc[0], bc[1])

@@ -37,7 +37,8 @@ and sorted descending. The kernels do not re-check it on each call;
 ``channel.SubchannelGains`` checks it once, when an instance is built.
 The public kernels check their budgets and targets, once, by _checked
 (the owner of the package's budget and noise rules), and then run the
-unchecked cores: _prepared (a list or table prepared once), _level, _rate,
+unchecked cores: _prepared (a list or table prepared once; _prepare in a
+kernel that ignores the padded cells' warnings itself), _level, _rate,
 _power and _powers. Callers inside the package that checked their
 inputs at entry call the cores directly, with the same bits. The cores
 reduce through the ufuncs (np.add.reduce, not ndarray.sum, whose Python
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +67,8 @@ __all__ = [
 
 # Largest ln(level) whose exp is a finite float.
 _MAX_LOG_LEVEL = math.log(sys.float_info.max)
+# Ignores padded cells' 1/0, ln 0 and inf - inf; as a decorator, one errstate per call.
+_QUIET = np.errstate(divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
@@ -93,12 +97,23 @@ def _out(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _arange(*args) -> np.ndarray:
+    """np.arange(*args), built once per argument tuple, read-only."""
+    index = np.arange(*args)
+    index.flags.writeable = False
+    return index
+
+
 def gain_table(rows) -> np.ndarray:
     """Zero-padded (N, K) table of the 1-D gain lists `rows`."""
     sizes = [row.size for row in rows]
-    cells = np.arange(max(sizes)) < np.asarray(sizes)[:, np.newaxis]
-    table = np.zeros(cells.shape)
-    table[cells] = np.concatenate(rows)
+    table = np.zeros((len(sizes), max(sizes)))
+    if len(sizes) < 12:  # row by row costs less than the mask and the joined rows
+        for i, row in enumerate(rows):
+            table[i, : row.size] = row
+    else:
+        table[_arange(table.shape[1]) < np.asarray(sizes)[:, np.newaxis]] = np.concatenate(rows)
     return table
 
 
@@ -117,14 +132,17 @@ def _by_subchannel(values: np.ndarray, level: np.ndarray) -> tuple:
     return (values.T[(slice(None),) + (np.newaxis,) * spread] if spread > 0 else values.T), level, 0
 
 
-def _prepared(gains: np.ndarray, log: bool = False) -> tuple:
+def _prepare(gains: np.ndarray, log: bool = False) -> tuple:
     """Inverse gains 1/alpha of a list or table (-ln alpha of a contiguous copy
     with `log`), their cumulative sums and the activation thresholds
-    (m-1)*inv[m] - csum[m-1], (..., K) each; a padded cell's threshold is NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = -np.log(np.ascontiguousarray(gains)) if log else 1.0 / gains  # ascending
-        csum = np.add.accumulate(inv, axis=-1)
-        return inv, csum, np.arange(1.0, gains.shape[-1] + 1) * inv - csum
+    (m-1)*inv[m] - csum[m-1], (..., K) each; a padded cell's threshold is NaN.
+    Run it under _QUIET, as _prepared does."""
+    inv = -np.log(np.ascontiguousarray(gains)) if log else 1.0 / gains  # ascending
+    csum = np.add.accumulate(inv, axis=-1)
+    return inv, csum, _arange(1.0, gains.shape[-1] + 1) * inv - csum
+
+
+_prepared = _QUIET(_prepare)
 
 
 def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
@@ -138,7 +156,7 @@ def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
     m = np.maximum(np.add.reduce(thresholds <= amounts, axis=axis, dtype=None if axis else np.uint8), 1)
     if activation.ndim == 1:
         return (amount + csum.take(m - 1)) / m
-    return (amount + csum.take(np.arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
+    return (amount + csum.take(_arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
 
 
 def _rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -167,25 +185,42 @@ def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
 
 
 def _checked(values, name: str, floor: float = 0.0) -> np.ndarray:
-    """`values` as a float array; ValueError unless each is finite and at least
-    `floor`: 0 for budgets and rate targets, sys.float_info.min for noise
-    variances (a subnormal one would overflow the gains it divides)."""
-    values = np.asarray(values, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None):
+    """`values` as a float array (a Python float or int, np.float64 among
+    them, as a np.float64, checked without ufunc calls); ValueError unless
+    each is finite and at least `floor`: 0 for budgets and rate targets,
+    sys.float_info.min for noise variances (a subnormal one would overflow
+    the gains it divides)."""
+    if isinstance(values, (float, int)):
+        values = np.float64(values)
+        valid = math.isfinite(values) and values >= floor
+    else:
+        values = np.asarray(values, dtype=float)
+        valid = np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None)
+    if not valid:
         bound = "at least sys.float_info.min" if floor else "nonnegative"
         raise ValueError(f"{name} must be finite and {bound}")
     return values
 
 
+@np.errstate(over="raise")
 def rate_of_level(gains, level):
     """Rate in nats of water level(s) `level` over `gains`.
 
     Sum over active subchannels of ln(alpha(k) * level); a subchannel is
-    active when alpha(k) * level > 1. Accepts a scalar or array of levels
-    for a list, or (..., N) levels for a table, and returns a matching
-    shape. Nondecreasing in the level.
+    active when alpha(k) * level > 1, and where that product overflows the
+    term is ln alpha(k) + ln level. Accepts a scalar or array of levels for
+    a list, or (..., N) levels for a table, and returns a matching shape.
+    Nondecreasing in the level.
     """
-    return _out(_rate(np.asarray(gains, dtype=float), np.asarray(level, dtype=float)))
+    gains, level = np.asarray(gains, dtype=float), np.asarray(level, dtype=float)
+    try:
+        return _out(_rate(gains, level))
+    except FloatingPointError:  # where alpha(k) * level overflows, both exceed 1
+        gains, level, axis = _by_subchannel(gains, level)
+        with np.errstate(over="ignore"):
+            terms = np.log(np.maximum(level * gains, 1.0))
+        split = np.log(np.maximum(level, 1.0)) + np.log(np.maximum(gains, 1.0))
+        return _out(np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis))
 
 
 def power_of_level(gains, level):
@@ -246,6 +281,7 @@ def inverse_level(gains, target_rate):
     return _out(_exp_level(_prepared(np.asarray(gains, dtype=float), log=True), target))
 
 
+@_QUIET
 def inverse_waterfill(gains, target_rate) -> LevelAllocation:
     """Minimum-power allocation over `gains` achieving `target_rate` nats.
 
@@ -270,8 +306,7 @@ def inverse_waterfill(gains, target_rate) -> LevelAllocation:
         If a target is negative or non-finite, or its level overflows.
     """
     gains = np.asarray(gains, dtype=float)
-    level = _exp_level(_prepared(gains, log=True), _checked(target_rate, "target_rate"))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = _powers(1.0 / gains, level)
+    level = _exp_level(_prepare(gains, log=True), _checked(target_rate, "target_rate"))
+    powers = _powers(1.0 / gains, level)
     total = np.add.reduce(powers, axis=-1)
     return LevelAllocation(_out(level), powers, rate_of_level(gains, level), _out(total))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import twrelay as tw
-from twrelay import channel, errors, ma_phase, oracle, relay_opt, waterfill
+from twrelay import channel, errors, ma_phase, oracle, relay_opt, sim_cli, waterfill
 
 LAYERS = (channel, errors, ma_phase, oracle, relay_opt, waterfill)
 
@@ -100,3 +100,37 @@ def test_rates_that_overflow_at_the_least_noise_raise_a_value_error_naming_it():
             tw.rate_ma(D1, D2, CHANNELS, sys.float_info.min)
         # At sigma^2 = 1e-300 the same pair has finite rates.
         assert np.isfinite(tw.rate_ma(D1, D2, CHANNELS, 1e-300))
+
+
+def test_lemma2_sweep_at_the_least_noise_stays_finite(tmp_path):
+    # At sigma^2 = 1e-300 the gains are about 1e300 and the levels reach 1e7:
+    # alpha * level overflows although ln alpha + ln level is about 710 nats.
+    # pytest turns a RuntimeWarning into an error (pyproject.toml).
+    out = tmp_path / "lemma2.csv"
+    argv = ["--scenario", "lemma2-sweep", "--sweep-stop", "3080", "--sigma", "1e-300", "--deterministic",
+            "--out", str(out)]
+    assert sim_cli.main(argv) == 0
+    rows = out.read_text().splitlines()
+    assert rows[0].split(",")[-1] == "bc_sum"
+    values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+    assert np.isfinite(values).all()
+    assert np.count_nonzero(values[:, -1] > np.log(sys.float_info.max)) >= 121  # each overflowed before
+
+
+def test_rate_of_level_keeps_its_bits_on_finite_products_and_splits_the_log_on_overflow(rng):
+    big = np.array([1e300, 3e299, 2.0])
+    for gains, level in ((big, 1e8), (big, np.array([0.5, 1e8, 1.8e8, 1e-301])),
+                         (waterfill.gain_table([big, big[1:], np.array([0.5])]), np.array([1e8, 1e9, 4.0]))):
+        got = waterfill.rate_of_level(gains, level)
+        table = np.asarray(gains)
+        lv = np.asarray(level)[..., np.newaxis] if table.ndim == 1 else np.asarray(level)[:, np.newaxis]
+        with np.errstate(over="ignore"):
+            product = lv * table
+        split = np.log(np.maximum(lv, 1.0)) + np.log(np.maximum(table, 1.0))
+        want = np.where(product == np.inf, split, np.log(np.maximum(product, 1.0))).sum(axis=-1)
+        assert np.isfinite(got).all() and np.asarray(got).tobytes() == want.tobytes()
+    # Products that stay finite, up to the float range, keep the bits of the one-pass formula.
+    for _ in range(20):
+        gains = np.sort(np.exp(rng.uniform(-5.0, 690.0, size=4)))[::-1]
+        level = np.exp(rng.uniform(-5.0, 709.0 - np.log(gains[0]), size=40))
+        assert waterfill.rate_of_level(gains, level).tobytes() == waterfill._rate(gains, level).tobytes()

@@ -796,3 +796,41 @@ def _split_group_of_study(n1, trials):
     p1 = np.tile(np.linspace(0.1, 0.9, 5) * 5.0, trials)
     return (np.repeat(np.stack([ch.h1r for ch in channels]), 5, axis=0),
             np.repeat(np.stack([ch.h2r for ch in channels]), 5, axis=0), p1, 5.0 - p1, 1.0)
+
+
+# --- where the engine checks its inputs --------------------------------------
+
+
+def test_rates_objects_other_than_source_rates_are_checked_by_its_rule():
+    # A SourceRates goes straight to the targets; any other object with the
+    # three rates is checked and clamped as a SourceRates would be.
+    g = unit_gains()
+    rates = asym_rates()
+    duck = dataclasses.make_dataclass("Rates", ["r_ma", "r_bar_1r", "r_bar_2r"])
+    want = tw.optimize(g, rates, 1.0)
+    got = tw.optimize_many([g], [duck(rates.r_ma, rates.r_bar_1r, rates.r_bar_2r)], 1.0)[0]
+    assert (got.level1, got.level2, got.consumed_power, got.step_trace) == (
+        want.level1, want.level2, want.consumed_power, want.step_trace)
+    clamped = tw.optimize_many([g], [duck(LN2, -1e-13, LN2)], 1.0)[0]
+    assert clamped.level1 == tw.optimize(g, tw.SourceRates(r_ma=LN2, r_bar_1r=0.0, r_bar_2r=LN2), 1.0).level1
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(tw.InvalidStrategyError, match="finite and nonnegative"):
+            tw.optimize_many([g, g], [rates, duck(bad, LN4, LN2)], 1.0)
+
+
+def test_each_rate_order_rule_raises_alone_and_the_sum_rule_first_in_a_batch():
+    g = unit_gains()
+    above = tw.SourceRates(r_ma=LN4 + LN2 + 1e-11, r_bar_1r=LN4, r_bar_2r=LN2)
+    below = tw.SourceRates(r_ma=LN4 - 1e-11, r_bar_1r=LN4, r_bar_2r=LN2)
+    good = asym_rates()
+    for bad, message in ((above, "cannot exceed r_bar_1r \\+ r_bar_2r"), (below, "cannot be below either")):
+        with pytest.raises(tw.InvalidStrategyError, match=message):
+            tw.optimize(g, bad, 1.0)
+        with pytest.raises(tw.InvalidStrategyError, match=message):
+            tw.optimize_many([g] * 3, [good, bad, good], 1.0)
+        columns = np.array([[r.r_ma, r.r_bar_1r, r.r_bar_2r] for r in (good, bad)]).T
+        with pytest.raises(tw.InvalidStrategyError, match=message):
+            tw.optimize_many([g] * 2, columns, 1.0)
+    for batch in ([below, above], [above, below], [good, below, good, above]):
+        with pytest.raises(tw.InvalidStrategyError, match="cannot exceed"):
+            tw.optimize_many([g] * len(batch), batch, 1.0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import twrelay as tw
 from twrelay import waterfill
 from twrelay.waterfill import (
     forward_level,
@@ -399,3 +400,45 @@ def test_level_kernels_keep_the_bits_of_a_last_axis_sum(rng, width):
         assert type(rate) is type(power) is (float if np.ndim(level) == 0 else np.ndarray)
         assert np.asarray(rate).tobytes() == _last_axis_rate(gains, level).tobytes()
         assert np.asarray(power).tobytes() == _last_axis_power(gains, level).tobytes()
+
+
+# --- the budget rule on scalars, and the cached index vectors -------------
+
+
+@pytest.mark.parametrize("value", [1.5, 2, True, np.float64(0.25), -0.0, 0, 0.0, 5e-324, 1e300])
+def test_scalar_budgets_pass_as_their_zero_d_arrays_do(value):
+    checked = waterfill._checked(value, "pr_max")
+    assert checked.ndim == 0 and checked.dtype == np.float64
+    assert checked.tobytes() == waterfill._checked(np.asarray(value, dtype=float), "pr_max").tobytes()
+    sol = tw.optimize(tw.synthetic_gains([1.0], [1.0]), tw.SourceRates(0.5, 0.4, 0.3), value)
+    assert 0.0 <= sol.consumed_power <= float(value) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1e-300, -1.0, -3, np.float64(np.nan),
+                                   np.float64(-np.inf)])
+def test_scalar_budgets_fail_as_their_zero_d_arrays_do(value):
+    for bad in (value, np.asarray(value, dtype=float)):
+        with pytest.raises(ValueError, match=r"^pr_max must be finite and nonnegative$"):
+            waterfill._checked(bad, "pr_max")
+        with pytest.raises(ValueError, match=r"^pr_max must be finite and nonnegative$"):
+            tw.optimize(tw.synthetic_gains([1.0], [1.0]), tw.SourceRates(0.5, 0.4, 0.3), bad)
+
+
+def test_cached_index_vectors_are_read_only():
+    for args in ((1.0, 4), (-1, 5, 3), (3,)):
+        index = waterfill._arange(*args)
+        assert index is waterfill._arange(*args)
+        assert index.tobytes() == np.arange(*args).tobytes() and index.dtype == np.arange(*args).dtype
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 7
+    assert waterfill._arange(1.0, 4).dtype == float and waterfill._arange(1, 4).dtype == int
+
+
+@pytest.mark.parametrize("count", [1, 5, 11, 12, 13, 40])
+def test_gain_table_pads_each_row_with_zeros(rng, count):
+    # Row by row below 12 rows, through one mask from 12 on: the same table.
+    rows = [np.sort(rng.uniform(0.1, 5.0, size=k))[::-1] for k in rng.integers(1, 7, size=count)]
+    table = gain_table(rows)
+    assert table.shape == (count, max(row.size for row in rows)) and table.dtype == float
+    for got, row in zip(table, rows):
+        assert got[: row.size].tobytes() == row.tobytes() and not got[row.size :].any()
