@@ -29,8 +29,8 @@ any grouping.
 Within a half-sweep, the steps whose operands have a group's own shape run
 per group, on exactly that shape: H D H^H, the whitening solve, G^H G and
 its eigh, and the covariance rebuild V diag(p) V^H; and, for the converged
-pairs, the PSD eigvalsh and H D H^H. OpenBLAS and LAPACK bits depend on an
-operand's shape, so none of these is zero-padded. The rest runs once over
+pairs, H D H^H. OpenBLAS and LAPACK bits depend on an operand's shape, so
+none of these is zero-padded. The rest runs once over
 all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
 n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
 eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
@@ -38,8 +38,8 @@ gets no power), the log-det objective, the convergence and drop-out
 bookkeeping, and the converged pairs' n_r x n_r log-dets. numpy sums fewer
 than 8 terms one after another, so trailing zero terms keep a row's sum;
 from 8 terms on it sums pairwise, so an objective table 8 or more wide is
-summed over each group's own width. On one group, the engine joins and
-splits nothing. The sweeps call the LAPACK gufuncs behind np.linalg's
+summed over each group's own width. On one group, the sweeps join no
+stacks. The sweeps call the LAPACK gufuncs behind np.linalg's
 cholesky, solve and eigh directly (numpy.linalg._umath_linalg), with the
 same bits and none of the wrappers' per-call cost; a factorization that
 fails comes out NaN rather than raising.
@@ -52,15 +52,15 @@ already factored as L2 L2^H:
 
 over node 2's whitened eigenvalues lambda_k and powers p_k, with no third
 factorization; an instance converges when a sweep gains less than
-SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with
-p >= 0, PSD by construction: the sweeps skip the PSD check, and each
-converged pair is checked once, by the helper that gives
-strategy_from_covariances (and so rate_ma and rate_bar) its rates. An
-instance whose uplinks' tr(H^H H) / sigma_r^2 would overflow a sweep
-(checked once, on entry), whose interference-plus-noise matrix does not
-factor, or whose rates come out inconsistent or overflow the float range,
-leaves the stack without a strategy. Budgets and noise variances are
-checked at entry, by waterfill._checked; rates, by _valid_rates.
+SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with p >= 0, PSD by
+construction, so the engine does not PSD-check them: the PSD rule is
+checked only by strategy_from_covariances, the one entry point that takes
+covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2
+would overflow a sweep (checked once, on entry), whose
+interference-plus-noise matrix does not factor, or whose rates come out
+inconsistent or overflow the float range, leaves the stack without a
+strategy. Budgets and noise variances are checked at entry, by
+waterfill._checked; rates, by _valid_rates.
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ __all__ = [
     "SourceStrategy",
     "SourceStrategies",
     "logdet_identity_plus",
-    "rate_ma",
-    "rate_bar",
     "max_ma_strategy",
     "max_ma_strategies",
     "max_ma_strategy_groups",
@@ -195,8 +193,6 @@ def _joined(parts: list) -> np.ndarray:
 
 def _row_slices(counts: list) -> list:
     """Each group's rows in the joined stack of groups with these row counts."""
-    if len(counts) == 1:
-        return [slice(None)]
     return [slice(end - count, end) for count, end in zip(counts, accumulate(counts))]
 
 
@@ -245,21 +241,17 @@ def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
 
     `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
     (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
-    groups' rows in order. Each pair is PSD-checked once. The n_r x n_r
-    log-dets run once over all groups. A pair whose H D H^H / sigma_r^2
-    overflows the float range has no rates.
+    groups' rows in order. The pairs are not PSD-checked: the caller
+    vouches for them. The n_r x n_r log-dets run once over all groups. A
+    pair whose H D H^H / sigma_r^2 overflows the float range has no rates.
     """
     # S1 + S2, S1 and S2 of every pair, each group's written in place.
     s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
     rows = _row_slices([len(pair[0]) for pair in pairs])
-    for slot, name in ((1, "d1"), (2, "d2")):
+    for slot in (1, 2):
         for r, pair in zip(rows, pairs):
-            h, herm = pair[2 * slot - 2], _hermitian(pair[2 * slot - 1])
-            eig = np.linalg.eigvalsh(herm)
-            floor = -PSD_TOL * np.maximum.reduce(np.abs(eig), axis=-1)
-            if np.count_nonzero(np.minimum.reduce(eig, axis=-1) < floor):
-                raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-            s[slot, r] = h @ herm @ _ct(h)
+            h = pair[2 * slot - 2]
+            s[slot, r] = h @ _hermitian(pair[2 * slot - 1]) @ _ct(h)
     np.add(s[1], s[2], out=s[0])
     try:
         with np.errstate(over="raise"):
@@ -278,16 +270,23 @@ def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
     """Package arbitrary PSD covariances with their recomputed rates.
 
-    Raises ValueError if the relay noise variance breaks the noise rule
-    (finite and at least sys.float_info.min), a covariance has the wrong
-    shape or the rates overflow (H D H^H / sigma_r^2 beyond the float
-    range), and NonPSDError if a covariance is not PSD.
+    The one entry point for covariances from outside, and the one owner of
+    the PSD rule. In this order, raises ValueError if the relay noise
+    variance breaks the noise rule (finite and at least
+    sys.float_info.min) or a covariance has the wrong shape; NonPSDError,
+    naming d1 before d2, if a covariance has an eigenvalue below -PSD_TOL
+    times its largest magnitude; and ValueError if the rates overflow
+    (H D H^H / sigma_r^2 beyond the float range).
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
     for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
         if d.shape != (h.shape[1],) * 2:
             raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
+    for name, d in (("d1", d1), ("d2", d2)):
+        eig = np.linalg.eigvalsh(_hermitian(d))
+        if eig.min() < -PSD_TOL * np.abs(eig).max():
+            raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
     rates, overflow = _pair_rates(
         [(channels.h1r[np.newaxis], d1[np.newaxis], channels.h2r[np.newaxis], d2[np.newaxis])], sig
     )
@@ -295,21 +294,6 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
         raise ValueError(_OVERFLOW)
     r_ma, r_bar_1r, r_bar_2r = rates[:, 0]
     return SourceStrategy(d1=d1, d2=d2, r_ma=r_ma, r_bar_1r=r_bar_1r, r_bar_2r=r_bar_2r)
-
-
-def rate_ma(d1, d2, channels: ChannelSet, sigmar_sq: float) -> float:
-    """MA-phase sum rate of the covariance pair, nats."""
-    return strategy_from_covariances(d1, d2, channels, sigmar_sq).r_ma
-
-
-def rate_bar(i: int, d_i, channels: ChannelSet, sigmar_sq: float) -> float:
-    """Single-user uplink rate of node i's covariance, nats."""
-    if i not in (1, 2):
-        raise ValueError("node index must be 1 or 2")
-    pair = [np.zeros((h.shape[1],) * 2) for h in (channels.h1r, channels.h2r)]
-    pair[i - 1] = d_i
-    strategy = strategy_from_covariances(*pair, channels, sigmar_sq)
-    return (strategy.r_bar_1r, strategy.r_bar_2r)[i - 1]
 
 
 def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool = False,
@@ -364,7 +348,7 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
         return ds, None, singular
     logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
     terms = np.log1p(eigvals * powers)
-    if len(hs) == 1 or terms.shape[1] < 8:  # trailing zero terms keep a sequential sum's bits
+    if terms.shape[1] < 8:  # trailing zero terms keep a sequential sum's bits
         return ds, logdet + np.add.reduce(terms, axis=-1), singular
     # From 8 terms on numpy sums pairwise: each group over its own width.
     own = np.concatenate([np.add.reduce(terms[r, :h.shape[2]], axis=-1) for r, h in zip(rows, hs)])
@@ -382,7 +366,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     """
     if not groups:
         return []
-    uplinks, budgets, totals, starts = [], [], [], [0]
+    uplinks, totals, starts = [], [], [0]
     for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
         pair = np.ascontiguousarray(h1r, dtype=complex), np.ascontiguousarray(h2r, dtype=complex)
         # The stack's tr(H1^H H1) + tr(H2^H H2): not finite iff an entry or its square is not.
@@ -390,13 +374,15 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         if not (math.isfinite(totals[-1]) or np.isfinite(pair[0]).all() and np.isfinite(pair[1]).all()):
             raise ValueError("uplinks must be finite")
         uplinks.append(pair)
-        budgets.append([np.zeros(len(pair[0])) + v for v in (p1_max, p2_max, sigmar_sq)])
         starts.append(starts[-1] + len(pair[0]))
     if len({h.shape[1] for pair in uplinks for h in pair}) > 1:
         raise ValueError("every uplink must have the same n_r rows")
-    p1, p2, sig = budgets[0] if len(groups) == 1 else map(np.concatenate, zip(*budgets))
-    _checked((p1, p2), "power budgets")
-    _checked(sig, "the relay noise variance", sys.float_info.min)
+    # Each value is checked before it is broadcast over its group: every budget, then every noise variance.
+    p1, p2, sig = (
+        np.concatenate([np.zeros(len(h1)) + _checked(group[k], name, floor) for (h1, _), group in zip(uplinks, groups)])
+        for k, name, floor in ((2, "power budgets", 0.0), (3, "power budgets", 0.0),
+                               (4, "the relay noise variance", sys.float_info.min))
+    )
     n, n_r = starts[-1], uplinks[0][0].shape[1]
     sig_all = sig[:, np.newaxis, np.newaxis]
     rates = np.empty((3, n))  # a dropped row's are set to NaN at the end
@@ -448,7 +434,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         sweeps[k], last_gain[k] = sweep, gain[done]
         for g, r, d1, d2 in zip(live, rows, d1s, d2s):
             out = done[r]
-            j = k if len(groups) == 1 else idx[r][out] - starts[g]  # the rows' indices within their group
+            j = idx[r][out] - starts[g]  # the rows' indices within their group
             d_out[g][0][j], d_out[g][1][j] = d1[out], d2[out]
         if np.count_nonzero(leaving) == len(leaving):
             break
@@ -465,7 +451,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     if k.size:
         pairs = []
         for (h1, h2), (d1, d2), start, end in zip(uplinks, d_out, starts, starts[1:]):
-            j = k if len(groups) == 1 else np.flatnonzero(sweeps[start:end])
+            j = np.flatnonzero(sweeps[start:end])
             if j.size:
                 pairs.append((h1[j], d1[j], h2[j], d2[j]))
         pair, overflow = _pair_rates(pairs, sig_all[k])
@@ -488,11 +474,6 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     ]
 
 
-def _strategies(groups: list) -> list:
-    """Per group, per row its SourceStrategy or the message of why there is none."""
-    return [[reason or found[i] for i, reason in enumerate(found.reasons)] for found in max_ma_strategy_groups(groups)]
-
-
 def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> SourceStrategies:
     """MA-sum-rate-maximizing source covariances of N instances at full budgets.
 
@@ -509,8 +490,7 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> SourceStrategies:
     The sum rate is nondecreasing across sweeps and the fixed point
     satisfies both users' single-user optimality conditions. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
-    noise variance that is non-finite or below sys.float_info.min, and
-    NonPSDError if a converged pair is not PSD.
+    noise variance that is non-finite or below sys.float_info.min.
     """
     return max_ma_strategy_groups([(h1r, h2r, p1_max, p2_max, sigmar_sq)])[0]
 
@@ -521,10 +501,10 @@ def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrateg
     The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
     returns None, with the reason.
     """
-    ((strategy,),) = _strategies([(
+    (found,) = max_ma_strategy_groups([(
         channels.h1r[np.newaxis], channels.h2r[np.newaxis],
         config.p1_max, config.p2_max, config.sigmar_sq,
     )])
-    if isinstance(strategy, str):
-        raise NoConvergenceError(strategy)
-    return strategy
+    if found.reasons[0] is not None:
+        raise NoConvergenceError(found.reasons[0])
+    return found[0]

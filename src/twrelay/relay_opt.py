@@ -259,10 +259,9 @@ def _targets(rates) -> np.ndarray:
 
 
 def _budgets(pr_max, n: int) -> np.ndarray:
-    pr = np.zeros(n) + pr_max
+    pr = np.zeros(n) + _checked(pr_max, "pr_max")
     if pr.shape != (n,):
         raise ValueError("pr_max must be one budget, or one per instance")
-    _checked(pr_max, "pr_max")
     return pr
 
 
@@ -410,10 +409,12 @@ def _solve(gains, rates, pr_max) -> tuple:
     # near 1/alpha has an ulp above the budget's, and a pinned pair sits up
     # to the slack above its fill.
     inv = prepared[0]
+    with np.errstate(over="ignore"):  # +inf within 1e-12 of the float maximum: nothing finite overspends it
+        limit = pr * (1.0 + 1e-12)
     while True:
         powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
         consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
-        over = consumed > pr * (1.0 + 1e-12)
+        over = consumed > limit
         if not np.count_nonzero(over):
             break
         active = np.count_nonzero(powers1, axis=-1) + np.count_nonzero(powers2, axis=-1)

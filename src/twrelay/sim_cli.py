@@ -386,7 +386,7 @@ def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, Sourc
             r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
         )
         pr_max = float(_checked(payload.get("pr_max", cfg.pr_max), "pr_max"))
-    except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
     return gains, rates, pr_max
 

@@ -189,13 +189,16 @@ def _checked(values, name: str, floor: float = 0.0) -> np.ndarray:
     them, as a np.float64, checked without ufunc calls); ValueError unless
     each is finite and at least `floor`: 0 for budgets and rate targets,
     sys.float_info.min for noise variances (a subnormal one would overflow
-    the gains it divides)."""
-    if isinstance(values, (float, int)):
-        values = np.float64(values)
-        valid = math.isfinite(values) and values >= floor
-    else:
-        values = np.asarray(values, dtype=float)
-        valid = np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None)
+    the gains it divides). A Python int beyond the float range fails too."""
+    try:
+        if isinstance(values, (float, int)):
+            values = np.float64(values)
+            valid = math.isfinite(values) and values >= floor
+        else:
+            values = np.asarray(values, dtype=float)
+            valid = np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None)
+    except OverflowError:
+        valid = False
     if not valid:
         bound = "at least sys.float_info.min" if floor else "nonnegative"
         raise ValueError(f"{name} must be finite and {bound}")

@@ -63,12 +63,17 @@ NOISE_ENTRIES = {
     "max_ma_strategies": (lambda s: tw.max_ma_strategies(H1R, H2R, 1.0, 1.0, s), "the relay noise variance"),
     "strategy_from_covariances": (
         lambda s: tw.strategy_from_covariances(D1, D2, CHANNELS, s), "the relay noise variance"),
-    "rate_ma": (lambda s: tw.rate_ma(D1, D2, CHANNELS, s), "the relay noise variance"),
-    "rate_bar": (lambda s: tw.rate_bar(2, D2, CHANNELS, s), "the relay noise variance"),
+    # The MA sum rate, and a single-user rate with the other covariance zero.
+    "rate_ma": (lambda s: tw.strategy_from_covariances(D1, D2, CHANNELS, s).r_ma, "the relay noise variance"),
+    "rate_bar": (lambda s: tw.strategy_from_covariances(0 * D1, D2, CHANNELS, s).r_bar_2r, "the relay noise variance"),
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+# A Python int beyond the float range breaks the rule too, not float conversion.
+BEYOND_FLOATS = pytest.param(10**400, id="int-1e400")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, BEYOND_FLOATS])
 @pytest.mark.parametrize("entry", BUDGET_ENTRIES)
 def test_every_budget_entry_point_raises_the_budget_rule(entry, bad):
     call, name = BUDGET_ENTRIES[entry]
@@ -76,7 +81,7 @@ def test_every_budget_entry_point_raises_the_budget_rule(entry, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-320])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-320, BEYOND_FLOATS])
 @pytest.mark.parametrize("entry", NOISE_ENTRIES)
 def test_every_noise_entry_point_raises_the_noise_rule(entry, bad):
     call, name = NOISE_ENTRIES[entry]
@@ -96,10 +101,9 @@ def test_rates_that_overflow_at_the_least_noise_raise_a_value_error_naming_it():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
             tw.strategy_from_covariances(D1, D2, CHANNELS, sys.float_info.min)
-        with pytest.raises(ValueError, match="overflow"):
-            tw.rate_ma(D1, D2, CHANNELS, sys.float_info.min)
         # At sigma^2 = 1e-300 the same pair has finite rates.
-        assert np.isfinite(tw.rate_ma(D1, D2, CHANNELS, 1e-300))
+        pair = tw.strategy_from_covariances(D1, D2, CHANNELS, 1e-300)
+        assert np.isfinite([pair.r_ma, pair.r_bar_1r, pair.r_bar_2r]).all()
 
 
 def test_lemma2_sweep_at_the_least_noise_stays_finite(tmp_path):

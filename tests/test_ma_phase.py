@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import twrelay as tw
-from twrelay.ma_phase import _best_response, logdet_identity_plus, max_ma_strategies, rate_ma
+from twrelay.ma_phase import _best_response, logdet_identity_plus, max_ma_strategies, strategy_from_covariances
 
 from conftest import random_config, random_instance, random_psd
 
@@ -25,22 +25,22 @@ def _scalar_channels(h1, h2, n_r):
 
 def test_rate_ma_zero_covariances():
     ch = _scalar_channels([1.0], [1.0], 1)
-    assert rate_ma(np.zeros((1, 1)), np.zeros((1, 1)), ch, 1.0) == 0.0
+    assert strategy_from_covariances(np.zeros((1, 1)), np.zeros((1, 1)), ch, 1.0).r_ma == 0.0
 
 
 def test_rate_ma_scalar():
     ch = _scalar_channels([1.0], [1.0], 1)
-    assert_allclose(rate_ma([[1.0]], [[0.0]], ch, 1.0), np.log(2.0), rtol=1e-14)
+    assert_allclose(strategy_from_covariances([[1.0]], [[0.0]], ch, 1.0).r_ma, np.log(2.0), rtol=1e-14)
 
 
 def test_rate_bar_scalar():
     ch = _scalar_channels([2.0], [1.0], 1)
-    assert_allclose(tw.rate_bar(1, [[1.0]], ch, 1.0), np.log(5.0), rtol=1e-14)
+    assert_allclose(strategy_from_covariances([[1.0]], [[0.0]], ch, 1.0).r_bar_1r, np.log(5.0), rtol=1e-14)
 
 
 def test_rate_bar_zero():
     ch = _scalar_channels([2.0], [1.0], 1)
-    assert tw.rate_bar(2, [[0.0]], ch, 1.0) == 0.0
+    assert strategy_from_covariances([[1.0]], [[0.0]], ch, 1.0).r_bar_2r == 0.0
 
 
 def test_rate_ma_matches_eigenvalue_oracle(rng):
@@ -52,7 +52,7 @@ def test_rate_ma_matches_eigenvalue_oracle(rng):
         d2 = random_psd(rng, n2, float(rng.uniform(0.1, 3.0)))
         inner = (ch.h1r @ d1 @ ch.h1r.conj().T + ch.h2r @ d2 @ ch.h2r.conj().T) / cfg.sigmar_sq
         oracle = float(np.sum(np.log1p(np.clip(np.linalg.eigvalsh(inner), 0.0, None))))
-        assert abs(rate_ma(d1, d2, ch, cfg.sigmar_sq) - oracle) < 1e-10
+        assert abs(strategy_from_covariances(d1, d2, ch, cfg.sigmar_sq).r_ma - oracle) < 1e-10
 
 
 def test_rate_bar_coincides_with_rate_ma_one_sided(rng):
@@ -61,31 +61,47 @@ def test_rate_bar_coincides_with_rate_ma_one_sided(rng):
         n1 = ch.h1r.shape[1]
         d1 = random_psd(rng, n1, 1.0)
         zero2 = np.zeros((ch.h2r.shape[1],) * 2)
-        a = tw.rate_bar(1, d1, ch, 1.0)
-        b = rate_ma(d1, zero2, ch, 1.0)
-        assert abs(a - b) < 1e-12
+        st = strategy_from_covariances(d1, zero2, ch, 1.0)
+        assert abs(st.r_bar_1r - st.r_ma) < 1e-12
+
+
+PSD_MESSAGE = "has an eigenvalue below -1e-09 times its largest magnitude"
 
 
 def test_non_psd_rejected():
     ch = _scalar_channels([1.0], [1.0], 1)
-    with pytest.raises(tw.NonPSDError):
-        rate_ma([[-1.0]], [[0.0]], ch, 1.0)
+    with pytest.raises(tw.NonPSDError, match="^d1 " + PSD_MESSAGE):
+        strategy_from_covariances([[-1.0]], [[0.0]], ch, 1.0)
+    # Within the relative tolerance, round-off below zero is accepted.
+    assert strategy_from_covariances(np.diag([1.0, -1e-10]), [[0.0]], _scalar_channels([1.0, 1.0], [1.0], 1),
+                                     1.0).r_ma > 0.0
 
 
-def test_malformed_covariance_and_node_rejected():
+def test_malformed_covariance_rejected():
     ch = _scalar_channels([1.0], [1.0], 1)
     with pytest.raises(ValueError, match="d2 has shape"):
         tw.strategy_from_covariances([[1.0]], np.eye(2), ch, 1.0)
-    with pytest.raises(ValueError, match="node index"):
-        tw.rate_bar(3, [[1.0]], ch, 1.0)
+    with pytest.raises(ValueError, match="d1 has shape"):
+        tw.strategy_from_covariances([1.0], [[1.0]], ch, 1.0)
 
 
 def test_non_psd_d2_rejected_by_name():
     ch = _scalar_channels([1.0], [1.0], 1)
-    with pytest.raises(tw.NonPSDError, match="d2"):
+    with pytest.raises(tw.NonPSDError, match="^d2 " + PSD_MESSAGE):
         tw.strategy_from_covariances([[1.0]], [[-1.0]], ch, 1.0)
-    with pytest.raises(tw.NonPSDError, match="d2"):
-        tw.rate_bar(2, [[-1.0]], ch, 1.0)
+    with pytest.raises(tw.NonPSDError, match="^d2 " + PSD_MESSAGE):
+        tw.strategy_from_covariances(np.zeros((1, 1)), [[-1.0]], ch, 1.0)
+
+
+def test_covariance_rules_apply_in_order():
+    # The noise rule, then both shapes, then PSD for d1, then for d2.
+    ch = _scalar_channels([1.0], [1.0], 1)
+    with pytest.raises(ValueError, match="the relay noise variance must be finite"):
+        strategy_from_covariances([[-1.0]], np.eye(2), ch, np.nan)
+    with pytest.raises(ValueError, match="d2 has shape"):
+        strategy_from_covariances([[-1.0]], -np.eye(2), ch, 1.0)
+    with pytest.raises(tw.NonPSDError, match="^d1 "):
+        strategy_from_covariances([[-1.0]], [[-1.0]], ch, 1.0)
 
 
 def test_logdet_matches_slogdet(rng):
@@ -140,8 +156,10 @@ def test_full_budgets_spent(rng):
 def test_strategy_rates_self_consistent(rng):
     for _ in range(10):
         cfg, ch, _, st = random_instance(rng)
-        assert abs(st.r_ma - rate_ma(st.d1, st.d2, ch, cfg.sigmar_sq)) < 1e-9
-        assert abs(st.r_bar_1r - tw.rate_bar(1, st.d1, ch, cfg.sigmar_sq)) < 1e-9
+        pair = strategy_from_covariances(st.d1, st.d2, ch, cfg.sigmar_sq)
+        assert abs(st.r_ma - pair.r_ma) < 1e-9
+        assert abs(st.r_bar_1r - pair.r_bar_1r) < 1e-9
+        assert abs(st.r_bar_2r - pair.r_bar_2r) < 1e-9
         assert st.r_ma < st.r_bar_1r + st.r_bar_2r - 1e-12
 
 
@@ -162,7 +180,7 @@ def test_sweeps_monotone_and_fixed_point(rng):
         for _sweep in range(200):
             d1 = _best_response_one(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
             d2 = _best_response_one(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
-            cur = rate_ma(d1, d2, ch, sig)
+            cur = strategy_from_covariances(d1, d2, ch, sig).r_ma
             assert cur >= prev - 1e-12
             if cur - prev < 1e-12:
                 break
@@ -170,8 +188,8 @@ def test_sweeps_monotone_and_fixed_point(rng):
         # Best-response fixed point: neither unilateral update helps.
         r1 = _best_response_one(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
         r2 = _best_response_one(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
-        assert rate_ma(r1, d2, ch, sig) - cur < 1e-6
-        assert rate_ma(d1, r2, ch, sig) - cur < 1e-6
+        assert strategy_from_covariances(r1, d2, ch, sig).r_ma - cur < 1e-6
+        assert strategy_from_covariances(d1, r2, ch, sig).r_ma - cur < 1e-6
 
 
 def _assert_same_bits(a, b):
@@ -250,10 +268,10 @@ def _loop_strategy(ch, cfg):
     for sweep in range(1, 501):
         d1 = _loop_best_response(ch.h1r, ch.h2r @ d2 @ ch.h2r.conj().T, cfg.p1_max, sig)
         d2 = _loop_best_response(ch.h2r, ch.h1r @ d1 @ ch.h1r.conj().T, cfg.p2_max, sig)
-        current = rate_ma(d1, d2, ch, sig)
-        if current - previous < 1e-10:
-            return tw.strategy_from_covariances(d1, d2, ch, sig), sweep
-        previous = current
+        pair = strategy_from_covariances(d1, d2, ch, sig)
+        if pair.r_ma - previous < 1e-10:
+            return pair, sweep
+        previous = pair.r_ma
     raise AssertionError("reference did not converge")
 
 
@@ -372,12 +390,15 @@ def test_ill_conditioned_instances_drop_out_and_leave_the_others_bits():
     assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
 
 
-def test_returned_pair_is_psd_checked(monkeypatch, rng):
-    cfg, ch, _, _ = random_instance(rng)
-    # With the relative tolerance at -10 every nonzero covariance fails.
+def test_only_covariances_from_outside_are_psd_checked(monkeypatch, rng):
+    # With the relative tolerance at -10 every nonzero covariance fails the
+    # PSD rule. The engine's own pairs, V diag(p) V^H with p >= 0, are PSD by
+    # construction and never checked; test_full_budgets_spent checks that they are.
+    cfg, ch, _, st = random_instance(rng)
     monkeypatch.setattr(tw.ma_phase, "PSD_TOL", -10.0)
-    with pytest.raises(tw.NonPSDError, match="d1"):
-        tw.max_ma_strategy(ch, cfg)
+    with pytest.raises(tw.NonPSDError, match="^d1 "):
+        strategy_from_covariances(st.d1, st.d2, ch, cfg.sigmar_sq)
+    _assert_same_bits(tw.max_ma_strategy(ch, cfg), st)
 
 
 def test_bad_raw_inputs_rejected_at_entry(rng):
@@ -424,7 +445,7 @@ def _ascent_oracle(channels, cfg, iters=4000):
     n_r = h1.shape[0]
     d1 = (cfg.p1_max / h1.shape[1]) * np.eye(h1.shape[1], dtype=complex)
     d2 = (cfg.p2_max / h2.shape[1]) * np.eye(h2.shape[1], dtype=complex)
-    cur = rate_ma(d1, d2, channels, sig)
+    cur = strategy_from_covariances(d1, d2, channels, sig).r_ma
     step = 1.0
     for t in range(iters):
         m = np.eye(n_r) + (h1 @ d1 @ h1.conj().T + h2 @ d2 @ h2.conj().T) / sig
@@ -434,7 +455,7 @@ def _ascent_oracle(channels, cfg, iters=4000):
         while step > 1e-12:
             c1 = _project_trace_cap(d1 + step * g1, cfg.p1_max)
             c2 = _project_trace_cap(d2 + step * g2, cfg.p2_max)
-            val = rate_ma(c1, c2, channels, sig)
+            val = strategy_from_covariances(c1, c2, channels, sig).r_ma
             if val >= cur - 1e-15:
                 break
             step *= 0.5
@@ -476,17 +497,16 @@ def _split_group(n1, n_total, n_r, trials, sigma_sq=1.0, seed=0):
 
 
 def _assert_groups_match_alone(groups):
-    """The grouped engine gives each group, row for row and bit for bit, what it gives that group alone."""
-    together = tw.ma_phase._strategies(groups)
+    """The grouped engine gives each group, column for column and bit for bit, what it gives that group
+    alone: rates (NaN on dropped rows too), sweeps and reasons, and d1, d2 and last_gain on the kept rows."""
+    together = tw.max_ma_strategy_groups(groups)
     for group, found in zip(groups, together, strict=True):
-        (alone,) = tw.ma_phase._strategies([group])
-        assert len(found) == len(alone)
-        for a, b in zip(found, alone):
-            if isinstance(b, str):
-                assert a == b
-            else:
-                _assert_same_bits(a, b)
-                assert a.last_gain == b.last_gain
+        (alone,) = tw.max_ma_strategy_groups([group])
+        assert found.reasons.tolist() == alone.reasons.tolist()
+        kept = np.equal(alone.reasons, None)
+        for a, b in ((found.rates, alone.rates), (found.sweeps, alone.sweeps), (found.d1[kept], alone.d1[kept]),
+                     (found.d2[kept], alone.d2[kept]), (found.last_gain[kept], alone.last_gain[kept])):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
     return together
 
 
@@ -497,8 +517,8 @@ def test_groups_of_widths_1_to_9_match_each_group_alone(sigma_sq):
     # its own width; narrower tables keep trailing zeros.
     groups = [_split_group(n1, 10, 10, 6, sigma_sq, seed=3) for n1 in range(1, 10)]
     together = _assert_groups_match_alone(groups)
-    sweeps = [[st.sweeps for st in found if not isinstance(st, str)] for found in together]
-    assert all(sweeps) and len({max(s) for s in sweeps}) > 1  # the groups stop at different sweeps
+    sweeps = [found.sweeps[np.equal(found.reasons, None)] for found in together]
+    assert all(s.size for s in sweeps) and len({s.max() for s in sweeps}) > 1  # the groups stop at different sweeps
 
 
 def test_groups_narrower_than_8_a_one_row_group_and_a_flat_group_match_each_group_alone():
@@ -514,12 +534,11 @@ def test_ill_conditioned_group_drops_out_beside_healthy_groups():
     sick = (*_split_group(1, 6, 6, 8)[:4], 1e-15)
     groups = [_split_group(3, 6, 6, 4, seed=5), sick, _split_group(5, 6, 6, 4, seed=6)]
     together = _assert_groups_match_alone(groups)
-    reasons = {st for st in together[1] if isinstance(st, str)}
+    reasons = set(together[1].reasons) - {None}
     assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
-    assert not any(isinstance(st, str) for found in together[::2] for st in found)
-    public = tw.max_ma_strategy_groups(groups)
-    assert [[st is None for st in found] for found in public] == [
-        [isinstance(st, str) for st in found] for found in together
+    assert all(r is None for found in together[::2] for r in found.reasons)
+    assert [[st is None for st in found] for found in together] == [
+        [r is not None for r in found.reasons] for found in together
     ]
 
 
@@ -541,10 +560,10 @@ def test_rows_whose_rates_overflow_drop_out_alone():
     budgets = [1e10, 1.0, 1e10]
     groups = [(h1, h2, budgets, budgets, 1e-300), (h1, h2, 1.0, 1.0, 1.0)]
     tiny, healthy = _assert_groups_match_alone(groups)
-    assert tiny[0] == tiny[2] == "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW
-    assert all(st.sweeps >= 1 for st in healthy)
+    assert tiny.reasons[0] == tiny.reasons[2] == "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW
+    assert (healthy.sweeps >= 1).all()
     # The row that does not overflow has the bits it has in a call where nothing overflows.
-    ((alone,),) = tw.ma_phase._strategies([(h1[1:2], h2[1:2], 1.0, 1.0, 1e-300)])
+    (alone,) = max_ma_strategies(h1[1:2], h2[1:2], 1.0, 1.0, 1e-300)
     _assert_same_bits(tiny[1], alone)
 
 
@@ -557,7 +576,8 @@ def _assert_columns_give_each_row_alone(found, group):
     row is dropped, with the reason in `reasons`; its columns hold the same."""
     h1, h2, p1, p2, sig = group
     p1, p2, sig = (np.broadcast_to(v, len(h1)) for v in (p1, p2, sig))
-    alone = [tw.ma_phase._strategies([(h1[i:i + 1], h2[i:i + 1], p1[i], p2[i], sig[i])])[0][0] for i in range(len(h1))]
+    rows = [max_ma_strategies(h1[i:i + 1], h2[i:i + 1], p1[i], p2[i], sig[i]) for i in range(len(h1))]
+    alone = [row.reasons[0] or row[0] for row in rows]
     assert len(found) == len(alone) == len(found.reasons) == found.rates.shape[1]
     items = list(found)
     for i, want in enumerate(alone):

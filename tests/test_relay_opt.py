@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -834,3 +835,18 @@ def test_each_rate_order_rule_raises_alone_and_the_sum_rule_first_in_a_batch():
     for batch in ([below, above], [above, below], [good, below, good, above]):
         with pytest.raises(tw.InvalidStrategyError, match="cannot exceed"):
             tw.optimize_many([g] * len(batch), batch, 1.0)
+
+
+def test_budget_at_the_float_maximum_solves_without_overflow():
+    # The overspend test's bound pr * (1 + 1e-12) is beyond the float range
+    # for budgets within 1e-12 of the float maximum; the budget rule accepts
+    # them. They saturate as any budget above the saturation threshold does.
+    gains, rates = tw.synthetic_gains([1.0], [1.0]), tw.SourceRates(0.5, 0.4, 0.3)
+    budgets = [sys.float_info.max, np.nextafter(sys.float_info.max / (1.0 + 1e-12), np.inf), 3.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = tw.optimize_many([gains] * 3, [rates] * 3, budgets)
+        alone = [tw.optimize(gains, rates, b) for b in budgets]
+    for sol in [*found, *alone]:
+        assert (sol.level1, sol.level2, sol.consumed_power, sol.sum_rate_tw, sol.step_trace) == (
+            alone[2].level1, alone[2].level2, alone[2].consumed_power, alone[2].sum_rate_tw, alone[2].step_trace)

@@ -489,6 +489,8 @@ def test_cli_exit_code_on_config_error(tmp_path):
         ("inf_gain", {"alpha1": [float("inf")]}),
         ("nan_gain", {"alpha1": [float("nan"), 1.0]}),
         ("nan_budget", {"pr_max": float("nan")}),
+        ("int_budget_beyond_floats", {"pr_max": 10**400}),
+        ("int_gain_beyond_floats", {"alpha2": [10**400]}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**ASYM_INSTANCE, **change}))
