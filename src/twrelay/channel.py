@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RankZeroError
-from .waterfill import _checked
+from .waterfill import _POSITIVE, _checked
 
 __all__ = [
     "SystemConfig",
@@ -35,6 +35,7 @@ __all__ = [
 
 # Singular values below this fraction of the largest are treated as zero.
 RANK_CUTOFF = 1e-12
+_GAIN_RULE = "finite, strictly positive and sorted descending"
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,10 @@ class SubchannelGains:
     descending, one per nonzero singular value. v1 / v2 are the full
     n_r x n_r right singular-vector matrices that rebuild relay
     covariances from per-subchannel powers. Construction is the one place
-    these properties are checked (ValueError otherwise); the water-fill
-    kernels take them as a precondition. All four are stored as read-only
-    copies, so no edit of the caller's arrays can undo the checks or leave
-    `pooled` stale.
+    these properties are checked (ValueError, the numbers by
+    waterfill._checked); the water-fill kernels take them as a
+    precondition. All four are stored as read-only copies, so no edit of
+    the caller's arrays can undo the checks or leave `pooled` stale.
     """
 
     alpha1: np.ndarray
@@ -99,14 +100,15 @@ class SubchannelGains:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.v2) != shape:
             raise ValueError("v1 and v2 must both be n_r x n_r matrices")
         for name in ("alpha1", "alpha2", "v1", "v2"):
-            value = np.array(getattr(self, name), dtype=float if name.startswith("alpha") else None)
+            value = getattr(self, name)
+            value = np.array(_checked(value, name, _POSITIVE, rule=_GAIN_RULE) if name[0] == "a" else value)
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         for name, alpha in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if alpha.ndim != 1 or not 0 < alpha.size <= shape[0]:
                 raise ValueError(f"{name} must be a nonempty 1-D array of at most n_r gains")
-            if not (np.all(np.isfinite(alpha)) and alpha[-1] > 0.0 and np.all(alpha[:-1] >= alpha[1:])):
-                raise ValueError(f"{name} must be finite, strictly positive and sorted descending")
+            if not np.logical_and.reduce(alpha[:-1] >= alpha[1:]):
+                raise ValueError(f"{name} must be {_GAIN_RULE}")
 
     @property
     def n_r(self) -> int:
@@ -179,9 +181,10 @@ def synthetic_gains(alpha1, alpha2) -> SubchannelGains:
     """Build SubchannelGains directly from gain lists in any order (unit noise).
 
     Useful for hand-constructed instances and tests: the unitary factors
-    are identities, so relay covariances come out diagonal.
+    are identities, so relay covariances come out diagonal. Raises
+    ValueError as SubchannelGains does, by its gain rule.
     """
-    a1 = np.sort(np.asarray(alpha1, dtype=float))[::-1]
-    a2 = np.sort(np.asarray(alpha2, dtype=float))[::-1]
+    a1, a2 = (np.sort(_checked(alpha, name, _POSITIVE, rule=_GAIN_RULE))[::-1]
+              for name, alpha in (("alpha1", alpha1), ("alpha2", alpha2)))
     eye = np.eye(max(a1.size, a2.size), dtype=complex)
     return SubchannelGains(alpha1=a1, alpha2=a2, v1=eye, v2=eye)

@@ -26,9 +26,11 @@ class NoConvergenceError(TwrelayError):
 
 
 class InvalidStrategyError(TwrelayError):
-    """Source rates are mutually inconsistent.
+    """Source rates are invalid or mutually inconsistent.
 
-    Raised when the multiple-access sum-rate exceeds the sum of the
+    Raised by the rates rule when a rate is not finite or is below -1e-12
+    nats (non-finite or negative rates, waterfill._checked), and by the
+    order rule when the multiple-access sum-rate exceeds the sum of the
     individual uplink rates or is below one of them, beyond 1e-12 nats.
     Rates that meet the sum (a user whose uplink or budget is zero) are
     valid: there the MA ceiling is redundant.

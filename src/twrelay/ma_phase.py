@@ -59,8 +59,8 @@ covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2
 would overflow a sweep (checked once, on entry), whose
 interference-plus-noise matrix does not factor, or whose rates come out
 inconsistent or overflow the float range, leaves the stack without a
-strategy. Budgets and noise variances are checked at entry, by
-waterfill._checked; rates, by _valid_rates.
+strategy. Uplinks, budgets, noise variances and rates are converted at
+entry through waterfill._checked, each by its own rule.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ class SourceRates:
     r_bar_2r: float
 
     def __post_init__(self) -> None:
-        rates = _valid_rates([float(self.r_ma), float(self.r_bar_1r), float(self.r_bar_2r)]).tolist()
+        rates = _valid_rates([self.r_ma, self.r_bar_1r, self.r_bar_2r]).tolist()
         for name, rate in zip(("r_ma", "r_bar_1r", "r_bar_2r"), rates):
             object.__setattr__(self, name, rate)
 
@@ -129,10 +129,8 @@ class SourceRates:
 def _valid_rates(rates) -> np.ndarray:
     """Rates r_ma, r_bar_1r, r_bar_2r down the first axis, (3,) or (3, N), by
     SourceRates' rule: floats clamped to zero. Raises InvalidStrategyError
-    unless every rate is finite and not below -1e-12."""
-    rates = np.asarray(rates, dtype=float)
-    if np.count_nonzero((rates >= -1e-12) & (rates < np.inf)) < rates.size:
-        raise InvalidStrategyError("source rates must be finite and nonnegative")
+    unless every rate is finite and not below -1e-12 (waterfill._checked)."""
+    rates = _checked(rates, "source rates", -1e-12, InvalidStrategyError, "finite and nonnegative")
     return np.maximum(rates, 0.0)
 
 
@@ -272,24 +270,27 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
 
     The one entry point for covariances from outside, and the one owner of
     the PSD rule. In this order, raises ValueError if the relay noise
-    variance breaks the noise rule (finite and at least
-    sys.float_info.min) or a covariance has the wrong shape; NonPSDError,
-    naming d1 before d2, if a covariance has an eigenvalue below -PSD_TOL
-    times its largest magnitude; and ValueError if the rates overflow
-    (H D H^H / sigma_r^2 beyond the float range).
+    variance breaks the noise rule or an entry of d1, then d2, is not
+    finite (waterfill._checked), or a covariance has the wrong shape;
+    NonPSDError, naming d1 before d2, if a covariance has an eigenvalue
+    below -PSD_TOL times its largest magnitude; and ValueError if the rates
+    overflow (D + D^H or H D H^H / sigma_r^2 beyond the float range).
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
-    d1, d2 = np.asarray(d1, dtype=complex), np.asarray(d2, dtype=complex)
+    d1, d2 = (_checked(d, name, None, dtype=complex) for name, d in (("d1", d1), ("d2", d2)))
     for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
         if d.shape != (h.shape[1],) * 2:
             raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
-    for name, d in (("d1", d1), ("d2", d2)):
-        eig = np.linalg.eigvalsh(_hermitian(d))
-        if eig.min() < -PSD_TOL * np.abs(eig).max():
-            raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-    rates, overflow = _pair_rates(
-        [(channels.h1r[np.newaxis], d1[np.newaxis], channels.h2r[np.newaxis], d2[np.newaxis])], sig
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # inf - inf or 0 * inf follow an overflow
+            for name, d in (("d1", d1), ("d2", d2)):
+                eig = np.linalg.eigvalsh(_hermitian(d))
+                if eig.min() < -PSD_TOL * np.abs(eig).max():
+                    raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
+            pair = channels.h1r[np.newaxis], d1[np.newaxis], channels.h2r[np.newaxis], d2[np.newaxis]
+            rates, overflow = _pair_rates([pair], sig)
+    except FloatingPointError:
+        overflow = True
     if overflow is not None:
         raise ValueError(_OVERFLOW)
     r_ma, r_bar_1r, r_bar_2r = rates[:, 0]
@@ -368,11 +369,8 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         return []
     uplinks, totals, starts = [], [], [0]
     for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
-        pair = np.ascontiguousarray(h1r, dtype=complex), np.ascontiguousarray(h2r, dtype=complex)
-        # The stack's tr(H1^H H1) + tr(H2^H H2): not finite iff an entry or its square is not.
-        totals.append(np.vdot(pair[0], pair[0]).real + np.vdot(pair[1], pair[1]).real)
-        if not (math.isfinite(totals[-1]) or np.isfinite(pair[0]).all() and np.isfinite(pair[1]).all()):
-            raise ValueError("uplinks must be finite")
+        pair = tuple(np.ascontiguousarray(_checked(h, "uplinks", None, dtype=complex)) for h in (h1r, h2r))
+        totals.append(np.vdot(pair[0], pair[0]).real + np.vdot(pair[1], pair[1]).real)  # tr(H1^H H1) + tr(H2^H H2)
         uplinks.append(pair)
         starts.append(starts[-1] + len(pair[0]))
     if len({h.shape[1] for pair in uplinks for h in pair}) > 1:

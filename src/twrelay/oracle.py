@@ -23,11 +23,11 @@ only if f does. Rows before the first row (up to f) whose need the top
 direction-2 level meets cannot qualify. Uncapped rows after f are kept:
 the rate's last bits need not be monotone. Both scans return exactly what
 the exhaustive pair enumeration would (cross-checked in the test suite).
+The budget test's relative 1e-12 is waterfill._budget_bound.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import TwrelayError
 from .ma_phase import SourceRates
-from .waterfill import _checked, _exp_level, _level, _power, _prepared, gain_table, rate_of_level
+from .waterfill import (_POSITIVE, _budget_bound, _checked, _exp_level, _level, _power, _prepared, gain_table,
+                        rate_of_level)
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -65,18 +66,13 @@ class OracleResult:
     grid_resolution: float
 
 
-def _check_resolution(resolution: float) -> None:
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError("resolution must be positive and finite")
-
-
 def grid_lipschitz_bound(gains: SubchannelGains, resolution: float) -> float:
     """Upper bound on the rate change across one grid step, nats.
 
-    Raises ValueError unless the resolution is positive and finite.
+    Raises ValueError unless the resolution is finite and positive
+    (waterfill._checked).
     """
-    _check_resolution(resolution)
-    return float(np.sum(gains.pooled) * resolution)
+    return float(np.sum(gains.pooled) * _checked(resolution, "resolution", _POSITIVE))
 
 
 def _axes(gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float) -> tuple:
@@ -126,14 +122,14 @@ def grid_certify(
     Raises
     ------
     ValueError
-        Unless the resolution is positive and finite and the budget finite
-        and nonnegative.
+        Unless the resolution is finite and positive and the budget finite
+        and nonnegative (waterfill._checked, the outside-number rule).
     TwrelayError
         If no grid pair within 1e-9 nats of the best rate passes the budget
         test, which allows a relative 1e-12 plus the round-off of the pair's
         powers (4 ulps of each level per subchannel).
     """
-    _check_resolution(resolution)
+    _checked(resolution, "resolution", _POSITIVE)
     _checked(pr_max, "pr_max")
     (axis1, axis2), (prep1, prep2) = _axes(gains, strategy, pr_max, resolution)
     p1 = _power(prep1[0], axis1)
@@ -167,7 +163,7 @@ def grid_certify(
     # sums that gave a full-budget level, are exact to about an ulp of the
     # level, which at low SNR (pr_max * alpha << 1) is far above 1e-12 * pr_max.
     round_off = _ROUND_OFF * (gains.alpha1.size * level1 + gains.alpha2.size * level2)
-    ok &= cand_power <= pr_max * (1.0 + 1e-12) + round_off
+    ok &= cand_power <= _budget_bound(pr_max) + round_off
     if not np.any(ok):
         raise TwrelayError("grid certification found no qualifying pair")
     cand_power = np.where(ok, cand_power, np.inf)

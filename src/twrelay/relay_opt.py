@@ -63,8 +63,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
-from .waterfill import (_QUIET, _arange, _checked, _level, _power, _powers, _prepare, _rate, gain_table,
-                        inverse_waterfill)
+from .waterfill import (_QUIET, _arange, _budget_bound, _checked, _level, _power, _powers, _prepare, _rate,
+                        gain_table, inverse_waterfill)
 
 __all__ = [
     "RelativeLevels",
@@ -408,9 +408,7 @@ def _solve(gains, rates, pr_max) -> tuple:
     # subchannels, by an ulp at least, until it fits. At low SNR a level
     # near 1/alpha has an ulp above the budget's, and a pinned pair sits up
     # to the slack above its fill.
-    inv = prepared[0]
-    with np.errstate(over="ignore"):  # +inf within 1e-12 of the float maximum: nothing finite overspends it
-        limit = pr * (1.0 + 1e-12)
+    inv, limit = prepared[0], _budget_bound(pr)
     while True:
         powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
         consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
@@ -469,7 +467,9 @@ def classify_case(ledger: ThresholdLedger, levels: RelativeLevels, pr_max: float
     Independent of optimize's internal state; used as a conformance oracle
     for step_trace. Ties within the ledger's slack of a threshold resolve
     downward (the same orientation the optimizer's level comparisons use).
-    Raises ValueError if the budget is negative or non-finite.
+    `levels` is not read: the ledger holds every threshold the path needs
+    (the benchmark's checks pass it). Raises ValueError if the budget is
+    negative or non-finite (waterfill._checked).
     """
     _checked(pr_max, "pr_max")
     slack = ledger.slack

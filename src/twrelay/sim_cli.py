@@ -34,7 +34,10 @@ digits. Rates are in nats: sum_rate_tw columns carry the 1/2 two-slot
 factor, bc_*/r_* columns do not.
 
 Exit codes: 0 success, 2 configuration error (a flag, an instance file or
-a budget derived from flags that breaks an input rule), 3 runtime failure.
+a budget derived from flags that breaks an input rule, or an instance file
+whose rates are out of order), 3 runtime failure. Flags and instance files
+convert their numbers through waterfill._checked, the outside-number
+rule's one owner; ScenarioSpec and _load_instance raise ConfigError.
 """
 
 # No ``from __future__ import annotations``: NamedTuple would compile every
@@ -45,7 +48,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -61,11 +63,11 @@ from .channel import (
     generate_channels,
     synthetic_gains,
 )
-from .errors import ConfigError, RankZeroError
+from .errors import ConfigError, InvalidStrategyError, RankZeroError
 from .ma_phase import SourceRates, max_ma_strategy, max_ma_strategy_groups
 from .oracle import grid_certify
 from .relay_opt import RelaySolution, optimize, optimize_many, two_way_rate
-from .waterfill import _checked, forward_level, power_of_level, rate_of_level
+from .waterfill import _POSITIVE, _budget_bound, _checked, forward_level, power_of_level, rate_of_level
 
 __all__ = [
     "ScenarioSpec",
@@ -198,24 +200,21 @@ class ScenarioSpec:
             raise ConfigError("trials must be >= 1")
         if self.sweep_points < 1:
             raise ConfigError("sweep grid must be nonempty")
-        if not all(map(math.isfinite, (self.sweep_start, self.sweep_stop, self.resolution))):
-            raise ConfigError("sweep bounds and certification resolution must be finite")
+        _checked((self.sweep_start, self.sweep_stop), "sweep bounds", None, ConfigError)
+        _checked(self.resolution, "certification resolution", _POSITIVE, ConfigError)
         if self.sweep_stop < self.sweep_start:
             raise ConfigError("sweep stop must be >= sweep start")
         if self.scenario == "prmax-sweep" and self.sweep_start < 0.0:  # lemma2-sweep's is in dB
             raise ConfigError("relay budget sweep must be nonnegative")
         # The budgets a scenario derives from finite flags can still overflow.
-        if self.scenario == "asymmetry-study" and not math.isfinite(self.config.p1_max + self.config.p2_max):
-            raise ConfigError("source power total p1 + p2 must be finite")
+        if self.scenario == "asymmetry-study":
+            _checked(self.config.p1_max + self.config.p2_max, "source power total p1 + p2", error=ConfigError)
         if self.scenario == "lemma2-sweep":
             with np.errstate(over="ignore"):  # as run_lemma2_sweep computes it; inf on overflow
                 top = np.float64(10.0) ** (self.sweep_stop / 10.0) * self.config.sigmar_sq
-            if not np.isfinite(top):
-                raise ConfigError("relay budget 10^(sweep stop / 10) * sigma must be finite")
+            _checked(top, "relay budget 10^(sweep stop / 10) * sigma", error=ConfigError)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.resolution <= 0.0:
-            raise ConfigError("certification resolution must be positive")
 
 
 def _solution_values(strategy: SourceRates, sol: RelaySolution) -> tuple:
@@ -249,16 +248,12 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
         power1 = power_of_level(gains.alpha1, grid)
         for db, pr in zip(ratios_db, budgets):
             inv_lambda0 = forward_level(gains.pooled, pr)
-            feasible = power1 <= pr * (1.0 + 1e-12)
+            feasible = power1 <= _budget_bound(pr)
             remainder = np.maximum(pr - power1[feasible], 0.0)
             level2 = forward_level(gains.alpha2, remainder)
-            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(
-                gains.alpha2, level2
-            )
+            bc_sum = rate_of_level(gains.alpha1, grid[feasible]) + rate_of_level(gains.alpha2, level2)
             for l1, l2, bc in zip(grid[feasible], level2, bc_sum):
-                records.append(Lemma2Record(
-                    trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)
-                ))
+                records.append(Lemma2Record(trial, float(db), pr, inv_lambda0, float(l1), float(l2), float(bc)))
     return records, {"trials": spec.trials, "skipped": skipped}
 
 
@@ -274,9 +269,7 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     for point, (pr, sol) in enumerate(zip(budgets, solutions)):
         cert = grid_certify(gains, strategy, float(pr), spec.resolution)
         bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
-        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(
-            gains.alpha2, bl_levels[1]
-        )
+        bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(gains.alpha2, bl_levels[1])
         records.append(PrmaxRecord(
             point, cfg.n1, cfg.n2, cfg.n_r, cfg.p1_max, cfg.p2_max, cfg.sigmar_sq, float(pr),
             *_solution_values(strategy, sol),
@@ -378,24 +371,24 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     return records, aggregates
 
 
-def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, SourceRates, float]:
+def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, SourceRates, float, RelaySolution]:
+    """An instance file's gains, rates, budget and solution; ConfigError if it breaks an input rule."""
     try:
         payload = json.loads(Path(path).read_text())
         gains = synthetic_gains(payload["alpha1"], payload["alpha2"])
-        rates = SourceRates(
-            r_ma=payload["r_ma"], r_bar_1r=payload["r_bar_1r"], r_bar_2r=payload["r_bar_2r"]
-        )
+        rates = SourceRates(payload["r_ma"], payload["r_bar_1r"], payload["r_bar_2r"])
         pr_max = float(_checked(payload.get("pr_max", cfg.pr_max), "pr_max"))
-    except (OSError, KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+        sol = optimize(gains, rates, pr_max)
+    except (OSError, KeyError, TypeError, ValueError, InvalidStrategyError) as exc:
         raise ConfigError(f"bad instance file {path}: {exc}") from exc
-    return gains, rates, pr_max
+    return gains, rates, pr_max, sol
 
 
 def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
     """One instance end to end, with optional grid certification."""
     cfg = spec.config
     if spec.instance_path is not None:
-        gains, strategy, pr_max = _load_instance(spec.instance_path, cfg)
+        gains, strategy, pr_max, sol = _load_instance(spec.instance_path, cfg)
         # An explicit instance has no antennas behind it and unit noise.
         n1, n2, nr, sigma_sq = 0, 0, gains.n_r, 1.0
     else:
@@ -403,8 +396,8 @@ def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
         gains = decompose(channels, cfg)
         strategy = max_ma_strategy(channels, cfg)
         pr_max = cfg.pr_max
+        sol = optimize(gains, strategy, pr_max)
         n1, n2, nr, sigma_sq = cfg.n1, cfg.n2, cfg.n_r, cfg.sigmar_sq
-    sol = optimize(gains, strategy, pr_max)
     row = (0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq, *_solution_values(strategy, sol))
     if not spec.certify:
         return [SingleRecord(*row)], {"trials": 1, "skipped": 0}
@@ -504,11 +497,7 @@ def render_json(spec: ScenarioSpec, records: list, aggregates) -> str:
 
 
 def emit(spec: ScenarioSpec, records: list, aggregates) -> None:
-    text = (
-        render_csv(spec, records)
-        if spec.fmt == "csv"
-        else render_json(spec, records, aggregates)
-    )
+    text = render_csv(spec, records) if spec.fmt == "csv" else render_json(spec, records, aggregates)
     if spec.out is None:
         sys.stdout.write(text)
     else:
@@ -516,10 +505,7 @@ def emit(spec: ScenarioSpec, records: list, aggregates) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twrelay",
-        description="Two-way relay power allocation scenarios",
-    )
+    parser = argparse.ArgumentParser(prog="twrelay", description="Two-way relay power allocation scenarios")
     parser.add_argument("--scenario", required=True, choices=SCENARIOS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int)

@@ -35,14 +35,17 @@ layout too, by one rule for a list and a table, and search nothing.
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
 ``channel.SubchannelGains`` checks it once, when an instance is built.
-The public kernels check their budgets and targets, once, by _checked
-(the owner of the package's budget and noise rules), and then run the
+This module owns two rules of the package: _checked, the outside-number
+rule, through which every public entry point converts the numbers it takes
+from outside, once, to raise its rule's own error, never OverflowError;
+and _budget_bound, the relative 1e-12 of every budget test. The public
+kernels check their budgets and targets by _checked, then run the
 unchecked cores: _prepared (a list or table prepared once; _prepare in a
 kernel that ignores the padded cells' warnings itself), _level, _rate,
-_power and _powers. Callers inside the package that checked their
-inputs at entry call the cores directly, with the same bits. The cores
-reduce through the ufuncs (np.add.reduce, not ndarray.sum, whose Python
-wrapper adds a fixed cost to every call on these small arrays).
+_power and _powers, which callers that checked their inputs at entry call
+directly, with the same bits. The cores reduce through the ufuncs
+(np.add.reduce, not ndarray.sum, whose Python wrapper adds a fixed cost to
+every call on these small arrays).
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ __all__ = [
 
 # Largest ln(level) whose exp is a finite float.
 _MAX_LOG_LEVEL = math.log(sys.float_info.max)
+_POSITIVE = math.ulp(0.0)  # the least positive float: the floor of a rule that asks for positive values
+_RULES = {None: "finite", 0.0: "finite and nonnegative", _POSITIVE: "finite and positive",
+          sys.float_info.min: "finite and at least sys.float_info.min"}
 # Ignores padded cells' 1/0, ln 0 and inf - inf; as a decorator, one errstate per call.
 _QUIET = np.errstate(divide="ignore", invalid="ignore")
 
@@ -184,25 +190,33 @@ def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
     return np.exp(log_level)
 
 
-def _checked(values, name: str, floor: float = 0.0) -> np.ndarray:
-    """`values` as a float array (a Python float or int, np.float64 among
-    them, as a np.float64, checked without ufunc calls); ValueError unless
-    each is finite and at least `floor`: 0 for budgets and rate targets,
-    sys.float_info.min for noise variances (a subnormal one would overflow
-    the gains it divides). A Python int beyond the float range fails too."""
+def _checked(values, name: str, floor: float | None = 0.0, error: type = ValueError, rule: str | None = None,
+             dtype: type = float) -> np.ndarray:
+    """`values` from outside as a float array (a Python float or int as a
+    np.float64, checked without ufunc calls), or complex with `dtype`; raises
+    error(f"{name} must be {rule}", _RULES' words by default) unless each is
+    finite and at least `floor` (None: any), for a Python int beyond the float
+    range too. Noise variances take sys.float_info.min: a subnormal one would
+    overflow the gains it divides."""
     try:
         if isinstance(values, (float, int)):
             values = np.float64(values)
-            valid = math.isfinite(values) and values >= floor
+            valid = math.isfinite(values) and (floor is None or values >= floor)
         else:
-            values = np.asarray(values, dtype=float)
-            valid = np.logical_and.reduce(np.isfinite(values) & (values >= floor), axis=None)
+            values = np.asarray(values, dtype=dtype)
+            finite = np.isfinite(values)
+            valid = np.count_nonzero(finite if floor is None else finite & (values >= floor)) == values.size
     except OverflowError:
         valid = False
     if not valid:
-        bound = "at least sys.float_info.min" if floor else "nonnegative"
-        raise ValueError(f"{name} must be finite and {bound}")
+        raise error(f"{name} must be {rule or _RULES[floor]}")
     return values
+
+
+@np.errstate(over="ignore")  # +inf past the float maximum: nothing finite overspends such a budget
+def _budget_bound(budget):
+    """The budget plus the relative 1e-12 every budget test grants for round-off."""
+    return budget * (1.0 + 1e-12)
 
 
 @np.errstate(over="raise")

@@ -1,9 +1,11 @@
 """The package boundary: its public names, and the input rules its entry points apply.
 
 Each public name is listed once, in the ``__all__`` of the module that
-defines it; the package exports their union. Each input rule, for power
-budgets and for noise variances, raises from one place (waterfill._checked)
-with one message, whichever entry point a bad value comes in through.
+defines it; the package exports their union. Every entry point converts
+the numbers it takes from outside through one owner (waterfill._checked),
+so each input rule raises its own error with one message, whichever entry
+point a bad value comes in through, and a number beyond the float range
+breaks the rule rather than float conversion.
 """
 
 import re
@@ -15,6 +17,7 @@ import pytest
 
 import twrelay as tw
 from twrelay import channel, errors, ma_phase, oracle, relay_opt, sim_cli, waterfill
+from twrelay.sim_cli import ScenarioSpec
 
 LAYERS = (channel, errors, ma_phase, oracle, relay_opt, waterfill)
 
@@ -69,11 +72,60 @@ NOISE_ENTRIES = {
 }
 
 
-# A Python int beyond the float range breaks the rule too, not float conversion.
-BEYOND_FLOATS = pytest.param(10**400, id="int-1e400")
+# Numbers no rule accepts: a Python int beyond the float range (it must
+# break the rule, not float conversion), NaN and both infinities.
+OUTSIDE_NUMBERS = [pytest.param(10**400, id="int-1e400"), np.nan, np.inf, -np.inf]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, BEYOND_FLOATS])
+def _with(nested, value):
+    """`nested` as lists, its first number replaced by `value`."""
+    listed = np.asarray(nested).tolist()
+    inner = listed
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = value
+    return listed
+
+
+# Entry point -> (call with one outside number, the rule's error, its message).
+OUTSIDE_ENTRIES = {
+    "SourceRates": (lambda x: tw.SourceRates(x, 0.8, 0.7), tw.InvalidStrategyError,
+                    "source rates must be finite and nonnegative"),
+    "SubchannelGains": (lambda x: tw.SubchannelGains([x], [1.0], np.eye(1), np.eye(1)), ValueError,
+                        "alpha1 must be finite, strictly positive and sorted descending"),
+    "synthetic_gains": (lambda x: tw.synthetic_gains([1.0], [2.0, x]), ValueError,
+                        "alpha2 must be finite, strictly positive and sorted descending"),
+    "max_ma_strategies-h1r": (lambda x: tw.max_ma_strategies(_with(H1R, x), H2R, 1.0, 1.0, 1.0), ValueError,
+                              "uplinks must be finite"),
+    "max_ma_strategies-h2r": (lambda x: tw.max_ma_strategies(H1R, _with(H2R, x), 1.0, 1.0, 1.0), ValueError,
+                              "uplinks must be finite"),
+    "strategy_from_covariances-d1": (lambda x: tw.strategy_from_covariances([[x]], D2, CHANNELS, 1.0), ValueError,
+                                     "d1 must be finite"),
+    "strategy_from_covariances-d2": (lambda x: tw.strategy_from_covariances(D1, _with(D2, x), CHANNELS, 1.0),
+                                     ValueError, "d2 must be finite"),
+    "grid_certify": (lambda x: tw.grid_certify(GAINS, RATES, 1.0, x), ValueError,
+                     "resolution must be finite and positive"),
+    "grid_lipschitz_bound": (lambda x: tw.grid_lipschitz_bound(GAINS, x), ValueError,
+                             "resolution must be finite and positive"),
+    "ScenarioSpec-sweep": (lambda x: ScenarioSpec("lemma2-sweep", CONFIG, sweep_start=x), tw.ConfigError,
+                           "sweep bounds must be finite"),
+    "ScenarioSpec-resolution": (lambda x: ScenarioSpec("single", CONFIG, certify=True, resolution=x),
+                                tw.ConfigError, "certification resolution must be finite and positive"),
+}
+
+
+@pytest.mark.parametrize("bad", OUTSIDE_NUMBERS)
+@pytest.mark.parametrize("entry", OUTSIDE_ENTRIES)
+def test_every_entry_point_rejects_an_outside_number_by_its_own_rule(entry, bad):
+    # Its rule's error and message: no OverflowError, no RuntimeWarning
+    # (an error under pytest, pyproject.toml). The budget and noise rules'
+    # entry points take the same numbers in the two tests below.
+    call, error, message = OUTSIDE_ENTRIES[entry]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [*OUTSIDE_NUMBERS, -1.0])
 @pytest.mark.parametrize("entry", BUDGET_ENTRIES)
 def test_every_budget_entry_point_raises_the_budget_rule(entry, bad):
     call, name = BUDGET_ENTRIES[entry]
@@ -81,7 +133,7 @@ def test_every_budget_entry_point_raises_the_budget_rule(entry, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-320, BEYOND_FLOATS])
+@pytest.mark.parametrize("bad", [*OUTSIDE_NUMBERS, -1.0, 0.0, 1e-320])
 @pytest.mark.parametrize("entry", NOISE_ENTRIES)
 def test_every_noise_entry_point_raises_the_noise_rule(entry, bad):
     call, name = NOISE_ENTRIES[entry]
@@ -104,6 +156,17 @@ def test_rates_that_overflow_at_the_least_noise_raise_a_value_error_naming_it():
         # At sigma^2 = 1e-300 the same pair has finite rates.
         pair = tw.strategy_from_covariances(D1, D2, CHANNELS, 1e-300)
         assert np.isfinite([pair.r_ma, pair.r_bar_1r, pair.r_bar_2r]).all()
+
+
+def test_finite_covariances_whose_rates_overflow_raise_the_overflow_error():
+    # D + D^H overflows at 1e308; at 1e307, H D H^H does on a strong uplink.
+    # No RuntimeWarning on the way (pytest makes one an error).
+    strong = np.array([[3.0], [2.0]], dtype=complex)
+    channels = tw.ChannelSet(h1r=strong, h2r=strong, hr1=strong.T, hr2=strong.T)
+    for d1, d2, ch in (([[1e308]], D2, CHANNELS), (D1, 1e308 * D2, CHANNELS), ([[1e307]], [[0.0]], channels)):
+        with pytest.raises(ValueError, match="^the MA-phase rates overflow"):
+            tw.strategy_from_covariances(d1, d2, ch, 1.0)
+    assert np.isfinite(tw.strategy_from_covariances([[1e306]], [[0.0]], channels, 1.0).r_ma)
 
 
 def test_lemma2_sweep_at_the_least_noise_stays_finite(tmp_path):

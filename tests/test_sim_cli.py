@@ -491,6 +491,12 @@ def test_cli_exit_code_on_config_error(tmp_path):
         ("nan_budget", {"pr_max": float("nan")}),
         ("int_budget_beyond_floats", {"pr_max": 10**400}),
         ("int_gain_beyond_floats", {"alpha2": [10**400]}),
+        # The rates rule, and the order rule r_ma <= r_bar_1r + r_bar_2r.
+        ("negative_rate", {"r_ma": -1}),
+        ("nan_rate", {"r_ma": float("nan")}),
+        ("inf_rate", {"r_ma": float("inf")}),  # as 1e400 in the file reads
+        ("int_rate_beyond_floats", {"r_ma": 10**400}),
+        ("rates_out_of_order", {"r_ma": 5, "r_bar_1r": 0.4, "r_bar_2r": 0.3}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**ASYM_INSTANCE, **change}))
