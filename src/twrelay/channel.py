@@ -83,11 +83,12 @@ class SubchannelGains:
     downlinks: 1-D, nonempty, finite, strictly positive and sorted
     descending, one per nonzero singular value. v1 / v2 are the full
     n_r x n_r right singular-vector matrices that rebuild relay
-    covariances from per-subchannel powers. Construction is the one place
-    these properties are checked (ValueError, the numbers by
-    waterfill._checked); the water-fill kernels take them as a
-    precondition. All four are stored as read-only copies, so no edit of
-    the caller's arrays can undo the checks or leave `pooled` stale.
+    covariances from per-subchannel powers: finite, stored complex.
+    Construction is the one place these properties are checked
+    (ValueError, the numbers by waterfill._checked); the water-fill
+    kernels take them as a precondition. All four are stored as read-only
+    copies, so no edit of the caller's arrays can undo the checks or leave
+    `pooled` stale.
     """
 
     alpha1: np.ndarray
@@ -100,8 +101,8 @@ class SubchannelGains:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.v2) != shape:
             raise ValueError("v1 and v2 must both be n_r x n_r matrices")
         for name in ("alpha1", "alpha2", "v1", "v2"):
-            value = getattr(self, name)
-            value = np.array(_checked(value, name, _POSITIVE, rule=_GAIN_RULE) if name[0] == "a" else value)
+            rule = (_POSITIVE, ValueError, _GAIN_RULE) if name[0] == "a" else (None, ValueError, None, complex)
+            value = np.array(_checked(getattr(self, name), name, *rule))
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         for name, alpha in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
@@ -162,18 +163,15 @@ def decompose(channels: ChannelSet, config: SystemConfig) -> SubchannelGains:
     """SVD-decompose both downlinks into sorted subchannel gains.
 
     Raises RankZeroError if either direction is numerically rank zero
-    (caller should abort the trial), and ValueError if a gain overflows.
+    (caller should abort the trial), and ValueError if an entry of hr1, then
+    hr2, is not finite (waterfill._checked), a shape is wrong or a gain overflows.
     """
-    for name, mat, rows in (
-        ("hr1", channels.hr1, config.n1),
-        ("hr2", channels.hr2, config.n2),
-    ):
+    hr1, hr2 = (_checked(getattr(channels, name), name, None, dtype=complex) for name in ("hr1", "hr2"))
+    for name, mat, rows in (("hr1", hr1, config.n1), ("hr2", hr2, config.n2)):
         if mat.shape != (rows, config.n_r):
             raise ValueError(f"{name} has shape {mat.shape}, expected {(rows, config.n_r)}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"{name} contains non-finite entries")
-    alpha1, v1 = _decompose_one(channels.hr1, config.sigma1_sq)
-    alpha2, v2 = _decompose_one(channels.hr2, config.sigma2_sq)
+    alpha1, v1 = _decompose_one(hr1, config.sigma1_sq)
+    alpha2, v2 = _decompose_one(hr2, config.sigma2_sq)
     return SubchannelGains(alpha1=alpha1, alpha2=alpha2, v1=v1, v2=v2)
 
 

@@ -270,15 +270,16 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
 
     The one entry point for covariances from outside, and the one owner of
     the PSD rule. In this order, raises ValueError if the relay noise
-    variance breaks the noise rule or an entry of d1, then d2, is not
-    finite (waterfill._checked), or a covariance has the wrong shape;
-    NonPSDError, naming d1 before d2, if a covariance has an eigenvalue
-    below -PSD_TOL times its largest magnitude; and ValueError if the rates
-    overflow (D + D^H or H D H^H / sigma_r^2 beyond the float range).
+    variance breaks the noise rule, the uplinks, d1, then d2 hold an entry
+    that is not finite, or a covariance has the wrong shape; NonPSDError,
+    naming d1 before d2, if a covariance has an eigenvalue below -PSD_TOL
+    times its largest magnitude; and ValueError if the rates overflow
+    (D + D^H or H D H^H / sigma_r^2 beyond the float range).
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
+    h1r, h2r = (_checked(h, "uplinks", None, dtype=complex) for h in (channels.h1r, channels.h2r))
     d1, d2 = (_checked(d, name, None, dtype=complex) for name, d in (("d1", d1), ("d2", d2)))
-    for name, d, h in (("d1", d1, channels.h1r), ("d2", d2, channels.h2r)):
+    for name, d, h in (("d1", d1, h1r), ("d2", d2, h2r)):
         if d.shape != (h.shape[1],) * 2:
             raise ValueError(f"{name} has shape {d.shape}, expected {(h.shape[1],) * 2}")
     try:
@@ -287,7 +288,7 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
                 eig = np.linalg.eigvalsh(_hermitian(d))
                 if eig.min() < -PSD_TOL * np.abs(eig).max():
                     raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-            pair = channels.h1r[np.newaxis], d1[np.newaxis], channels.h2r[np.newaxis], d2[np.newaxis]
+            pair = h1r[np.newaxis], d1[np.newaxis], h2r[np.newaxis], d2[np.newaxis]
             rates, overflow = _pair_rates([pair], sig)
     except FloatingPointError:
         overflow = True

@@ -42,10 +42,11 @@ rate_of_level call inside it, though the ledger does not read the rate)
 and prepares the batch's gain table for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
 engine's forward passes, rates, power sums and per-subchannel powers run
-through waterfill's unchecked cores. Inputs are checked once, on entry:
-a SourceRates by its own constructor, so its floats go straight into the
-targets; rate columns and other rate objects by SourceRates' rule; then
-the rate order; budgets by waterfill._checked.
+through waterfill's unchecked cores (the rates by its overflow rule where
+a level times a gain may pass the float range). Inputs are checked once,
+on entry: a SourceRates by its own constructor, so its floats go straight
+into the targets; rate columns and other rate objects by SourceRates'
+rule; then the rate order; budgets by waterfill._checked.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -63,8 +64,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
-from .waterfill import (_QUIET, _arange, _budget_bound, _checked, _level, _power, _powers, _prepare, _rate,
-                        gain_table, inverse_waterfill)
+from .waterfill import (_QUIET, _WIDE_PRODUCT, _arange, _budget_bound, _checked, _level, _power, _powers, _prepare,
+                        _rate, _split_rate, gain_table, inverse_waterfill)
 
 __all__ = [
     "RelativeLevels",
@@ -183,9 +184,10 @@ def two_way_rate(r_ma, r_bar_1r, r_bar_2r, bc1, bc2):
 def relay_covariance(v_factor: np.ndarray, powers) -> np.ndarray:
     """Relay transmit covariance V diag(powers, 0, ...) V^H for one direction.
 
-    Also takes a stack of V factors (N, n_r, n_r) with powers (N, K).
+    Also takes a stack of V factors (N, n_r, n_r) with powers (N, K). Raises
+    ValueError unless every power is finite and nonnegative (waterfill._checked).
     """
-    powers = np.asarray(powers, dtype=float)
+    powers = _checked(powers, "powers")
     diag = np.zeros(v_factor.shape[:-1])
     diag[..., : powers.shape[-1]] = powers
     return (v_factor * diag[..., np.newaxis, :]) @ v_factor.conj().swapaxes(-1, -2)
@@ -388,6 +390,9 @@ def _solve(gains, rates, pr_max) -> tuple:
     # clipped to its cap and the other direction re-spends the remainder.
     fills = _level(prepared, np.maximum(pr - held, 0.0).reshape(-1)).reshape(3, n)
     chosen, code = _steps_3_to_5(fills, levels, slack)
+    # Every later level, the consumed power's pooled one too, is within the slack of the largest chosen one.
+    wide = float(np.maximum.reduce(chosen, axis=None)) * float(np.maximum.reduce(pooled[:, 0])) > _WIDE_PRODUCT
+    rate = _split_rate if wide else _rate
 
     # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
     lv, mu_ma = chosen[:, 0], levels[2]
@@ -395,7 +400,7 @@ def _solve(gains, rates, pr_max) -> tuple:
     below = np.maximum(lv[0], lv[1]) <= mu_ma + slack
     if np.count_nonzero(pinned):
         lv[:] = np.where(pinned, mu_ma, lv)
-    rates_at = np.array([_rate(a1, chosen[0]), _rate(a2, chosen[1])])  # at each level and bar level
+    rates_at = np.array([rate(a1, chosen[0]), rate(a2, chosen[1])])  # at each level and bar level
     bc = rates_at[:, 0]
     cut = (bc[0] + bc[1] > r_ma + TIE_TOL) & ~(pinned | below)
     if np.count_nonzero(cut):
@@ -418,8 +423,8 @@ def _solve(gains, rates, pr_max) -> tuple:
         active = np.count_nonzero(powers1, axis=-1) + np.count_nonzero(powers2, axis=-1)
         lower = np.minimum(lv - (consumed - pr) / np.maximum(active, 1), np.nextafter(lv, -np.inf))
         lv = np.where(over, lower, lv)
-        bc = np.where(over, [_rate(a1, lv[0]), _rate(a2, lv[1])], bc)
-    best_bc = _rate(pooled, _level(pooled_prepared, consumed))
+        bc = np.where(over, [rate(a1, lv[0]), rate(a2, lv[1])], bc)
+    best_bc = rate(pooled, _level(pooled_prepared, consumed))
     efficient = bc[0] + bc[1] >= best_bc - TIE_TOL
     source_waste = pr < p_bar_ma - slack
     sum_rate = two_way_rate(r_ma, r1, r2, bc[0], bc[1])

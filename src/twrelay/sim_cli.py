@@ -82,10 +82,9 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
-# The asymmetry study runs its cells through the MA phase in blocks of at
-# most this many, and hands them to the relay optimizer in one batch once
-# the antenna splits not yet solved hold this many, so a long study keeps
-# memory bounded.
+# The asymmetry study runs its cells in blocks of at most this many, each
+# through the MA phase and then the relay optimizer in one call apiece, so
+# a long study keeps memory bounded.
 STUDY_BATCH_CELLS = 4096
 
 
@@ -289,32 +288,21 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     is rank zero or whose gains overflow counts as skipped in every cell of
     its antenna split, and a cell whose MA phase finds no strategy (no
     convergence, or a numerically singular or inaccurate instance) in its
-    own. The cells are drawn in record order, (n1, trial, power split), and
-    run through the MA phase in blocks of at most STUDY_BATCH_CELLS cells:
-    one max_ma_strategy_groups call per block, with one group per antenna
-    split in it, not one call per split. The relay optimizer takes their
-    rates columns in one batch whenever, at the end of an antenna split,
-    the unsolved cells reach STUDY_BATCH_CELLS, and one at the end.
-    The solved cells stay columns in record order; each cell's aggregate
-    is np.add.reduce over its records in trial order, divided by their
-    count: the bits of np.mean.
+    own. The cells are drawn in record order, (n1, trial, power split), in
+    blocks of at most STUDY_BATCH_CELLS cells, and each block is one pass:
+    one max_ma_strategy_groups call, with one group per antenna split in
+    the block, then one optimize_many call on the block's cells that found
+    a strategy, their rates columns joined over the groups. The solved
+    cells stay columns in record order; each cell's aggregate is
+    np.add.reduce over its records in trial order, divided by their count:
+    the bits of np.mean.
     """
     cfg = spec.config
-    n_total = cfg.n1 + cfg.n2
-    p_total = cfg.p1_max + cfg.p2_max
+    n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = np.linspace(0.1, 0.9, 5) * p_total
     # Per solved cell in record order: n1, trial, power split, and the relay's
-    # sum rate, consumed power and efficient; and the gains and rates
-    # columns of the cells not yet solved by the relay.
-    n1s, trials, splits, solved, gains, rates = [], [], [], [[], [], []], [], []
-
-    def solve_waiting() -> None:
-        if gains:
-            sols = optimize_many(gains, np.concatenate(rates, axis=1), cfg.pr_max)
-            for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
-                column += values.tolist()
-            gains.clear()
-            rates.clear()
+    # sum rate, consumed power and efficient.
+    n1s, trials, splits, solved = [], [], [], [[], [], []]
 
     def drawn_cells():
         """(n1, trial, channels, gains, split) of each cell whose trial was drawn, in record order."""
@@ -328,7 +316,7 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
                     continue
                 yield from ((n1, trial, channels, gains, split) for split in range(len(p1_splits)))
 
-    stream, split = drawn_cells(), None
+    stream = drawn_cells()
     while block := list(itertools.islice(stream, STUDY_BATCH_CELLS)):
         groups = [list(run) for _, run in itertools.groupby(block, key=lambda cell: cell[0])]
         p1s = [p1_splits[[cell[4] for cell in group]] for group in groups]
@@ -337,16 +325,15 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
              p1, p_total - p1, cfg.sigmar_sq)
             for group, p1 in zip(groups, p1s)
         ])
-        for group, strategies in zip(groups, found):
-            if group[0][0] != split:  # a split has ended: solve once the unsolved cells are enough
-                split = group[0][0]
-                if len(gains) >= STUDY_BATCH_CELLS:
-                    solve_waiting()
-            kept = np.equal(strategies.reasons, None)
-            for column, k in ((n1s, 0), (trials, 1), (gains, 3), (splits, 4)):
-                column += [cell[k] for cell in itertools.compress(group, kept)]
-            rates.append(strategies.rates[:, kept])
-    solve_waiting()
+        kept = np.concatenate([np.equal(strategies.reasons, None) for strategies in found])
+        cells = list(itertools.compress(block, kept))
+        rates = np.concatenate([strategies.rates for strategies in found], axis=1)[:, kept]
+        sols = optimize_many([cell[3] for cell in cells], rates, cfg.pr_max)
+        for column, k in ((n1s, 0), (trials, 1), (splits, 4)):
+            column += [cell[k] for cell in cells]
+        for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
+            column += values.tolist()
+        del cells, sols  # this block's channels and gains go before the next block's MA phase
     # A cell's aggregates reduce its row of a C-contiguous (cells, count) table
     # of the cells with as many records, in trial order: numpy sums a
     # contiguous last axis pairwise from 8 terms on, as np.mean does.

@@ -45,7 +45,8 @@ kernel that ignores the padded cells' warnings itself), _level, _rate,
 _power and _powers, which callers that checked their inputs at entry call
 directly, with the same bits. The cores reduce through the ufuncs
 (np.add.reduce, not ndarray.sum, whose Python wrapper adds a fixed cost to
-every call on these small arrays).
+every call on these small arrays). The rates' overflow rule is one core,
+_split_rate, which rate_of_level and the relay engine share (see each).
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ __all__ = [
 
 # Largest ln(level) whose exp is a finite float.
 _MAX_LOG_LEVEL = math.log(sys.float_info.max)
+_WIDE_PRODUCT = sys.float_info.max / 2  # gain * level past it may overflow (a margin for slack and round-off)
 _POSITIVE = math.ulp(0.0)  # the least positive float: the floor of a rule that asks for positive values
 _RULES = {None: "finite", 0.0: "finite and nonnegative", _POSITIVE: "finite and positive",
           sys.float_info.min: "finite and at least sys.float_info.min"}
@@ -166,9 +168,19 @@ def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
 
 
 def _rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """rate_of_level over a float list or table, unconverted."""
+    """rate_of_level over a float list or table, unconverted, where no alpha(k) * level overflows."""
     gains, level, axis = _by_subchannel(gains, level)
     return np.add.reduce(np.log(np.maximum(level * gains, 1.0)), axis=axis)
+
+
+def _split_rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """_rate by the overflow rule: a term whose alpha(k) * level passes the
+    float maximum (both exceed 1) is ln alpha(k) + ln level; the rest keep their bits."""
+    gains, level, axis = _by_subchannel(gains, level)
+    with np.errstate(over="ignore"):
+        terms = np.log(np.maximum(level * gains, 1.0))
+    split = np.log(np.maximum(level, 1.0)) + np.log(np.maximum(gains, 1.0))
+    return np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis)
 
 
 def _power(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -225,19 +237,15 @@ def rate_of_level(gains, level):
 
     Sum over active subchannels of ln(alpha(k) * level); a subchannel is
     active when alpha(k) * level > 1, and where that product overflows the
-    term is ln alpha(k) + ln level. Accepts a scalar or array of levels for
-    a list, or (..., N) levels for a table, and returns a matching shape.
-    Nondecreasing in the level.
+    term is ln alpha(k) + ln level (_split_rate). Accepts a scalar or array
+    of levels for a list, or (..., N) levels for a table, and returns a
+    matching shape. Nondecreasing in the level.
     """
     gains, level = np.asarray(gains, dtype=float), np.asarray(level, dtype=float)
     try:
         return _out(_rate(gains, level))
-    except FloatingPointError:  # where alpha(k) * level overflows, both exceed 1
-        gains, level, axis = _by_subchannel(gains, level)
-        with np.errstate(over="ignore"):
-            terms = np.log(np.maximum(level * gains, 1.0))
-        split = np.log(np.maximum(level, 1.0)) + np.log(np.maximum(gains, 1.0))
-        return _out(np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis))
+    except FloatingPointError:
+        return _out(_split_rate(gains, level))
 
 
 def power_of_level(gains, level):

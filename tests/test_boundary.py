@@ -87,18 +87,31 @@ def _with(nested, value):
     return listed
 
 
+def _channels(**matrices):
+    """CHANNELS with the given matrices in place of its own."""
+    return tw.ChannelSet(**{**vars(CHANNELS), **matrices})
+
+
 # Entry point -> (call with one outside number, the rule's error, its message).
 OUTSIDE_ENTRIES = {
     "SourceRates": (lambda x: tw.SourceRates(x, 0.8, 0.7), tw.InvalidStrategyError,
                     "source rates must be finite and nonnegative"),
     "SubchannelGains": (lambda x: tw.SubchannelGains([x], [1.0], np.eye(1), np.eye(1)), ValueError,
                         "alpha1 must be finite, strictly positive and sorted descending"),
+    "SubchannelGains-v1": (lambda x: tw.SubchannelGains([1.0], [1.0], [[x]], np.eye(1)), ValueError,
+                           "v1 must be finite"),
+    "decompose": (lambda x: tw.decompose(_channels(hr1=_with(CHANNELS.hr1, x)), CONFIG), ValueError,
+                  "hr1 must be finite"),
+    "relay_covariance": (lambda x: tw.relay_covariance(np.eye(1), [x]), ValueError,
+                         "powers must be finite and nonnegative"),
     "synthetic_gains": (lambda x: tw.synthetic_gains([1.0], [2.0, x]), ValueError,
                         "alpha2 must be finite, strictly positive and sorted descending"),
     "max_ma_strategies-h1r": (lambda x: tw.max_ma_strategies(_with(H1R, x), H2R, 1.0, 1.0, 1.0), ValueError,
                               "uplinks must be finite"),
     "max_ma_strategies-h2r": (lambda x: tw.max_ma_strategies(H1R, _with(H2R, x), 1.0, 1.0, 1.0), ValueError,
                               "uplinks must be finite"),
+    "strategy_from_covariances-h1r": (lambda x: tw.strategy_from_covariances(
+        D1, D2, _channels(h1r=_with(CHANNELS.h1r, x)), 1.0), ValueError, "uplinks must be finite"),
     "strategy_from_covariances-d1": (lambda x: tw.strategy_from_covariances([[x]], D2, CHANNELS, 1.0), ValueError,
                                      "d1 must be finite"),
     "strategy_from_covariances-d2": (lambda x: tw.strategy_from_covariances(D1, _with(D2, x), CHANNELS, 1.0),

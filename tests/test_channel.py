@@ -175,7 +175,7 @@ def test_decompose_validates_shapes():
     for bad in (np.nan, np.inf):
         hr1 = np.ones((2, 3))
         hr1[1, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^hr1 must be finite$"):
             tw.decompose(_channels_with_downlinks(hr1, np.ones((2, 3)), 3), cfg)
 
 

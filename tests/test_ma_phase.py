@@ -94,10 +94,13 @@ def test_non_psd_d2_rejected_by_name():
 
 
 def test_covariance_rules_apply_in_order():
-    # The noise rule, then both shapes, then PSD for d1, then for d2.
+    # The noise rule, then the uplink rule, then both shapes, then PSD for d1, then for d2.
     ch = _scalar_channels([1.0], [1.0], 1)
+    bad_uplink = _scalar_channels([1.0], [np.nan], 1)
     with pytest.raises(ValueError, match="the relay noise variance must be finite"):
-        strategy_from_covariances([[-1.0]], np.eye(2), ch, np.nan)
+        strategy_from_covariances([[-1.0]], np.eye(2), bad_uplink, np.nan)
+    with pytest.raises(ValueError, match="^uplinks must be finite$"):
+        strategy_from_covariances([[-1.0]], np.eye(2), bad_uplink, 1.0)
     with pytest.raises(ValueError, match="d2 has shape"):
         strategy_from_covariances([[-1.0]], -np.eye(2), ch, 1.0)
     with pytest.raises(tw.NonPSDError, match="^d1 "):

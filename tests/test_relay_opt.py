@@ -850,3 +850,23 @@ def test_budget_at_the_float_maximum_solves_without_overflow():
     for sol in [*found, *alone]:
         assert (sol.level1, sol.level2, sol.consumed_power, sol.sum_rate_tw, sol.step_trace) == (
             alone[2].level1, alone[2].level2, alone[2].consumed_power, alone[2].sum_rate_tw, alone[2].step_trace)
+
+
+def test_broadcast_rates_past_the_float_range_take_the_overflow_rule():
+    # 710 nats a direction on a gain of 1e10: alpha * level passes the float
+    # maximum, so each rate is ln alpha + ln level, as rate_of_level gives it,
+    # not inf, and no RuntimeWarning is emitted. A batch shares the rule, and
+    # its other rows keep their bits.
+    gains, small = tw.synthetic_gains([1e10], [1e10]), tw.synthetic_gains([2.0, 1.0], [1.5])
+    wide, rates = tw.SourceRates(1420.0, 710.0, 710.0), tw.SourceRates(1.0, 0.8, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = tw.optimize(gains, wide, 1e300)
+        batch = tw.optimize_many([gains, small], [wide, rates], [1e300, 1.0])
+        alone = tw.optimize(small, rates, 1.0)
+    assert sol.bc_rates == (710.0, 710.0)
+    assert sol.bc_rates == (rate_of_level(gains.alpha1, sol.level1), rate_of_level(gains.alpha2, sol.level2))
+    assert sol.sum_rate_tw == 710.0 and sol.efficient
+    assert batch[0].bc_rates == sol.bc_rates
+    assert (batch[1].bc_rates, batch[1].sum_rate_tw, batch[1].efficient) == (
+        alone.bc_rates, alone.sum_rate_tw, alone.efficient)

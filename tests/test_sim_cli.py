@@ -222,31 +222,37 @@ def test_asymmetry_study_non_convergence_is_per_cell(monkeypatch):
         tw.max_ma_strategy(channels, cell_cfg)
 
 
-def test_asymmetry_study_batch_bound_changes_no_record(monkeypatch):
+@pytest.mark.parametrize("batch_cells", [4096, 40, 7])
+def test_asymmetry_study_batch_bound_changes_no_record(monkeypatch, batch_cells):
+    # Gain lists narrower than 8: each record is its cell's own max_ma_strategy
+    # and optimize, bit for bit, in whatever blocks the cells run.
     cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
-    whole = run_asymmetry_study(spec)
-    monkeypatch.setattr(tw.sim_cli, "STUDY_BATCH_CELLS", 7)  # solve after every split
-    assert run_asymmetry_study(spec) == whole
+    monkeypatch.setattr(tw.sim_cli, "STUDY_BATCH_CELLS", batch_cells)
+    records, _ = run_asymmetry_study(spec)
+    own = []
+    for n1 in (1, 2, 3):
+        base = dataclasses.replace(cfg, n1=n1, n2=4 - n1)
+        for trial in range(spec.trials):
+            channels = tw.generate_channels(base, trial)
+            gains = tw.decompose(channels, base)
+            for p1 in (np.linspace(0.1, 0.9, 5) * 2.0).tolist():
+                strategy = tw.max_ma_strategy(channels, dataclasses.replace(base, p1_max=p1, p2_max=2.0 - p1))
+                sol = tw.optimize(gains, strategy, cfg.pr_max)
+                own.append(sim_cli.AsymRecord(trial, n1, 4 - n1, p1, 2.0 - p1, sol.sum_rate_tw,
+                                              sol.consumed_power, sol.efficient))
+    assert len(records) == len(own) == 60
+    for record, want in zip(records, own):
+        assert np.array(record[3:7]).tobytes() == np.array(want[3:7]).tobytes() and record == want
 
 
 def _reference_study_records(spec):
-    """The study's records as one max_ma_strategies call per antenna split and optimize_many
-    batches flushed at the end of a split once STUDY_BATCH_CELLS cells wait, at the end too."""
+    """The study's records as one max_ma_strategies call per antenna split, then one optimize_many
+    call per block of STUDY_BATCH_CELLS drawn cells in record order, on its cells that found a strategy."""
     cfg = spec.config
     n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
-    records, jobs = [], []
-
-    def solve():
-        solutions = tw.optimize_many([job[3] for job in jobs], [job[4] for job in jobs], cfg.pr_max)
-        records.extend(
-            sim_cli.AsymRecord(trial, n1, n_total - n1, p1, p_total - p1, sol.sum_rate_tw,
-                               sol.consumed_power, sol.efficient)
-            for (n1, trial, p1, _, _), sol in zip(jobs, solutions)
-        )
-        jobs.clear()
-
+    drawn = []  # (n1, trial, p1, gains, strategy or None) of each drawn cell, in record order
     for n1 in range(1, n_total):
         base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
         cells = []
@@ -263,10 +269,16 @@ def _reference_study_records(spec):
             np.array([cell[1].h2r for cell in cells]).reshape(-1, base.n_r, base.n2),
             p1, p_total - p1, base.sigmar_sq,
         )
-        jobs += [(n1, trial, p1, gains, st) for (trial, _, gains, p1), st in zip(cells, strategies) if st is not None]
-        if len(jobs) >= sim_cli.STUDY_BATCH_CELLS:
-            solve()
-    solve()
+        drawn += [(n1, trial, p1, gains, st) for (trial, _, gains, p1), st in zip(cells, strategies)]
+    records = []
+    for start in range(0, len(drawn), sim_cli.STUDY_BATCH_CELLS):
+        jobs = [cell for cell in drawn[start : start + sim_cli.STUDY_BATCH_CELLS] if cell[4] is not None]
+        solutions = tw.optimize_many([job[3] for job in jobs], [job[4] for job in jobs], cfg.pr_max)
+        records += [
+            sim_cli.AsymRecord(trial, n1, n_total - n1, p1, p_total - p1, sol.sum_rate_tw,
+                               sol.consumed_power, sol.efficient)
+            for (n1, trial, p1, _, _), sol in zip(jobs, solutions)
+        ]
     return records
 
 
@@ -418,6 +430,18 @@ def test_single_from_instance_file(tmp_path):
 
 
 # --- CLI ------------------------------------------------------------------------
+
+
+def test_cli_single_prints_broadcast_rates_past_the_float_range(tmp_path):
+    # alpha * level overflows at 710 nats a direction: the bc columns print
+    # 710, with no RuntimeWarning (an error under pytest, pyproject.toml).
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({"alpha1": [1e10], "alpha2": [1e10], "r_ma": 1420.0, "r_bar_1r": 710.0,
+                                "r_bar_2r": 710.0, "pr_max": 1e300}))
+    out = tmp_path / "out.csv"
+    assert main(["--scenario", "single", "--instance", str(inst), "--deterministic", "--out", str(out)]) == 0
+    (row,) = _read_csv(out)
+    assert (row["bc_rate_1"], row["bc_rate_2"], row["bc_sum"], row["sum_rate_tw"]) == ("710", "710", "1420", "710")
 
 
 def test_cli_single_worked_instance(tmp_path):
