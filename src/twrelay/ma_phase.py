@@ -55,7 +55,8 @@ factorization; an instance converges when a sweep gains less than
 SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with p >= 0, PSD by
 construction, so the engine does not PSD-check them: the PSD rule is
 checked only by strategy_from_covariances, the one entry point that takes
-covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2
+covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2,
+or a direction's tr(H^H H) times its budget, alone or over sigma_r^2,
 would overflow a sweep (checked once, on entry), whose
 interference-plus-noise matrix does not factor, or whose rates come out
 inconsistent or overflow the float range, leaves the stack without a
@@ -389,12 +390,20 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     last_gain = np.empty(n)  # read only where a row converged
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
     # A sweep whitens against sigma_r^2 I or more: a row whose traces over
-    # sigma_r^2 pass a quarter of the float range would overflow G^H G. A
-    # stack's total bounds its rows' traces.
-    idx = np.arange(n)
-    if n and max(totals) * (4.0 / sys.float_info.max) > np.minimum.reduce(sig):
-        both = [np.concatenate(pair, axis=2).view(float) for pair in uplinks]
-        live_rows = np.concatenate([np.einsum("nij,nij->n", b, b) for b in both]) * (4.0 / sys.float_info.max) <= sig
+    # sigma_r^2 pass a quarter of the float range would overflow G^H G, and
+    # one whose trace times budget in a direction does, alone or over
+    # sigma_r^2, would overflow H D H^H and the water-fill. A stack's total
+    # and the largest budget bound its rows' (Python floats: inf, not a warning).
+    idx, scale = np.arange(n), 4.0 / sys.float_info.max
+    if n and (float(max(totals)) * scale * max(1.0, float(np.maximum.reduce(p1)), float(np.maximum.reduce(p2)))
+              > min(float(np.minimum.reduce(sig)), 1.0)):
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN product fails its test
+            trace, trace1, trace2 = (
+                np.concatenate([np.einsum("nij,nij->n", b, b) for b in parts]) * scale
+                for parts in ([np.concatenate(pair, axis=2).view(float) for pair in uplinks],
+                              [h1.view(float) for h1, _ in uplinks], [h2.view(float) for _, h2 in uplinks]))
+            cap = np.minimum(sig, 1.0)
+            live_rows = (trace <= sig) & (trace1 * p1 <= cap) & (trace2 * p2 <= cap)
         failure[~live_rows] = _STOPPED + _OVERFLOW
         idx, p1, p2, sig = idx[live_rows], p1[live_rows], p2[live_rows], sig[live_rows]
     # Live rows, over the live groups in order: index, budgets, the noise

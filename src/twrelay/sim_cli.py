@@ -256,6 +256,14 @@ def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
     return records, {"trials": spec.trials, "skipped": skipped}
 
 
+def _certified(gains: SubchannelGains, strategy: SourceRates, pr_max: float, resolution: float):
+    """grid_certify; a grid its rules refuse (the grid-size rule: too fine a resolution) is a config error."""
+    try:
+        return grid_certify(gains, strategy, pr_max, resolution)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     """Budget sweep on one realization: min-power solution vs baseline."""
     cfg = spec.config
@@ -266,7 +274,7 @@ def run_prmax_sweep(spec: ScenarioSpec) -> tuple[list[PrmaxRecord], dict]:
     solutions = optimize_many([gains] * budgets.size, [strategy] * budgets.size, budgets)
     records: list[PrmaxRecord] = []
     for point, (pr, sol) in enumerate(zip(budgets, solutions)):
-        cert = grid_certify(gains, strategy, float(pr), spec.resolution)
+        cert = _certified(gains, strategy, float(pr), spec.resolution)
         bl_levels, bl_bc = cert.baseline_levels, cert.baseline_bc_rates
         bl_consumed = power_of_level(gains.alpha1, bl_levels[0]) + power_of_level(gains.alpha2, bl_levels[1])
         records.append(PrmaxRecord(
@@ -388,7 +396,7 @@ def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
     row = (0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq, *_solution_values(strategy, sol))
     if not spec.certify:
         return [SingleRecord(*row)], {"trials": 1, "skipped": 0}
-    res = grid_certify(gains, strategy, pr_max, spec.resolution)
+    res = _certified(gains, strategy, pr_max, spec.resolution)
     record = CertifiedSingleRecord(
         *row, res.best_rate, res.min_power_at_best, *res.argmax_levels, *res.baseline_levels,
         res.baseline_bc_rates[0] + res.baseline_bc_rates[1], res.grid_resolution,

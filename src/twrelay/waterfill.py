@@ -167,26 +167,27 @@ def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
     return (amount + csum.take(_arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
 
 
-def _rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """rate_of_level over a float list or table, unconverted, where no alpha(k) * level overflows."""
+def _rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rate_of_level over a float list or table, unconverted, where no alpha(k) * level
+    overflows; into `out` if given (as are _split_rate's and _power's sums)."""
     gains, level, axis = _by_subchannel(gains, level)
-    return np.add.reduce(np.log(np.maximum(level * gains, 1.0)), axis=axis)
+    return np.add.reduce(np.log(np.maximum(level * gains, 1.0)), axis=axis, out=out)
 
 
-def _split_rate(gains: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _split_rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """_rate by the overflow rule: a term whose alpha(k) * level passes the
     float maximum (both exceed 1) is ln alpha(k) + ln level; the rest keep their bits."""
     gains, level, axis = _by_subchannel(gains, level)
     with np.errstate(over="ignore"):
         terms = np.log(np.maximum(level * gains, 1.0))
     split = np.log(np.maximum(level, 1.0)) + np.log(np.maximum(gains, 1.0))
-    return np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis)
+    return np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis, out=out)
 
 
-def _power(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _power(inv: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """power_of_level over prepared inverse gains, unconverted."""
     inv, level, axis = _by_subchannel(inv, level)
-    return np.add.reduce(np.maximum(level - inv, 0.0), axis=axis)
+    return np.add.reduce(np.maximum(level - inv, 0.0), axis=axis, out=out)
 
 
 def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:

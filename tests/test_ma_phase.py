@@ -642,3 +642,24 @@ def test_rows_whose_first_whitening_overflows_drop_out_without_a_warning():
         (alone,) = max_ma_strategies(h1[i:i + 1], h2[i:i + 1], 1.0, 1.0, noise[i])
         _assert_same_bits(found[i], alone)
         assert found[i].last_gain == alone.last_gain
+
+
+def test_rows_whose_budget_overflows_a_sweep_drop_out_without_a_warning():
+    # A budget of 1.7e308 W passes the budget rule, but its trace times
+    # budget is beyond the float range: the sweeps overflowed (tier-1 turns
+    # the RuntimeWarning into an error) or, with warnings ignored, ran 500
+    # sweeps and dropped the row as "did not settle". It drops on entry, as
+    # an overflow, in a direction alone or over a large noise variance too.
+    channels = tw.generate_channels(tw.SystemConfig(n1=2, n2=2, n_r=3), 0)
+    h1, h2 = np.stack([channels.h1r] * 4), np.stack([channels.h2r] * 4)
+    p1, p2, noise = [1.0, 1.7e308, 2.0, 1.5e308], [1.0, 1.7e308, 1e300, 1.0], [1.0, 1.0, 1e300, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = max_ma_strategies(h1, h2, p1, p2, noise)
+    assert found.reasons.tolist() == [None, "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW, None,
+                                      "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW]
+    assert found[1] is None and found[3] is None and not found.sweeps[[1, 3]].any()
+    for i in (0, 2):  # the other rows keep their bits
+        (alone,) = max_ma_strategies(h1[i:i + 1], h2[i:i + 1], p1[i], p2[i], noise[i])
+        _assert_same_bits(found[i], alone)
+        assert found[i].last_gain == alone.last_gain

@@ -1,8 +1,14 @@
 """Grid oracle: frozen examples, naive-scan equivalence, convergence."""
 
 import dataclasses
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 import twrelay as tw
@@ -243,3 +249,53 @@ def test_low_snr_boundary_pair_passes_the_budget_test():
     # The rates are about 1e-6 nats, so also relative to the rate and the budget.
     assert abs(cert.best_rate - sol.sum_rate_tw) <= 1e-6 * cert.best_rate
     assert cert.min_power_at_best <= pr * (1.0 + 1e-9)
+
+
+# --- grid size and memory -------------------------------------------------------
+
+
+def test_grid_size_rule_raises_before_building_a_grid():
+    # A 1e308 W budget at 1e298 W steps asks for about 1e10 levels: numpy
+    # raised MemoryError ("Unable to allocate 74.5 GiB") on the grid.
+    rates = tw.SourceRates(1400.0, 700.0, 700.0)
+    with pytest.raises(ValueError, match="at most 10,000,000 levels per direction"):
+        tw.grid_certify(tw.synthetic_gains([2.0], [2.0]), rates, 1e308, 1e298)
+    with pytest.raises(ValueError, match="at most 10,000,000 levels per direction"):
+        tw.grid_certify(unit_gains(), rates, 2.0, 1e-12)
+    assert tw.oracle.MAX_GRID_LEVELS == 10**7
+
+
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+import twrelay as tw
+
+rng = np.random.default_rng(7)
+instances = []
+for _ in range(60):
+    a1, a2 = (np.sort(rng.uniform(0.2, 5.0, size=rng.integers(1, 4)))[::-1] for _ in range(2))
+    r1, r2 = rng.uniform(0.2, 2.0, size=2)
+    rates = tw.SourceRates(float(rng.uniform(0.5, 1.0) * (r1 + r2)), float(r1), float(r2))
+    instances.append((tw.synthetic_gains(a1, a2), rates, float(rng.uniform(2.0, 10.0))))
+for args in instances:  # warm-up pass
+    tw.grid_certify(*args, 1e-3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2):
+    for args in instances:
+        tw.grid_certify(*args, 1e-3)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / (2 * len(instances)))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's heap trimming")
+def test_warm_certify_calls_keep_the_heap_mapped():
+    """grid_certify's per-level columns are rows of one block, its largest
+    allocation, so glibc's dynamic trim threshold (twice the largest freed
+    mmapped chunk) stays above the call's working set and the heap is not
+    trimmed and faulted back in on every call: this loop read about 118
+    minor faults per call when each column was an array of its own."""
+    paths = [str(Path(tw.__file__).parents[1]), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_CALL], env=env, capture_output=True, text=True,
+                         check=True)
+    assert float(out.stdout) < 20

@@ -554,6 +554,14 @@ def test_cli_exit_code_on_negative_relay_budget_sweep(tmp_path, capsys):
     assert len(_read_csv(out)) > 0
 
 
+def test_cli_exit_code_on_a_grid_beyond_the_grid_size_rule(capsys):
+    # A 1e-12 W resolution asks for about 1e12 grid levels a direction: a
+    # config error (exit 2) with the rule's message, not an internal one.
+    for scenario in ("single", "prmax-sweep"):
+        assert main(["--scenario", scenario, "--certify", "--resolution", "1e-12", "--deterministic"]) == 2
+        assert "at most 10,000,000 levels per direction" in capsys.readouterr().err
+
+
 def test_parse_args_carries_nothing_between_calls():
     # One parser serves every call in the process: a flag given once must
     # not reappear in a later parse that omits it.
