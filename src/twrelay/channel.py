@@ -54,8 +54,8 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.n1, self.n2, self.n_r) < 1:
-            raise ValueError("antenna counts must be >= 1")
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (self.n1, self.n2, self.n_r)):
+            raise ValueError("antenna counts must be integers >= 1")
         _checked((self.sigma1_sq, self.sigma2_sq, self.sigmar_sq), "noise variances", sys.float_info.min)
         _checked((self.p1_max, self.p2_max, self.pr_max), "power budgets")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):

@@ -57,11 +57,11 @@ construction, so the engine does not PSD-check them: the PSD rule is
 checked only by strategy_from_covariances, the one entry point that takes
 covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2,
 or a direction's tr(H^H H) times its budget, alone or over sigma_r^2,
-would overflow a sweep (checked once, on entry), whose
-interference-plus-noise matrix does not factor, or whose rates come out
-inconsistent or overflow the float range, leaves the stack without a
-strategy. Uplinks, budgets, noise variances and rates are converted at
-entry through waterfill._checked, each by its own rule.
+passes a quarter of the float range leaves the stack on entry: the one
+overflow rule of the engine, which bounds every later H D H^H / sigma_r^2.
+So does one whose interference-plus-noise matrix does not factor, or whose
+rates come out inconsistent. Uplinks, budgets, noise variances and rates
+are converted at entry through waterfill._checked, each by its own rule.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from numpy.linalg import _umath_linalg
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import _checked, _level, _powers, _prepared
+from .waterfill import _checked, _level, _per_instance, _powers, _prepared
 
 __all__ = [
     "SourceRates",
@@ -234,15 +234,14 @@ def logdet_identity_plus(s: np.ndarray) -> float:
     return float(_logdet_identity_plus(_hermitian(np.asarray(s)[np.newaxis]))[0])
 
 
-def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
-    """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N),
-    and which pairs overflow (None if none does).
+def _pair_rates(pairs: list, sig: np.ndarray) -> np.ndarray:
+    """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N).
 
     `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
     (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
-    groups' rows in order. The pairs are not PSD-checked: the caller
-    vouches for them. The n_r x n_r log-dets run once over all groups. A
-    pair whose H D H^H / sigma_r^2 overflows the float range has no rates.
+    groups' rows in order. The caller vouches that the pairs are PSD and
+    that their H D H^H / sigma_r^2 is within a quarter of the float range.
+    The n_r x n_r log-dets run once over all groups.
     """
     # S1 + S2, S1 and S2 of every pair, each group's written in place.
     s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
@@ -252,18 +251,9 @@ def _pair_rates(pairs: list, sig: np.ndarray) -> tuple:
             h = pair[2 * slot - 2]
             s[slot, r] = h @ _hermitian(pair[2 * slot - 1]) @ _ct(h)
     np.add(s[1], s[2], out=s[0])
-    try:
-        with np.errstate(over="raise"):
-            s /= sig
-            s = _hermitian(s)
-        overflow = None
-    except FloatingPointError:  # a tiny sigma_r^2; s holds the whole quotient
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = _hermitian(s)
-        overflow = ~np.logical_and.reduce(np.isfinite(s), axis=(0, 2, 3))
-        s[:, overflow] = 0.0  # factored in place of the overflowing pairs
+    s /= sig
     # The three stacks in one call; each matrix is factored alone.
-    return _logdet_identity_plus(s.reshape(-1, *s.shape[2:])).reshape(3, -1), overflow
+    return _logdet_identity_plus(_hermitian(s).reshape(-1, *s.shape[2:])).reshape(3, -1)
 
 
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
@@ -290,12 +280,9 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
                 if eig.min() < -PSD_TOL * np.abs(eig).max():
                     raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
             pair = h1r[np.newaxis], d1[np.newaxis], h2r[np.newaxis], d2[np.newaxis]
-            rates, overflow = _pair_rates([pair], sig)
+            r_ma, r_bar_1r, r_bar_2r = _pair_rates([pair], sig)[:, 0]
     except FloatingPointError:
-        overflow = True
-    if overflow is not None:
-        raise ValueError(_OVERFLOW)
-    r_ma, r_bar_1r, r_bar_2r = rates[:, 0]
+        raise ValueError(_OVERFLOW) from None
     return SourceStrategy(d1=d1, d2=d2, r_ma=r_ma, r_bar_1r=r_bar_1r, r_bar_2r=r_bar_2r)
 
 
@@ -372,6 +359,8 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     uplinks, totals, starts = [], [], [0]
     for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
         pair = tuple(np.ascontiguousarray(_checked(h, "uplinks", None, dtype=complex)) for h in (h1r, h2r))
+        if pair[0].ndim != 3 or pair[1].ndim != 3 or len(pair[0]) != len(pair[1]):
+            raise ValueError("uplinks must be 3-D stacks with the same N in h1r and h2r")
         totals.append(np.vdot(pair[0], pair[0]).real + np.vdot(pair[1], pair[1]).real)  # tr(H1^H H1) + tr(H2^H H2)
         uplinks.append(pair)
         starts.append(starts[-1] + len(pair[0]))
@@ -379,7 +368,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         raise ValueError("every uplink must have the same n_r rows")
     # Each value is checked before it is broadcast over its group: every budget, then every noise variance.
     p1, p2, sig = (
-        np.concatenate([np.zeros(len(h1)) + _checked(group[k], name, floor) for (h1, _), group in zip(uplinks, groups)])
+        np.concatenate([_per_instance(group[k], len(h1), name, floor) for (h1, _), group in zip(uplinks, groups)])
         for k, name, floor in ((2, "power budgets", 0.0), (3, "power budgets", 0.0),
                                (4, "the relay noise variance", sys.float_info.min))
     )
@@ -462,16 +451,13 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
             j = np.flatnonzero(sweeps[start:end])
             if j.size:
                 pairs.append((h1[j], d1[j], h2[j], d2[j]))
-        pair, overflow = _pair_rates(pairs, sig_all[k])
-        r_ma, r1, r2 = rates[:, k] = pair
+        r_ma, r1, r2 = rates[:, k] = _pair_rates(pairs, sig_all[k])
         # r_ma is at least either single-user rate and at most their sum;
         # beyond round-off, the log-dets have lost their accuracy.
         valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
         failure[k] = None
         if np.count_nonzero(valid) < len(k):
             failure[k[~valid]] = _UNRELIABLE
-        if overflow is not None:
-            failure[k[overflow]] = _STOPPED + _OVERFLOW
     dropped = np.not_equal(failure, None)
     rates[:, dropped] = 0.0
     rates = _valid_rates(rates)
@@ -493,12 +479,13 @@ def max_ma_strategies(h1r, h2r, p1_max, p2_max, sigmar_sq) -> SourceStrategies:
     the trial): one still improving after MAX_SWEEPS sweeps, one whose
     interference-plus-noise matrix is numerically singular, one whose rates
     break max(r_bar_1r, r_bar_2r) <= r_ma <= r_bar_1r + r_bar_2r beyond
-    round-off, or one whose H D H^H / sigma_r^2, or a sweep's G^H G,
-    overflows the float range.
+    round-off, or one whose budgets and uplinks would overflow a sweep
+    (dropped on entry).
     The sum rate is nondecreasing across sweeps and the fixed point
     satisfies both users' single-user optimality conditions. Raises
     ValueError on a non-finite uplink, a negative or non-finite budget or a
-    noise variance that is non-finite or below sys.float_info.min.
+    noise variance that is non-finite or below sys.float_info.min, and on
+    any of them of another shape (waterfill._per_instance for the numbers).
     """
     return max_ma_strategy_groups([(h1r, h2r, p1_max, p2_max, sigmar_sq)])[0]
 

@@ -31,8 +31,8 @@ column of a call is a row of one float block sized from the axes, filled
 in place (ufunc out=, the water-fill cores' out, or a copy). The block is
 the call's largest allocation, so glibc's dynamic trim threshold, twice
 the largest freed mmapped chunk, stays above the call's working set: with
-one array per column the heap was trimmed after every call and faulted
-back in on the next.
+one array per column the heap would be trimmed after every call and
+faulted back in on the next.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import TwrelayError
 from .ma_phase import SourceRates
-from .waterfill import (_POSITIVE, _WIDE_PRODUCT, _budget_bound, _checked, _exp_level, _level, _power, _prepared,
-                        _rate, _split_rate, gain_table)
+from .waterfill import (_POSITIVE, _budget_bound, _checked, _exp_level, _level, _power, _prepared, _rate_core,
+                        gain_table)
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -154,10 +154,8 @@ def grid_certify(
     block = np.empty((12, max(n1, n2)))
     p1, r1, m1, spare, comp_level, comp_rate, boundary_rtw = block[:7, :n1]
     m2 = block[7, :n2]
-    # The levels are at most the full-budget ones; past _WIDE_PRODUCT a
-    # gain times a level may overflow, and _split_rate keeps rate_of_level's bits.
-    wide = max(float(axis1[-1]) * float(gains.alpha1[0]), float(axis2[-1]) * float(gains.alpha2[0])) > _WIDE_PRODUCT
-    rate = _split_rate if wide else _rate
+    # The levels are at most the full-budget ones, the axes' last.
+    rate = _rate_core((axis1[-1], gains.alpha1[0]), (axis2[-1], gains.alpha2[0]))
     _power(prep1[0], axis1, out=p1)
     rate(gains.alpha1, axis1, out=r1)
     np.minimum(r1, strategy.r_bar_2r, out=m1)

@@ -42,11 +42,11 @@ rate_of_level call inside it, though the ledger does not read the rate)
 and prepares the batch's gain table for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
 engine's forward passes, rates, power sums and per-subchannel powers run
-through waterfill's unchecked cores (the rates by its overflow rule where
-a level times a gain may pass the float range). Inputs are checked once,
+through waterfill's unchecked cores (the rate core waterfill._rate_core
+picks from the largest level and gain). Inputs are checked once,
 on entry: a SourceRates by its own constructor, so its floats go straight
 into the targets; rate columns and other rate objects by SourceRates'
-rule; then the rate order; budgets by waterfill._checked.
+rule; then the rate order; budgets by waterfill._per_instance.
 
 Branch tests allow a slack so that exact-tie instances do not chatter
 between paths. Level and power comparisons allow TIE_TOL times the
@@ -64,8 +64,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
-from .waterfill import (_QUIET, _WIDE_PRODUCT, _arange, _budget_bound, _checked, _level, _power, _powers, _prepare,
-                        _rate, _split_rate, gain_table, inverse_waterfill)
+from .waterfill import (_QUIET, _arange, _budget_bound, _checked, _level, _per_instance, _power, _powers, _prepare,
+                        _rate_core, gain_table, inverse_waterfill)
 
 __all__ = [
     "RelativeLevels",
@@ -260,13 +260,6 @@ def _targets(rates) -> np.ndarray:
     return np.array(rows).reshape(-1, 5).T
 
 
-def _budgets(pr_max, n: int) -> np.ndarray:
-    pr = np.zeros(n) + _checked(pr_max, "pr_max")
-    if pr.shape != (n,):
-        raise ValueError("pr_max must be one budget, or one per instance")
-    return pr
-
-
 @_QUIET
 def _ledger(gains, targets) -> tuple:
     """The batch's prepared gains and what the engine reads of each instance.
@@ -303,7 +296,7 @@ def _ledger(gains, targets) -> tuple:
 
 def relative_levels(gains: SubchannelGains, strategy: SourceRates, pr_max: float) -> RelativeLevels:
     """Convert the three rate ceilings and the budget into water levels."""
-    pr = _budgets(pr_max, 1)
+    pr = _per_instance(pr_max, 1, "pr_max", noun="budget")
     _, _, pooled, levels, *_ = _ledger([gains], _targets([strategy]))
     cap1, cap2, mu_ma = levels[:3, 0].tolist()
     lam = _level(pooled, pr)
@@ -382,7 +375,7 @@ def _solve(gains, rates, pr_max) -> tuple:
         raise InvalidStrategyError("r_ma cannot exceed r_bar_1r + r_bar_2r")
     if np.count_nonzero(r_ma < np.maximum(r1, r2) - 1e-12):
         raise InvalidStrategyError("r_ma cannot be below either single-user rate")
-    pr = _budgets(pr_max, n)
+    pr = _per_instance(pr_max, n, "pr_max", noun="budget")
     (a1, a2, pooled), prepared, pooled_prepared, levels, held, p_bar_ma, _, slack = _ledger(gains, targets)
 
     # Step 1 on the pooled gains, and step 4 for either order: only the
@@ -391,8 +384,7 @@ def _solve(gains, rates, pr_max) -> tuple:
     fills = _level(prepared, np.maximum(pr - held, 0.0).reshape(-1)).reshape(3, n)
     chosen, code = _steps_3_to_5(fills, levels, slack)
     # Every later level, the consumed power's pooled one too, is within the slack of the largest chosen one.
-    wide = float(np.maximum.reduce(chosen, axis=None)) * float(np.maximum.reduce(pooled[:, 0])) > _WIDE_PRODUCT
-    rate = _split_rate if wide else _rate
+    rate = _rate_core((np.maximum.reduce(chosen, axis=None), np.maximum.reduce(pooled[:, 0])))
 
     # Step 6, then step 7 where the broadcast rate sum overshoots r_ma.
     lv, mu_ma = chosen[:, 0], levels[2]

@@ -46,7 +46,8 @@ _power and _powers, which callers that checked their inputs at entry call
 directly, with the same bits. The cores reduce through the ufuncs
 (np.add.reduce, not ndarray.sum, whose Python wrapper adds a fixed cost to
 every call on these small arrays). The rates' overflow rule is one core,
-_split_rate, which rate_of_level and the relay engine share (see each).
+_split_rate. _rate_core picks it or _rate for a whole call of the relay
+engine or the oracle; rate_of_level falls back on it (see each).
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ _WIDE_PRODUCT = sys.float_info.max / 2  # gain * level past it may overflow (a m
 _POSITIVE = math.ulp(0.0)  # the least positive float: the floor of a rule that asks for positive values
 _RULES = {None: "finite", 0.0: "finite and nonnegative", _POSITIVE: "finite and positive",
           sys.float_info.min: "finite and at least sys.float_info.min"}
-# Ignores padded cells' 1/0, ln 0 and inf - inf; as a decorator, one errstate per call.
-_QUIET = np.errstate(divide="ignore", invalid="ignore")
+# Ignores padded cells' 1/0, ln 0 and inf - inf, and the 1/alpha past the float range of a gain
+# below 1/float max, which is as inert as a padded cell; as a decorator, one errstate per call.
+_QUIET = np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True, eq=False)  # arrays inside: compared and hashed by identity
@@ -184,6 +186,12 @@ def _split_rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = N
     return np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis, out=out)
 
 
+def _rate_core(*pairs):
+    """The rate core of a call whose every level * gain is bounded by one (level, gain) pair's product:
+    _split_rate if the largest passes _WIDE_PRODUCT, else _rate (Python floats: inf, not a warning)."""
+    return _split_rate if max(float(level) * float(gain) for level, gain in pairs) > _WIDE_PRODUCT else _rate
+
+
 def _power(inv: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """power_of_level over prepared inverse gains, unconverted."""
     inv, level, axis = _by_subchannel(inv, level)
@@ -198,7 +206,7 @@ def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
 def _exp_level(prepared: tuple, target: np.ndarray) -> np.ndarray:
     """inverse_level over a table prepared with `log`, unchecked targets."""
     log_level = _level(prepared, target)
-    if np.maximum.reduce(log_level, axis=None) > _MAX_LOG_LEVEL:
+    if np.maximum.reduce(log_level, axis=None, initial=-np.inf) > _MAX_LOG_LEVEL:
         raise ValueError("target_rate needs a water level beyond the float range")
     return np.exp(log_level)
 
@@ -226,6 +234,15 @@ def _checked(values, name: str, floor: float | None = 0.0, error: type = ValueEr
     return values
 
 
+def _per_instance(values, n: int, name: str, floor: float | None = 0.0, noun: str = "value") -> np.ndarray:
+    """_checked `values`, one or one per instance, as a new (n,) array; raises
+    ValueError(f"{name} must be one {noun}, or one per instance") on any other shape."""
+    values = _checked(values, name, floor)
+    if values.ndim > 1 or values.size not in (1, n):
+        raise ValueError(f"{name} must be one {noun}, or one per instance")
+    return np.zeros(n) + values
+
+
 @np.errstate(over="ignore")  # +inf past the float maximum: nothing finite overspends such a budget
 def _budget_bound(budget):
     """The budget plus the relative 1e-12 every budget test grants for round-off."""
@@ -240,7 +257,8 @@ def rate_of_level(gains, level):
     active when alpha(k) * level > 1, and where that product overflows the
     term is ln alpha(k) + ln level (_split_rate). Accepts a scalar or array
     of levels for a list, or (..., N) levels for a table, and returns a
-    matching shape. Nondecreasing in the level.
+    matching shape. Nondecreasing in the level. A public kernel, it falls back on an overflow:
+    _rate_core's two reductions would cost every call, and every N=1 solve makes one.
     """
     gains, level = np.asarray(gains, dtype=float), np.asarray(level, dtype=float)
     try:
@@ -256,7 +274,7 @@ def power_of_level(gains, level):
     array of levels for a list, or (..., N) levels for a table. Piecewise
     linear, convex, nondecreasing in the level.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         inv = 1.0 / np.asarray(gains, dtype=float)
     return _out(_power(inv, np.asarray(level, dtype=float)))
 
@@ -269,7 +287,7 @@ def powers_of_level(gains, level) -> np.ndarray:
     padded cell gets zero power; a row with no positive gain, whose level
     is +inf, gets NaN powers.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _powers(1.0 / np.asarray(gains, dtype=float), np.asarray(level))
 
 

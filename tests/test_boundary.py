@@ -214,3 +214,79 @@ def test_rate_of_level_keeps_its_bits_on_finite_products_and_splits_the_log_on_o
         gains = np.sort(np.exp(rng.uniform(-5.0, 690.0, size=4)))[::-1]
         level = np.exp(rng.uniform(-5.0, 709.0 - np.log(gains[0]), size=40))
         assert waterfill.rate_of_level(gains, level).tobytes() == waterfill._rate(gains, level).tobytes()
+
+
+# --- shapes ---------------------------------------------------------------------
+
+UPLINK_SHAPE_RULE = "uplinks must be 3-D stacks with the same N in h1r and h2r"
+
+
+def _stack(h, n):
+    return np.repeat(h, n, axis=0)
+
+
+# Entry point -> (a call with uplinks, a budget or a noise variance of the wrong shape, its rule's message).
+SHAPE_ENTRIES = {
+    "h1r-1-h2r-3": (lambda: tw.max_ma_strategies(H1R, _stack(H2R, 3), 1.0, 1.0, 1.0), UPLINK_SHAPE_RULE),
+    "h1r-3-h2r-1": (lambda: tw.max_ma_strategies(_stack(H1R, 3), H2R, 1.0, 1.0, 1.0), UPLINK_SHAPE_RULE),
+    "h1r-2-h2r-3": (lambda: tw.max_ma_strategies(_stack(H1R, 2), _stack(H2R, 3), 1.0, 1.0, 1.0),
+                    UPLINK_SHAPE_RULE),
+    "h1r-2-D": (lambda: tw.max_ma_strategies(CHANNELS.h1r, H2R, 1.0, 1.0, 1.0), UPLINK_SHAPE_RULE),
+    "groups-h2r-2-D": (lambda: tw.max_ma_strategy_groups([(H1R, H2R, 1.0, 1.0, 1.0),
+                                                          (H1R, CHANNELS.h2r, 1.0, 1.0, 1.0)]), UPLINK_SHAPE_RULE),
+    "budget-2-for-3": (lambda: tw.max_ma_strategies(_stack(H1R, 3), _stack(H2R, 3), [1.0, 2.0], 1.0, 1.0),
+                       "power budgets must be one value, or one per instance"),
+    "budget-1x3": (lambda: tw.max_ma_strategies(_stack(H1R, 3), _stack(H2R, 3), 1.0, [[1.0, 2.0, 3.0]], 1.0),
+                   "power budgets must be one value, or one per instance"),
+    "noise-2-for-3": (lambda: tw.max_ma_strategies(_stack(H1R, 3), _stack(H2R, 3), 1.0, 1.0, [1.0, 2.0]),
+                      "the relay noise variance must be one value, or one per instance"),
+    "optimize_many-3-for-2": (lambda: tw.optimize_many([GAINS] * 2, [RATES] * 2, [1.0, 2.0, 3.0]),
+                              "pr_max must be one budget, or one per instance"),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPE_ENTRIES)
+def test_every_batch_entry_point_raises_its_shape_rule(entry):
+    # A ValueError with the rule's message, not an IndexError, a TypeError
+    # or numpy's broadcast error.
+    call, message = SHAPE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_inverse_kernels_take_no_targets_as_the_forward_ones_take_no_budgets():
+    assert waterfill.inverse_level(GAINS.alpha1, np.array([])).shape == (0,)
+    found = waterfill.inverse_waterfill(GAINS.alpha1, np.array([]))
+    assert found.level.shape == found.rate.shape == found.total_power.shape == (0,)
+    assert found.powers.shape == (0, GAINS.alpha1.size)
+
+
+# --- gains below 1 / float max ---------------------------------------------------
+
+TINY_GAIN = 1e-310  # its 1/alpha is past the float range, as a padded cell's 1/0 is
+
+
+def _solution(sol):
+    return (sol.level1, sol.level2, sol.powers1[:1].tolist(), sol.powers2.tolist(), sol.consumed_power,
+            sol.sum_rate_tw, sol.bc_rates, sol.step_trace, sol.efficient, sol.source_waste)
+
+
+# Entry point -> what it returns on gains, its rows' powers on the first gain cut to that gain.
+INERT_ENTRIES = {
+    "forward_level": lambda g: waterfill.forward_level(g.alpha1, 1.0),
+    "power_of_level": lambda g: waterfill.power_of_level(g.alpha1, 2.0),
+    "powers_of_level": lambda g: waterfill.powers_of_level(g.alpha1, 2.0)[:1].tolist(),
+    "inverse_waterfill": lambda g: (lambda a: (a.level, a.powers[:1].tolist(), a.rate, a.total_power))(
+        waterfill.inverse_waterfill(g.alpha1, 0.3)),
+    "optimize": lambda g: [_solution(tw.optimize(g, RATES, pr)) for pr in (0.1, 1.0, 3.0, 10.0)],
+    "grid_certify": lambda g: tw.grid_certify(g, RATES, 3.0, 1e-2),
+    "thresholds": lambda g: tw.thresholds(g, tw.relative_levels(g, RATES, 3.0), RATES),
+}
+
+
+@pytest.mark.parametrize("entry", INERT_ENTRIES)
+def test_a_gain_below_one_over_the_float_maximum_is_inert_like_a_padded_cell(entry):
+    # No RuntimeWarning (an error under pytest, pyproject.toml), and what
+    # the instance without that gain gives.
+    call = INERT_ENTRIES[entry]
+    assert call(tw.synthetic_gains([1.0, TINY_GAIN], [2.0])) == call(tw.synthetic_gains([1.0], [2.0]))

@@ -227,3 +227,12 @@ def test_gains_are_read_only_copies_of_the_callers_arrays():
     cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, seed=7)
     decomposed = tw.decompose(tw.generate_channels(cfg, 0), cfg)
     assert decomposed.v1.flags.f_contiguous and not decomposed.v1.flags.writeable
+
+
+def test_config_rejects_antenna_counts_that_are_not_integers_of_at_least_one():
+    # The seed's integer rule: a float count would fail only later, as a TypeError in generate_channels.
+    for bad in (1.5, 2.0, 0, -1, "2", None):
+        for counts in ({"n1": bad, "n2": 1, "n_r": 1}, {"n1": 1, "n2": bad, "n_r": 1}, {"n1": 1, "n2": 1, "n_r": bad}):
+            with pytest.raises(ValueError, match="^antenna counts must be integers >= 1$"):
+                tw.SystemConfig(**counts)
+    tw.generate_channels(tw.SystemConfig(n1=np.int64(2), n2=1, n_r=3), 0)

@@ -556,14 +556,16 @@ def test_groups_must_share_n_r():
 
 
 def test_rows_whose_rates_overflow_drop_out_alone():
-    # At sigma^2 = 1e-300 a 1e10 W budget converges, but H D H^H / sigma^2 is
-    # beyond the float range: those rows drop out with that reason, and only they.
+    # At sigma^2 = 1e-300 a 1e10 W budget times an uplink's trace passes a
+    # quarter of the float range over sigma^2: those rows drop out on entry,
+    # before the first sweep, with the overflow reason, and only they.
     channels = [tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=seed), 0) for seed in range(3)]
     h1, h2 = np.stack([ch.h1r for ch in channels]), np.stack([ch.h2r for ch in channels])
     budgets = [1e10, 1.0, 1e10]
     groups = [(h1, h2, budgets, budgets, 1e-300), (h1, h2, 1.0, 1.0, 1.0)]
     tiny, healthy = _assert_groups_match_alone(groups)
     assert tiny.reasons[0] == tiny.reasons[2] == "iterative water-filling stopped: " + tw.ma_phase._OVERFLOW
+    assert tiny.sweeps[0] == tiny.sweeps[2] == 0
     assert (healthy.sweeps >= 1).all()
     # The row that does not overflow has the bits it has in a call where nothing overflows.
     (alone,) = max_ma_strategies(h1[1:2], h2[1:2], 1.0, 1.0, 1e-300)
@@ -663,3 +665,36 @@ def test_rows_whose_budget_overflows_a_sweep_drop_out_without_a_warning():
         (alone,) = max_ma_strategies(h1[i:i + 1], h2[i:i + 1], p1[i], p2[i], noise[i])
         _assert_same_bits(found[i], alone)
         assert found[i].last_gain == alone.last_gain
+
+
+def test_budgets_within_the_entry_bound_never_overflow_a_sweep_or_the_rates():
+    # The entry rule is the engine's one overflow rule: a row whose
+    # direction's tr(H^H H) times budget is within a quarter of the float
+    # range times min(sigma^2, 1) converges or drops as singular, under
+    # warnings-as-errors, and just past that bound drops on entry. Each
+    # budget is (float max / 4) * u, never u * float max, which overflows.
+    rng = np.random.default_rng(2024)
+    quarter = sys.float_info.max / 4
+    reasons = set()
+    for _ in range(200):
+        n1, n2, n_r = (int(v) for v in rng.integers(1, 5, size=3))
+        channels = tw.generate_channels(tw.SystemConfig(n1=n1, n2=n2, n_r=n_r, seed=int(rng.integers(1e6))), 0)
+        h1, h2 = channels.h1r[np.newaxis], channels.h2r[np.newaxis]
+        sigma_sq = 10.0 ** rng.uniform(-300.0, -3.0)
+        traces = [float(np.vdot(h, h).real) for h in (h1, h2)]
+        p1, p2 = (quarter * (u * sigma_sq / t) for u, t in zip(rng.uniform(0.5, 0.99, size=2), traces))
+        past = quarter * (1.01 * sigma_sq / traces[0]), quarter * (1.01 * sigma_sq / traces[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = max_ma_strategies(h1, h2, p1, p2, sigma_sq)
+            beyond = max_ma_strategies(np.repeat(h1, 2, 0), np.repeat(h2, 2, 0), [past[0], p1], [p2, past[1]],
+                                       sigma_sq)
+        reason = found.reasons[0]
+        reasons.add(reason if reason is None else reason.split(": ")[1][:30])
+        if reason is None:
+            assert np.isfinite(found.rates).all() and found.sweeps[0] >= 1
+        else:
+            assert "singular" in reason
+        assert beyond.reasons.tolist() == ["iterative water-filling stopped: " + tw.ma_phase._OVERFLOW] * 2
+        assert not beyond.sweeps.any()
+    assert None in reasons and len(reasons) == 2  # both outcomes are reached

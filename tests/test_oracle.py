@@ -251,6 +251,18 @@ def test_low_snr_boundary_pair_passes_the_budget_test():
     assert cert.min_power_at_best <= pr * (1.0 + 1e-9)
 
 
+def test_broadcast_rates_past_the_float_range_take_the_overflow_rule():
+    # 710 nats a direction on a gain of 1e10: at the full-budget levels a
+    # gain times a level passes the float maximum, so the grid's rates take
+    # the overflow rule (waterfill._split_rate), finite and warning-free
+    # (pytest makes a RuntimeWarning an error), and meet the optimizer's.
+    gains, rates = tw.synthetic_gains([1e10], [1e10]), tw.SourceRates(1420.0, 710.0, 710.0)
+    cert = tw.grid_certify(gains, rates, 1e300, 1e295)
+    assert cert.best_rate == 710.0
+    assert cert.min_power_at_best == tw.optimize(gains, rates, 1e300).consumed_power == 4.4679895323233405e+298
+    assert np.isfinite(cert.baseline_bc_rates).all() and min(cert.baseline_bc_rates) > np.log(sys.float_info.max)
+
+
 # --- grid size and memory -------------------------------------------------------
 
 

@@ -444,6 +444,21 @@ def test_cli_single_prints_broadcast_rates_past_the_float_range(tmp_path):
     assert (row["bc_rate_1"], row["bc_rate_2"], row["bc_sum"], row["sum_rate_tw"]) == ("710", "710", "1420", "710")
 
 
+def test_cli_single_certifies_an_instance_with_a_gain_below_one_over_the_float_maximum(tmp_path):
+    # That gain's 1/alpha is past the float range: it is inert, as a padded
+    # cell is, so the run exits 0 with no RuntimeWarning and prints what the
+    # instance without it prints.
+    rows = []
+    for alpha1 in ([1.0, 1e-310], [1.0]):
+        inst, out = tmp_path / "instance.json", tmp_path / "out.csv"
+        inst.write_text(json.dumps({**ASYM_INSTANCE, "alpha1": alpha1}))
+        assert main(["--scenario", "single", "--instance", str(inst), "--certify", "--deterministic",
+                     "--out", str(out)]) == 0
+        (row,) = _read_csv(out)
+        rows.append({k: v for k, v in row.items() if k != "nr"})
+    assert rows[0] == rows[1]
+
+
 def test_cli_single_worked_instance(tmp_path):
     inst = tmp_path / "instance.json"
     inst.write_text(json.dumps(ASYM_INSTANCE))
