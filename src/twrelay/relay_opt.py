@@ -28,10 +28,11 @@ optimize_many runs the procedure on N instances at once, every branch a
 per-row mask or a row of one branch table, with one water-fill kernel
 call per stage for the whole batch (Palomar & Fonollosa, "Practical
 algorithms for a family of waterfilling solutions", IEEE T-SP 2005, for
-the exact finite-step kernels). It takes N SourceRates or their columns
-(a SourceStrategies' rates) and returns RelaySolutions, the solutions'
-columns, whose item i is a RelaySolution built on access; optimize builds
-its one row directly. One ledger derives the levels of a batch
+the exact finite-step kernels). It takes N SubchannelGains or their
+columns (a GainColumns), N SourceRates or their columns (a
+SourceStrategies' rates) and returns RelaySolutions, the solutions'
+columns, whose item i is a RelaySolution built on access; optimize
+builds its one row directly. One ledger derives the levels of a batch
 and what the engine reads besides: the powers of both directions at
 their caps, p_bar_ma, the case and the tie slack. optimize,
 relative_levels and thresholds are N=1 views of it and of the engine;
@@ -39,7 +40,8 @@ thresholds adds the pooled powers p_ma, p_l and p_s and p_t, which the
 engine never reads. The ledger finds the levels with the public
 inverse_waterfill (the benchmark's self-test pins that call, and the
 rate_of_level call inside it, though the ledger does not read the rate)
-and prepares the batch's gain table for the forward water-fill once
+and prepares the batch's gain table (the same table from a GainColumns
+as from the SubchannelGains of its rows) for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
 engine's forward passes, rates, power sums and per-subchannel powers run
 through waterfill's unchecked cores (the rate core waterfill._rate_core
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SubchannelGains
+from .channel import GainColumns, SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
 from .waterfill import (_QUIET, _arange, _budget_bound, _checked, _level, _per_instance, _power, _powers, _prepare,
@@ -260,6 +262,25 @@ def _targets(rates) -> np.ndarray:
     return np.array(rows).reshape(-1, 5).T
 
 
+def _gain_table(gains) -> tuple:
+    """The ledger's table of N instances' gains, five zero-padded blocks of N
+    rows (alpha1, alpha2, the pooled gains, alpha1, alpha2), and the widest
+    alpha1 and alpha2 list. Takes N SubchannelGains or their GainColumns,
+    from which it builds the same table: a pooled row is the row's two
+    lists merged and sorted descending, its padding last."""
+    if not isinstance(gains, GainColumns):
+        a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
+        return gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2), max(map(len, a1)), max(map(len, a2))
+    if np.count_nonzero(np.not_equal(gains.reasons, None)):
+        raise ValueError("gains must hold no dropped row")
+    k1, k2, k = (np.maximum.reduce(c) for c in (gains.counts1, gains.counts2, gains.counts1 + gains.counts2))
+    a1, a2 = gains.alpha1[:, :k1], gains.alpha2[:, :k2]
+    table = np.zeros((5, len(gains), k))
+    table[[0, 3], :, :k1], table[[1, 4], :, :k2] = a1, a2
+    table[2] = np.sort(np.concatenate((a1, a2), axis=1), axis=1)[:, ::-1][:, :k]
+    return table.reshape(-1, k), k1, k2
+
+
 @_QUIET
 def _ledger(gains, targets) -> tuple:
     """The batch's prepared gains and what the engine reads of each instance.
@@ -272,9 +293,7 @@ def _ledger(gains, targets) -> tuple:
     p_bar_ma, case_symmetric and the slack TIE_TOL / alpha_max, (N,) each.
     """
     n = len(gains)
-    a1, a2 = [g.alpha1 for g in gains], [g.alpha2 for g in gains]
-    table = gain_table(a1 + a2 + [g.pooled for g in gains] + a1 + a2)
-    k1, k2 = max(map(len, a1)), max(map(len, a2))
+    table, k1, k2 = _gain_table(gains)
     blocks = table[:n, :k1], table[n : 2 * n, :k2], table[2 * n : 3 * n]
     ceilings = inverse_waterfill(table, targets.reshape(-1))
     levels = ceilings.level.reshape(5, n)
@@ -334,7 +353,8 @@ def _steps_3_to_5(fills: np.ndarray, levels: np.ndarray, slack: np.ndarray) -> t
 class RelaySolutions(Sequence):
     """N instances' relay solutions as columns: levels, bc_rates (2, N); powers1,
     powers2 (N, K) zero-padded; consumed_power, sum_rate_tw, efficient,
-    source_waste, step_codes (indices of the step paths) (N,); gains."""
+    source_waste, step_codes (indices of the step paths) (N,); gains, as
+    given (item i's SubchannelGains is built on access from a GainColumns)."""
 
     __slots__ = ("gains", "_columns", "levels", "powers1", "powers2", "consumed_power", "bc_rates",
                  "sum_rate_tw", "step_codes", "efficient", "source_waste")
@@ -426,16 +446,18 @@ def _solve(gains, rates, pr_max) -> tuple:
 def optimize_many(gains, rates, pr_max) -> RelaySolutions:
     """Run the seven-step allocation on N instances at once.
 
-    gains is a sequence of N SubchannelGains and rates N SourceRates or
-    their columns (3, N) r_ma, r_bar_1r, r_bar_2r (a SourceStrategies'
-    rates); pr_max is one budget (watts) for all or one per instance.
+    gains is a sequence of N SubchannelGains or their GainColumns (none
+    of its rows dropped), rates N SourceRates or their columns (3, N)
+    r_ma, r_bar_1r, r_bar_2r (a SourceStrategies' rates); pr_max is one
+    budget (watts) for all or one per instance. Columns give the bits of
+    their rows' SubchannelGains, without building them.
     Returns their RelaySolutions, whose item i is instance i's solution,
     equal bit for bit to the instance's own solve whenever every gain kind
     of the batch is narrower than 8 subchannels or the same width in every
     instance (see waterfill). Raises InvalidStrategyError if any instance's
     rates are invalid (r_ma above r_bar_1r + r_bar_2r or below either,
     beyond 1e-12 nats), and ValueError if any budget is negative or
-    non-finite or the lengths differ.
+    non-finite, the lengths differ or a GainColumns row was dropped.
 
     Steps: (1) water-fill the full budget on the pooled gains; (2) if some
     direction sits above its ceiling level, (3) clip the tighter direction

@@ -27,7 +27,9 @@ cost about 11 ms to create as frozen dataclasses and about 2 ms as
 NamedTuples.
 
 Each trial derives its own RNG stream from (seed, trial index), so any
-execution order produces identical output. CSV output is byte-stable for a
+execution order produces identical output; the asymmetry study draws each
+trial's stream once for all its antenna splits (channel.draw_normals) and
+decomposes and solves them as stacks and columns. CSV output is byte-stable for a
 fixed spec; the only non-deterministic line is a leading timestamp comment,
 suppressed by --deterministic. Floats are serialized with 12 significant
 digits. Rates are in nats: sum_rate_tw columns carry the 1/2 two-slot
@@ -57,9 +59,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
+    GainColumns,
     SubchannelGains,
     SystemConfig,
+    cut_channels,
     decompose,
+    decompose_groups,
+    draw_normals,
     generate_channels,
     synthetic_gains,
 )
@@ -83,8 +89,9 @@ __all__ = [
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
 # The asymmetry study runs its cells in blocks of at most this many, each
-# through the MA phase and then the relay optimizer in one call apiece, so
-# a long study keeps memory bounded.
+# through the MA phase and then the relay optimizer in one call apiece, and
+# decomposes its trials a fifth as many at a time, so a long study keeps
+# memory bounded.
 STUDY_BATCH_CELLS = 4096
 
 
@@ -293,60 +300,94 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     splits cover five evenly spaced fractions of the fixed power total.
     Channel realizations are reused across power splits within an antenna
     split, so cells differ only in what they must. A trial whose downlink
-    is rank zero or whose gains overflow counts as skipped in every cell of
-    its antenna split, and a cell whose MA phase finds no strategy (no
-    convergence, or a numerically singular or inaccurate instance) in its
-    own. The cells are drawn in record order, (n1, trial, power split), in
-    blocks of at most STUDY_BATCH_CELLS cells, and each block is one pass:
-    one max_ma_strategy_groups call, with one group per antenna split in
-    the block, then one optimize_many call on the block's cells that found
-    a strategy, their rates columns joined over the groups. The solved
-    cells stay columns in record order; each cell's aggregate is
-    np.add.reduce over its records in trial order, divided by their count:
-    the bits of np.mean.
+    is rank zero or whose gains overflow or underflow counts as skipped in
+    every cell of its antenna split, and a cell whose MA phase finds no
+    strategy (no convergence, or a numerically singular or inaccurate
+    instance) in its own.
+    The front end runs on stacks: one draw_normals row per trial serves
+    every antenna split, and the (antenna split, trial) rows are cut and
+    decomposed in record order, a chunk of at most STUDY_BATCH_CELLS / 5
+    rows at a time, with one decompose_groups call per chunk (one group
+    per antenna split in it); its GainColumns drop the rows decompose
+    would raise on. The drawn cells, in record order (n1, trial, power
+    split), run in blocks of at most STUDY_BATCH_CELLS cells, and each
+    block is one pass: one max_ma_strategy_groups call, with one group per
+    antenna split of each chunk in the block, its uplinks each trial's
+    rows repeated per power split, then one optimize_many call on the
+    gain columns of the block's cells that found a strategy, their rates
+    columns joined over the groups. The solved cells stay columns in
+    record order; each cell's aggregate is np.add.reduce over its records
+    in trial order, divided by their count: the bits of np.mean.
     """
     cfg = spec.config
     n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = np.linspace(0.1, 0.9, 5) * p_total
+    n_p, n_trials = len(p1_splits), spec.trials
     # Per solved cell in record order: n1, trial, power split, and the relay's
     # sum rate, consumed power and efficient.
     n1s, trials, splits, solved = [], [], [], [[], [], []]
 
-    def drawn_cells():
-        """(n1, trial, channels, gains, split) of each cell whose trial was drawn, in record order."""
-        for n1 in range(1, n_total):
-            base = dataclasses.replace(cfg, n1=n1, n2=n_total - n1)
-            for trial in range(spec.trials):
-                channels = generate_channels(base, trial)
-                try:
-                    gains = decompose(channels, base)
-                except (RankZeroError, ValueError):  # rank zero, or an overflowing gain
-                    continue
-                yield from ((n1, trial, channels, gains, split) for split in range(len(p1_splits)))
+    def chunks():
+        """Each chunk of (antenna split, trial) rows in record order: its splits'
+        channel stacks with their first trial, its gains (one decompose_groups
+        call) and its drawn cells' columns: gains row, n1, trial, power split."""
+        normals = draw_normals(cfg, range(n_trials))  # every antenna split reads a trial's normals
+        rows, size = (n_total - 1) * n_trials, max(1, STUDY_BATCH_CELLS // n_p)
+        for first in range(0, rows, size):
+            last, stacks = min(first + size, rows), {}
+            for n1 in range(first // n_trials + 1, (last - 1) // n_trials + 2):
+                lo, hi = max(first - (n1 - 1) * n_trials, 0), min(last - (n1 - 1) * n_trials, n_trials)
+                stacks[n1] = lo, cut_channels(normals[lo:hi], cfg.n_r, n1)
+            gains = decompose_groups([(channels.hr1, channels.hr2) for _, channels in stacks.values()],
+                                     cfg.sigma1_sq, cfg.sigma2_sq)
+            drawn = np.flatnonzero(np.equal(gains.reasons, None))
+            cell = np.arange(n_p * drawn.size)
+            row = drawn[cell // n_p]
+            n1, trial = np.divmod(first + row, n_trials)
+            yield stacks, gains, (row, n1 + 1, trial, cell % n_p)
 
-    stream = drawn_cells()
-    while block := list(itertools.islice(stream, STUDY_BATCH_CELLS)):
-        groups = [list(run) for _, run in itertools.groupby(block, key=lambda cell: cell[0])]
-        p1s = [p1_splits[[cell[4] for cell in group]] for group in groups]
-        found = max_ma_strategy_groups([
-            (np.array([cell[2].h1r for cell in group]), np.array([cell[2].h2r for cell in group]),
-             p1, p_total - p1, cfg.sigmar_sq)
-            for group, p1 in zip(groups, p1s)
-        ])
+    def solve(block):
+        """One pass over a block of chunk parts: one MA group per antenna split
+        of each part, the uplinks repeated per power split, then one optimize_many."""
+        groups = []
+        for stacks, _, (_, n1, trial, split) in block:
+            edges = [0, *(np.flatnonzero(n1[1:] != n1[:-1]) + 1).tolist(), len(n1)]
+            for start, end in zip(edges, edges[1:]):
+                lo, channels = stacks[n1.item(start)]
+                at, p1 = trial[start:end] - lo, p1_splits[split[start:end]]
+                groups.append((channels.h1r[at], channels.h2r[at], p1, p_total - p1, cfg.sigmar_sq))
+        found = max_ma_strategy_groups(groups)
         kept = np.concatenate([np.equal(strategies.reasons, None) for strategies in found])
-        cells = list(itertools.compress(block, kept))
+        parts, start = [], 0
+        for _, gains, (row, n1, trial, split) in block:
+            mine = kept[start : start + len(row)]
+            start += len(row)
+            parts.append(gains.take(row[mine]))
+            for column, values in ((n1s, n1), (trials, trial), (splits, split)):
+                column += values[mine].tolist()
         rates = np.concatenate([strategies.rates for strategies in found], axis=1)[:, kept]
-        sols = optimize_many([cell[3] for cell in cells], rates, cfg.pr_max)
-        for column, k in ((n1s, 0), (trials, 1), (splits, 4)):
-            column += [cell[k] for cell in cells]
+        sols = optimize_many(parts[0] if len(parts) == 1 else GainColumns.joined(parts), rates, cfg.pr_max)
         for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
             column += values.tolist()
-        del cells, sols  # this block's channels and gains go before the next block's MA phase
+
+    block, room = [], STUDY_BATCH_CELLS
+    for stacks, gains, cells in chunks():
+        start = 0
+        while start < len(cells[0]):
+            end = min(len(cells[0]), start + room)
+            block.append((stacks, gains, [column[start:end] for column in cells]))
+            room -= end - start
+            start = end
+            if not room:
+                solve(block)
+                block, room = [], STUDY_BATCH_CELLS
+    if block:
+        solve(block)
     # A cell's aggregates reduce its row of a C-contiguous (cells, count) table
     # of the cells with as many records, in trial order: numpy sums a
     # contiguous last axis pairwise from 8 terms on, as np.mean does.
-    cell = (np.array(n1s, dtype=int) - 1) * len(p1_splits) + np.array(splits, dtype=int)
-    done = np.bincount(cell, minlength=(n_total - 1) * len(p1_splits))
+    cell = (np.array(n1s, dtype=int) - 1) * n_p + np.array(splits, dtype=int)
+    done = np.bincount(cell, minlength=(n_total - 1) * n_p)
     order, values, sums = np.argsort(cell, kind="stable"), np.array(solved, dtype=float), np.zeros((3, done.size))
     for count in set(done.tolist()) - {0}:
         of = done == count

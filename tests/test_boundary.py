@@ -43,6 +43,7 @@ RATES = tw.SourceRates(r_ma=1.0, r_bar_1r=0.8, r_bar_2r=0.7)
 LEVELS = tw.relative_levels(GAINS, RATES, 1.0)
 LEDGER = tw.thresholds(GAINS, LEVELS, RATES)
 H1R, H2R = CHANNELS.h1r[np.newaxis], CHANNELS.h2r[np.newaxis]
+HR1, HR2 = CHANNELS.hr1[np.newaxis], CHANNELS.hr2[np.newaxis]
 D1, D2 = np.eye(1), np.eye(2)
 
 BUDGET_RULE = "must be finite and nonnegative"
@@ -66,6 +67,8 @@ NOISE_ENTRIES = {
     "max_ma_strategies": (lambda s: tw.max_ma_strategies(H1R, H2R, 1.0, 1.0, s), "the relay noise variance"),
     "strategy_from_covariances": (
         lambda s: tw.strategy_from_covariances(D1, D2, CHANNELS, s), "the relay noise variance"),
+    "decompose_many": (lambda s: tw.decompose_many(HR1, HR2, 1.0, s), "noise variances"),
+    "decompose_groups": (lambda s: tw.decompose_groups([(HR1, HR2)] * 2, [1.0, s], 1.0), "noise variances"),
     # The MA sum rate, and a single-user rate with the other covariance zero.
     "rate_ma": (lambda s: tw.strategy_from_covariances(D1, D2, CHANNELS, s).r_ma, "the relay noise variance"),
     "rate_bar": (lambda s: tw.strategy_from_covariances(0 * D1, D2, CHANNELS, s).r_bar_2r, "the relay noise variance"),
@@ -102,6 +105,10 @@ OUTSIDE_ENTRIES = {
                            "v1 must be finite"),
     "decompose": (lambda x: tw.decompose(_channels(hr1=_with(CHANNELS.hr1, x)), CONFIG), ValueError,
                   "hr1 must be finite"),
+    "decompose_many-hr2": (lambda x: tw.decompose_many(HR1, _with(HR2, x), 1.0, 1.0), ValueError,
+                           "hr2 must be finite"),
+    "decompose_groups-hr1": (lambda x: tw.decompose_groups([(HR1, HR2), (_with(HR1, x), HR2)], 1.0, 1.0),
+                             ValueError, "hr1 must be finite"),
     "relay_covariance": (lambda x: tw.relay_covariance(np.eye(1), [x]), ValueError,
                          "powers must be finite and nonnegative"),
     "synthetic_gains": (lambda x: tw.synthetic_gains([1.0], [2.0, x]), ValueError,

@@ -790,6 +790,43 @@ def test_optimize_many_takes_the_ma_phase_columns():
         tw.optimize_many(gains[:3], found.rates, 3.0)
 
 
+def _assert_same_columns(got, want):
+    """Two RelaySolutions hold the same columns, bit for bit, and items of the same solutions."""
+    for name in ("levels", "powers1", "powers2", "consumed_power", "bc_rates", "sum_rate_tw", "step_codes",
+                 "efficient", "source_waste"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    for i in (0, len(want) - 1):
+        _assert_same_solution(got[i], want[i])
+        assert all(getattr(got[i].gains, n).tobytes() == getattr(want[i].gains, n).tobytes()
+                   for n in ("alpha1", "alpha2", "v1", "v2"))
+
+
+@pytest.mark.parametrize("n_total, n_r", [(6, 6), (10, 10)])
+def test_optimize_many_takes_gain_columns_bit_for_bit(n_total, n_r):
+    # Every antenna split of a study in one call: at n_total = n_r = 10 the
+    # gain lists reach 8 or more, where the bits depend on which instances
+    # share a call; the columns give the table the SubchannelGains list gives.
+    cfg = tw.SystemConfig(n1=1, n2=n_total - 1, n_r=n_r, seed=104729)
+    normals = tw.draw_normals(cfg, range(4))
+    splits = [tw.cut_channels(normals, n_r, n1) for n1 in range(1, n_total)]
+    columns = tw.decompose_groups([(c.hr1, c.hr2) for c in splits], 1.0, 1.0)
+    gains = list(columns)
+    found = tw.max_ma_strategy_groups([(c.h1r, c.h2r, 2.0, 3.0, 1.0) for c in splits])
+    rates = np.concatenate([strategies.rates for strategies in found], axis=1)
+    assert (max(g.pooled.size for g in gains) >= 8) == (n_r >= 8) and len({g.alpha1.size for g in gains}) > 1
+    for pr in (3.0, np.linspace(0.1, 20.0, len(gains))):
+        sols = tw.optimize_many(columns, rates, pr)
+        assert sols.gains is columns and len(sols) == len(gains)
+        _assert_same_columns(sols, tw.optimize_many(gains, rates, pr))
+    part = np.array([5, 0, 17, 3])
+    _assert_same_columns(tw.optimize_many(columns.take(part), rates[:, part], 3.0),
+                         tw.optimize_many([gains[k] for k in part], rates[:, part], 3.0))
+    columns.reasons[1] = "downlink channel has no nonzero singular value"
+    with pytest.raises(ValueError, match="^gains must hold no dropped row$"):
+        tw.optimize_many(columns, rates, 3.0)
+
+
 def _split_group_of_study(n1, trials):
     """The MA-phase group of one asym-mc antenna split: n1 + n2 = 6, n_r = 6, P1 + P2 = 5 W."""
     cfg = tw.SystemConfig(n1=n1, n2=6 - n1, n_r=6, seed=104729)

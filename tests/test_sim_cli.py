@@ -246,9 +246,26 @@ def test_asymmetry_study_batch_bound_changes_no_record(monkeypatch, batch_cells)
         assert np.array(record[3:7]).tobytes() == np.array(want[3:7]).tobytes() and record == want
 
 
-def _reference_study_records(spec):
+def _drop_trial(monkeypatch, config, trial, reason):
+    """Mark `trial` of the antenna split of `config` as dropped, for `reason`, in the study's batched decomposition."""
+    hr1 = tw.generate_channels(config, trial).hr1
+    real = sim_cli.decompose_groups
+
+    def decompose_groups(groups, sigma1_sq, sigma2_sq):
+        gains = real(groups, sigma1_sq, sigma2_sq)
+        rows = [h for hr1s, _ in groups for h in hr1s]  # the rows of gains, in order
+        for i, h in enumerate(rows):
+            if h.shape == hr1.shape and np.array_equal(h, hr1):
+                gains.reasons[i] = reason
+        return gains
+
+    monkeypatch.setattr(sim_cli, "decompose_groups", decompose_groups)
+
+
+def _reference_study_records(spec, dropped=frozenset()):
     """The study's records as one max_ma_strategies call per antenna split, then one optimize_many
-    call per block of STUDY_BATCH_CELLS drawn cells in record order, on its cells that found a strategy."""
+    call per block of STUDY_BATCH_CELLS drawn cells in record order, on its cells that found a strategy.
+    Each (n1, trial) in `dropped` is a trial whose downlinks do not decompose."""
     cfg = spec.config
     n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
@@ -258,8 +275,10 @@ def _reference_study_records(spec):
         cells = []
         for trial in range(spec.trials):
             channels = tw.generate_channels(base, trial)
+            if (n1, trial) in dropped:
+                continue
             try:
-                gains = sim_cli.decompose(channels, base)
+                gains = tw.decompose(channels, base)
             except (tw.RankZeroError, ValueError):
                 continue
             cells += [(trial, channels, gains, p1) for p1 in p1_splits]
@@ -289,16 +308,10 @@ def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_
     monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", batch_cells)
     cfg = tw.SystemConfig(n1=5, n2=5, n_r=10, p1_max=2.5, p2_max=2.5, pr_max=3.0, seed=17)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
-    real = sim_cli.decompose
-
-    def decompose(channels, config):  # trial 2 of the n1 = 4 split is rank zero
-        if channels.hr1.shape[0] == 4 and np.array_equal(channels.hr1, tw.generate_channels(config, 2).hr1):
-            raise tw.RankZeroError("downlink channel has no nonzero singular value")
-        return real(channels, config)
-
-    monkeypatch.setattr(sim_cli, "decompose", decompose)
+    # Trial 2 of the n1 = 4 split is rank zero.
+    _drop_trial(monkeypatch, dataclasses.replace(cfg, n1=4, n2=6), 2, "downlink channel has no nonzero singular value")
     records, aggregates = run_asymmetry_study(spec)
-    assert records == _reference_study_records(spec)
+    assert records == _reference_study_records(spec, {(4, 2)})
     assert [(a["n1"], a["skipped"]) for a in aggregates if a["skipped"]] == [(4, 1)] * 5
     assert len({r.n1 for r in records}) == 9
 
@@ -309,14 +322,8 @@ def test_asymmetry_study_aggregates_are_np_mean_bit_for_bit(monkeypatch, trials)
     # np.mean of its records, in trial order, whatever its record count.
     cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=trials)
-    real = sim_cli.decompose
-
-    def decompose(channels, config):  # the last trial of the n1 = 2 split is rank zero
-        if config.n1 == 2 and np.array_equal(channels.hr1, tw.generate_channels(config, trials - 1).hr1):
-            raise tw.RankZeroError("downlink channel has no nonzero singular value")
-        return real(channels, config)
-
-    monkeypatch.setattr(sim_cli, "decompose", decompose)
+    # The last trial of the n1 = 2 split is rank zero.
+    _drop_trial(monkeypatch, cfg, trials - 1, "downlink channel has no nonzero singular value")
     records, aggregates = run_asymmetry_study(spec)
     assert [a["completed"] for a in aggregates] == [trials] * 5 + [trials - 1] * 5 + [trials] * 5
     for agg in aggregates:
@@ -380,15 +387,8 @@ def test_asymmetry_study_counts_an_overflowing_trial_like_a_rank_zero_one(monkey
     cfg = tw.SystemConfig(n1=2, n2=2, n_r=3, p1_max=1.0, p2_max=1.0, pr_max=1.5, seed=5)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=3)
     records, aggregates = run_asymmetry_study(spec)
-    dropped = tw.generate_channels(dataclasses.replace(cfg, n1=1, n2=3), 1)
-    real = tw.sim_cli.decompose
-
-    def decompose(channels, config):
-        if channels.hr1.shape == dropped.hr1.shape and np.array_equal(channels.hr1, dropped.hr1):
-            raise ValueError("alpha1 must be finite, strictly positive and sorted descending")
-        return real(channels, config)
-
-    monkeypatch.setattr(tw.sim_cli, "decompose", decompose)
+    _drop_trial(monkeypatch, dataclasses.replace(cfg, n1=1, n2=3), 1,
+                "alpha1 must be finite, strictly positive and sorted descending")
     patched, patched_aggs = run_asymmetry_study(spec)
     assert patched == [r for r in records if (r.trial, r.n1) != (1, 1)]
     for agg, before in zip(patched_aggs, aggregates, strict=True):
