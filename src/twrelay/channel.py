@@ -235,11 +235,6 @@ class GainColumns(Sequence):
         """The columns of `rows` (indices), in that order."""
         return GainColumns(*(getattr(self, name).take(rows, axis=0) for name in self.__slots__))
 
-    @staticmethod
-    def joined(parts: list) -> GainColumns:
-        """The parts' rows as one set of columns, in order; every part shares n_r."""
-        return GainColumns(*(np.concatenate([getattr(part, name) for part in parts]) for name in GainColumns.__slots__))
-
 
 _RANK_ZERO = "downlink channel has no nonzero singular value"
 _NOT_CONVERGED = "SVD did not converge"

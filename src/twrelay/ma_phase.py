@@ -35,10 +35,9 @@ all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
 n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
 eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
 gets no power), the log-det objective, the convergence and drop-out
-bookkeeping, and the converged pairs' n_r x n_r log-dets. numpy sums fewer
-than 8 terms one after another, so trailing zero terms keep a row's sum;
-from 8 terms on it sums pairwise, so an objective table 8 or more wide is
-summed over each group's own width. On one group, the sweeps join no
+bookkeeping, and the converged pairs' n_r x n_r log-dets. The objective
+adds each row's terms one after another (waterfill._sum), so trailing zero
+terms keep a row's sum at any width. On one group, the sweeps join no
 stacks. The sweeps call the LAPACK gufuncs behind np.linalg's
 cholesky, solve and eigh directly (numpy.linalg._umath_linalg), with the
 same bits and none of the wrappers' per-call cost; a factorization that
@@ -80,7 +79,7 @@ from numpy.linalg import _umath_linalg
 
 from .channel import ChannelSet, SystemConfig
 from .errors import InvalidStrategyError, NonPSDError, NoConvergenceError
-from .waterfill import _checked, _level, _per_instance, _powers, _prepared
+from .waterfill import _checked, _level, _per_instance, _powers, _prepared, _sum
 
 __all__ = [
     "SourceRates",
@@ -182,7 +181,9 @@ def _ct(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _ct(a))
+    # Halved first (exact but for subnormals): a + a^H may pass the float maximum.
+    half = 0.5 * a
+    return half + _ct(half)
 
 
 def _joined(parts: list) -> np.ndarray:
@@ -265,7 +266,7 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
     that is not finite, or a covariance has the wrong shape; NonPSDError,
     naming d1 before d2, if a covariance has an eigenvalue below -PSD_TOL
     times its largest magnitude; and ValueError if the rates overflow
-    (D + D^H or H D H^H / sigma_r^2 beyond the float range).
+    (H D H^H / sigma_r^2 beyond the float range).
     """
     sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
     h1r, h2r = (_checked(h, "uplinks", None, dtype=complex) for h in (channels.h1r, channels.h2r))
@@ -337,12 +338,7 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
     if not objective:
         return ds, None, singular
     logdet = 2.0 * np.add.reduce(np.log(chol.diagonal(0, -2, -1).real), axis=-1)
-    terms = np.log1p(eigvals * powers)
-    if terms.shape[1] < 8:  # trailing zero terms keep a sequential sum's bits
-        return ds, logdet + np.add.reduce(terms, axis=-1), singular
-    # From 8 terms on numpy sums pairwise: each group over its own width.
-    own = np.concatenate([np.add.reduce(terms[r, :h.shape[2]], axis=-1) for r, h in zip(rows, hs)])
-    return ds, logdet + own, singular
+    return ds, logdet + _sum(np.log1p(eigvals * powers)), singular
 
 
 def max_ma_strategy_groups(groups) -> list[SourceStrategies]:

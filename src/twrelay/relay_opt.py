@@ -67,7 +67,7 @@ from .channel import GainColumns, SubchannelGains
 from .errors import InvalidStrategyError
 from .ma_phase import SourceRates, _valid_rates
 from .waterfill import (_QUIET, _arange, _budget_bound, _checked, _level, _per_instance, _power, _powers, _prepare,
-                        _rate_core, gain_table, inverse_waterfill)
+                        _rate_core, _sum, gain_table, inverse_waterfill)
 
 __all__ = [
     "RelativeLevels",
@@ -298,8 +298,8 @@ def _ledger(gains, targets) -> tuple:
     ceilings = inverse_waterfill(table, targets.reshape(-1))
     levels = ceilings.level.reshape(5, n)
     cell_powers = ceilings.powers.reshape(5, n, -1)
-    p1 = np.add.reduce(cell_powers[0::3, :, :k1], axis=-1)  # alpha1 at cap1 and at bar1
-    p2 = np.add.reduce(cell_powers[1::3, :, :k2], axis=-1)  # alpha2 at cap2 and at bar2
+    p1 = _sum(cell_powers[0::3, :, :k1])  # alpha1 at cap1 and at bar1
+    p2 = _sum(cell_powers[1::3, :, :k2])  # alpha2 at cap2 and at bar2
     held = np.zeros((3, n))
     held[0], held[1] = p2[0], p1[0]
     cap1, cap2, mu_ma = levels[:3]
@@ -307,7 +307,7 @@ def _ledger(gains, targets) -> tuple:
     symmetric = mu_ma <= np.minimum(cap1, cap2) + slack
     crossed = p1 + p2[::-1]  # one direction at its cap, the other at its bar level
     p_bar_ma = np.where(cap1 >= cap2, crossed[1], crossed[0])
-    p_bar_ma = np.where(symmetric, np.add.reduce(cell_powers[2], axis=-1), p_bar_ma)
+    p_bar_ma = np.where(symmetric, _sum(cell_powers[2]), p_bar_ma)
     prepared = _prepare(table[: 3 * n])
     pooled = prepared[0][2 * n :], prepared[1][2 * n :], prepared[2][2 * n :]
     return blocks, prepared, pooled, levels, held, p_bar_ma, symmetric, slack
@@ -428,7 +428,7 @@ def _solve(gains, rates, pr_max) -> tuple:
     inv, limit = prepared[0], _budget_bound(pr)
     while True:
         powers1, powers2 = _powers(inv[:n, : a1.shape[1]], lv[0]), _powers(inv[n : 2 * n, : a2.shape[1]], lv[1])
-        consumed = np.add.reduce(powers1, axis=-1) + np.add.reduce(powers2, axis=-1)
+        consumed = _sum(powers1) + _sum(powers2)
         over = consumed > limit
         if not np.count_nonzero(over):
             break
@@ -452,12 +452,12 @@ def optimize_many(gains, rates, pr_max) -> RelaySolutions:
     budget (watts) for all or one per instance. Columns give the bits of
     their rows' SubchannelGains, without building them.
     Returns their RelaySolutions, whose item i is instance i's solution,
-    equal bit for bit to the instance's own solve whenever every gain kind
-    of the batch is narrower than 8 subchannels or the same width in every
-    instance (see waterfill). Raises InvalidStrategyError if any instance's
-    rates are invalid (r_ma above r_bar_1r + r_bar_2r or below either,
-    beyond 1e-12 nats), and ValueError if any budget is negative or
-    non-finite, the lengths differ or a GainColumns row was dropped.
+    equal bit for bit to the instance's own solve in any batch (every sum
+    adds a row's own terms in order, see waterfill). Raises
+    InvalidStrategyError if any instance's rates are invalid (r_ma above
+    r_bar_1r + r_bar_2r or below either, beyond 1e-12 nats), and ValueError
+    if any budget is negative or non-finite, the lengths differ or a
+    GainColumns row was dropped.
 
     Steps: (1) water-fill the full budget on the pooled gains; (2) if some
     direction sits above its ceiling level, (3) clip the tighter direction

@@ -59,7 +59,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import (
-    GainColumns,
     SubchannelGains,
     SystemConfig,
     cut_channels,
@@ -88,9 +87,9 @@ __all__ = [
 
 # Points per curve when sweeping the direction-1 level in lemma2-sweep.
 LEMMA2_LEVEL_POINTS = 121
-# The asymmetry study runs its cells in blocks of at most this many, each
-# through the MA phase and then the relay optimizer in one call apiece, and
-# decomposes its trials a fifth as many at a time, so a long study keeps
+# The asymmetry study decomposes its (antenna split, trial) rows a fifth of
+# this many at a time and runs each such chunk's cells through the MA phase
+# and then the relay optimizer in one call apiece, so a long study keeps
 # memory bounded.
 STUDY_BATCH_CELLS = 4096
 
@@ -309,13 +308,13 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     decomposed in record order, a chunk of at most STUDY_BATCH_CELLS / 5
     rows at a time, with one decompose_groups call per chunk (one group
     per antenna split in it); its GainColumns drop the rows decompose
-    would raise on. The drawn cells, in record order (n1, trial, power
-    split), run in blocks of at most STUDY_BATCH_CELLS cells, and each
-    block is one pass: one max_ma_strategy_groups call, with one group per
-    antenna split of each chunk in the block, its uplinks each trial's
-    rows repeated per power split, then one optimize_many call on the
-    gain columns of the block's cells that found a strategy, their rates
-    columns joined over the groups. The solved cells stay columns in
+    would raise on. Each chunk's drawn cells, in record order (n1, trial,
+    power split), are one pass: one max_ma_strategy_groups call, with one
+    group per antenna split in the chunk, its uplinks each trial's rows
+    repeated per power split, then one optimize_many call on the gain
+    columns of the cells that found a strategy, their rates columns joined
+    over the groups. Both engines give a row the same bits in any batch,
+    so no record depends on the chunk size. The solved cells stay columns in
     record order; each cell's aggregate is np.add.reduce over its records
     in trial order, divided by their count: the bits of np.mean.
     """
@@ -326,63 +325,36 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     # Per solved cell in record order: n1, trial, power split, and the relay's
     # sum rate, consumed power and efficient.
     n1s, trials, splits, solved = [], [], [], [[], [], []]
-
-    def chunks():
-        """Each chunk of (antenna split, trial) rows in record order: its splits'
-        channel stacks with their first trial, its gains (one decompose_groups
-        call) and its drawn cells' columns: gains row, n1, trial, power split."""
-        normals = draw_normals(cfg, range(n_trials))  # every antenna split reads a trial's normals
-        rows, size = (n_total - 1) * n_trials, max(1, STUDY_BATCH_CELLS // n_p)
-        for first in range(0, rows, size):
-            last, stacks = min(first + size, rows), {}
-            for n1 in range(first // n_trials + 1, (last - 1) // n_trials + 2):
-                lo, hi = max(first - (n1 - 1) * n_trials, 0), min(last - (n1 - 1) * n_trials, n_trials)
-                stacks[n1] = lo, cut_channels(normals[lo:hi], cfg.n_r, n1)
-            gains = decompose_groups([(channels.hr1, channels.hr2) for _, channels in stacks.values()],
-                                     cfg.sigma1_sq, cfg.sigma2_sq)
-            drawn = np.flatnonzero(np.equal(gains.reasons, None))
-            cell = np.arange(n_p * drawn.size)
-            row = drawn[cell // n_p]
-            n1, trial = np.divmod(first + row, n_trials)
-            yield stacks, gains, (row, n1 + 1, trial, cell % n_p)
-
-    def solve(block):
-        """One pass over a block of chunk parts: one MA group per antenna split
-        of each part, the uplinks repeated per power split, then one optimize_many."""
-        groups = []
-        for stacks, _, (_, n1, trial, split) in block:
-            edges = [0, *(np.flatnonzero(n1[1:] != n1[:-1]) + 1).tolist(), len(n1)]
-            for start, end in zip(edges, edges[1:]):
-                lo, channels = stacks[n1.item(start)]
-                at, p1 = trial[start:end] - lo, p1_splits[split[start:end]]
-                groups.append((channels.h1r[at], channels.h2r[at], p1, p_total - p1, cfg.sigmar_sq))
+    normals = draw_normals(cfg, range(n_trials))  # every antenna split reads a trial's normals
+    rows, size = (n_total - 1) * n_trials, max(1, STUDY_BATCH_CELLS // n_p)
+    for first in range(0, rows, size):
+        last, stacks = min(first + size, rows), {}
+        for n1 in range(first // n_trials + 1, (last - 1) // n_trials + 2):
+            lo, hi = max(first - (n1 - 1) * n_trials, 0), min(last - (n1 - 1) * n_trials, n_trials)
+            stacks[n1] = lo, cut_channels(normals[lo:hi], cfg.n_r, n1)
+        gains = decompose_groups([(channels.hr1, channels.hr2) for _, channels in stacks.values()],
+                                 cfg.sigma1_sq, cfg.sigma2_sq)
+        # The drawn cells: gains row, n1, trial and power split.
+        drawn = np.flatnonzero(np.equal(gains.reasons, None))
+        if not drawn.size:
+            continue
+        cell = np.arange(n_p * drawn.size)
+        row, split = drawn[cell // n_p], cell % n_p
+        n1, trial = np.divmod(first + row, n_trials)
+        n1 += 1
+        groups, edges = [], [0, *(np.flatnonzero(n1[1:] != n1[:-1]) + 1).tolist(), len(n1)]
+        for start, end in zip(edges, edges[1:]):  # one MA group per antenna split
+            lo, channels = stacks[n1.item(start)]
+            at, p1 = trial[start:end] - lo, p1_splits[split[start:end]]
+            groups.append((channels.h1r[at], channels.h2r[at], p1, p_total - p1, cfg.sigmar_sq))
         found = max_ma_strategy_groups(groups)
         kept = np.concatenate([np.equal(strategies.reasons, None) for strategies in found])
-        parts, start = [], 0
-        for _, gains, (row, n1, trial, split) in block:
-            mine = kept[start : start + len(row)]
-            start += len(row)
-            parts.append(gains.take(row[mine]))
-            for column, values in ((n1s, n1), (trials, trial), (splits, split)):
-                column += values[mine].tolist()
         rates = np.concatenate([strategies.rates for strategies in found], axis=1)[:, kept]
-        sols = optimize_many(parts[0] if len(parts) == 1 else GainColumns.joined(parts), rates, cfg.pr_max)
+        sols = optimize_many(gains.take(row[kept]), rates, cfg.pr_max)
+        for column, values in ((n1s, n1), (trials, trial), (splits, split)):
+            column += values[kept].tolist()
         for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
             column += values.tolist()
-
-    block, room = [], STUDY_BATCH_CELLS
-    for stacks, gains, cells in chunks():
-        start = 0
-        while start < len(cells[0]):
-            end = min(len(cells[0]), start + room)
-            block.append((stacks, gains, [column[start:end] for column in cells]))
-            room -= end - start
-            start = end
-            if not room:
-                solve(block)
-                block, room = [], STUDY_BATCH_CELLS
-    if block:
-        solve(block)
     # A cell's aggregates reduce its row of a C-contiguous (cells, count) table
     # of the cells with as many records, in trial order: numpy sums a
     # contiguous last axis pairwise from 8 terms on, as np.mean does.

@@ -19,18 +19,16 @@ levels are per row, shape (N,), and so are the results; with one list
 they may be scalars (the results are then floats) or, for the level
 functions, arrays of any shape.
 
-On 32 or more levels, rate_of_level and power_of_level lay out their
-per-subchannel terms subchannel-major, (K, ...) for a list and (K, ..., N)
-for a table, and sum over axis 0: each level's terms are added one after
-another in subchannel order. numpy's sum over a last axis adds fewer than
-8 terms in that same order, but from 8 terms on it sums pairwise, so a list
-or table 8 or more wide keeps the (..., K) layout and numpy's pairwise
-order, and so do fewer levels, where the layout saves less than arranging
-it costs. Either way the bits are those of a last-axis sum. Padding only
-appends zero terms to each row's sums, so a row of a table narrower than 8
-gives the same bits as its list alone. forward_level and inverse_level
-count the activation thresholds at or below each budget or target in that
-layout too, by one rule for a list and a table, and search nothing.
+Every sum over a row's subchannels, here and in the relay and MA engines,
+adds its terms one after another in subchannel order (_sum), at any width:
+padding only appends zero terms, so a row of a table gives the bits of its
+list alone. On 32 or more levels, rate_of_level and power_of_level lay out
+their per-subchannel terms subchannel-major, (K, ...) for a list and
+(K, ..., N) for a table, and sum over axis 0, in that same order; fewer
+levels keep the (..., K) layout, where the layout saves less than arranging
+it costs. forward_level and inverse_level count the activation thresholds
+at or below each budget or target in that layout too, by one rule for a
+list and a table, and search nothing.
 
 Precondition: every gain list is 1-D, nonempty, finite, strictly positive
 and sorted descending. The kernels do not re-check it on each call;
@@ -131,15 +129,28 @@ def _by_subchannel(values: np.ndarray, level: np.ndarray) -> tuple:
     """Per-subchannel `values` (a list's or a table's) and `level`, shaped to
     broadcast into per-subchannel terms, and the axis to sum the terms over.
 
-    Subchannel-major on 32 or more levels and fewer than 8 subchannels,
-    (..., K) otherwise (see the module docstring): each sum keeps numpy's
-    last-axis order, and on long level vectors, such as the oracle's, a
-    subchannel-major sum is several times faster.
+    Subchannel-major on 32 or more levels, (..., K) otherwise (see the
+    module docstring): on long level vectors, such as the oracle's, a
+    subchannel-major sum is several times faster. A table is transposed into
+    a C-contiguous copy, so the terms are subchannel-major in memory too: numpy
+    would sum an axis 0 of the smallest stride pairwise, from 8 terms on.
     """
-    if level.size < 32 or values.shape[-1] >= 8:
+    if level.size < 32:
         return values, level[..., np.newaxis], -1
+    values = np.ascontiguousarray(values.T)
     spread = level.ndim + 1 - values.ndim  # level axes ahead of a table's row axis
-    return (values.T[(slice(None),) + (np.newaxis,) * spread] if spread > 0 else values.T), level, 0
+    return (values[(slice(None),) + (np.newaxis,) * spread] if spread > 0 else values), level, 0
+
+
+def _sum(terms: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum of `terms` over axis 0 (laid out as _by_subchannel lays it) or
+    the last axis, one term after another in index order, into `out` if given.
+    np.add.reduce adds in that order over such an axis 0 and over a last axis
+    of fewer than 8 terms, but pairwise from 8 on, so a wider last axis takes
+    the last partial sum of np.add.accumulate."""
+    if axis == 0 or terms.shape[-1] < 8:
+        return np.add.reduce(terms, axis=axis, out=out)
+    return np.positive(np.add.accumulate(terms, axis=-1)[..., -1], out=out)  # a copy of the column
 
 
 def _prepare(gains: np.ndarray, log: bool = False) -> tuple:
@@ -161,9 +172,10 @@ def _level(prepared: tuple, amount: np.ndarray) -> np.ndarray:
     thresholds at or below the amount (at least 1) in _by_subchannel's layout."""
     _, csum, activation = prepared
     thresholds, amounts, axis = _by_subchannel(activation, amount)
-    # Axis 0 means fewer than 8 subchannels, so a uint8 holds the count:
-    # numpy sums bools into it, and take gathers with it, several times faster.
-    m = np.maximum(np.add.reduce(thresholds <= amounts, axis=axis, dtype=None if axis else np.uint8), 1)
+    # On axis 0, a uint8 holds the count of fewer than 256 subchannels: numpy
+    # sums bools into it, and take gathers with it, several times faster.
+    small = axis == 0 and activation.shape[-1] < 256
+    m = np.maximum(np.add.reduce(thresholds <= amounts, axis=axis, dtype=np.uint8 if small else None), 1)
     if activation.ndim == 1:
         return (amount + csum.take(m - 1)) / m
     return (amount + csum.take(_arange(-1, csum.size - 1, csum.shape[1]) + m)) / m
@@ -173,7 +185,7 @@ def _rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -
     """rate_of_level over a float list or table, unconverted, where no alpha(k) * level
     overflows; into `out` if given (as are _split_rate's and _power's sums)."""
     gains, level, axis = _by_subchannel(gains, level)
-    return np.add.reduce(np.log(np.maximum(level * gains, 1.0)), axis=axis, out=out)
+    return _sum(np.log(np.maximum(level * gains, 1.0)), axis, out)
 
 
 def _split_rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -183,7 +195,7 @@ def _split_rate(gains: np.ndarray, level: np.ndarray, out: np.ndarray | None = N
     with np.errstate(over="ignore"):
         terms = np.log(np.maximum(level * gains, 1.0))
     split = np.log(np.maximum(level, 1.0)) + np.log(np.maximum(gains, 1.0))
-    return np.add.reduce(np.where(terms == np.inf, split, terms), axis=axis, out=out)
+    return _sum(np.where(terms == np.inf, split, terms), axis, out)
 
 
 def _rate_core(*pairs):
@@ -195,7 +207,7 @@ def _rate_core(*pairs):
 def _power(inv: np.ndarray, level: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """power_of_level over prepared inverse gains, unconverted."""
     inv, level, axis = _by_subchannel(inv, level)
-    return np.add.reduce(np.maximum(level - inv, 0.0), axis=axis, out=out)
+    return _sum(np.maximum(level - inv, 0.0), axis, out)
 
 
 def _powers(inv: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -352,5 +364,5 @@ def inverse_waterfill(gains, target_rate) -> LevelAllocation:
     gains = np.asarray(gains, dtype=float)
     level = _exp_level(_prepare(gains, log=True), _checked(target_rate, "target_rate"))
     powers = _powers(1.0 / gains, level)
-    total = np.add.reduce(powers, axis=-1)
+    total = _sum(powers)
     return LevelAllocation(_out(level), powers, rate_of_level(gains, level), _out(total))

@@ -167,26 +167,33 @@ def test_every_budget_entry_point_accepts_a_zero_budget():
 
 
 def test_rates_that_overflow_at_the_least_noise_raise_a_value_error_naming_it():
-    # sigma^2 = sys.float_info.min passes the noise rule, but H D H^H / sigma^2
-    # is beyond the float range: no RuntimeWarning, no misleading InvalidStrategyError.
+    # sigma^2 = sys.float_info.min passes the noise rule, but with 1e3 W a
+    # direction H D H^H / sigma^2 is beyond the float range: no RuntimeWarning,
+    # no misleading InvalidStrategyError.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
-            tw.strategy_from_covariances(D1, D2, CHANNELS, sys.float_info.min)
-        # At sigma^2 = 1e-300 the same pair has finite rates.
-        pair = tw.strategy_from_covariances(D1, D2, CHANNELS, 1e-300)
-        assert np.isfinite([pair.r_ma, pair.r_bar_1r, pair.r_bar_2r]).all()
+            tw.strategy_from_covariances(1e3 * D1, 1e3 * D2, CHANNELS, sys.float_info.min)
+        # Unit covariances at that noise, and 1e3 W at 1e-300, have finite rates.
+        for d1, d2, sigma_sq in ((D1, D2, sys.float_info.min), (1e3 * D1, 1e3 * D2, 1e-300)):
+            pair = tw.strategy_from_covariances(d1, d2, CHANNELS, sigma_sq)
+            assert np.isfinite([pair.r_ma, pair.r_bar_1r, pair.r_bar_2r]).all()
 
 
 def test_finite_covariances_whose_rates_overflow_raise_the_overflow_error():
-    # D + D^H overflows at 1e308; at 1e307, H D H^H does on a strong uplink.
-    # No RuntimeWarning on the way (pytest makes one an error).
+    # On a strong uplink H D H^H overflows at 1e308, and S1 + S2 at 1e307 a
+    # side. D + D^H is never formed (the Hermitian part is halved first), so
+    # 1e308 on the weaker uplinks of CHANNELS, and 1e307 on one side of the
+    # strong pair, have finite rates. No RuntimeWarning on the way (pytest
+    # makes one an error).
     strong = np.array([[3.0], [2.0]], dtype=complex)
     channels = tw.ChannelSet(h1r=strong, h2r=strong, hr1=strong.T, hr2=strong.T)
-    for d1, d2, ch in (([[1e308]], D2, CHANNELS), (D1, 1e308 * D2, CHANNELS), ([[1e307]], [[0.0]], channels)):
+    for d1, d2 in (([[1e308]], [[0.0]]), ([[0.0]], [[1e308]]), ([[1e307]], [[1e307]])):
         with pytest.raises(ValueError, match="^the MA-phase rates overflow"):
-            tw.strategy_from_covariances(d1, d2, ch, 1.0)
-    assert np.isfinite(tw.strategy_from_covariances([[1e306]], [[0.0]], channels, 1.0).r_ma)
+            tw.strategy_from_covariances(d1, d2, channels, 1.0)
+    assert np.isfinite(tw.strategy_from_covariances([[1e307]], [[0.0]], channels, 1.0).r_ma)
+    for d1, d2 in (([[1e308]], D2), (D1, 1e308 * D2)):
+        assert np.isfinite(tw.strategy_from_covariances(d1, d2, CHANNELS, 1.0).r_ma)
 
 
 def test_lemma2_sweep_at_the_least_noise_stays_finite(tmp_path):

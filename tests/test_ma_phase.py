@@ -698,3 +698,27 @@ def test_budgets_within_the_entry_bound_never_overflow_a_sweep_or_the_rates():
         assert beyond.reasons.tolist() == ["iterative water-filling stopped: " + tw.ma_phase._OVERFLOW] * 2
         assert not beyond.sweeps.any()
     assert None in reasons and len(reasons) == 2  # both outcomes are reached
+
+
+def test_budgets_near_the_float_maximum_at_strong_noise_converge_warning_free():
+    # Above unit noise the entry bound caps tr(H^H H) times the budget, not
+    # the budget, so a converged D may pass half the float maximum; its
+    # Hermitian part must not overflow on the way (D + D^H would). Each row
+    # converges or drops as singular; the 1/1/1 seed-1 draw converges at
+    # about 701.38 nats.
+    channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=1), 0)
+    rng = np.random.default_rng(11)
+    cases = [(channels.h1r[np.newaxis], channels.h2r[np.newaxis], 1.434e308, 1.0, 1e3)]
+    for _ in range(40):
+        n1, n2, n_r = (int(v) for v in rng.integers(1, 4, size=3))
+        ch = tw.generate_channels(tw.SystemConfig(n1=n1, n2=n2, n_r=n_r, seed=int(rng.integers(1e6))), 0)
+        trace = float(np.vdot(ch.h1r, ch.h1r).real)
+        p1 = sys.float_info.max / 4 * (float(rng.uniform(0.5, 0.99)) / trace)
+        cases.append((ch.h1r[np.newaxis], ch.h2r[np.newaxis], p1, 1.0, 10.0 ** rng.uniform(0.0, 6.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [max_ma_strategies(*case) for case in cases]
+    assert found[0].reasons[0] is None and abs(found[0].rates[0, 0] - 701.38) < 0.01
+    for strategies in found:
+        reason = strategies.reasons[0]
+        assert np.isfinite(strategies.rates).all() if reason is None else "singular" in reason

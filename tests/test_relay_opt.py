@@ -805,8 +805,8 @@ def _assert_same_columns(got, want):
 @pytest.mark.parametrize("n_total, n_r", [(6, 6), (10, 10)])
 def test_optimize_many_takes_gain_columns_bit_for_bit(n_total, n_r):
     # Every antenna split of a study in one call: at n_total = n_r = 10 the
-    # gain lists reach 8 or more, where the bits depend on which instances
-    # share a call; the columns give the table the SubchannelGains list gives.
+    # gain lists reach 8 or more, and their widths differ from row to row;
+    # the columns give the table the SubchannelGains list gives.
     cfg = tw.SystemConfig(n1=1, n2=n_total - 1, n_r=n_r, seed=104729)
     normals = tw.draw_normals(cfg, range(4))
     splits = [tw.cut_channels(normals, n_r, n1) for n1 in range(1, n_total)]
@@ -825,6 +825,26 @@ def test_optimize_many_takes_gain_columns_bit_for_bit(n_total, n_r):
     columns.reasons[1] = "downlink channel has no nonzero singular value"
     with pytest.raises(ValueError, match="^gains must hold no dropped row$"):
         tw.optimize_many(columns, rates, 3.0)
+
+
+def test_optimize_many_rows_keep_their_own_bits_at_every_list_width():
+    # Nine antenna splits of n1 + n2 = 10 on n_r = 10 in one call: gain kinds
+    # 1 to 10 wide, padded to the widest, with 8 or more terms in many sums.
+    # Each row's every column is the row's own optimize, bit for bit.
+    cfg = tw.SystemConfig(n1=1, n2=9, n_r=10, seed=11)
+    normals = tw.draw_normals(cfg, range(60))
+    splits = [tw.cut_channels(normals, 10, n1) for n1 in range(1, 10)]
+    columns = tw.decompose_groups([(c.hr1, c.hr2) for c in splits], 1.0, 1.0)
+    found = tw.max_ma_strategy_groups([(c.h1r, c.h2r, 2.0, 3.0, 1.0) for c in splits])
+    rates = np.concatenate([strategies.rates for strategies in found], axis=1)
+    rows = np.flatnonzero(np.equal(columns.reasons, None) & np.isfinite(rates[0]))
+    gains, rates = [columns[i] for i in rows], rates[:, rows]
+    assert len(rows) == 540 and {g.alpha1.size for g in gains} == set(range(1, 10))
+    budgets = np.random.default_rng(11).permutation(np.geomspace(0.01, 100.0, len(rows)))
+    for pr in (3.0, budgets):
+        sols = tw.optimize_many(gains, rates, pr)
+        for i, (g, own_pr) in enumerate(zip(gains, np.broadcast_to(pr, len(rows)).tolist())):
+            _assert_same_solution(sols[i], tw.optimize(g, tw.SourceRates(*rates[:, i].tolist()), own_pr))
 
 
 def _split_group_of_study(n1, trials):

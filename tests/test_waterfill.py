@@ -1,6 +1,8 @@
 """Water-filling kernel tests: frozen examples, round trips, optimality."""
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -322,7 +324,7 @@ def _list_and_tables(rng, count):
 @pytest.mark.parametrize("count", [5, 31, 32, 40])
 def test_prepared_cores_match_the_public_kernels_bit_for_bit(rng, count):
     # Fewer than 32 amounts, and 32 or more, so both layouts of the count
-    # and of the sums run (the row 9 wide keeps the last-axis layout).
+    # and of the sums run, on rows narrower than 8 and on a row 9 wide.
     for gains in _list_and_tables(rng, count):
         budgets = rng.uniform(0.0, 20.0, size=count)
         targets = rng.uniform(0.0, 8.0, size=count)
@@ -333,7 +335,7 @@ def test_prepared_cores_match_the_public_kernels_bit_for_bit(rng, count):
         assert waterfill._exp_level(logs, targets).tobytes() == inverse_level(gains, targets).tobytes()
         assert waterfill._power(prepared[0], levels).tobytes() == power_of_level(gains, levels).tobytes()
         assert waterfill._powers(prepared[0], levels).tobytes() == powers_of_level(gains, levels).tobytes()
-        # The reduction-based cores against references summed with ndarray.sum,
+        # The reduction-based cores against references summed in order by Python,
         # on one level per row and on a (2, N) stack as the relay engine passes.
         table = np.asarray(gains, dtype=float)
         for lv in (levels, np.array([levels, 1.5 * levels])):
@@ -352,6 +354,18 @@ def test_prepared_cores_match_the_public_kernels_bit_for_bit(rng, count):
             assert waterfill._exp_level(logs, targets[0]) == inverse_level(gains, float(targets[0]))
 
 
+def test_forward_level_counts_past_255_active_subchannels(rng):
+    # 40 budgets take the subchannel-major count; on 300 gains it passes the
+    # range of the uint8 that counts narrower lists.
+    gains = np.sort(np.exp(rng.normal(0.0, 1.0, size=300)))[::-1]
+    activation = waterfill._prepared(gains)[2]
+    budgets = np.append(np.geomspace(1e-3, 2.0 * activation[-1], 39), 0.0)
+    assert np.count_nonzero(budgets >= activation[255]) > 5  # 256 or more active
+    want = searchsorted_forward_level(gains, budgets)
+    assert forward_level(gains, budgets).tobytes() == want.tobytes()
+    assert forward_level(gain_table([gains] * 40), budgets).tobytes() == want.tobytes()
+
+
 def test_public_kernels_check_budgets_and_targets(rng):
     for gains in _list_and_tables(rng, 4):
         for bad in (np.nan, np.inf, -np.inf, -0.5):
@@ -367,28 +381,33 @@ def test_public_kernels_check_budgets_and_targets(rng):
 # --- summation order -----------------------------------------------------
 
 
+def _in_order(terms):
+    """Reference sum over the last axis: Python floats added one after another from the left."""
+    rows = terms.reshape(-1, terms.shape[-1]).tolist()
+    return np.array([functools.reduce(operator.add, row) for row in rows]).reshape(terms.shape[:-1])
+
+
 def _last_axis_rate(gains, level):
-    """Reference rate_of_level: (..., K) terms summed over the last axis."""
+    """Reference rate_of_level: (..., K) terms summed over the last axis in order."""
     gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
-    return np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)).sum(axis=-1)
+    return _in_order(np.log(np.maximum(level[..., np.newaxis] * gains, 1.0)))
 
 
 def _last_axis_power(gains, level):
-    """Reference power_of_level: (..., K) terms summed over the last axis."""
+    """Reference power_of_level: (..., K) terms summed over the last axis in order."""
     gains = np.asarray(gains, dtype=float)
     level = np.asarray(level, dtype=float)
     with np.errstate(divide="ignore"):
         inv = 1.0 / gains
-    return np.maximum(level[..., np.newaxis] - inv, 0.0).sum(axis=-1)
+    return _in_order(np.maximum(level[..., np.newaxis] - inv, 0.0))
 
 
 @pytest.mark.parametrize("width", [*range(1, 17), 24])
 def test_level_kernels_keep_the_bits_of_a_last_axis_sum(rng, width):
-    # Subchannel-major terms summed over axis 0 add one subchannel after
-    # another, as numpy's last-axis sum does below 8 terms; from 8 on that
-    # sum is pairwise (at width 8, summed over axis 0, about a fifth of the
-    # 4,000 list values would change in their last bits).
+    # Both layouts, (..., K) terms and subchannel-major ones, add one
+    # subchannel after another at every width, as a Python left-to-right sum
+    # does; numpy's own last-axis sum is pairwise from 8 terms on.
     sizes = np.append(width, rng.integers(1, width + 1, size=47))
     rows = [np.sort(np.exp(rng.normal(0.0, 2.0, size=k)))[::-1] for k in sizes]
     table = gain_table(rows)
