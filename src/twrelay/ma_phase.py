@@ -7,7 +7,10 @@ are the MA sum-rate
     r_ma = ln det(I + (H1r D1 H1r^H + H2r D2 H2r^H) / sigma_r^2)
 
 and the individual uplink rates r_bar_ir with only one term inside. All
-rates are in nats.
+rates are in nats. They depend on H and sigma_r only through H / sigma_r,
+so the module works in noise units: each uplink is divided by sigma_r where
+it enters (every bit kept at sigma_r^2 = 1), and a rate is ln det(I + H D H^H)
+on it, with the covariances and budgets in watts.
 
 The relay optimizer needs only the three rates (SourceRates), so it works
 for arbitrary source covariances; callers can build a SourceStrategy, the
@@ -30,37 +33,39 @@ Within a half-sweep, the steps whose operands have a group's own shape run
 per group, on exactly that shape: H D H^H, the whitening solve, G^H G and
 its eigh, and the covariance rebuild V diag(p) V^H; and, for the converged
 pairs, H D H^H. OpenBLAS and LAPACK bits depend on an operand's shape, so
-none of these is zero-padded. The rest runs once over
-all groups' rows: the Hermitian part of sigma_r^2 I + H D H^H and its
-n_r x n_r Cholesky, the water-fill (waterfill's row-wise cores on the
-eigenvalues zero-padded to the widest group; a padded mode has gain 0 and
-gets no power), the log-det objective, the convergence and drop-out
-bookkeeping, and the converged pairs' n_r x n_r log-dets. The objective
-adds each row's terms one after another (waterfill._sum), so trailing zero
-terms keep a row's sum at any width. On one group, the sweeps join no
-stacks. The sweeps call the LAPACK gufuncs behind np.linalg's
-cholesky, solve and eigh directly (numpy.linalg._umath_linalg), with the
-same bits and none of the wrappers' per-call cost; a factorization that
-fails comes out NaN rather than raising.
+none of these is zero-padded. The rest runs once over all groups' rows: the
+Hermitian part of I + H D H^H and its n_r x n_r Cholesky, the water-fill
+(waterfill's row-wise cores on the eigenvalues zero-padded to the widest
+group; a padded mode has gain 0 and gets no power), the log-det objective,
+the convergence and drop-out bookkeeping, and the converged pairs'
+n_r x n_r log-dets. The objective adds each row's terms one after another
+(waterfill._sum), so trailing zero terms keep a row's sum at any width. On
+one group, the sweeps join no stacks. The sweeps call the LAPACK gufuncs
+behind np.linalg's cholesky, solve and eigh directly
+(numpy.linalg._umath_linalg), with the same bits and none of the wrappers'
+per-call cost; a factorization that fails comes out NaN rather than raising.
 
-A sweep's sum rate comes from node 2's
-best response, whose whitening matrix Z2 = sigma_r^2 I + H1r D1 H1r^H is
-already factored as L2 L2^H:
+A sweep's sum rate comes from node 2's best response, whose whitening
+matrix Z2 = I + H1 D1 H1^H (H1 = H1r / sigma_r) is already factored as
+L2 L2^H:
 
-    r_ma = 2 sum ln diag(L2) + sum_k log1p(lambda_k p_k) - n_r ln sigma_r^2
+    r_ma = 2 sum ln diag(L2) + sum_k log1p(lambda_k p_k)
 
 over node 2's whitened eigenvalues lambda_k and powers p_k, with no third
 factorization; an instance converges when a sweep gains less than
 SWEEP_GAIN_TOL nats. Best responses are V diag(p) V^H with p >= 0, PSD by
 construction, so the engine does not PSD-check them: the PSD rule is
 checked only by strategy_from_covariances, the one entry point that takes
-covariances from outside. An instance whose uplinks' tr(H^H H) / sigma_r^2,
-or a direction's tr(H^H H) times its budget, alone or over sigma_r^2,
-passes a quarter of the float range leaves the stack on entry: the one
-overflow rule of the engine, which bounds every later H D H^H / sigma_r^2.
-So does one whose interference-plus-noise matrix does not factor, or whose
-rates come out inconsistent. Uplinks, budgets, noise variances and rates
-are converted at entry through waterfill._checked, each by its own rule.
+covariances from outside. The engine's one overflow rule is its entry
+bound: an instance leaves the stack on entry if its uplinks in noise units
+have tr(H^H H) past float max / 4, or tr(H^H H) times a budget passes
+(float max / 4) / max(sigma_r^2, 1); above unit noise that is the "alone"
+clause, for D is in watts. It bounds every later H D H^H and D. The bound
+never multiplies by 4 / float max, which underflows traces in noise units
+to 0 past sigma_r^2 ~ 1e50. An instance also leaves the stack when its
+interference-plus-noise matrix does not factor or its rates come out
+inconsistent. Uplinks, budgets, noise variances and rates are converted at
+entry through waterfill._checked, each by its own rule.
 """
 
 from __future__ import annotations
@@ -235,24 +240,28 @@ def logdet_identity_plus(s: np.ndarray) -> float:
     return float(_logdet_identity_plus(_hermitian(np.asarray(s)[np.newaxis]))[0])
 
 
-def _pair_rates(pairs: list, sig: np.ndarray) -> np.ndarray:
+def _over_sigma(h: np.ndarray, sigma_r) -> np.ndarray:
+    """H / sigma_r of C-contiguous uplinks: each entry's real and imaginary part over sigma_r (broadcast)."""
+    return (h.view(float) / sigma_r).view(complex)
+
+
+def _pair_rates(pairs: list) -> np.ndarray:
     """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N).
 
     `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
-    (N_g, n_r, n_i) and d_i (N_g, n_i, n_i); sig is (N, 1, 1) over the
-    groups' rows in order. The caller vouches that the pairs are PSD and
-    that their H D H^H / sigma_r^2 is within a quarter of the float range.
-    The n_r x n_r log-dets run once over all groups.
+    (N_g, n_r, n_i) in noise units (H / sigma_r) and d_i (N_g, n_i, n_i) in
+    watts, so each rate is ln det(I + H D H^H). The caller vouches that the
+    pairs are PSD and that their H D H^H is within a quarter of the float
+    range. The n_r x n_r log-dets run once over all groups.
     """
     # S1 + S2, S1 and S2 of every pair, each group's written in place.
-    s = np.empty((3, len(sig)) + (pairs[0][0].shape[1],) * 2, complex)
     rows = _row_slices([len(pair[0]) for pair in pairs])
+    s = np.empty((3, rows[-1].stop) + (pairs[0][0].shape[1],) * 2, complex)
     for slot in (1, 2):
         for r, pair in zip(rows, pairs):
             h = pair[2 * slot - 2]
             s[slot, r] = h @ _hermitian(pair[2 * slot - 1]) @ _ct(h)
     np.add(s[1], s[2], out=s[0])
-    s /= sig
     # The three stacks in one call; each matrix is factored alone.
     return _logdet_identity_plus(_hermitian(s).reshape(-1, *s.shape[2:])).reshape(3, -1)
 
@@ -266,10 +275,11 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
     that is not finite, or a covariance has the wrong shape; NonPSDError,
     naming d1 before d2, if a covariance has an eigenvalue below -PSD_TOL
     times its largest magnitude; and ValueError if the rates overflow
-    (H D H^H / sigma_r^2 beyond the float range).
+    (H D H^H / sigma_r^2 beyond the float range), the uplinks taken into
+    noise units as the engine takes them.
     """
-    sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min).reshape(1, 1, 1)
-    h1r, h2r = (_checked(h, "uplinks", None, dtype=complex) for h in (channels.h1r, channels.h2r))
+    sig = _checked(sigmar_sq, "the relay noise variance", sys.float_info.min)
+    h1r, h2r = (np.ascontiguousarray(_checked(h, "uplinks", None, dtype=complex)) for h in (channels.h1r, channels.h2r))
     d1, d2 = (_checked(d, name, None, dtype=complex) for name, d in (("d1", d1), ("d2", d2)))
     for name, d, h in (("d1", d1, h1r), ("d2", d2, h2r)):
         if d.shape != (h.shape[1],) * 2:
@@ -280,8 +290,8 @@ def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) ->
                 eig = np.linalg.eigvalsh(_hermitian(d))
                 if eig.min() < -PSD_TOL * np.abs(eig).max():
                     raise NonPSDError(f"{name} has an eigenvalue below {-PSD_TOL} times its largest magnitude")
-            pair = h1r[np.newaxis], d1[np.newaxis], h2r[np.newaxis], d2[np.newaxis]
-            r_ma, r_bar_1r, r_bar_2r = _pair_rates([pair], sig)[:, 0]
+            g1, g2 = (_over_sigma(h, np.sqrt(sig))[np.newaxis] for h in (h1r, h2r))
+            r_ma, r_bar_1r, r_bar_2r = _pair_rates([(g1, d1[np.newaxis], g2, d2[np.newaxis])])[:, 0]
     except FloatingPointError:
         raise ValueError(_OVERFLOW) from None
     return SourceStrategy(d1=d1, d2=d2, r_ma=r_ma, r_bar_1r=r_bar_1r, r_bar_2r=r_bar_2r)
@@ -293,9 +303,10 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
 
     Maximizes ln det(Z + H D H^H) over Tr(D) <= p_max by water-filling over
     the eigenmodes of the whitened channel G = L^{-1} H, where Z = L L^H.
-    Takes the groups' uplink stacks hs, (N_g, n_r, n_g) each, and over
-    their rows in order (group g's are rows[g]; one group by default)
-    z (N, n_r, n_r) Hermitian and p_max (N,). Returns the groups' D stacks,
+    Takes the groups' uplink stacks hs in noise units (H / sigma_r),
+    (N_g, n_r, n_g) each, and over their rows in order (group g's are
+    rows[g]; one group by default) z (N, n_r, n_r) Hermitian, I plus the
+    other node's H D H^H, and p_max (N,) in watts. Returns the groups' D stacks,
     (N_g, n_g, n_g); with `objective`, the maximum
     ln det(Z + H D H^H) = 2 sum ln diag(L) + sum_k log1p(lambda_k p_k) over
     G's eigenvalues lambda_k and the powers p_k of D (N,), else None; and
@@ -348,16 +359,17 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     max_ma_strategies' arguments; the groups' uplinks share n_r but may
     differ in n1 and n2. Returns, per group, what max_ma_strategies returns
     for that group alone, bit for bit. Raises as max_ma_strategies does,
-    and ValueError if two uplinks differ in n_r.
+    and ValueError if two uplinks differ in n_r. The uplinks go into noise
+    units once, at entry; the sweeps, their objective and the rates then
+    run against unit noise, with the budgets and covariances in watts.
     """
     if not groups:
         return []
-    uplinks, totals, starts = [], [], [0]
-    for h1r, h2r, p1_max, p2_max, sigmar_sq in groups:
+    uplinks, starts = [], [0]
+    for h1r, h2r, *_ in groups:
         pair = tuple(np.ascontiguousarray(_checked(h, "uplinks", None, dtype=complex)) for h in (h1r, h2r))
         if pair[0].ndim != 3 or pair[1].ndim != 3 or len(pair[0]) != len(pair[1]):
             raise ValueError("uplinks must be 3-D stacks with the same N in h1r and h2r")
-        totals.append(np.vdot(pair[0], pair[0]).real + np.vdot(pair[1], pair[1]).real)  # tr(H1^H H1) + tr(H2^H H2)
         uplinks.append(pair)
         starts.append(starts[-1] + len(pair[0]))
     if len({h.shape[1] for pair in uplinks for h in pair}) > 1:
@@ -368,53 +380,40 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         for k, name, floor in ((2, "power budgets", 0.0), (3, "power budgets", 0.0),
                                (4, "the relay noise variance", sys.float_info.min))
     )
-    n, n_r = starts[-1], uplinks[0][0].shape[1]
-    sig_all = sig[:, np.newaxis, np.newaxis]
+    n, eye, quarter = starts[-1], np.eye(uplinks[0][0].shape[1]), sys.float_info.max / 4
     rates = np.empty((3, n))  # a dropped row's are set to NaN at the end
     sweeps = np.zeros(n, dtype=int)
     last_gain = np.empty(n)  # read only where a row converged
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
-    # A sweep whitens against sigma_r^2 I or more: a row whose traces over
-    # sigma_r^2 pass a quarter of the float range would overflow G^H G, and
-    # one whose trace times budget in a direction does, alone or over
-    # sigma_r^2, would overflow H D H^H and the water-fill. A stack's total
-    # and the largest budget bound its rows' (Python floats: inf, not a warning).
-    idx, scale = np.arange(n), 4.0 / sys.float_info.max
-    if n and (float(max(totals)) * scale * max(1.0, float(np.maximum.reduce(p1)), float(np.maximum.reduce(p2)))
-              > min(float(np.minimum.reduce(sig)), 1.0)):
-        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN product fails its test
-            trace, trace1, trace2 = (
-                np.concatenate([np.einsum("nij,nij->n", b, b) for b in parts]) * scale
-                for parts in ([np.concatenate(pair, axis=2).view(float) for pair in uplinks],
-                              [h1.view(float) for h1, _ in uplinks], [h2.view(float) for _, h2 in uplinks]))
-            cap = np.minimum(sig, 1.0)
-            live_rows = (trace <= sig) & (trace1 * p1 <= cap) & (trace2 * p2 <= cap)
-        failure[~live_rows] = _STOPPED + _OVERFLOW
-        idx, p1, p2, sig = idx[live_rows], p1[live_rows], p2[live_rows], sig[live_rows]
-    # Live rows, over the live groups in order: index, budgets, the noise
-    # sigma_r^2 I and n_r ln sigma_r^2, and the last sum rate; and per live
-    # group its index, uplinks and their conjugates, and the last d2.
-    noise, log_noise, previous = sig[:, np.newaxis, np.newaxis] * np.eye(n_r), n_r * np.log(sig), np.zeros(len(idx))
+    # Noise units from here on, then the entry bound. A sweep whitens against
+    # I or more: past the bound, G^H G, H D H^H, the water-fill or D overflows.
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails its test
+        sigma_r = np.sqrt(sig)[:, np.newaxis, np.newaxis]
+        uplinks = [tuple(_over_sigma(h, sigma_r[a:b]) for h in pair) for pair, a, b in zip(uplinks, starts, starts[1:])]
+        traces = np.concatenate([[np.einsum("nij,nij->n", v, v) for v in (h1.view(float), h2.view(float))]
+                                 for h1, h2 in uplinks], axis=1)  # tr(H1^H H1), tr(H2^H H2) of each row
+        live_rows = (traces.sum(0) <= quarter) & ((traces * (p1, p2)).max(0) <= quarter / np.maximum(sig, 1.0))
+    failure[~live_rows] = _STOPPED + _OVERFLOW
+    idx, p1, p2 = np.flatnonzero(live_rows), p1[live_rows], p2[live_rows]
+    # Live rows' index, budgets and last sum rate; per live group its index, uplinks, conjugates and last d2.
+    previous = np.zeros(len(idx))
     d_out, live, h1s, h1cs, h2s, h2cs, d2s = [], [], [], [], [], [], []
     for g, (h1, h2) in enumerate(uplinks):
-        size, n1, n2 = len(h1), h1.shape[2], h2.shape[2]
-        d_out.append((np.empty((size, n1, n1), complex), np.empty((size, n2, n2), complex)))
+        d_out.append(tuple(np.empty((len(h),) + h.shape[2:] * 2, complex) for h in (h1, h2)))
         if len(idx) < n:
             h1, h2 = (h[live_rows[starts[g]:starts[g + 1]]] for h in (h1, h2))
         if len(h1):
-            for column, value in zip((live, h1s, h1cs, h2s, h2cs, d2s),
-                                     (g, h1, h1.conj(), h2, h2.conj(), np.zeros((len(h1), n2, n2), complex))):
+            d2 = np.zeros((len(h2),) + h2.shape[2:] * 2, complex)
+            for column, value in zip((live, h1s, h1cs, h2s, h2cs, d2s), (g, h1, h1.conj(), h2, h2.conj(), d2)):
                 column.append(value)
     rows = _row_slices([len(h1) for h1 in h1s])
     for sweep in range(1, MAX_SWEEPS + 1 if live else 1):
         s2 = _joined([h2 @ d2 @ h2c.swapaxes(1, 2) for h2, h2c, d2 in zip(h2s, h2cs, d2s)])
-        d1s, _, singular1 = _best_response(h1s, noise + _hermitian(s2), p1, rows=rows)
+        d1s, _, singular1 = _best_response(h1s, eye + _hermitian(s2), p1, rows=rows)
         s1 = _joined([h1 @ d1 @ h1c.swapaxes(1, 2) for h1, h1c, d1 in zip(h1s, h1cs, d1s)])
-        # Node 2's objective ln det(sigma_r^2 I + S1 + S2) is the sum rate
-        # plus n_r ln sigma_r^2: no third factorization.
-        d2s, logdet, singular2 = _best_response(h2s, noise + _hermitian(s1), p2, True, rows)
+        # Node 2's objective ln det(I + S1 + S2) is the sum rate: no third factorization.
+        d2s, current, singular2 = _best_response(h2s, eye + _hermitian(s1), p2, True, rows)
         singular = singular1 | singular2
-        current = logdet - log_noise
         gain = current - previous
         done = (gain < SWEEP_GAIN_TOL) & ~singular
         previous = current
@@ -432,7 +431,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         if np.count_nonzero(leaving) == len(leaving):
             break
         keep = ~leaving
-        idx, p1, p2, noise, log_noise, previous = (a[keep] for a in (idx, p1, p2, noise, log_noise, previous))
+        idx, p1, p2, previous = (a[keep] for a in (idx, p1, p2, previous))
         masks = [keep[r] for r in rows]
         staying = [i for i, m in enumerate(masks) if np.count_nonzero(m)]
         live = [live[i] for i in staying]
@@ -447,7 +446,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
             j = np.flatnonzero(sweeps[start:end])
             if j.size:
                 pairs.append((h1[j], d1[j], h2[j], d2[j]))
-        r_ma, r1, r2 = rates[:, k] = _pair_rates(pairs, sig_all[k])
+        r_ma, r1, r2 = rates[:, k] = _pair_rates(pairs)
         # r_ma is at least either single-user rate and at most their sum;
         # beyond round-off, the log-dets have lost their accuracy.
         valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)

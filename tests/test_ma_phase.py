@@ -302,16 +302,33 @@ def _scaled(cells, sigma_sq):
     ]
 
 
+def _in_noise_units(ch, sigma_sq):
+    """The channels with uplinks H / sigma_r: each entry's real and imaginary part divided by sqrt(sigma_sq)."""
+    uplinks = {}
+    for name in ("h1r", "h2r"):
+        h = getattr(ch, name)
+        uplinks[name] = np.empty(h.shape, complex)
+        uplinks[name].real, uplinks[name].imag = h.real / np.sqrt(sigma_sq), h.imag / np.sqrt(sigma_sq)
+    return dataclasses.replace(ch, **uplinks)
+
+
 @pytest.mark.parametrize("sigma_sq", [1e-9, 1e-3, 1e3, 1e6])
 def test_engine_matches_scalar_loop_bit_for_bit_away_from_unit_noise(rng, sigma_sq):
-    # The engine takes each sweep's sum rate from node 2's factor, less
-    # n_r ln sigma_r^2; the loop keeps the third log-det. Both stop at the same sweep.
+    # The engine works in noise units: it divides the uplinks by sigma_r once
+    # and then runs against unit noise, with the budgets and covariances in
+    # watts. Fed those uplinks at unit noise, the loop has the engine's bits.
+    # Against sigma_r^2 I itself, the loop's rates differ by round-off only,
+    # and it stops at the same sweep.
     cells = _asym_mc_cells(2, range(2)) + _conftest_shape_cells(rng, (2, 3, 4), 5)
     cells += [random_instance(rng)[1::-1] for _ in range(10)]
     for ch, cfg in _scaled(cells, sigma_sq):
-        reference, sweeps = _loop_strategy(ch, cfg)
         st = tw.max_ma_strategy(ch, cfg)
+        reference, sweeps = _loop_strategy(_in_noise_units(ch, sigma_sq), dataclasses.replace(cfg, sigmar_sq=1.0))
         _assert_same_bits(st, dataclasses.replace(reference, sweeps=sweeps))
+        in_watts, sweeps_in_watts = _loop_strategy(ch, cfg)
+        assert sweeps_in_watts == st.sweeps
+        assert_allclose([st.r_ma, st.r_bar_1r, st.r_bar_2r], [in_watts.r_ma, in_watts.r_bar_1r, in_watts.r_bar_2r],
+                        rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("sigma_sq", [1e-12, 1e-6, 1.0, 1e3, 1e9])
@@ -516,8 +533,9 @@ def _assert_groups_match_alone(groups):
 @pytest.mark.parametrize("sigma_sq", [1.0, 1e-9, 1e3])
 def test_groups_of_widths_1_to_9_match_each_group_alone(sigma_sq):
     # n1 + n2 = 10 on n_r = 10: the padded eigenvalue table is 9 wide, where
-    # numpy sums the objective's terms pairwise, so each group is summed over
-    # its own width; narrower tables keep trailing zeros.
+    # numpy's own sum would go pairwise. The objective adds each row's terms
+    # one after another at every width (waterfill._sum), so the trailing
+    # zeros of a narrower group's rows leave their sums as they are alone.
     groups = [_split_group(n1, 10, 10, 6, sigma_sq, seed=3) for n1 in range(1, 10)]
     together = _assert_groups_match_alone(groups)
     sweeps = [found.sweeps[np.equal(found.reasons, None)] for found in together]
@@ -705,20 +723,53 @@ def test_budgets_near_the_float_maximum_at_strong_noise_converge_warning_free():
     # the budget, so a converged D may pass half the float maximum; its
     # Hermitian part must not overflow on the way (D + D^H would). Each row
     # converges or drops as singular; the 1/1/1 seed-1 draw converges at
-    # about 701.38 nats.
+    # about 701.38 nats. From sigma^2 = 1 to 1e307 the binding part of the
+    # bound is its "alone" clause, tr(H^H H) times the budget in watts within
+    # a quarter of the float range (in noise units the uplinks are weak
+    # there, but D is in watts): a budget 1% past it drops on entry, as an
+    # overflow, warning-free. Those draws have n_r >= 2; on one relay antenna
+    # such a budget can hit the separate defect pinned by
+    # test_a_whitened_gain_below_one_over_the_float_maximum_breaks_the_water_fill.
     channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=1), 0)
     rng = np.random.default_rng(11)
+    quarter = sys.float_info.max / 4
     cases = [(channels.h1r[np.newaxis], channels.h2r[np.newaxis], 1.434e308, 1.0, 1e3)]
-    for _ in range(40):
+    past = []
+    for top in [6.0] * 40 + [307.0] * 40:
         n1, n2, n_r = (int(v) for v in rng.integers(1, 4, size=3))
+        if top > 6.0:
+            n_r = int(rng.integers(2, 4))
         ch = tw.generate_channels(tw.SystemConfig(n1=n1, n2=n2, n_r=n_r, seed=int(rng.integers(1e6))), 0)
         trace = float(np.vdot(ch.h1r, ch.h1r).real)
-        p1 = sys.float_info.max / 4 * (float(rng.uniform(0.5, 0.99)) / trace)
-        cases.append((ch.h1r[np.newaxis], ch.h2r[np.newaxis], p1, 1.0, 10.0 ** rng.uniform(0.0, 6.0)))
+        p1 = quarter * (float(rng.uniform(0.5, 0.99)) / trace)
+        sigma_sq = 10.0 ** rng.uniform(0.0, top)
+        cases.append((ch.h1r[np.newaxis], ch.h2r[np.newaxis], p1, 1.0, sigma_sq))
+        if top > 6.0:
+            past.append((ch.h1r[np.newaxis], ch.h2r[np.newaxis], quarter * (1.01 / trace), 1.0, sigma_sq))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         found = [max_ma_strategies(*case) for case in cases]
+        beyond = [max_ma_strategies(*case) for case in past]
     assert found[0].reasons[0] is None and abs(found[0].rates[0, 0] - 701.38) < 0.01
     for strategies in found:
         reason = strategies.reasons[0]
         assert np.isfinite(strategies.rates).all() if reason is None else "singular" in reason
+    assert max(case[4] for case in past) > 1e250
+    for strategies in beyond:
+        assert strategies.reasons.tolist() == ["iterative water-filling stopped: " + tw.ma_phase._OVERFLOW]
+        assert not strategies.sweeps.any()
+
+
+@pytest.mark.xfail(raises=RuntimeWarning, strict=True,
+                   reason="open defect: a whitened gain below 1 / float max makes 1 / gain inf in the water-fill")
+def test_a_whitened_gain_below_one_over_the_float_maximum_breaks_the_water_fill():
+    # Within the entry bound, at unit noise, on one relay antenna: node 1's
+    # converged D1 makes node 2's whitened gain |h2|^2 / (1 + tr(H1^H H1) p1)
+    # smaller than 1 / float max, so its inverse gain and its level are inf,
+    # and level - 1 / gain is inf - inf. The row should converge or drop.
+    channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=46), 0)
+    p1 = sys.float_info.max / 4 * (0.9 / float(np.vdot(channels.h1r, channels.h1r).real))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = max_ma_strategies(channels.h1r[np.newaxis], channels.h2r[np.newaxis], p1, 1.0, 1.0)
+    assert found.reasons[0] is None or "singular" in found.reasons[0]

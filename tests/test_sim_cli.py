@@ -303,8 +303,10 @@ def _reference_study_records(spec, dropped=frozenset()):
 
 @pytest.mark.parametrize("batch_cells", [4096, 40, 7])
 def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_cells):
-    # n1 + n2 = 10 on n_r = 10: gain lists of 8 or more, where optimize_many's
-    # bits depend on which cells share a batch, and MA blocks that span splits.
+    # n1 + n2 = 10 on n_r = 10: gain lists of 8 or more, where numpy's own sum
+    # would go pairwise; both engines add term by term, so no record depends on
+    # which cells share a call. Chunks of 40 cells span antenna splits, chunks
+    # of 7 hold one trial's five cells, and 4096 holds the whole study.
     monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", batch_cells)
     cfg = tw.SystemConfig(n1=5, n2=5, n_r=10, p1_max=2.5, p2_max=2.5, pr_max=3.0, seed=17)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
