@@ -162,7 +162,7 @@ class SourceStrategies(Sequence):
     """N instances' max_ma_strategies results as columns: rates (3, N), r_ma,
     r_bar_1r, r_bar_2r by SourceRates' rule (_valid_rates); d1, d2
     (N, n_i, n_i); sweeps, last_gain (N,); reasons (N,), None or why the
-    row was dropped (its rates NaN, the rest meaningless)."""
+    row was dropped (its rates NaN, the drop signal, the rest meaningless)."""
 
     __slots__ = ("rates", "d1", "d2", "sweeps", "last_gain", "reasons")
 
@@ -324,7 +324,8 @@ def _best_response(hs: list, z: np.ndarray, p_max: np.ndarray, objective: bool =
         eigvals = np.zeros((len(z), max(h.shape[2] for h in hs)))
         for r, (w, _) in zip(rows, modes):
             eigvals[r, :w.shape[1]] = w[:, ::-1]
-    active = eigvals > np.maximum(eigvals[:, :1], 0.0) * 1e-12
+    # Active: above 1e-12 of the row's top mode and above 1 / float max (1 / gain past the float range).
+    active = eigvals > np.maximum(eigvals[:, :1] * 1e-12, 1.0 / sys.float_info.max)
     # Water-fill each row over its active modes, a descending prefix; the
     # others are padding (gain 0). The budgets were checked at entry.
     prepared = _prepared(np.where(active, eigvals, 0.0))
@@ -381,7 +382,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
                                (4, "the relay noise variance", sys.float_info.min))
     )
     n, eye, quarter = starts[-1], np.eye(uplinks[0][0].shape[1]), sys.float_info.max / 4
-    rates = np.empty((3, n))  # a dropped row's are set to NaN at the end
+    rates = np.full((3, n), np.nan)  # a dropped row's stay NaN
     sweeps = np.zeros(n, dtype=int)
     last_gain = np.empty(n)  # read only where a row converged
     failure = np.full(n, f"iterative water-filling did not settle in {MAX_SWEEPS} sweeps", dtype=object)
@@ -446,17 +447,12 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
             j = np.flatnonzero(sweeps[start:end])
             if j.size:
                 pairs.append((h1[j], d1[j], h2[j], d2[j]))
-        r_ma, r1, r2 = rates[:, k] = _pair_rates(pairs)
+        r_ma, r1, r2 = found = _pair_rates(pairs)
         # r_ma is at least either single-user rate and at most their sum;
         # beyond round-off, the log-dets have lost their accuracy.
         valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
-        failure[k] = None
-        if np.count_nonzero(valid) < len(k):
-            failure[k[~valid]] = _UNRELIABLE
-    dropped = np.not_equal(failure, None)
-    rates[:, dropped] = 0.0
-    rates = _valid_rates(rates)
-    rates[:, dropped] = np.nan
+        failure[k] = np.where(valid, None, _UNRELIABLE)
+        rates[:, k[valid]] = _valid_rates(found[:, valid])
     return [
         SourceStrategies(rates[:, start:end], d1, d2, sweeps[start:end], last_gain[start:end], failure[start:end])
         for start, end, (d1, d2) in zip(starts, starts[1:], d_out)

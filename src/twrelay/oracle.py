@@ -44,8 +44,8 @@ import numpy as np
 from .channel import SubchannelGains
 from .errors import TwrelayError
 from .ma_phase import SourceRates
-from .waterfill import (_POSITIVE, _budget_bound, _checked, _exp_level, _level, _power, _prepared, _rate_core,
-                        gain_table)
+from .relay_opt import _gain_table, _targets
+from .waterfill import _POSITIVE, _budget_bound, _checked, _exp_level, _level, _power, _prepared, _rate_core
 
 __all__ = ["OracleResult", "grid_certify", "grid_lipschitz_bound"]
 
@@ -89,23 +89,21 @@ def _axes(gains: SubchannelGains, strategy: SourceRates, pr_max: float, resoluti
     """Level axes (ascending, deduplicated) of the two directions, and
     alpha1 and alpha2 prepared.
 
-    One five-row table (alpha2, alpha1, pooled, alpha1, alpha2) gives the
-    special levels: inverse levels 1/mu_1, 1/mu_2, 1/mu_ma, alpha1 at r_ma -
+    The relay ledger's five-row table and targets (relay_opt._gain_table
+    and _targets: alpha1, alpha2, pooled, alpha1, alpha2) give the special
+    levels: inverse levels 1/mu_2, 1/mu_1, 1/mu_ma, alpha1 at r_ma -
     r_bar_1r and alpha2 at r_ma - r_bar_2r, and the pooled full-budget
-    level. Its preparation's rows 1 and 0, cut to width, are alpha1's and
+    level. Its preparation's rows 0 and 1, cut to width, are alpha1's and
     alpha2's, bit for bit. Each axis, with the budget complements of the
     other's candidates, is sorted once (a merge sort: both parts are nearly
     monotone runs) and deduplicated.
     """
-    r_ma, r1, r2 = strategy.r_ma, strategy.r_bar_1r, strategy.r_bar_2r
-    table = gain_table([gains.alpha2, gains.alpha1, gains.pooled, gains.alpha1, gains.alpha2])
-    targets = np.array([r1, r2, r_ma, max(r_ma - r1, 0.0), max(r_ma - r2, 0.0)])
+    table, k1, k2 = _gain_table([gains])
     whole = _prepared(table)
     full = _level(whole, np.full(5, pr_max))
-    specials = np.append(_exp_level(_prepared(table, log=True), targets), full[2])
-    widths = (1, gains.alpha1.size), (0, gains.alpha2.size)
-    prepared = tuple(tuple(part[row, :n] for part in whole) for row, n in widths)
-    spans = [(inv[0], hi) for (inv, *_), hi in zip(prepared, full[1::-1])]
+    specials = np.append(_exp_level(_prepared(table, log=True), _targets([strategy])[:, 0]), full[2])
+    prepared = tuple(tuple(part[row, :n] for part in whole) for row, n in enumerate((k1, k2)))
+    spans = [(inv[0], hi) for (inv, *_), hi in zip(prepared, full)]
     # The grid-size rule, before any grid is built (Python floats: no overflow warning).
     span = max(float(hi - lo) for lo, hi in spans)
     if span > MAX_GRID_LEVELS * float(resolution):

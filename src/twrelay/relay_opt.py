@@ -37,9 +37,9 @@ and what the engine reads besides: the powers of both directions at
 their caps, p_bar_ma, the case and the tie slack. optimize,
 relative_levels and thresholds are N=1 views of it and of the engine;
 thresholds adds the pooled powers p_ma, p_l and p_s and p_t, which the
-engine never reads. The ledger finds the levels with the public
-inverse_waterfill (the benchmark's self-test pins that call, and the
-rate_of_level call inside it, though the ledger does not read the rate)
+engine never reads. The ledger reads the levels and power sums of the
+public inverse_waterfill (the benchmark's self-test pins that call, and
+the rate_of_level call inside it, whose rate the ledger does not read)
 and prepares the batch's gain table (the same table from a GainColumns
 as from the SubchannelGains of its rows) for the forward water-fill once
 (inverse gains, their cumulative sums, the activation thresholds); the
@@ -297,17 +297,15 @@ def _ledger(gains, targets) -> tuple:
     blocks = table[:n, :k1], table[n : 2 * n, :k2], table[2 * n : 3 * n]
     ceilings = inverse_waterfill(table, targets.reshape(-1))
     levels = ceilings.level.reshape(5, n)
-    cell_powers = ceilings.powers.reshape(5, n, -1)
-    p1 = _sum(cell_powers[0::3, :, :k1])  # alpha1 at cap1 and at bar1
-    p2 = _sum(cell_powers[1::3, :, :k2])  # alpha2 at cap2 and at bar2
-    held = np.zeros((3, n))
-    held[0], held[1] = p2[0], p1[0]
+    total = ceilings.total_power.reshape(5, n)  # each row's power sum; its padded cells add +0.0
+    p1, p2 = total[0::3], total[1::3]  # alpha1 at cap1 and at bar1; alpha2 at cap2 and at bar2
+    held = np.array([p2[0], p1[0], np.zeros(n)])
     cap1, cap2, mu_ma = levels[:3]
     slack = TIE_TOL / blocks[2][:, 0]
     symmetric = mu_ma <= np.minimum(cap1, cap2) + slack
     crossed = p1 + p2[::-1]  # one direction at its cap, the other at its bar level
     p_bar_ma = np.where(cap1 >= cap2, crossed[1], crossed[0])
-    p_bar_ma = np.where(symmetric, _sum(cell_powers[2]), p_bar_ma)
+    p_bar_ma = np.where(symmetric, total[2], p_bar_ma)
     prepared = _prepare(table[: 3 * n])
     pooled = prepared[0][2 * n :], prepared[1][2 * n :], prepared[2][2 * n :]
     return blocks, prepared, pooled, levels, held, p_bar_ma, symmetric, slack

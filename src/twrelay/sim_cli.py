@@ -36,10 +36,11 @@ digits. Rates are in nats: sum_rate_tw columns carry the 1/2 two-slot
 factor, bc_*/r_* columns do not.
 
 Exit codes: 0 success, 2 configuration error (a flag, an instance file or
-a budget derived from flags that breaks an input rule, or an instance file
-whose rates are out of order), 3 runtime failure. Flags and instance files
-convert their numbers through waterfill._checked, the outside-number
-rule's one owner; ScenarioSpec and _load_instance raise ConfigError.
+a budget derived from flags that breaks an input rule, an instance file
+whose rates are out of order, or a flag the scenario never reads), 3
+runtime failure. Flags and instance files convert their numbers through
+waterfill._checked, the outside-number rule's one owner; ScenarioSpec and
+_load_instance raise ConfigError.
 """
 
 # No ``from __future__ import annotations``: NamedTuple would compile every
@@ -64,11 +65,12 @@ from .channel import (
     cut_channels,
     decompose,
     decompose_groups,
+    decompose_many,
     draw_normals,
     generate_channels,
     synthetic_gains,
 )
-from .errors import ConfigError, InvalidStrategyError, RankZeroError
+from .errors import ConfigError, InvalidStrategyError
 from .ma_phase import SourceRates, max_ma_strategy, max_ma_strategy_groups
 from .oracle import grid_certify
 from .relay_opt import RelaySolution, optimize, optimize_many, two_way_rate
@@ -201,6 +203,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        if self.instance_path is not None and self.scenario != "single":
+            raise ConfigError("an instance file (--instance) is read only by the single scenario")
+        if self.certify and self.scenario not in ("single", "prmax-sweep"):  # prmax-sweep always certifies
+            raise ConfigError("certification (--certify) is read only by single and prmax-sweep")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.sweep_points < 1:
@@ -233,18 +239,17 @@ def _solution_values(strategy: SourceRates, sol: RelaySolution) -> tuple:
 
 
 def run_lemma2_sweep(spec: ScenarioSpec) -> tuple[list[Lemma2Record], dict]:
-    """Broadcast rate sum along full-power level splits, per dB ratio."""
+    """Broadcast rate sum along full-power level splits, per dB ratio; a trial decompose_many drops is skipped."""
     cfg = spec.config
     ratios_db = np.linspace(spec.sweep_start, spec.sweep_stop, spec.sweep_points)
+    budgets = 10.0 ** (ratios_db / 10.0) * cfg.sigmar_sq
+    channels = cut_channels(draw_normals(cfg, range(spec.trials)), cfg.n_r, cfg.n1)
     records: list[Lemma2Record] = []
     skipped = 0
-    for trial in range(spec.trials):
-        try:
-            gains = decompose(generate_channels(cfg, trial), cfg)
-        except RankZeroError:
+    for trial, gains in enumerate(decompose_many(channels.hr1, channels.hr2, cfg.sigma1_sq, cfg.sigma2_sq)):
+        if gains is None:
             skipped += 1
             continue
-        budgets = 10.0 ** (ratios_db / 10.0) * cfg.sigmar_sq
         # One shared level grid per trial so curves for different ratios can
         # be compared at identical abscissae; infeasible points are skipped.
         lo = 1.0 / gains.alpha1[0]
@@ -312,8 +317,8 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     power split), are one pass: one max_ma_strategy_groups call, with one
     group per antenna split in the chunk, its uplinks each trial's rows
     repeated per power split, then one optimize_many call on the gain
-    columns of the cells that found a strategy, their rates columns joined
-    over the groups. Both engines give a row the same bits in any batch,
+    columns of the cells whose MA rates are not NaN (the engine's drop
+    signal). Both engines give a row the same bits in any batch,
     so no record depends on the chunk size. The solved cells stay columns in
     record order; each cell's aggregate is np.add.reduce over its records
     in trial order, divided by their count: the bits of np.mean.
@@ -342,15 +347,14 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
         row, split = drawn[cell // n_p], cell % n_p
         n1, trial = np.divmod(first + row, n_trials)
         n1 += 1
-        groups, edges = [], [0, *(np.flatnonzero(n1[1:] != n1[:-1]) + 1).tolist(), len(n1)]
-        for start, end in zip(edges, edges[1:]):  # one MA group per antenna split
-            lo, channels = stacks[n1.item(start)]
-            at, p1 = trial[start:end] - lo, p1_splits[split[start:end]]
+        groups = []
+        for split_n1, (lo, channels) in stacks.items():  # one MA group per antenna split, maybe empty
+            of = n1 == split_n1
+            at, p1 = trial[of] - lo, p1_splits[split[of]]
             groups.append((channels.h1r[at], channels.h2r[at], p1, p_total - p1, cfg.sigmar_sq))
-        found = max_ma_strategy_groups(groups)
-        kept = np.concatenate([np.equal(strategies.reasons, None) for strategies in found])
-        rates = np.concatenate([strategies.rates for strategies in found], axis=1)[:, kept]
-        sols = optimize_many(gains.take(row[kept]), rates, cfg.pr_max)
+        rates = np.concatenate([strategies.rates for strategies in max_ma_strategy_groups(groups)], axis=1)
+        kept = ~np.isnan(rates[0])  # a dropped cell's rates are NaN
+        sols = optimize_many(gains.take(row[kept]), rates[:, kept], cfg.pr_max)
         for column, values in ((n1s, n1), (trials, trial), (splits, split)):
             column += values[kept].tolist()
         for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):

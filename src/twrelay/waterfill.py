@@ -115,13 +115,9 @@ def _arange(*args) -> np.ndarray:
 
 def gain_table(rows) -> np.ndarray:
     """Zero-padded (N, K) table of the 1-D gain lists `rows`."""
-    sizes = [row.size for row in rows]
-    table = np.zeros((len(sizes), max(sizes)))
-    if len(sizes) < 12:  # row by row costs less than the mask and the joined rows
-        for i, row in enumerate(rows):
-            table[i, : row.size] = row
-    else:
-        table[_arange(table.shape[1]) < np.asarray(sizes)[:, np.newaxis]] = np.concatenate(rows)
+    table = np.zeros((len(rows), max(row.size for row in rows)))
+    for i, row in enumerate(rows):
+        table[i, : row.size] = row
     return table
 
 

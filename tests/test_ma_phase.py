@@ -727,9 +727,8 @@ def test_budgets_near_the_float_maximum_at_strong_noise_converge_warning_free():
     # bound is its "alone" clause, tr(H^H H) times the budget in watts within
     # a quarter of the float range (in noise units the uplinks are weak
     # there, but D is in watts): a budget 1% past it drops on entry, as an
-    # overflow, warning-free. Those draws have n_r >= 2; on one relay antenna
-    # such a budget can hit the separate defect pinned by
-    # test_a_whitened_gain_below_one_over_the_float_maximum_breaks_the_water_fill.
+    # overflow, warning-free. Those draws have n_r >= 2; one relay antenna
+    # is test_a_whitened_gain_below_one_over_the_float_maximum_is_an_inactive_mode's.
     channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=1), 0)
     rng = np.random.default_rng(11)
     quarter = sys.float_info.max / 4
@@ -760,16 +759,23 @@ def test_budgets_near_the_float_maximum_at_strong_noise_converge_warning_free():
         assert not strategies.sweeps.any()
 
 
-@pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                   reason="open defect: a whitened gain below 1 / float max makes 1 / gain inf in the water-fill")
-def test_a_whitened_gain_below_one_over_the_float_maximum_breaks_the_water_fill():
+def test_a_whitened_gain_below_one_over_the_float_maximum_is_an_inactive_mode():
     # Within the entry bound, at unit noise, on one relay antenna: node 1's
     # converged D1 makes node 2's whitened gain |h2|^2 / (1 + tr(H1^H H1) p1)
-    # smaller than 1 / float max, so its inverse gain and its level are inf,
-    # and level - 1 / gain is inf - inf. The row should converge or drop.
-    channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=46), 0)
-    p1 = sys.float_info.max / 4 * (0.9 / float(np.vdot(channels.h1r, channels.h1r).real))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        found = max_ma_strategies(channels.h1r[np.newaxis], channels.h2r[np.newaxis], p1, 1.0, 1.0)
-    assert found.reasons[0] is None or "singular" in found.reasons[0]
+    # smaller than 1 / float max, whose inverse gain would be inf (and the
+    # level's inf - inf a warning). Such a mode is inactive, like a zero
+    # one: the row converges, warning-free. Seed 46 is the first such draw;
+    # 26 of seeds 0-199 whiten a gain that low, and every seed whose budget
+    # is finite converges.
+    converged = 0
+    for seed in range(200):
+        channels = tw.generate_channels(tw.SystemConfig(n1=1, n2=1, n_r=1, seed=seed), 0)
+        p1 = sys.float_info.max / 4 * (0.9 / float(np.vdot(channels.h1r, channels.h1r).real))  # Python floats: inf
+        if not np.isfinite(p1):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = max_ma_strategies(channels.h1r[np.newaxis], channels.h2r[np.newaxis], p1, 1.0, 1.0)
+        assert found.reasons[0] is None and np.isfinite(found.rates).all(), seed
+        converged += 1
+    assert converged == 161

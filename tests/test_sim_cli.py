@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -318,6 +319,19 @@ def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_
     assert len({r.n1 for r in records}) == 9
 
 
+def test_asymmetry_study_chunk_whose_one_antenna_split_is_wholly_dropped(monkeypatch):
+    # Chunks of 15 cells hold three (split, trial) rows: rows 15-17 are trial 3
+    # of the n1 = 4 split, dropped here, and trials 0-1 of n1 = 5. The n1 = 4
+    # MA group of that chunk is empty; the records are still the reference's.
+    monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", 15)
+    cfg = tw.SystemConfig(n1=5, n2=5, n_r=10, p1_max=2.5, p2_max=2.5, pr_max=3.0, seed=17)
+    spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
+    _drop_trial(monkeypatch, dataclasses.replace(cfg, n1=4, n2=6), 3, "downlink channel has no nonzero singular value")
+    records, aggregates = run_asymmetry_study(spec)
+    assert records == _reference_study_records(spec, {(4, 3)})
+    assert [(a["n1"], a["skipped"]) for a in aggregates if a["skipped"]] == [(4, 1)] * 5
+
+
 @pytest.mark.parametrize("trials", [1, 7, 8, 9, 40])
 def test_asymmetry_study_aggregates_are_np_mean_bit_for_bit(monkeypatch, trials):
     # numpy sums 8 or more terms pairwise: each cell's aggregate must be
@@ -571,6 +585,33 @@ def test_cli_exit_code_on_negative_relay_budget_sweep(tmp_path, capsys):
     assert len(_read_csv(out)) > 0
 
 
+def test_an_instance_file_outside_single_is_a_config_error(tmp_path, capsys):
+    # Only single reads --instance: every other scenario refuses the flag
+    # (exit 2), whether the file exists or not.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(ASYM_INSTANCE))
+    for scenario in set(SCENARIOS) - {"single"}:
+        for instance in (str(path), "/no/such.json"):
+            assert main(["--scenario", scenario, "--instance", instance, "--deterministic"]) == 2
+            assert "--instance" in capsys.readouterr().err
+        with pytest.raises(tw.ConfigError, match="read only by the single scenario"):
+            ScenarioSpec(scenario=scenario, config=small_config(), instance_path=str(path))
+    ScenarioSpec(scenario="single", config=small_config(), instance_path=str(path))
+
+
+def test_certify_outside_single_and_prmax_sweep_is_a_config_error(capsys):
+    # asymmetry-study and lemma2-sweep never certify, so they refuse --certify
+    # (exit 2). prmax-sweep always certifies, so it takes the flag, as single
+    # does.
+    for scenario in ("asymmetry-study", "lemma2-sweep"):
+        assert main(["--scenario", scenario, "--trials", "1", "--certify", "--deterministic"]) == 2
+        assert "--certify" in capsys.readouterr().err
+        with pytest.raises(tw.ConfigError, match="read only by single and prmax-sweep"):
+            ScenarioSpec(scenario=scenario, config=small_config(), certify=True)
+    for scenario in ("single", "prmax-sweep"):
+        assert ScenarioSpec(scenario=scenario, config=small_config(), certify=True).certify
+
+
 def test_cli_exit_code_on_a_grid_beyond_the_grid_size_rule(capsys):
     # A 1e-12 W resolution asks for about 1e12 grid levels a direction: a
     # config error (exit 2) with the rule's message, not an internal one.
@@ -616,6 +657,20 @@ def test_lemma2_record_count_matches_feasible_grid():
     records, _ = run_lemma2_sweep(spec)
     # Single ratio: the whole shared grid is feasible.
     assert len(records) == LEMMA2_LEVEL_POINTS
+
+
+def test_lemma2_sweep_skips_a_trial_whose_gains_overflow(tmp_path):
+    # At sigma 2.3e-308 every default trial has a gain s^2 / sigma past the
+    # float range: each trial is dropped and counted, as the asymmetry study
+    # drops it, and the run exits 0, warning-free.
+    out = tmp_path / "lemma2.json"
+    argv = ["--scenario", "lemma2-sweep", "--trials", "3", "--sigma", "2.3e-308", "--format", "json",
+            "--deterministic", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    assert payload["aggregates"] == {"trials": 3, "skipped": 3} and payload["records"] == []
 
 
 # --- JSON writer ---------------------------------------------------------------

@@ -455,7 +455,7 @@ def test_cached_index_vectors_are_read_only():
 
 @pytest.mark.parametrize("count", [1, 5, 11, 12, 13, 40])
 def test_gain_table_pads_each_row_with_zeros(rng, count):
-    # Row by row below 12 rows, through one mask from 12 on: the same table.
+    # Each row in place, zero-padded to the widest, at any row count.
     rows = [np.sort(rng.uniform(0.1, 5.0, size=k))[::-1] for k in rng.integers(1, 7, size=count)]
     table = gain_table(rows)
     assert table.shape == (count, max(row.size for row in rows)) and table.dtype == float
