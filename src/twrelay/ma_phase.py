@@ -396,24 +396,24 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         live_rows = (traces.sum(0) <= quarter) & ((traces * (p1, p2)).max(0) <= quarter / np.maximum(sig, 1.0))
     failure[~live_rows] = _STOPPED + _OVERFLOW
     idx, p1, p2 = np.flatnonzero(live_rows), p1[live_rows], p2[live_rows]
-    # Live rows' index, budgets and last sum rate; per live group its index, uplinks, conjugates and last d2.
+    # Live rows' index, budgets and last sum rate; per live group its state
+    # (the group, its live rows' indices within it, h1, h2, H1^H, H2^H) and last d2.
     previous = np.zeros(len(idx))
-    d_out, live, h1s, h1cs, h2s, h2cs, d2s = [], [], [], [], [], [], []
+    d_out, states, d2s = [], [], []
     for g, (h1, h2) in enumerate(uplinks):
         d_out.append(tuple(np.empty((len(h),) + h.shape[2:] * 2, complex) for h in (h1, h2)))
-        if len(idx) < n:
-            h1, h2 = (h[live_rows[starts[g]:starts[g + 1]]] for h in (h1, h2))
-        if len(h1):
-            d2 = np.zeros((len(h2),) + h2.shape[2:] * 2, complex)
-            for column, value in zip((live, h1s, h1cs, h2s, h2cs, d2s), (g, h1, h1.conj(), h2, h2.conj(), d2)):
-                column.append(value)
-    rows = _row_slices([len(h1) for h1 in h1s])
-    for sweep in range(1, MAX_SWEEPS + 1 if live else 1):
-        s2 = _joined([h2 @ d2 @ h2c.swapaxes(1, 2) for h2, h2c, d2 in zip(h2s, h2cs, d2s)])
-        d1s, _, singular1 = _best_response(h1s, eye + _hermitian(s2), p1, rows=rows)
-        s1 = _joined([h1 @ d1 @ h1c.swapaxes(1, 2) for h1, h1c, d1 in zip(h1s, h1cs, d1s)])
+        j = np.flatnonzero(live_rows[starts[g]:starts[g + 1]])
+        if j.size:
+            h1, h2 = h1[j], h2[j]
+            states.append((g, j, h1, h2, _ct(h1), _ct(h2)))
+            d2s.append(np.zeros((j.size,) + h2.shape[2:] * 2, complex))
+    rows = _row_slices([len(state[1]) for state in states])
+    for sweep in range(1, MAX_SWEEPS + 1 if states else 1):
+        s2 = _joined([h2 @ d2 @ h2h for (_, _, _, h2, _, h2h), d2 in zip(states, d2s)])
+        d1s, _, singular1 = _best_response([state[2] for state in states], eye + _hermitian(s2), p1, rows=rows)
+        s1 = _joined([h1 @ d1 @ h1h for (_, _, h1, _, h1h, _), d1 in zip(states, d1s)])
         # Node 2's objective ln det(I + S1 + S2) is the sum rate: no third factorization.
-        d2s, current, singular2 = _best_response(h2s, eye + _hermitian(s1), p2, True, rows)
+        d2s, current, singular2 = _best_response([state[3] for state in states], eye + _hermitian(s1), p2, True, rows)
         singular = singular1 | singular2
         gain = current - previous
         done = (gain < SWEEP_GAIN_TOL) & ~singular
@@ -425,19 +425,16 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
             failure[idx[singular]] = _SINGULAR
         k = idx[done]
         sweeps[k], last_gain[k] = sweep, gain[done]
-        for g, r, d1, d2 in zip(live, rows, d1s, d2s):
+        for (g, j, *_), r, d1, d2 in zip(states, rows, d1s, d2s):
             out = done[r]
-            j = idx[r][out] - starts[g]  # the rows' indices within their group
-            d_out[g][0][j], d_out[g][1][j] = d1[out], d2[out]
+            d_out[g][0][j[out]], d_out[g][1][j[out]] = d1[out], d2[out]
         if np.count_nonzero(leaving) == len(leaving):
             break
         keep = ~leaving
         idx, p1, p2, previous = (a[keep] for a in (idx, p1, p2, previous))
-        masks = [keep[r] for r in rows]
-        staying = [i for i, m in enumerate(masks) if np.count_nonzero(m)]
-        live = [live[i] for i in staying]
-        h1s, h1cs, h2s, h2cs, d2s = ([c[i][masks[i]] for i in staying] for c in (h1s, h1cs, h2s, h2cs, d2s))
-        rows = _row_slices([np.count_nonzero(masks[i]) for i in staying])
+        states, d2s = zip(*[((g, j[m], h1[m], h2[m], h1h[m], h2h[m]), d2[m]) for (g, j, h1, h2, h1h, h2h), d2, m
+                            in zip(states, d2s, (keep[r] for r in rows)) if np.count_nonzero(m)])
+        rows = _row_slices([len(state[1]) for state in states])
     # The converged pairs' rates, in one call (each matrix is factored
     # alone, so the bits do not depend on which pairs share the call).
     k = np.flatnonzero(sweeps)

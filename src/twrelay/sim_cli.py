@@ -51,6 +51,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -209,10 +210,14 @@ class ScenarioSpec:
             raise ConfigError("certification (--certify) is read only by single and prmax-sweep")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.trials != 1 and self.scenario in ("single", "prmax-sweep"):  # both run trial 0 alone
+            raise ConfigError("trials other than 1 (--trials) are read only by lemma2-sweep and asymmetry-study")
         if self.sweep_points < 1:
             raise ConfigError("sweep grid must be nonempty")
         _checked((self.sweep_start, self.sweep_stop), "sweep bounds", None, ConfigError)
         _checked(self.resolution, "certification resolution", _POSITIVE, ConfigError)
+        if self.resolution != ScenarioSpec.resolution and not (self.certify or self.scenario == "prmax-sweep"):
+            raise ConfigError("a grid resolution (--resolution) is read only by prmax-sweep and single --certify")
         if self.sweep_stop < self.sweep_start:
             raise ConfigError("sweep stop must be >= sweep start")
         if self.scenario == "prmax-sweep" and self.sweep_start < 0.0:  # lemma2-sweep's is in dB
@@ -313,74 +318,64 @@ def run_asymmetry_study(spec: ScenarioSpec) -> tuple[list[AsymRecord], list[dict
     decomposed in record order, a chunk of at most STUDY_BATCH_CELLS / 5
     rows at a time, with one decompose_groups call per chunk (one group
     per antenna split in it); its GainColumns drop the rows decompose
-    would raise on. Each chunk's drawn cells, in record order (n1, trial,
-    power split), are one pass: one max_ma_strategy_groups call, with one
-    group per antenna split in the chunk, its uplinks each trial's rows
-    repeated per power split, then one optimize_many call on the gain
-    columns of the cells whose MA rates are not NaN (the engine's drop
-    signal). Both engines give a row the same bits in any batch,
-    so no record depends on the chunk size. The solved cells stay columns in
-    record order; each cell's aggregate is np.add.reduce over its records
-    in trial order, divided by their count: the bits of np.mean.
+    would raise on. A chunk's drawn cells, in record order (n1, trial,
+    power split), go through one max_ma_strategy_groups call, one group
+    per antenna split with each trial's uplinks repeated per power split,
+    then one optimize_many call on the cells whose MA rates are not NaN
+    (the engine's drop signal); a chunk whose rows all drop passes empty
+    arrays through both. Both engines give a row the same bits in any
+    batch, so no record depends on the chunk size. Each chunk's solved
+    cells are arrays, joined once after the loop; a cell's aggregate is
+    np.add.reduce over its records in trial order, divided by their count:
+    the bits of np.mean.
     """
     cfg = spec.config
     n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = np.linspace(0.1, 0.9, 5) * p_total
     n_p, n_trials = len(p1_splits), spec.trials
-    # Per solved cell in record order: n1, trial, power split, and the relay's
-    # sum rate, consumed power and efficient.
-    n1s, trials, splits, solved = [], [], [], [[], [], []]
+    parts = []  # per chunk, its solved cells' n1 - 1, trial, power split, sum rate, consumed power, efficient
     normals = draw_normals(cfg, range(n_trials))  # every antenna split reads a trial's normals
     rows, size = (n_total - 1) * n_trials, max(1, STUDY_BATCH_CELLS // n_p)
     for first in range(0, rows, size):
         last, stacks = min(first + size, rows), {}
-        for n1 in range(first // n_trials + 1, (last - 1) // n_trials + 2):
-            lo, hi = max(first - (n1 - 1) * n_trials, 0), min(last - (n1 - 1) * n_trials, n_trials)
-            stacks[n1] = lo, cut_channels(normals[lo:hi], cfg.n_r, n1)
+        for a in range(first // n_trials, (last - 1) // n_trials + 1):  # antenna split a has n1 = a + 1
+            lo, hi = max(first - a * n_trials, 0), min(last - a * n_trials, n_trials)
+            stacks[a] = lo, cut_channels(normals[lo:hi], cfg.n_r, a + 1)
         gains = decompose_groups([(channels.hr1, channels.hr2) for _, channels in stacks.values()],
                                  cfg.sigma1_sq, cfg.sigma2_sq)
-        # The drawn cells: gains row, n1, trial and power split.
+        # The drawn cells, maybe none: gains row, antenna split, trial and power split.
         drawn = np.flatnonzero(np.equal(gains.reasons, None))
-        if not drawn.size:
-            continue
-        cell = np.arange(n_p * drawn.size)
-        row, split = drawn[cell // n_p], cell % n_p
-        n1, trial = np.divmod(first + row, n_trials)
-        n1 += 1
-        groups = []
-        for split_n1, (lo, channels) in stacks.items():  # one MA group per antenna split, maybe empty
-            of = n1 == split_n1
-            at, p1 = trial[of] - lo, p1_splits[split[of]]
-            groups.append((channels.h1r[at], channels.h2r[at], p1, p_total - p1, cfg.sigmar_sq))
+        row, split = np.repeat(drawn, n_p), np.arange(n_p * drawn.size) % n_p
+        antenna, trial = np.divmod(first + row, n_trials)
+        groups = [  # one MA group per antenna split, maybe empty
+            (channels.h1r[trial[of] - lo], channels.h2r[trial[of] - lo], p1_splits[split[of]],
+             (p_total - p1_splits)[split[of]], cfg.sigmar_sq)
+            for (lo, channels), of in zip(stacks.values(), np.equal.outer(list(stacks), antenna))
+        ]
         rates = np.concatenate([strategies.rates for strategies in max_ma_strategy_groups(groups)], axis=1)
         kept = ~np.isnan(rates[0])  # a dropped cell's rates are NaN
         sols = optimize_many(gains.take(row[kept]), rates[:, kept], cfg.pr_max)
-        for column, values in ((n1s, n1), (trials, trial), (splits, split)):
-            column += values[kept].tolist()
-        for column, values in zip(solved, (sols.sum_rate_tw, sols.consumed_power, sols.efficient)):
-            column += values.tolist()
+        parts.append((antenna[kept], trial[kept], split[kept], sols.sum_rate_tw, sols.consumed_power, sols.efficient))
+    antennas, trials, splits, *solved = map(np.concatenate, zip(*parts))
     # A cell's aggregates reduce its row of a C-contiguous (cells, count) table
     # of the cells with as many records, in trial order: numpy sums a
     # contiguous last axis pairwise from 8 terms on, as np.mean does.
-    cell = (np.array(n1s, dtype=int) - 1) * n_p + np.array(splits, dtype=int)
+    cell = antennas * n_p + splits
     done = np.bincount(cell, minlength=(n_total - 1) * n_p)
     order, values, sums = np.argsort(cell, kind="stable"), np.array(solved, dtype=float), np.zeros((3, done.size))
     for count in set(done.tolist()) - {0}:
         of = done == count
         sums[:, of] = np.add.reduce(np.take(values, order[np.repeat(of, done)], axis=1).reshape(3, -1, count), axis=-1)
     means = np.divide(sums, done, out=np.full_like(sums, np.nan), where=done > 0)
-    p1_list = p1_splits.tolist()
     aggregates = [
         {"n1": n1, "n2": n_total - n1, "p1_max": p1, "p2_max": p_total - p1, "trials": spec.trials,
          "completed": count, "skipped": spec.trials - count, "avg_sum_rate_tw": rate,
          "avg_consumed_power": power, "efficient_fraction": fraction}
         for (n1, p1), count, rate, power, fraction in zip(
-            itertools.product(range(1, n_total), p1_list), done.tolist(), *means.tolist())
+            itertools.product(range(1, n_total), p1_splits.tolist()), done.tolist(), *means.tolist())
     ]
-    p1s = [p1_list[s] for s in splits]
-    records = list(map(AsymRecord, trials, n1s, [n_total - n1 for n1 in n1s], p1s, [p_total - p1 for p1 in p1s],
-                       *solved))
-    return records, aggregates
+    columns = trials, antennas + 1, n_total - 1 - antennas, p1_splits[splits], (p_total - p1_splits)[splits], *solved
+    return list(map(AsymRecord, *(column.tolist() for column in columns))), aggregates
 
 
 def _load_instance(path: str, cfg: SystemConfig) -> tuple[SubchannelGains, SourceRates, float, RelaySolution]:
@@ -437,8 +432,8 @@ def _fmt_cell(value) -> str:
 
 
 def _rounded(values) -> list:
-    """A column of JSON values: Python scalars (a numpy float64 is a float), floats rounded as in CSV."""
-    return [float(f"{v:.12g}") if isinstance(v, float) else v for v in values]
+    """A JSON column: Python scalars (a numpy float64 is a float), floats as in CSV, non-finite ones None."""
+    return [(float(f"{v:.12g}") if math.isfinite(v) else None) if isinstance(v, float) else v for v in values]
 
 
 def _json_rows(keys, columns) -> list:

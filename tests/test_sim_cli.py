@@ -264,9 +264,11 @@ def _drop_trial(monkeypatch, config, trial, reason):
 
 
 def _reference_study_records(spec, dropped=frozenset()):
-    """The study's records as one max_ma_strategies call per antenna split, then one optimize_many
-    call per block of STUDY_BATCH_CELLS drawn cells in record order, on its cells that found a strategy.
-    Each (n1, trial) in `dropped` is a trial whose downlinks do not decompose."""
+    """The study's records, solved in other batches than the study's: one max_ma_strategies call per
+    antenna split, then one optimize_many call per block of STUDY_BATCH_CELLS drawn cells in record
+    order, on its cells that found a strategy. Both engines give a row the same bits in any batch, so
+    the study's records must equal these whatever its chunks. Each (n1, trial) in `dropped` is a trial
+    whose downlinks do not decompose."""
     cfg = spec.config
     n_total, p_total = cfg.n1 + cfg.n2, cfg.p1_max + cfg.p2_max
     p1_splits = [float(p1) for p1 in np.linspace(0.1, 0.9, 5) * p_total]
@@ -319,11 +321,15 @@ def test_asymmetry_study_records_match_one_ma_call_per_split(monkeypatch, batch_
     assert len({r.n1 for r in records}) == 9
 
 
-def test_asymmetry_study_chunk_whose_one_antenna_split_is_wholly_dropped(monkeypatch):
-    # Chunks of 15 cells hold three (split, trial) rows: rows 15-17 are trial 3
-    # of the n1 = 4 split, dropped here, and trials 0-1 of n1 = 5. The n1 = 4
-    # MA group of that chunk is empty; the records are still the reference's.
-    monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", 15)
+@pytest.mark.parametrize("batch_cells", [15, 5])
+def test_asymmetry_study_chunk_whose_one_antenna_split_is_wholly_dropped(monkeypatch, batch_cells):
+    # Trial 3 of the n1 = 4 split, row 15, is dropped here. Chunks of 15 cells
+    # hold three (split, trial) rows: rows 15-17 are that trial and trials 0-1
+    # of n1 = 5, so the n1 = 4 MA group of that chunk is empty. Chunks of 5
+    # cells hold one row: row 15's chunk has no drawn cell at all and passes
+    # empty arrays through both engines, between live chunks. Either way the
+    # records are still the reference's.
+    monkeypatch.setattr(sim_cli, "STUDY_BATCH_CELLS", batch_cells)
     cfg = tw.SystemConfig(n1=5, n2=5, n_r=10, p1_max=2.5, p2_max=2.5, pr_max=3.0, seed=17)
     spec = ScenarioSpec(scenario="asymmetry-study", config=cfg, trials=4)
     _drop_trial(monkeypatch, dataclasses.replace(cfg, n1=4, n2=6), 3, "downlink channel has no nonzero singular value")
@@ -351,16 +357,25 @@ def test_asymmetry_study_aggregates_are_np_mean_bit_for_bit(monkeypatch, trials)
             assert type(agg[key]) is float and np.array([agg[key]]).tobytes() == np.array([want]).tobytes(), key
 
 
+def _no_constant(name):
+    raise AssertionError(f"JSON output holds the non-standard constant {name}")
+
+
 def test_asymmetry_study_skips_trials_whose_gains_overflow(tmp_path):
     # sigma^2 = 3e-308 is a normal float, but every downlink gain s^2/sigma^2
     # above ~0.54 overflows: each trial is skipped in every cell of its split.
+    # No cell has a completed trial, so its averages are NaN: the JSON writes
+    # them null, and the file loads under a parser that refuses NaN and
+    # Infinity.
     out = tmp_path / "study.json"
     argv = ["--scenario", "asymmetry-study", "--trials", "3", "--sigma", "3e-308",
             "--deterministic", "--format", "json", "--out", str(out)]
     assert main(argv) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(), parse_constant=_no_constant)
     assert payload["records"] == []
     assert [(a["completed"], a["skipped"]) for a in payload["aggregates"]] == [(0, 3)] * 25
+    for agg in payload["aggregates"]:
+        assert agg["avg_sum_rate_tw"] is agg["avg_consumed_power"] is agg["efficient_fraction"] is None
 
 
 @pytest.mark.parametrize("flags", [
@@ -612,6 +627,35 @@ def test_certify_outside_single_and_prmax_sweep_is_a_config_error(capsys):
         assert ScenarioSpec(scenario=scenario, config=small_config(), certify=True).certify
 
 
+def test_trials_other_than_one_on_single_and_prmax_sweep_is_a_config_error(capsys):
+    # single and prmax-sweep run trial 0 alone, so --trials other than 1 is a
+    # flag they never read (exit 2); it used to be echoed in the output's
+    # config. lemma2-sweep and asymmetry-study take it.
+    for scenario in ("single", "prmax-sweep"):
+        assert main(["--scenario", scenario, "--trials", "5", "--deterministic"]) == 2
+        assert "--trials" in capsys.readouterr().err
+        with pytest.raises(tw.ConfigError, match="read only by lemma2-sweep and asymmetry-study"):
+            ScenarioSpec(scenario=scenario, config=small_config(), trials=2)
+        assert ScenarioSpec(scenario=scenario, config=small_config(), trials=1).trials == 1
+    for scenario in ("lemma2-sweep", "asymmetry-study"):
+        assert ScenarioSpec(scenario=scenario, config=small_config(), trials=5).trials == 5
+
+
+def test_a_resolution_where_no_grid_certifies_is_a_config_error(capsys):
+    # Only a certifying run reads --resolution: prmax-sweep, which always
+    # certifies, and single --certify. Elsewhere a resolution other than the
+    # default is a config error (exit 2); the default itself passes.
+    for flags in (["lemma2-sweep"], ["asymmetry-study", "--trials", "1"], ["single"]):
+        assert main(["--scenario", *flags, "--resolution", "1e-2", "--deterministic"]) == 2
+        assert "--resolution" in capsys.readouterr().err
+        with pytest.raises(tw.ConfigError, match="read only by prmax-sweep and single --certify"):
+            ScenarioSpec(scenario=flags[0], config=small_config(), resolution=1e-2)
+        assert ScenarioSpec(scenario=flags[0], config=small_config(), resolution=1e-3).resolution == 1e-3
+    for scenario, certify in (("prmax-sweep", False), ("single", True)):
+        spec = ScenarioSpec(scenario=scenario, config=small_config(), certify=certify, resolution=1e-2)
+        assert spec.resolution == 1e-2
+
+
 def test_cli_exit_code_on_a_grid_beyond_the_grid_size_rule(capsys):
     # A 1e-12 W resolution asks for about 1e12 grid levels a direction: a
     # config error (exit 2) with the rule's message, not an internal one.
@@ -712,6 +756,13 @@ def test_json_writer_matches_the_pure_python_encoder(monkeypatch, records, aggre
     (payload,) = payloads
     assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert ("generated" in payload) is not deterministic
+    # Non-finite floats are null (RFC 8259 has no NaN or Infinity); the text loads strictly.
+    loaded = json.loads(text, parse_constant=_no_constant)
     if records:
-        assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "\\u03c3" in text
+        assert "-0.0" in text and "\\u03c3" in text
+        assert [row["value"] for row in loaded["records"][:3]] == [None] * 3
+        csv = sim_cli.render_csv(spec, records)  # CSV keeps nan, inf and -inf
+        assert ",nan," in csv and ",inf," in csv and ",-inf," in csv
+    if isinstance(aggregates, list) and aggregates:
+        assert [row["avg"] for row in loaded["aggregates"]] == [None, None]
 
