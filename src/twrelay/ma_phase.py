@@ -248,22 +248,15 @@ def _over_sigma(h: np.ndarray, sigma_r) -> np.ndarray:
 def _pair_rates(pairs: list) -> np.ndarray:
     """r_ma, r_bar_1r, r_bar_2r of each covariance pair of the groups, (3, N).
 
-    `pairs` holds the stacks (h1, d1, h2, d2) of each group: h_i
+    `pairs` holds the stacks (h1, d1, h2, d2) of each group, maybe empty: h_i
     (N_g, n_r, n_i) in noise units (H / sigma_r) and d_i (N_g, n_i, n_i) in
     watts, so each rate is ln det(I + H D H^H). The caller vouches that the
     pairs are PSD and that their H D H^H is within a quarter of the float
     range. The n_r x n_r log-dets run once over all groups.
     """
-    # S1 + S2, S1 and S2 of every pair, each group's written in place.
-    rows = _row_slices([len(pair[0]) for pair in pairs])
-    s = np.empty((3, rows[-1].stop) + (pairs[0][0].shape[1],) * 2, complex)
-    for slot in (1, 2):
-        for r, pair in zip(rows, pairs):
-            h = pair[2 * slot - 2]
-            s[slot, r] = h @ _hermitian(pair[2 * slot - 1]) @ _ct(h)
-    np.add(s[1], s[2], out=s[0])
-    # The three stacks in one call; each matrix is factored alone.
-    return _logdet_identity_plus(_hermitian(s).reshape(-1, *s.shape[2:])).reshape(3, -1)
+    s1, s2 = (np.concatenate([pair[i] @ _hermitian(pair[i + 1]) @ _ct(pair[i]) for pair in pairs]) for i in (0, 2))
+    # S1 + S2, S1 and S2 in one call; each matrix is factored alone.
+    return _logdet_identity_plus(_hermitian(np.concatenate((s1 + s2, s1, s2)))).reshape(3, -1)
 
 
 def strategy_from_covariances(d1, d2, channels: ChannelSet, sigmar_sq: float) -> SourceStrategy:
@@ -421,8 +414,7 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
         leaving = done | singular
         if not np.count_nonzero(leaving):
             continue
-        if np.count_nonzero(singular):
-            failure[idx[singular]] = _SINGULAR
+        failure[idx[singular]] = _SINGULAR
         k = idx[done]
         sweeps[k], last_gain[k] = sweep, gain[done]
         for (g, j, *_), r, d1, d2 in zip(states, rows, d1s, d2s):
@@ -438,18 +430,16 @@ def max_ma_strategy_groups(groups) -> list[SourceStrategies]:
     # The converged pairs' rates, in one call (each matrix is factored
     # alone, so the bits do not depend on which pairs share the call).
     k = np.flatnonzero(sweeps)
-    if k.size:
-        pairs = []
-        for (h1, h2), (d1, d2), start, end in zip(uplinks, d_out, starts, starts[1:]):
-            j = np.flatnonzero(sweeps[start:end])
-            if j.size:
-                pairs.append((h1[j], d1[j], h2[j], d2[j]))
-        r_ma, r1, r2 = found = _pair_rates(pairs)
-        # r_ma is at least either single-user rate and at most their sum;
-        # beyond round-off, the log-dets have lost their accuracy.
-        valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
-        failure[k] = np.where(valid, None, _UNRELIABLE)
-        rates[:, k[valid]] = _valid_rates(found[:, valid])
+    pairs = []  # per group, its converged rows (maybe none)
+    for (h1, h2), (d1, d2), start, end in zip(uplinks, d_out, starts, starts[1:]):
+        j = np.flatnonzero(sweeps[start:end])
+        pairs.append((h1[j], d1[j], h2[j], d2[j]))
+    r_ma, r1, r2 = found = _pair_rates(pairs)
+    # r_ma is at least either single-user rate and at most their sum;
+    # beyond round-off, the log-dets have lost their accuracy.
+    valid = (np.maximum(r1, r2) - SWEEP_GAIN_TOL <= r_ma) & (r_ma <= r1 + r2 + SWEEP_GAIN_TOL)
+    failure[k] = np.where(valid, None, _UNRELIABLE)
+    rates[:, k[valid]] = _valid_rates(found[:, valid])
     return [
         SourceStrategies(rates[:, start:end], d1, d2, sweeps[start:end], last_gain[start:end], failure[start:end])
         for start, end, (d1, d2) in zip(starts, starts[1:], d_out)
@@ -484,10 +474,8 @@ def max_ma_strategy(channels: ChannelSet, config: SystemConfig) -> SourceStrateg
     The N=1 view of max_ma_strategies. Raises NoConvergenceError where that
     returns None, with the reason.
     """
-    (found,) = max_ma_strategy_groups([(
-        channels.h1r[np.newaxis], channels.h2r[np.newaxis],
-        config.p1_max, config.p2_max, config.sigmar_sq,
-    )])
+    (found,) = max_ma_strategy_groups([(channels.h1r[np.newaxis], channels.h2r[np.newaxis],
+                                        config.p1_max, config.p2_max, config.sigmar_sq)])
     if found.reasons[0] is not None:
         raise NoConvergenceError(found.reasons[0])
     return found[0]

@@ -37,10 +37,13 @@ factor, bc_*/r_* columns do not.
 
 Exit codes: 0 success, 2 configuration error (a flag, an instance file or
 a budget derived from flags that breaks an input rule, an instance file
-whose rates are out of order, or a flag the scenario never reads), 3
-runtime failure. Flags and instance files convert their numbers through
-waterfill._checked, the outside-number rule's one owner; ScenarioSpec and
-_load_instance raise ConfigError.
+whose rates are out of order, or a flag the run never reads: ScenarioSpec
+refuses --instance, --certify, --trials, --resolution and the sweep flags
+where the scenario ignores them, parse_args --p1, --p2 and --pr on
+lemma2-sweep, --pr on prmax-sweep and every config flag but --pr on single
+--instance), 3 runtime failure. Flags and instance files convert their
+numbers through waterfill._checked, the outside-number rule's one owner;
+ScenarioSpec, parse_args and _load_instance raise ConfigError.
 """
 
 # No ``from __future__ import annotations``: NamedTuple would compile every
@@ -176,11 +179,9 @@ SCENARIOS = {
         n1=6, n2=5, n_r=8, p1_max=3.0, p2_max=3.0, pr_max=3.0,
         sweep_start=0.25, sweep_stop=12.0, sweep_points=50, trials=1)),
     "asymmetry-study": Scenario("run_asymmetry_study", AsymRecord, dict(
-        n1=3, n2=3, n_r=6, p1_max=2.5, p2_max=2.5, pr_max=3.0,
-        sweep_start=0.0, sweep_stop=0.0, sweep_points=1, trials=100)),
+        n1=3, n2=3, n_r=6, p1_max=2.5, p2_max=2.5, pr_max=3.0, trials=100)),
     "single": Scenario("run_single", SingleRecord, dict(
-        n1=2, n2=2, n_r=2, p1_max=1.0, p2_max=1.0, pr_max=1.0,
-        sweep_start=0.0, sweep_stop=0.0, sweep_points=1, trials=1)),
+        n1=2, n2=2, n_r=2, p1_max=1.0, p2_max=1.0, pr_max=1.0, trials=1)),
 }
 
 
@@ -192,7 +193,7 @@ class ScenarioSpec:
     config: SystemConfig
     trials: int = 1
     sweep_start: float = 0.0
-    sweep_stop: float = 1.0
+    sweep_stop: float = 0.0
     sweep_points: int = 1
     certify: bool = False
     resolution: float = 1e-3
@@ -212,6 +213,10 @@ class ScenarioSpec:
             raise ConfigError("trials must be >= 1")
         if self.trials != 1 and self.scenario in ("single", "prmax-sweep"):  # both run trial 0 alone
             raise ConfigError("trials other than 1 (--trials) are read only by lemma2-sweep and asymmetry-study")
+        sweep = (self.sweep_start, self.sweep_stop, self.sweep_points)
+        if sweep != (0.0, 0.0, 1) and self.scenario in ("asymmetry-study", "single"):  # neither sweeps
+            raise ConfigError("a sweep (--sweep-start, --sweep-stop, --sweep-points) is read only by "
+                              "lemma2-sweep and prmax-sweep")
         if self.sweep_points < 1:
             raise ConfigError("sweep grid must be nonempty")
         _checked((self.sweep_start, self.sweep_stop), "sweep bounds", None, ConfigError)
@@ -406,14 +411,11 @@ def run_single(spec: ScenarioSpec) -> tuple[list[SingleRecord], dict]:
         sol = optimize(gains, strategy, pr_max)
         n1, n2, nr, sigma_sq = cfg.n1, cfg.n2, cfg.n_r, cfg.sigmar_sq
     row = (0, n1, n2, nr, cfg.p1_max, cfg.p2_max, pr_max, sigma_sq, *_solution_values(strategy, sol))
-    if not spec.certify:
-        return [SingleRecord(*row)], {"trials": 1, "skipped": 0}
-    res = _certified(gains, strategy, pr_max, spec.resolution)
-    record = CertifiedSingleRecord(
-        *row, res.best_rate, res.min_power_at_best, *res.argmax_levels, *res.baseline_levels,
-        res.baseline_bc_rates[0] + res.baseline_bc_rates[1], res.grid_resolution,
-    )
-    return [record], {"trials": 1, "skipped": 0}
+    if spec.certify:
+        res = _certified(gains, strategy, pr_max, spec.resolution)
+        row += (res.best_rate, res.min_power_at_best, *res.argmax_levels, *res.baseline_levels,
+                res.baseline_bc_rates[0] + res.baseline_bc_rates[1], res.grid_resolution)
+    return [(CertifiedSingleRecord if spec.certify else SingleRecord)(*row)], {"trials": 1, "skipped": 0}
 
 
 def run_scenario(spec: ScenarioSpec):
@@ -543,9 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+# Config flags a run never reads: lemma2-sweep has no MA phase, a sweep sets the relay budget, a file the channels.
+_UNREAD = {"lemma2-sweep": ("p1_max", "p2_max", "pr_max"), "prmax-sweep": ("pr_max",),
+           "single --instance": ("n1", "n2", "n_r", "p1_max", "p2_max", "sigma", "seed")}
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse the command line; omitted flags take the scenario's defaults."""
+    """Parse the command line; omitted flags take the scenario's defaults. ConfigError on an _UNREAD flag."""
     args = _parser().parse_args(argv)
+    run = args.scenario + " --instance" * (args.instance_path is not None)
+    for action in _parser()._actions:  # a flag is given when it is not at its default (None if omitted)
+        if action.dest in _UNREAD.get(run, ()) and getattr(args, action.dest) != action.default:
+            raise ConfigError(f"{run} never reads {action.option_strings[0]}")
     for name, value in SCENARIOS[args.scenario].defaults.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
@@ -554,7 +565,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """Spec from parsed flags, named as spec and config fields (--sigma sets all three)."""
-    flags = dict(vars(args))
+    flags = {name: value for name, value in vars(args).items() if value is not None}
     sigma = flags.pop("sigma")
     config = {f.name: flags.pop(f.name) for f in dataclasses.fields(SystemConfig) if f.name in flags}
     try:

@@ -551,13 +551,22 @@ def test_groups_narrower_than_8_a_one_row_group_and_a_flat_group_match_each_grou
 
 
 def test_ill_conditioned_group_drops_out_beside_healthy_groups():
-    # The cells of test_ill_conditioned_instances_drop_out_and_leave_the_others_bits.
+    # The cells of test_ill_conditioned_instances_drop_out_and_leave_the_others_bits,
+    # and between live groups one whose every row drops on entry (a 1.7e308 W
+    # budget): it converges no row, so its stacks join the rate pass empty.
     sick = (*_split_group(1, 6, 6, 8)[:4], 1e-15)
-    groups = [_split_group(3, 6, 6, 4, seed=5), sick, _split_group(5, 6, 6, 4, seed=6)]
-    together = _assert_groups_match_alone(groups)
-    reasons = set(together[1].reasons) - {None}
+    h1, h2, *_ = _split_group(2, 6, 6, 2, seed=7)
+    overflow = (h1, h2, 1.7e308, 1.7e308, 1.0)
+    groups = [_split_group(3, 6, 6, 4, seed=5), sick, overflow, _split_group(5, 6, 6, 4, seed=6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = _assert_groups_match_alone(groups)
+    healthy, sick, overflow = together[::3], together[1], together[2]
+    reasons = set(sick.reasons) - {None}
     assert any("singular" in r for r in reasons) and any("rates break" in r for r in reasons)
-    assert all(r is None for found in together[::2] for r in found.reasons)
+    assert all(r is None for found in healthy for r in found.reasons)
+    assert set(overflow.reasons) == {"iterative water-filling stopped: " + tw.ma_phase._OVERFLOW}
+    assert not overflow.sweeps.any() and np.isnan(overflow.rates).all()
     assert [[st is None for st in found] for found in together] == [
         [r is not None for r in found.reasons] for found in together
     ]

@@ -656,6 +656,76 @@ def test_a_resolution_where_no_grid_certifies_is_a_config_error(capsys):
         assert spec.resolution == 1e-2
 
 
+def test_a_sweep_outside_the_sweeps_is_a_config_error(capsys):
+    # asymmetry-study and single sweep nothing, so --sweep-start, --sweep-stop
+    # and --sweep-points are flags they never read (exit 2). The flags at the
+    # spec's defaults pass.
+    for flags in (["asymmetry-study", "--trials", "1"], ["single"]):
+        for sweep in (["--sweep-start", "-1"], ["--sweep-stop", "9"], ["--sweep-points", "7"]):
+            assert main(["--scenario", *flags, *sweep, "--deterministic"]) == 2
+            assert sweep[0] in capsys.readouterr().err
+        at_default = ["--sweep-start", "0", "--sweep-stop", "0", "--sweep-points", "1"]
+        for extra in ([], at_default):
+            assert main(["--scenario", *flags, *extra, "--deterministic"]) == 0
+            capsys.readouterr()
+        with pytest.raises(tw.ConfigError, match="read only by lemma2-sweep and prmax-sweep"):
+            ScenarioSpec(scenario=flags[0], config=small_config(), sweep_points=7)
+        spec = ScenarioSpec(scenario=flags[0], config=small_config())
+        assert (spec.sweep_start, spec.sweep_stop, spec.sweep_points) == (0.0, 0.0, 1)
+
+
+def test_config_flags_a_run_never_reads_are_config_errors(tmp_path, capsys):
+    # lemma2-sweep runs no MA phase and sets its relay budgets from its sweep,
+    # prmax-sweep sets its relay budgets from its sweep, and single --instance
+    # reads its gains and rates from the file: a config flag such a run never
+    # reads is a config error (exit 2) naming the flag. The run without the
+    # flag, or with --sigma and --seed at their defaults, exits 0; --pr stays
+    # the fallback budget of an instance file without pr_max.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({k: v for k, v in ASYM_INSTANCE.items() if k != "pr_max"}))
+    runs = {
+        ("lemma2-sweep", "--sweep-points", "2"): [["--p1", "9"], ["--p2", "9"], ["--pr", "7"]],
+        ("prmax-sweep", "--sweep-points", "2"): [["--pr", "7"]],
+        ("single", "--instance", str(path)): [
+            ["--n1", "3"], ["--n2", "3"], ["--nr", "3"], ["--p1", "2"], ["--p2", "2"], ["--sigma", "5"],
+            ["--seed", "7"],
+        ],
+    }
+    for run, unread in runs.items():
+        for flag in unread:
+            assert main(["--scenario", *run, *flag, "--deterministic"]) == 2
+            assert f"never reads {flag[0]}" in capsys.readouterr().err
+        assert main(["--scenario", *run, "--deterministic"]) == 0
+        capsys.readouterr()
+    instance = ["--scenario", "single", "--instance", str(path), "--deterministic", "--format", "json"]
+    assert main([*instance, "--sigma", "1", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"][0]["pr_max"] == 1.0  # single's default --pr
+    assert main([*instance, "--pr", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"][0]["pr_max"] == 7.0
+    # The runs that read these flags take them.
+    for argv in (
+        ["lemma2-sweep", "--sweep-points", "2", "--sigma", "2", "--seed", "3"],
+        ["prmax-sweep", "--sweep-points", "2", "--p1", "2", "--p2", "2"],
+        ["single", "--n1", "1", "--p1", "2", "--p2", "2", "--pr", "3", "--sigma", "2", "--seed", "3"],
+    ):
+        assert main(["--scenario", *argv, "--deterministic"]) == 0
+        capsys.readouterr()
+
+
+def test_library_specs_take_any_system_config(tmp_path):
+    # The unread-flag rules belong to the command line: a library spec's
+    # SystemConfig describes the whole system, whatever the run reads of it.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(ASYM_INSTANCE))
+    cfg = small_config(p1_max=9.0, p2_max=8.0, pr_max=7.0, sigma1_sq=5.0, sigma2_sq=5.0, sigmar_sq=5.0, seed=3)
+    for scenario, extra in (("lemma2-sweep", {}), ("prmax-sweep", {}), ("single", {"instance_path": str(path)})):
+        spec = ScenarioSpec(scenario=scenario, config=cfg, **extra)
+        assert spec.config == cfg
+    # Built without sweep arguments, a sweep runs [0, 0] with one point.
+    records, _ = run_prmax_sweep(ScenarioSpec(scenario="prmax-sweep", config=cfg))
+    assert [r.pr_max for r in records] == [0.0]
+
+
 def test_cli_exit_code_on_a_grid_beyond_the_grid_size_rule(capsys):
     # A 1e-12 W resolution asks for about 1e12 grid levels a direction: a
     # config error (exit 2) with the rule's message, not an internal one.
